@@ -25,7 +25,7 @@ from .models import (
     undersample,
 )
 from .netstats import HomophilyReport, dyadicity, heterophilicity, homophily_test
-from .pipeline import ExperimentConfig, load_config, run_pipeline, sensitivity_sweep
+from .pipeline import ExperimentConfig, load_config, run_stages, sensitivity_sweep
 from .profit import (
     DelongResult,
     EmpParams,

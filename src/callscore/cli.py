@@ -27,19 +27,11 @@ from .models import ForestModel, LogisticModel, TreeModel
 from .netstats import homophily_test
 from .pipeline import (
     ExperimentConfig,
-    PipelineContext,
     load_config,
     load_labels,
     load_scores,
-    run_pipeline,
+    run_stages,
     sensitivity_sweep,
-    stage_data,
-    stage_eval,
-    stage_exposure,
-    stage_features,
-    stage_ingest,
-    stage_network,
-    stage_train,
 )
 from .profit import EmpParams
 from .propagation import (
@@ -135,7 +127,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="pairwise DeLong comparison of run models")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--delong", action="store_true", default=True)
 
     p = sub.add_parser("sweep", help="EMP sensitivity sweep on fixed scores")
     p.add_argument("--scores", required=True, help="scores.csv from a trained model")
@@ -202,7 +193,7 @@ def _cmd_build_graph(args) -> int:
     if args.window:
         window = (parse_cdr_date(args.window[0]), parse_cdr_date(args.window[1]))
     graph = build_graph(batch, window=window, mode=args.mode, weight_by=args.weight_by)
-    save_graph(graph, args.out, fmt="csv")
+    save_graph(graph, args.out)
     print(f"{graph.mode} graph: {graph.n_nodes} nodes, {graph.n_edges} edges "
           f"({graph.n_out_of_window} records outside window)")
     return 0
@@ -245,28 +236,26 @@ def _cmd_netstats(args) -> int:
     return 0
 
 
-def _run_context(run_dir: str, **overrides) -> tuple[ExperimentConfig, PipelineContext]:
-    resolved = Path(run_dir) / "config.resolved"
+def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
+    """Bring a run directory's stages up to `until` under its recorded config
+    plus the given overrides, which config.resolved then records."""
+    resolved = Path(args.run_dir) / "config.resolved"
     if not resolved.exists():
-        raise DataError(f"{run_dir} is not a pipeline run directory (no config.resolved)")
-    config = load_config(resolved)
-    for key, value in overrides.items():
-        if value is not None:
-            config = dataclasses.replace(config, **{key: value})
-    return config, PipelineContext(config=config, out=Path(run_dir))
+        raise DataError(f"{args.run_dir} is not a pipeline run directory (no config.resolved)")
+    changes = {key: value for key, value in overrides.items() if value is not None}
+    config = dataclasses.replace(load_config(resolved), out_dir=args.run_dir, **changes)
+    run_stages(config, until, resume=True)
+    return config
 
 
 def _cmd_featurize(args) -> int:
     groups = [g.strip().upper() for g in args.groups.split(",") if g.strip()]
-    config, ctx = _run_context(args.run_dir, corr_threshold=args.corr_threshold)
-    for stage in (stage_data, stage_ingest, stage_network, stage_exposure):
-        stage(ctx, resume=True)
-    stage_features(ctx, resume=False)
-    target = ctx.out / "features" / "matrix.csv"
-    matrix = ctx.matrix
+    config = _run_dir(args, "features", corr_threshold=args.corr_threshold)
+    target = Path(config.out_dir) / "features" / "matrix.csv"
+    matrix = FeatureMatrix.from_csv(target)
     if set(groups) != {"SD", "CB", "LB", "PR", "SPA"}:
         matrix = matrix.select_groups(groups)
-        target = ctx.out / "features" / "matrix_selected.csv"
+        target = target.with_name("matrix_selected.csv")
         matrix.to_csv(target)
     print(f"feature matrix: {matrix.n_rows} rows x {matrix.n_features} features "
           f"(groups {','.join(groups)}) -> {target}")
@@ -274,16 +263,9 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config, ctx = _run_context(
-        args.run_dir,
-        classifiers=args.model,
-        models=args.models,
-        seed=args.seed,
-    )
-    stage_features(ctx, resume=True)
-    stage_train(ctx, resume=False)
+    config = _run_dir(args, "train", classifiers=args.model, models=args.models, seed=args.seed)
     print(f"trained models {config.models} ({config.classifiers}) under "
-          f"{ctx.out / 'models_out'}")
+          f"{Path(config.out_dir) / 'models_out'}")
     return 0
 
 
@@ -316,36 +298,28 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config, ctx = _run_context(args.run_dir, roi=args.roi, lgd=args.lgd)
-    stage_features(ctx, resume=True)
-    trained = stage_train(ctx, resume=True)
-    stage_eval(ctx, trained, resume=False)
-    print((ctx.out / "eval" / "summary.txt").read_text(), end="")
+    config = _run_dir(args, "eval", roi=args.roi, lgd=args.lgd)
+    print((Path(config.out_dir) / "eval" / "summary.txt").read_text(), end="")
     return 0
 
 
 def _cmd_importance(args) -> int:
-    config, ctx = _run_context(args.run_dir, importance_models=args.model)
-    stage_features(ctx, resume=True)
-    trained = stage_train(ctx, resume=True)
-    stage_eval(ctx, trained, resume=False)
+    model_id = args.model.upper()
+    config = _run_dir(args, "eval", importance_models=model_id)
     kind = "importance_profit" if args.kind == "profit" else "importance_accuracy"
-    path = ctx.out / "eval" / f"{kind}_{args.model.upper()}.csv"
+    path = Path(config.out_dir) / "eval" / f"{kind}_{model_id}.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     print(f"top {min(args.top, len(rows))} features by {args.kind} importance "
-          f"(model {args.model.upper()}):")
+          f"(model {model_id}):")
     for row in rows[: args.top]:
         print(f"  {row['feature']:45s} {row['importance']}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    config, ctx = _run_context(args.run_dir)
-    stage_features(ctx, resume=True)
-    trained = stage_train(ctx, resume=True)
-    stage_eval(ctx, trained, resume=False)
-    print((ctx.out / "eval" / "delong.csv").read_text(), end="")
+    config = _run_dir(args, "eval")
+    print((Path(config.out_dir) / "eval" / "delong.csv").read_text(), end="")
     return 0
 
 
@@ -364,7 +338,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    summary = run_pipeline(config, resume=args.resume)
+    run_stages(config, resume=args.resume)
+    out = Path(config.out_dir)
+    summary = {
+        "out_dir": str(out),
+        "models_csv": str(out / "eval" / "models.csv"),
+        "summary": str(out / "eval" / "summary.txt"),
+        "netstats": str(out / "netstats" / "report.json"),
+        "matrix": str(out / "features" / "matrix.csv"),
+    }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -2,8 +2,9 @@
 
 Groups: SD (sociodemographics and debit behavior), CB (calling behavior),
 LB (neighbor delinquency link features), PR and SPA (exposure scores with
-link features over the high/low-risk relabeling). Per-subject operations are
-mirrored by vectorized matrix builders that produce identical numbers.
+link features over the high/low-risk relabeling). CB, LB and the exposure
+groups come from batch builders over many subjects at once; SD features come
+from one bank record at a time.
 """
 
 from __future__ import annotations
@@ -116,26 +117,6 @@ def calling_behavior_matrix(
     return cb_feature_names(), _compose_cb(cells_count, cells_dur)
 
 
-def calling_behavior_features(
-    records,
-    subject_id: str,
-    day_start_hour: int = 8,
-    day_end_hour: int = 20,
-) -> tuple[list, np.ndarray]:
-    """CB features for one subject from plain records (reference path)."""
-    batch = records if isinstance(records, CdrBatch) else CdrBatch.from_records(records)
-    try:
-        code = batch.ids.index(subject_id)
-    except ValueError:
-        code = None
-    if code is None:
-        return cb_feature_names(), np.zeros(len(cb_feature_names()))
-    names, matrix = calling_behavior_matrix(
-        batch, np.array([code]), day_start_hour, day_end_hour
-    )
-    return names, matrix[0]
-
-
 # ---------------------------------------------------------------------------
 # Link-based features (LB) over neighbor delinquency classes.
 # ---------------------------------------------------------------------------
@@ -189,12 +170,6 @@ def link_based_matrix(
     return lb_feature_names(), np.concatenate(blocks, axis=1)
 
 
-def link_based_features(graphs: dict, labels: NodeLabelSet, node: int) -> tuple[list, np.ndarray]:
-    """LB features for a single node (36 features across the three modes)."""
-    names, matrix = link_based_matrix(graphs, labels, np.array([node]))
-    return names, matrix[0]
-
-
 # ---------------------------------------------------------------------------
 # Exposure link features shared by the PR and SPA groups.
 # ---------------------------------------------------------------------------
@@ -245,17 +220,6 @@ def exposure_link_matrix(
         low_count,
         (high_count > low_count).astype(np.float64),
     ])
-
-
-def exposure_link_features(
-    graph: CallGraph,
-    exposure: ExposureVector,
-    relabeling: RiskRelabeling,
-    node: int,
-) -> tuple[list, np.ndarray]:
-    """Exposure features for one node and one propagation run."""
-    values = exposure_link_matrix(graph, exposure, relabeling, np.array([node]))[0]
-    return list(EXPOSURE_KINDS), values
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +453,6 @@ class FeatureMatrix:
             values=self.values[:, cols],
             y=self.y.copy(),
             missing=self.missing[:, cols],
-        )
-
-    def select_rows(self, idx) -> "FeatureMatrix":
-        idx = np.asarray(idx)
-        return FeatureMatrix(
-            subject_ids=[self.subject_ids[i] for i in idx],
-            timeframes=[self.timeframes[i] for i in idx],
-            feature_names=list(self.feature_names),
-            group_tags=list(self.group_tags),
-            values=self.values[idx],
-            y=self.y[idx],
-            missing=self.missing[idx],
         )
 
     def to_csv(self, path) -> None:

@@ -8,7 +8,6 @@ default to call counts; duration weighting is available but not the default.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -178,7 +177,15 @@ def build_graph(
         edge_dst = np.array([], dtype=np.int32)
         w = np.array([], dtype=np.float64)
 
-    # CSR traversal index; undirected graphs get both directions for O(deg) scans.
+    return _with_csr(mode, ids, edge_src, edge_dst, w, timeframe_id=timeframe_id,
+                     window=window, n_out_of_window=n_out)
+
+
+def _with_csr(mode: str, ids: list, edge_src, edge_dst, w, **extra) -> CallGraph:
+    """A CallGraph over an edge list, with its CSR traversal index built.
+
+    Undirected graphs index both directions of each edge for O(deg) scans.
+    """
     if mode == "undirected" and len(edge_src):
         rows = np.concatenate([edge_src, edge_dst])
         cols = np.concatenate([edge_dst, edge_src])
@@ -187,24 +194,12 @@ def build_graph(
         rows, cols, vals = edge_src, edge_dst, w
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     if len(rows):
         np.add.at(indptr, rows + 1, 1)
     np.cumsum(indptr, out=indptr)
-
-    return CallGraph(
-        mode=mode,
-        ids=ids,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_weight=w,
-        indptr=indptr,
-        indices=cols.astype(np.int32),
-        weights=vals,
-        timeframe_id=timeframe_id,
-        window=window,
-        n_out_of_window=n_out,
-    )
+    return CallGraph(mode=mode, ids=ids, edge_src=edge_src, edge_dst=edge_dst, edge_weight=w,
+                     indptr=indptr, indices=cols.astype(np.int32), weights=vals, **extra)
 
 
 def degree_distribution(graph: CallGraph) -> dict:
@@ -253,31 +248,17 @@ class NodeLabelSet:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: edge list + node index CSVs and a small meta sidecar.
+# Persistence: binary edge list + node index and a small meta sidecar.
 # ---------------------------------------------------------------------------
 
-def save_graph(graph: CallGraph, directory: str | Path, fmt: str = "csv") -> None:
-    """Persist as edge list + node index; `fmt` is 'csv' or 'npy' (binary)."""
+def save_graph(graph: CallGraph, directory: str | Path) -> None:
+    """Persist as edges.npy (src, dst, weight rows), nodes.txt and meta.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if fmt == "npy":
-        np.save(directory / "edges.npy",
-                np.column_stack([graph.edge_src, graph.edge_dst, graph.edge_weight]))
-        with open(directory / "nodes.txt", "w") as fh:
-            fh.writelines(f"{identity}\n" for identity in graph.ids)
-    elif fmt == "csv":
-        with open(directory / "edges.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("src", "dst", "weight"))
-            for s, d, w in zip(graph.edge_src, graph.edge_dst, graph.edge_weight):
-                writer.writerow((int(s), int(d), repr(float(w))))
-        with open(directory / "nodes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("node_id", "identity"))
-            for i, identity in enumerate(graph.ids):
-                writer.writerow((i, identity))
-    else:
-        raise DataError(f"unknown graph format {fmt!r}")
+    np.save(directory / "edges.npy",
+            np.column_stack([graph.edge_src, graph.edge_dst, graph.edge_weight]))
+    with open(directory / "nodes.txt", "w") as fh:
+        fh.writelines(f"{identity}\n" for identity in graph.ids)
     meta = {
         "mode": graph.mode,
         "timeframe_id": graph.timeframe_id,
@@ -294,50 +275,14 @@ def load_graph(directory: str | Path) -> CallGraph:
     if not (directory / "meta.json").exists():
         raise DataError(f"no saved graph at {directory}")
     meta = json.loads((directory / "meta.json").read_text())
-    if (directory / "edges.npy").exists():
-        triplets = np.load(directory / "edges.npy")
-        edge_src = triplets[:, 0].astype(np.int32)
-        edge_dst = triplets[:, 1].astype(np.int32)
-        w = triplets[:, 2].astype(np.float64)
-        ids = (directory / "nodes.txt").read_text().splitlines()
-    else:
-        ids = []
-        with open(directory / "nodes.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                ids.append(row["identity"])
-        src, dst, wgt = [], [], []
-        with open(directory / "edges.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                src.append(int(row["src"]))
-                dst.append(int(row["dst"]))
-                wgt.append(float(row["weight"]))
-        edge_src = np.asarray(src, dtype=np.int32)
-        edge_dst = np.asarray(dst, dtype=np.int32)
-        w = np.asarray(wgt, dtype=np.float64)
-    n = len(ids)
-    if meta["mode"] == "undirected" and len(edge_src):
-        rows = np.concatenate([edge_src, edge_dst])
-        cols = np.concatenate([edge_dst, edge_src])
-        vals = np.concatenate([w, w])
-    else:
-        rows, cols, vals = edge_src, edge_dst, w
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if len(rows):
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    window = tuple(meta["window"]) if meta.get("window") else None
-    return CallGraph(
-        mode=meta["mode"],
-        ids=ids,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_weight=w,
-        indptr=indptr,
-        indices=cols.astype(np.int32),
-        weights=vals,
+    triplets = np.load(directory / "edges.npy")
+    return _with_csr(
+        meta["mode"],
+        (directory / "nodes.txt").read_text().splitlines(),
+        triplets[:, 0].astype(np.int32),
+        triplets[:, 1].astype(np.int32),
+        triplets[:, 2].astype(np.float64),
         timeframe_id=meta.get("timeframe_id"),
-        window=window,
+        window=tuple(meta["window"]) if meta.get("window") else None,
         n_out_of_window=int(meta.get("n_out_of_window", 0)),
     )

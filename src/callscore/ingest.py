@@ -132,16 +132,6 @@ class IngestStats:
     rows_filtered_short: int = 0
     distinct_ids: int = 0
 
-    def merge(self, other: "IngestStats") -> "IngestStats":
-        # distinct_ids is not additive; callers merging shards must re-count.
-        return IngestStats(
-            rows_read=self.rows_read + other.rows_read,
-            rows_accepted=self.rows_accepted + other.rows_accepted,
-            rows_rejected=self.rows_rejected + other.rows_rejected,
-            rows_filtered_short=self.rows_filtered_short + other.rows_filtered_short,
-            distinct_ids=max(self.distinct_ids, other.distinct_ids),
-        )
-
     @property
     def conserved(self) -> bool:
         return self.rows_read == self.rows_accepted + self.rows_rejected + self.rows_filtered_short

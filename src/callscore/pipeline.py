@@ -1,18 +1,22 @@
 """End-to-end experiment pipeline: data -> graphs -> exposure -> features ->
-models -> evaluation, with cached stages and one master seed.
+models -> evaluation, with fingerprinted stages and one master seed.
 
-Every stage writes its outputs under the experiment directory and can be
-skipped on resume when they already exist; regenerating any deleted stage
-reproduces it byte-identically because all randomness flows from named
-substreams of the config seed.
+Every stage writes its outputs into its own directory under the experiment
+directory, together with a fingerprint of the config fields it reads and of
+its upstream stages (`run_stages`). A resumed run reuses a stage directory
+only when that fingerprint matches; regenerating any stage reproduces it
+byte-identically because all randomness flows from named substreams of the
+config seed.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
+import shutil
 import time
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -77,7 +81,6 @@ from .synth import SynthConfig, generate
 
 logger = logging.getLogger(__name__)
 
-N_TIMEFRAMES = 3
 TIMEFRAMES = ("t1", "t2", "t3")
 DIR_TO_MODE = {"IN": "incoming", "OUT": "outgoing", "UD": "undirected"}
 MODEL_GROUPS = {
@@ -91,6 +94,14 @@ MODEL_GROUPS = {
     "H": ("SD", "CB", "LB", "PR", "SPA"),
 }
 CLASSIFIERS = ("logit", "tree", "forest")
+# ExperimentConfig fields passed through to the synthetic generator
+SYNTH_FIELDS = (
+    "n_nodes", "n_subjects", "months", "mean_calls_per_node", "default_rate",
+    "homophily_strength", "risky_rate", "degree_mode", "degree_exponent", "degree_cutoff",
+    "existing_customer_rate", "uncarded_customer_rate", "short_call_rate",
+    "planted_feature_effect", "sd_weight", "cb_weight", "contagion_weight", "latent_weight",
+    "start_year", "start_month",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +182,7 @@ class ExperimentConfig:
         return kinds
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_nodes=self.n_nodes,
-            n_subjects=self.n_subjects,
-            months=self.months,
-            mean_calls_per_node=self.mean_calls_per_node,
-            default_rate=self.default_rate,
-            homophily_strength=self.homophily_strength,
-            risky_rate=self.risky_rate,
-            degree_mode=self.degree_mode,
-            degree_exponent=self.degree_exponent,
-            degree_cutoff=self.degree_cutoff,
-            existing_customer_rate=self.existing_customer_rate,
-            uncarded_customer_rate=self.uncarded_customer_rate,
-            short_call_rate=self.short_call_rate,
-            planted_feature_effect=self.planted_feature_effect,
-            sd_weight=self.sd_weight,
-            cb_weight=self.cb_weight,
-            contagion_weight=self.contagion_weight,
-            latent_weight=self.latent_weight,
-            start_year=self.start_year,
-            start_month=self.start_month,
-        )
+        return SynthConfig(**{name: getattr(self, name) for name in SYNTH_FIELDS})
 
     def month_date(self, month_index: int, day: int = 1) -> date:
         total = self.start_year * 12 + self.start_month - 1 + month_index - 1
@@ -321,6 +311,9 @@ class PipelineContext:
     exposures: dict | None = None    # (timeframe, method, crit, DIR) -> (ExposureVector, RiskRelabeling)
     matrix: FeatureMatrix | None = None
     row_loans: list | None = None    # LoanOutcome per matrix row
+    split: tuple | None = None       # (train, test, train_balanced) row indices
+    scored: dict | None = None       # (model_id, classifier) -> ScoredDataset
+    loaded: set = dataclasses.field(default_factory=set)  # stages whose outputs are held
 
 
 def _data_paths(ctx: PipelineContext) -> dict:
@@ -347,37 +340,24 @@ def _data_paths(ctx: PipelineContext) -> dict:
     }
 
 
-def stage_data(ctx: PipelineContext, resume: bool) -> None:
+def stage_data(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
-    if cfg.input_cdr:
-        _data_paths(ctx)  # validates presence
-        return
-    paths = _data_paths(ctx)
-    if resume and paths["cdr"].exists():
-        logger.info("stage data: cached")
-        return
-    data = generate(cfg.synth_config(), cfg.seed)
-    data.write(ctx.out / "data")
+    if not cfg.input_cdr:
+        generate(cfg.synth_config(), cfg.seed).write(out)
 
 
-def stage_ingest(ctx: PipelineContext, resume: bool) -> None:
-    out = ctx.out / "ingest"
-    out.mkdir(parents=True, exist_ok=True)
-    if resume and (out / "columns.npy").exists():
-        ctx.batch = _load_batch(out)
-    else:
-        paths = _data_paths(ctx)
-        with open(out / "rejects.log", "w") as rejects:
-            batch, stats = ingest_cdr(
-                paths["cdr"], min_duration=ctx.config.min_duration,
-                delimiter=ctx.config.delimiter, reject_log=rejects,
-            )
-        if not stats.conserved:
-            raise DataError("ingest stats do not conserve rows")
-        _save_batch(batch, out)
-        (out / "stats.json").write_text(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
-        ctx.batch = batch
+def stage_ingest(ctx: PipelineContext, out: Path) -> None:
     paths = _data_paths(ctx)
+    with open(out / "rejects.log", "w") as rejects:
+        batch, stats = ingest_cdr(
+            paths["cdr"], min_duration=ctx.config.min_duration,
+            delimiter=ctx.config.delimiter, reject_log=rejects,
+        )
+    if not stats.conserved:
+        raise DataError("ingest stats do not conserve rows")
+    _save_batch(batch, out)
+    (out / "stats.json").write_text(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
+    ctx.batch = batch
     ctx.bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
     (out / "bank_stats.json").write_text(
         json.dumps(dataclasses.asdict(bank_stats), indent=2, sort_keys=True) + "\n"
@@ -444,18 +424,13 @@ def _build_labels(
     return labels, loans
 
 
-def stage_network(ctx: PipelineContext, resume: bool) -> None:
-    out = ctx.out / "network"
+def stage_network(ctx: PipelineContext, out: Path) -> None:
     ctx.graphs, ctx.labels, ctx.loans = {}, {}, {}
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = ctx.config.window(k)
         for direction, mode in DIR_TO_MODE.items():
-            gdir = out / tf / direction
-            if resume and (gdir / "meta.json").exists():
-                graph = load_graph(gdir)
-            else:
-                graph = build_graph(ctx.batch, window=window, mode=mode, timeframe_id=tf)
-                save_graph(graph, gdir, fmt="npy")
+            graph = build_graph(ctx.batch, window=window, mode=mode, timeframe_id=tf)
+            save_graph(graph, out / tf / direction)
             ctx.graphs[(tf, direction)] = graph
         ud = ctx.graphs[(tf, "UD")]
         labels, loans = _build_labels(ctx, ud, k)
@@ -469,9 +444,7 @@ def stage_network(ctx: PipelineContext, resume: bool) -> None:
         )
 
 
-def stage_netstats(ctx: PipelineContext, resume: bool) -> None:
-    out = ctx.out / "netstats"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_netstats(ctx: PipelineContext, out: Path) -> None:
     reports = {}
     for tf in TIMEFRAMES:
         graph = ctx.graphs[(tf, "UD")]
@@ -482,17 +455,15 @@ def stage_netstats(ctx: PipelineContext, resume: bool) -> None:
     (out / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
 
 
-def _propagation_runs(ctx: PipelineContext):
+def _propagation_runs():
     for tf in TIMEFRAMES:
         for method in ("PR", "SPA"):
             for crit in (1, 2, 3):
                 for direction in ("IN", "OUT", "UD"):
-                    yield tf, method, crit, direction
+                    yield tf, method, crit, direction, f"{tf}_{method}_ge{crit}_{direction}"
 
 
-def stage_exposure(ctx: PipelineContext, resume: bool) -> None:
-    out = ctx.out / "exposure"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_exposure(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     pr_config = PropagationConfig(
         alpha=cfg.alpha, spread_fraction=cfg.spread_fraction,
@@ -504,27 +475,19 @@ def stage_exposure(ctx: PipelineContext, resume: bool) -> None:
     )
     ctx.exposures = {}
     cutoffs: dict = {}
-    for tf, method, crit, direction in _propagation_runs(ctx):
-        name = f"{tf}_{method}_ge{crit}_{direction}"
+    for tf, method, crit, direction, name in _propagation_runs():
         graph = ctx.graphs[(tf, direction)]
         labels = ctx.labels[tf]
-        path = out / f"{name}.npy"
         seeds = labels.delinquent_nodes(crit)
         if seeds.size == 0:
             raise DataError(f"no delinquent seeds for {name}")
-        if resume and path.exists():
-            exposure = ExposureVector(
-                scores=np.load(path), method=method, seed_spec=f"ge{crit}",
-                iterations_run=0, residual=0.0,
-            )
+        if method == "PR":
+            restart = uniform_restart(graph.n_nodes, seeds)
+            exposure = personalized_pagerank(graph, restart, pr_config)
         else:
-            if method == "PR":
-                restart = uniform_restart(graph.n_nodes, seeds)
-                exposure = personalized_pagerank(graph, restart, pr_config)
-            else:
-                exposure = spreading_activation(graph, seeds, spa_config)
-            exposure.seed_spec = f"ge{crit}"
-            np.save(path, exposure.scores)
+            exposure = spreading_activation(graph, seeds, spa_config)
+        exposure.seed_spec = f"ge{crit}"
+        np.save(out / f"{name}.npy", exposure.scores)
         cutoff = exposure_cutoff(exposure, labels)
         relabeling = relabel_high_risk(exposure, cutoff)
         cutoffs[name] = {
@@ -536,17 +499,8 @@ def stage_exposure(ctx: PipelineContext, resume: bool) -> None:
     (out / "cutoffs.json").write_text(json.dumps(cutoffs, indent=2, sort_keys=True) + "\n")
 
 
-def stage_features(ctx: PipelineContext, resume: bool) -> None:
-    out = ctx.out / "features"
-    out.mkdir(parents=True, exist_ok=True)
-    matrix_path = out / "matrix.csv"
-    loans_path = out / "loans.csv"
+def stage_features(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
-    if resume and matrix_path.exists() and loans_path.exists():
-        ctx.matrix = FeatureMatrix.from_csv(matrix_path)
-        ctx.row_loans = _load_row_loans(loans_path)
-        return
-
     bank_by_id = {r.customer_id: r for r in ctx.bank}
     frames = []
     total_excluded = 0
@@ -610,12 +564,12 @@ def stage_features(ctx: PipelineContext, resume: bool) -> None:
 
     full = assemble(frames)
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
-    pruned.to_csv(matrix_path)
+    pruned.to_csv(out / "matrix.csv")
     ctx.matrix = pruned
     ctx.row_loans = [
         ctx.loans[tf][sid] for sid, tf in zip(pruned.subject_ids, pruned.timeframes)
     ]
-    _save_row_loans(loans_path, pruned, ctx.row_loans)
+    _save_row_loans(out / "loans.csv", pruned, ctx.row_loans)
     (out / "pruning.json").write_text(json.dumps({
         "dropped": dropped,
         "n_features_before": full.n_features,
@@ -673,9 +627,7 @@ def load_scores(path: str | Path) -> ScoredDataset:
     return ScoredDataset(y=np.array(ys, dtype=bool), score=np.array(ss), subject_ids=ids)
 
 
-def stage_train(ctx: PipelineContext, resume: bool) -> dict:
-    out = ctx.out / "models_out"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_train(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     matrix = ctx.matrix
     spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratified=True)
@@ -687,22 +639,18 @@ def stage_train(ctx: PipelineContext, resume: bool) -> dict:
         "train_balanced": train_bal.tolist(),
     }, sort_keys=True) + "\n")
 
-    results: dict = {}
+    ctx.split = (train_idx, test_idx, train_bal)
+    ctx.scored = {}
     for model_id in cfg.model_ids():
         sub = matrix.select_groups(MODEL_GROUPS[model_id])
+        if sub.n_features == 0:
+            logger.warning("model %s skipped: correlation pruning left none of its %s features",
+                           model_id, "+".join(MODEL_GROUPS[model_id]))
+            continue
         X = sub.values
         for classifier in cfg.classifier_list():
-            key = (model_id, classifier)
             mdir = out / f"{model_id}_{classifier}"
-            mdir.mkdir(parents=True, exist_ok=True)
-            scores_csv = mdir / "scores.csv"
-            votes_npy = mdir / "votes.npy"
-            if resume and scores_csv.exists():
-                scored = load_scores(scores_csv)
-                if votes_npy.exists():
-                    scored.per_tree_votes = np.load(votes_npy)
-                results[key] = scored
-                continue
+            mdir.mkdir()
             t0 = time.perf_counter()
             if classifier == "forest":
                 model = train_forest(
@@ -711,7 +659,7 @@ def stage_train(ctx: PipelineContext, resume: bool) -> dict:
                     min_leaf=cfg.min_leaf, seed=cfg.seed,
                 )
                 scored = predict_forest(model, X[test_idx], matrix.y[test_idx])
-                np.save(votes_npy, scored.per_tree_votes)
+                np.save(mdir / "votes.npy", scored.per_tree_votes)
             elif classifier == "tree":
                 model = train_tree(
                     X[train_bal], matrix.y[train_bal],
@@ -728,19 +676,16 @@ def stage_train(ctx: PipelineContext, resume: bool) -> dict:
                 "groups": list(MODEL_GROUPS[model_id]),
                 "feature_names": list(sub.feature_names),
             }, sort_keys=True) + "\n")
-            _save_scores(scores_csv, scored, matrix, test_idx)
-            results[key] = scored
+            _save_scores(mdir / "scores.csv", scored, matrix, test_idx)
+            ctx.scored[(model_id, classifier)] = scored
             logger.info("trained %s/%s in %.1fs", model_id, classifier, time.perf_counter() - t0)
-    results["__split__"] = (train_idx, test_idx, train_bal)
-    return results
 
 
-def stage_eval(ctx: PipelineContext, trained: dict, resume: bool) -> dict:
-    out = ctx.out / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_eval(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     matrix = ctx.matrix
-    train_idx, test_idx, _ = trained["__split__"]
+    trained = ctx.scored
+    train_idx, test_idx, _ = ctx.split
     test_loans = [ctx.row_loans[i] for i in test_idx]
     train_loans = [ctx.row_loans[i] for i in train_idx]
     p0, p1 = estimate_loss_masses(train_loans, cfg.lgd)
@@ -748,7 +693,7 @@ def stage_eval(ctx: PipelineContext, trained: dict, resume: bool) -> dict:
 
     rows = []
     reports: dict = {}
-    for (model_id, classifier) in sorted(k for k in trained if isinstance(k, tuple)):
+    for (model_id, classifier) in sorted(trained):
         scored = trained[(model_id, classifier)]
         _, auc = roc_and_auc(scored)
         report = evaluate_economics(scored, test_loans, params)
@@ -835,7 +780,6 @@ def stage_eval(ctx: PipelineContext, trained: dict, resume: bool) -> dict:
             f"{report.emp_fraction:.8f}  {report.model_profit:.2f}"
         )
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    return reports
 
 
 def _load_forest(ctx: PipelineContext, model_id: str) -> ForestModel:
@@ -853,45 +797,168 @@ def _write_importance(path: Path, ranking: list) -> None:
             writer.writerow((name, "nan" if np.isnan(value) else repr(float(value))))
 
 
-def run_pipeline(config: ExperimentConfig, resume: bool = False) -> dict:
-    """Run every stage; returns a small summary dict of artifact locations."""
+# ---------------------------------------------------------------------------
+# Stage runner: a verifying trace (Mokhov, Mitchell and Peyton Jones, "Build
+# Systems a la Carte", ICFP 2018) over one directory per stage.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Stage:
+    name: str          # built by the module-level function stage_<name>
+    directory: str     # under out_dir
+    fields: tuple      # ExperimentConfig fields the stage reads
+    upstream: tuple    # stages whose outputs it reads
+
+
+STAGES = (
+    Stage("data", "data", ("seed", "input_cdr", "input_accounts", "input_transactions",
+                           "input_card_activity") + SYNTH_FIELDS, ()),
+    Stage("ingest", "ingest", ("min_duration", "delimiter"), ("data",)),
+    Stage("network", "network", ("start_year", "start_month"), ("ingest",)),
+    Stage("netstats", "netstats", (), ("network",)),
+    Stage("exposure", "exposure", ("alpha", "spread_fraction", "pr_tolerance", "pr_max_iterations",
+                                   "spa_tolerance", "spa_max_iterations"), ("network",)),
+    Stage("features", "features", ("start_year", "start_month", "day_start_hour", "day_end_hour",
+                                   "corr_threshold"), ("ingest", "network", "exposure")),
+    Stage("train", "models_out", ("seed", "models", "classifiers", "n_trees", "mtry", "min_leaf",
+                                  "cv_folds", "train_fraction", "undersample_ratio"), ("features",)),
+    Stage("eval", "eval", ("seed", "models", "classifiers", "importance_models",
+                           "importance_max_rows", "roi", "lgd"), ("features", "train")),
+)
+
+
+def _fingerprint(ctx: PipelineContext, stage: Stage, upstream: list) -> str:
+    """sha256 over the stage name, the fields it reads and its upstream fingerprints."""
+    digest = hashlib.sha256(stage.name.encode())
+    for name in stage.fields:
+        digest.update(f"\n{name} = {getattr(ctx.config, name)}".encode())
+    for fingerprint in upstream:
+        digest.update(f"\n{fingerprint}".encode())
+    if stage.name == "data" and ctx.config.input_cdr:
+        for path in _data_paths(ctx).values():
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+    return digest.hexdigest()
+
+
+def _stored_fingerprint(directory: Path) -> str | None:
+    path = directory / "fingerprint"
+    return path.read_text().strip() if path.exists() else None
+
+
+def _load_ingest(ctx: PipelineContext, directory: Path) -> None:
+    ctx.batch = _load_batch(directory)
+    paths = _data_paths(ctx)
+    ctx.bank, _ = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+
+
+def _load_network(ctx: PipelineContext, directory: Path) -> None:
+    ctx.graphs, ctx.labels, ctx.loans = {}, {}, {}
+    for tf in TIMEFRAMES:
+        for direction in DIR_TO_MODE:
+            ctx.graphs[(tf, direction)] = load_graph(directory / tf / direction)
+        ctx.labels[tf], ctx.loans[tf] = load_labels(directory / f"labels_{tf}.csv")
+
+
+def _load_exposure(ctx: PipelineContext, directory: Path) -> None:
+    cutoffs = json.loads((directory / "cutoffs.json").read_text())
+    ctx.exposures = {}
+    for tf, method, crit, direction, name in _propagation_runs():
+        # the residual is not persisted
+        exposure = ExposureVector(
+            scores=np.load(directory / f"{name}.npy"), method=method, seed_spec=f"ge{crit}",
+            iterations_run=cutoffs[name]["iterations"], residual=float("nan"),
+        )
+        relabeling = relabel_high_risk(exposure, cutoffs[name]["cutoff"])
+        ctx.exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+
+
+def _load_features(ctx: PipelineContext, directory: Path) -> None:
+    ctx.matrix = FeatureMatrix.from_csv(directory / "matrix.csv")
+    ctx.row_loans = _load_row_loans(directory / "loans.csv")
+
+
+def _load_train(ctx: PipelineContext, directory: Path) -> None:
+    split_rows = json.loads((directory / "split.json").read_text())
+    ctx.split = tuple(np.asarray(split_rows[key], dtype=np.int64)
+                      for key in ("train", "test", "train_balanced"))
+    ctx.scored = {}
+    for model_id in ctx.config.model_ids():
+        for classifier in ctx.config.classifier_list():
+            mdir = directory / f"{model_id}_{classifier}"
+            if not mdir.exists():  # a model whose feature groups were pruned away
+                continue
+            scored = load_scores(mdir / "scores.csv")
+            if (mdir / "votes.npy").exists():
+                scored.per_tree_votes = np.load(mdir / "votes.npy")
+            ctx.scored[(model_id, classifier)] = scored
+
+
+# Fill the context from a stage directory that was reused instead of built.
+_LOADERS = {
+    "ingest": _load_ingest,
+    "network": _load_network,
+    "exposure": _load_exposure,
+    "features": _load_features,
+    "train": _load_train,
+}
+
+
+def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = False) -> None:
+    """Bring every stage up to and including `until` up to date in config.out_dir.
+
+    Writes config.resolved first. With `resume`, a stage whose directory holds
+    a matching fingerprint is reused; otherwise it is built into
+    `.<directory>.tmp/`, its fingerprint written last, and swapped into place,
+    so an interrupted build leaves nothing a later resume trusts. A reused
+    stage's outputs are loaded only when a stage that reads them is built.
+    Afterwards every stage directory whose fingerprint does not match this
+    config is removed.
+    """
+    names = [stage.name for stage in STAGES]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(dump_config(config))
     ctx = PipelineContext(config=config, out=out)
-    stages = [
-        ("data", stage_data),
-        ("ingest", stage_ingest),
-        ("network", stage_network),
-        ("netstats", stage_netstats),
-        ("exposure", stage_exposure),
-        ("features", stage_features),
-    ]
+    prints: dict = {}
+    for stage in STAGES:
+        prints[stage.name] = _fingerprint(ctx, stage, [prints[u] for u in stage.upstream])
+    by_name = dict(zip(names, STAGES))
+
     t_start = time.perf_counter()
-    for name, fn in stages:
-        t0 = time.perf_counter()
-        try:
-            fn(ctx, resume)
-        except Exception as exc:
-            logger.error("stage %s failed: %s", name, exc)
-            raise
-        logger.info("stage %-9s done in %.1fs", name, time.perf_counter() - t0)
     try:
-        trained = stage_train(ctx, resume)
-        logger.info("stage train     done")
-        stage_eval(ctx, trained, resume)
-        logger.info("stage eval      done")
-    except Exception as exc:
-        logger.error("stage train/eval failed: %s", exc)
-        raise
-    logger.info("pipeline finished in %.1fs", time.perf_counter() - t_start)
-    return {
-        "out_dir": str(out),
-        "models_csv": str(out / "eval" / "models.csv"),
-        "summary": str(out / "eval" / "summary.txt"),
-        "netstats": str(out / "netstats" / "report.json"),
-        "matrix": str(out / "features" / "matrix.csv"),
-    }
+        for stage in STAGES[: names.index(until) + 1]:
+            target = out / stage.directory
+            if resume and _stored_fingerprint(target) == prints[stage.name]:
+                logger.info("stage %-9s reused", stage.name)
+                continue
+            for name in stage.upstream:
+                if name not in ctx.loaded and name in _LOADERS:
+                    _LOADERS[name](ctx, out / by_name[name].directory)
+                ctx.loaded.add(name)
+            t0 = time.perf_counter()
+            tmp = out / f".{stage.directory}.tmp"
+            shutil.rmtree(tmp, ignore_errors=True)
+            tmp.mkdir()
+            try:
+                globals()[f"stage_{stage.name}"](ctx, tmp)
+            except Exception as exc:
+                logger.error("stage %s failed: %s", stage.name, exc)
+                raise
+            (tmp / "fingerprint").write_text(prints[stage.name] + "\n")
+            shutil.rmtree(target, ignore_errors=True)
+            tmp.rename(target)
+            ctx.loaded.add(stage.name)
+            logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
+    finally:
+        for stage in STAGES:
+            target = out / stage.directory
+            shutil.rmtree(out / f".{stage.directory}.tmp", ignore_errors=True)
+            if target.exists() and _stored_fingerprint(target) != prints[stage.name]:
+                logger.info("stage %-9s removed: its fingerprint does not match", stage.name)
+                shutil.rmtree(target)
+    logger.info("stages up to %s done in %.1fs", until, time.perf_counter() - t_start)
 
 
 def sensitivity_sweep(
@@ -910,5 +977,5 @@ def sensitivity_sweep(
     for value in grid:
         p = dataclasses.replace(params, **{parameter: float(value)})
         emp_value, fraction = emp(scored, p)
-        rows.append((float(value), emp_value, fraction))
+        rows.append((float(value), float(emp_value), float(fraction)))
     return rows

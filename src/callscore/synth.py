@@ -106,17 +106,6 @@ class SynthData:
         total = self.config.start_year * 12 + self.config.start_month - 1 + month_index - 1
         return date(total // 12, total % 12 + 1, day)
 
-    def timeframe_window(self, k: int) -> tuple[date, date]:
-        """Inclusive date range of timeframe k in {1, 2, 3}: three whole months."""
-        if not 1 <= k <= N_TIMEFRAMES:
-            raise DataError("timeframe must be 1, 2 or 3")
-        start = self.month_date(k)
-        end = self.month_date(k + 3) - timedelta(days=1)
-        return start, end
-
-    def card_month(self, k: int) -> int:
-        return k + 3
-
     def write(self, outdir: str | Path) -> dict:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from callscore.graph import build_graph
 from callscore.ingest import CdrBatch
 from callscore.models import ScoredDataset, predict_forest, train_forest
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
-from callscore.pipeline import ExperimentConfig, load_config, load_scores, run_pipeline, sensitivity_sweep
+from callscore.pipeline import ExperimentConfig, load_config, load_scores, run_stages, sensitivity_sweep
 from callscore.profit import (
     EmpParams,
     LoanOutcome,
@@ -254,7 +254,7 @@ def qualitative_run(tmp_path_factory):
     config = load_config(CONFIG_DIR / "qualitative.cfg")
     out = tmp_path_factory.mktemp("qualitative")
     config = dataclasses.replace(config, out_dir=str(out))
-    run_pipeline(config)
+    run_stages(config)
     return Path(out)
 
 
@@ -327,7 +327,7 @@ def test_criterion_11_run_determinism(tmp_path):
     outputs = []
     for name in ("one", "two"):
         config = ExperimentConfig(out_dir=str(tmp_path / name), **base)
-        run_pipeline(config)
+        run_stages(config)
         outputs.append(tmp_path / name)
     reports = [
         "eval/models.csv", "eval/models.json", "eval/delong.csv", "eval/summary.txt",

@@ -6,18 +6,17 @@ import pytest
 
 from callscore.errors import DataError
 from callscore.features import (
+    EXPOSURE_KINDS,
     FeatureMatrix,
     assemble,
     assemble_timeframe,
-    calling_behavior_features,
     calling_behavior_matrix,
     cb_feature_names,
     diversity,
     drop_correlated,
     exposure_feature_names,
-    exposure_link_features,
+    exposure_link_matrix,
     lb_feature_names,
-    link_based_features,
     link_based_matrix,
     loyalty,
     region_of_postcode,
@@ -34,6 +33,24 @@ def feature(names, values, name):
     return values[names.index(name)]
 
 
+def cb_row(records, subject_id, batch_mask=None):
+    """CB names and the one-row CB matrix of `subject_id`, over calls kept by `batch_mask`."""
+    batch = CdrBatch.from_records(records)
+    if batch_mask is not None:
+        batch = batch.select(batch_mask(batch))
+    names, matrix = calling_behavior_matrix(batch, np.array([batch.ids.index(subject_id)]))
+    return names, matrix[0]
+
+
+def lb_row(graphs, labels, node):
+    names, matrix = link_based_matrix(graphs, labels, np.array([node]))
+    return names, matrix[0]
+
+
+def exposure_row(graph, exposure, relabeling, node):
+    return dict(zip(EXPOSURE_KINDS, exposure_link_matrix(graph, exposure, relabeling, np.array([node]))[0]))
+
+
 # ---------------------------------------------------------------------------
 # Calling behavior.
 # ---------------------------------------------------------------------------
@@ -47,7 +64,7 @@ def test_cb_names_are_72_unique():
 def test_cb_single_incoming_tuesday_call():
     # 2017-05-02 was a Tuesday
     records = [call("X", "SUBJ", duration=30, day=2, hh=14)]
-    names, values = calling_behavior_features(records, "SUBJ")
+    names, values = cb_row(records, "SUBJ")
     assert feature(names, values, "Count IN") == 1
     assert feature(names, values, "Count OUT") == 0
     assert feature(names, values, "Tuesday Duration UD") == 30
@@ -57,8 +74,10 @@ def test_cb_single_incoming_tuesday_call():
 
 
 def test_cb_no_calls_is_zero_vector():
-    records = [call("A", "B")]
-    names, values = calling_behavior_features(records, "UNSEEN")
+    # SUBJ's only call falls outside the window the batch is cut to
+    records = [call("A", "B", day=2), call("SUBJ", "A", day=20)]
+    names, values = cb_row(records, "SUBJ", lambda b: b.date_ord < date(2017, 5, 10).toordinal())
+    assert len(values) == 72
     assert not values.any()
 
 
@@ -68,7 +87,7 @@ def test_cb_weekend_outgoing_sum():
         call("SUBJ", "A", duration=10, day=6),
         call("SUBJ", "B", duration=20, day=6),
     ]
-    names, values = calling_behavior_features(records, "SUBJ")
+    names, values = cb_row(records, "SUBJ")
     assert feature(names, values, "Weekend Duration OUT") == 30
     assert feature(names, values, "Weekend Count OUT") == 2
     assert feature(names, values, "Saturday Duration OUT") == 30
@@ -82,7 +101,7 @@ def test_cb_day_night_boundary():
         call("SUBJ", "A", hh=19, duration=11),
         call("SUBJ", "A", hh=20, duration=13),
     ]
-    names, values = calling_behavior_features(records, "SUBJ")
+    names, values = cb_row(records, "SUBJ")
     assert feature(names, values, "Day Count OUT") == 2
     assert feature(names, values, "Night Count OUT") == 2
     assert feature(names, values, "Day Duration OUT") == 18
@@ -95,8 +114,8 @@ def test_cb_bulk_matches_per_subject(rng):
     codes = np.arange(len(batch.ids))
     names, matrix = calling_behavior_matrix(batch, codes)
     for code, identity in enumerate(batch.ids):
-        _, single = calling_behavior_features(records, identity)
-        assert np.allclose(matrix[code], single)
+        _, single = cb_row(records, identity)
+        assert np.array_equal(matrix[code], single)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +152,7 @@ def test_lb_names_are_36_unique():
 
 def test_lb_counts_and_mode():
     graphs, labels, subj = make_labeled_star([0, 0, 1])
-    names, values = link_based_features(graphs, labels, subj)
+    names, values = lb_row(graphs, labels, subj)
     assert feature(names, values, "Binary (0) UD") == 1
     assert feature(names, values, "Count (0) UD") == 2
     assert feature(names, values, "Binary (1) UD") == 1
@@ -145,13 +164,13 @@ def test_lb_counts_and_mode():
 
 def test_lb_no_labeled_neighbors_uses_no_information_mode():
     graphs, labels, subj = make_labeled_star([None, None])
-    names, values = link_based_features(graphs, labels, subj)
+    names, values = lb_row(graphs, labels, subj)
     assert not values.any()  # all binaries, counts and the mode one-hot are zero
 
 
 def test_lb_one_delinquent_of_eight():
     graphs, labels, subj = make_labeled_star([3] + [0] * 7)
-    names, values = link_based_features(graphs, labels, subj)
+    names, values = lb_row(graphs, labels, subj)
     assert feature(names, values, "Count (3) UD") == 1
     assert feature(names, values, "Binary (3) UD") == 1
     assert feature(names, values, "Count (0) UD") == 7
@@ -200,8 +219,7 @@ def test_exposure_link_features_counts():
     exposure = ExposureVector(scores=scores, method="PR", seed_spec="ge1",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.5, high_risk=high)
-    names, values = exposure_link_features(g, exposure, relabeling, g.node("SUBJ"))
-    got = dict(zip(names, values))
+    got = exposure_row(g, exposure, relabeling, g.node("SUBJ"))
     assert got["Exposure"] == pytest.approx(0.7)
     assert got["Binary High Risk"] == 1
     assert got["Count High Risk"] == 2
@@ -218,8 +236,7 @@ def test_exposure_isolated_subject():
     exposure = ExposureVector(scores=scores, method="SPA", seed_spec="ge1",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.1, high_risk=np.ones(gi.n_nodes, dtype=bool))
-    names, values = exposure_link_features(gi, exposure, relabeling, gi.node("A"))
-    got = dict(zip(names, values))
+    got = exposure_row(gi, exposure, relabeling, gi.node("A"))
     assert got["Exposure"] == pytest.approx(0.2)
     assert got["Count High Risk"] == 0
     assert got["Binary High Risk"] == 0

@@ -109,10 +109,9 @@ def test_duration_weighting():
     assert g.edge_weight[0] == 42.0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "npy"])
-def test_graph_round_trip(tmp_path, rng, fmt):
+def test_graph_round_trip(tmp_path, rng):
     g = build_graph(random_records(rng, 12, 60), mode="incoming", timeframe_id="t2")
-    save_graph(g, tmp_path / "g", fmt=fmt)
+    save_graph(g, tmp_path / "g")
     h = load_graph(tmp_path / "g")
     assert h.mode == g.mode
     assert h.ids == g.ids

@@ -128,18 +128,6 @@ def test_batch_round_trips_records():
     assert list(CdrBatch.from_records([batch[0]]))[0] == batch[0]
 
 
-def test_stats_merge_is_associative_on_counts():
-    rows_a = ["01MAY2017,10:00:00,30,A,B", "junk"]
-    rows_b = ["01MAY2017,10:00:00,2,C,D", "02MAY2017,10:00:00,9,C,D"]
-    _, sa = ingest_cdr(rows_a)
-    _, sb = ingest_cdr(rows_b)
-    _, joint = ingest_cdr(rows_a + rows_b)
-    merged = sa.merge(sb)
-    assert merged.conserved
-    for field_name in ("rows_read", "rows_accepted", "rows_rejected", "rows_filtered_short"):
-        assert getattr(merged, field_name) == getattr(joint, field_name)
-
-
 # ---------------------------------------------------------------------------
 # Bank ingestion.
 # ---------------------------------------------------------------------------

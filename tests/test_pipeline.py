@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -7,17 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from callscore import pipeline
 from callscore.cli import main as cli_main
 from callscore.errors import UsageError
+from callscore.features import FeatureMatrix, drop_correlated
 from callscore.pipeline import (
+    STAGES,
     ExperimentConfig,
+    PipelineContext,
     dump_config,
     load_config,
     load_scores,
-    run_pipeline,
+    run_stages,
     sensitivity_sweep,
+    stage_eval,
+    stage_train,
 )
-from callscore.profit import EmpParams
+from callscore.profit import EmpParams, LoanOutcome
 
 TINY = dict(
     seed=101,
@@ -31,8 +38,8 @@ TINY = dict(
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     config = ExperimentConfig(out_dir=str(out), **TINY)
-    summary = run_pipeline(config)
-    return config, Path(out), summary
+    run_stages(config)
+    return config, Path(out)
 
 
 def report_files(out: Path) -> list:
@@ -43,8 +50,14 @@ def report_files(out: Path) -> list:
     return [out / n for n in names]
 
 
+def snapshot(root: Path) -> dict:
+    """Relative path -> bytes of every file under `root`."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_report_is_fully_populated(tiny_run):
-    config, out, summary = tiny_run
+    config, out = tiny_run
     with open(out / "eval" / "models.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["model_id"] for r in rows] == ["A", "B", "H"]
@@ -57,7 +70,7 @@ def test_report_is_fully_populated(tiny_run):
 
 
 def test_feature_group_sizes_match_design(tiny_run):
-    _, out, _ = tiny_run
+    _, out = tiny_run
     pruning = json.loads((out / "features" / "pruning.json").read_text())
     assert pruning["group_sizes_before"] == {
         "SD": 35, "CB": 72, "LB": 36, "PR": 54, "SPA": 54}
@@ -65,7 +78,7 @@ def test_feature_group_sizes_match_design(tiny_run):
 
 
 def test_netstats_report_has_three_timeframes(tiny_run):
-    _, out, _ = tiny_run
+    _, out = tiny_run
     report = json.loads((out / "netstats" / "report.json").read_text())
     assert set(report) == {"t1", "t2", "t3"}
     for tf in report.values():
@@ -75,25 +88,111 @@ def test_netstats_report_has_three_timeframes(tiny_run):
 
 
 def test_rerun_is_byte_identical(tiny_run, tmp_path):
-    config, out, _ = tiny_run
+    config, out = tiny_run
     other = ExperimentConfig(**{**config.__dict__, "out_dir": str(tmp_path / "again")})
-    run_pipeline(other)
+    run_stages(other)
     for path in report_files(out):
         twin = tmp_path / "again" / path.relative_to(out)
         assert filecmp.cmp(path, twin, shallow=False), f"{path.name} differs"
 
 
 def test_stage_isolation_resume_reproduces(tiny_run, tmp_path):
-    config, out, _ = tiny_run
+    config, out = tiny_run
     clone = tmp_path / "clone"
     shutil.copytree(out, clone)
-    reference = {p: p.read_bytes() for p in report_files(clone)}
+    reference = snapshot(clone)
     shutil.rmtree(clone / "features")
     shutil.rmtree(clone / "eval")
-    other = ExperimentConfig(**{**config.__dict__, "out_dir": str(clone)})
-    run_pipeline(other, resume=True)
-    for path, payload in reference.items():
-        assert path.read_bytes() == payload, f"{path.name} changed after resume"
+    other = dataclasses.replace(config, out_dir=str(clone))
+    run_stages(other, resume=True)
+    reference["config.resolved"] = dump_config(other).encode()
+    after = snapshot(clone)
+    changed = sorted(k for k in set(reference) | set(after) if reference.get(k) != after.get(k))
+    assert not changed, f"changed after resume: {changed}"
+
+
+def test_resume_after_config_change_rebuilds_only_dependent_stages(tiny_run, tmp_path):
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    before = snapshot(clone)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(dump_config(dataclasses.replace(config, out_dir=str(clone), min_leaf=40)))
+    assert cli_main(["run", "--config", str(cfg), "--resume"]) == 0
+    after = snapshot(clone)
+    upstream = ("data/", "ingest/", "network/", "netstats/", "exposure/", "features/")
+    assert ({k: v for k, v in after.items() if k.startswith(upstream)}
+            == {k: v for k, v in before.items() if k.startswith(upstream)})
+    for rebuilt in ("models_out/fingerprint", "models_out/H_forest/model.json", "eval/fingerprint"):
+        assert after[rebuilt] != before[rebuilt], f"{rebuilt} was reused"
+    assert "min_leaf = 40" in (clone / "config.resolved").read_text()
+
+
+def test_train_override_is_recorded_and_evaluated(tiny_run, tmp_path):
+    _, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    assert cli_main(["train", "--run-dir", str(clone), "--models", "A", "--seed", "5"]) == 0
+    assert cli_main(["evaluate", "--run-dir", str(clone)]) == 0
+    resolved = load_config(clone / "config.resolved")
+    assert (resolved.seed, resolved.models) == (5, "A")
+    with open(clone / "eval" / "models.csv", newline="") as fh:
+        assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
+
+
+def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch):
+    _, out = tiny_run
+    run = tmp_path / "run"
+    config = ExperimentConfig(out_dir=str(run), **TINY)
+
+    def half_written(ctx, directory):
+        np.save(directory / "columns.npy", np.zeros((5, 0)))
+        raise RuntimeError("killed mid-write")
+
+    monkeypatch.setattr(pipeline, "stage_ingest", half_written)
+    with pytest.raises(RuntimeError):
+        run_stages(config, until="ingest")
+    assert sorted(p.name for p in run.iterdir()) == ["config.resolved", "data"]
+    monkeypatch.undo()
+    # an ingest directory without a fingerprint is not trusted either
+    (run / "ingest").mkdir()
+    np.save(run / "ingest" / "columns.npy", np.zeros((5, 0)))
+    run_stages(config, until="ingest", resume=True)
+    ingest = snapshot(run / "ingest")
+    assert ingest == snapshot(out / "ingest")
+
+
+def test_every_config_field_is_read_by_a_stage():
+    read = {name for stage in STAGES for name in stage.fields}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert fields - read == {"out_dir"}
+    assert read <= fields
+
+
+def test_model_with_pruned_away_groups_is_skipped(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 80
+    sd = rng.normal(size=(n, 3))
+    spa = np.ones((n, 2))
+    y = np.arange(n) % 3 == 0
+    full = FeatureMatrix(
+        subject_ids=[f"S{i}" for i in range(n)], timeframes=["t1"] * n,
+        feature_names=["a", "b", "c", "s1", "s2"], group_tags=["SD"] * 3 + ["SPA"] * 2,
+        values=np.hstack([sd, spa]), y=y, missing=np.zeros((n, 5), dtype=bool),
+    )
+    pruned, _ = drop_correlated(full)
+    assert pruned.group_sizes() == {"SD": 3}
+    config = ExperimentConfig(out_dir=str(tmp_path), models="A,E", n_trees=5, importance_models="E")
+    ctx = PipelineContext(config=config, out=tmp_path, matrix=pruned,
+                          row_loans=[LoanOutcome(100.0, 80.0 * v, bool(v)) for v in y])
+    (tmp_path / "models_out").mkdir()
+    (tmp_path / "eval").mkdir()
+    stage_train(ctx, tmp_path / "models_out")
+    assert set(ctx.scored) == {("A", "forest")}
+    assert not (tmp_path / "models_out" / "E_forest").exists()
+    stage_eval(ctx, tmp_path / "eval")
+    with open(tmp_path / "eval" / "models.csv", newline="") as fh:
+        assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
 
 
 def test_missing_input_fails_before_work(tmp_path):
@@ -105,7 +204,7 @@ def test_missing_input_fails_before_work(tmp_path):
         input_card_activity=str(tmp_path / "c.csv"),
     )
     with pytest.raises(Exception, match="nope.csv"):
-        run_pipeline(config)
+        run_stages(config)
     assert not (tmp_path / "x" / "ingest").exists()
 
 
@@ -133,7 +232,7 @@ def test_config_comments_and_types(tmp_path):
 
 
 def test_sweep_monotone_in_roi(tiny_run):
-    _, out, _ = tiny_run
+    _, out = tiny_run
     scored = load_scores(out / "models_out" / "H_forest" / "scores.csv")
     params = EmpParams(roi=0.05, lgd=0.8, p0=0.2, p1=0.2)
     rows = sensitivity_sweep(scored, params, "roi", np.linspace(0.01, 0.2, 12))
@@ -142,7 +241,7 @@ def test_sweep_monotone_in_roi(tiny_run):
 
 
 def test_sweep_lgd_rows(tiny_run):
-    _, out, _ = tiny_run
+    _, out = tiny_run
     scored = load_scores(out / "models_out" / "H_forest" / "scores.csv")
     params = EmpParams(roi=0.05, lgd=0.8, p0=0.2, p1=0.2)
     rows = sensitivity_sweep(scored, params, "lgd", [0.5])
@@ -175,7 +274,7 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
     assert cli_main(["build-graph", "--cdr", str(ing_dir / "filtered.csv"),
                      "--mode", "ud", "--window", "01JAN2017", "31MAR2017",
                      "--out", str(graph_dir)]) == 0
-    assert (graph_dir / "edges.csv").exists()
+    assert (graph_dir / "edges.npy").exists()
 
     # labels for the standalone commands come from a pipeline run
     run_dir = tmp_path / "run"
@@ -211,6 +310,8 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
     sweep_rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert sweep_rows[0] == "roi,emp,emp_fraction"
     assert len(sweep_rows) == 6
+    for row in sweep_rows[1:]:
+        [float(cell) for cell in row.split(",")]
 
     scores_csv = tmp_path / "rescored.csv"
     assert cli_main(["predict", "--model", str(run_dir / "models_out" / "H_forest"),

@@ -111,7 +111,7 @@ def default_labels_on(graph, data):
 def test_zero_effect_gives_chance_level_auc(tmp_path):
     import csv
 
-    from callscore.pipeline import ExperimentConfig, run_pipeline
+    from callscore.pipeline import ExperimentConfig, run_stages
 
     aucs = []
     for seed in range(5):
@@ -121,7 +121,7 @@ def test_zero_effect_gives_chance_level_auc(tmp_path):
             default_rate=0.2, planted_feature_effect=0.0,
             models="H", classifiers="forest", n_trees=60,
         )
-        run_pipeline(config)
+        run_stages(config)
         with open(tmp_path / f"null{seed}" / "eval" / "models.csv", newline="") as fh:
             aucs.append(float(next(iter(csv.DictReader(fh)))["auc"]))
     assert abs(np.mean(aucs) - 0.5) < 0.03
@@ -137,9 +137,11 @@ def test_infeasible_config_rejected():
 
 
 def test_subject_windows_cover_cdr_span():
-    data = generate(SMALL, seed=2)
-    start, end = data.timeframe_window(1)
+    from callscore.pipeline import ExperimentConfig
+
+    config = ExperimentConfig(months=SMALL.months, start_year=SMALL.start_year,
+                              start_month=SMALL.start_month)
+    start, end = config.window(1)
     assert (end - start).days >= 88  # three whole months
-    assert data.card_month(1) == 4
-    with pytest.raises(DataError):
-        data.timeframe_window(4)
+    assert config.month_index(end) + 1 == 4  # cards issued in month 4 are scored on timeframe 1
+    assert config.window(3)[1] < config.month_date(SMALL.months + 1)  # inside the call data
