@@ -236,14 +236,18 @@ def _cmd_netstats(args) -> int:
     return 0
 
 
-def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
-    """Bring a run directory's stages up to `until` under its recorded config
-    plus the given overrides, which config.resolved then records."""
+def _recorded_config(args) -> ExperimentConfig:
     resolved = Path(args.run_dir) / "config.resolved"
     if not resolved.exists():
         raise DataError(f"{args.run_dir} is not a pipeline run directory (no config.resolved)")
+    return dataclasses.replace(load_config(resolved), out_dir=args.run_dir)
+
+
+def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
+    """Bring a run directory's stages up to `until` under its recorded config
+    plus the given overrides, which config.resolved then records."""
     changes = {key: value for key, value in overrides.items() if value is not None}
-    config = dataclasses.replace(load_config(resolved), out_dir=args.run_dir, **changes)
+    config = dataclasses.replace(_recorded_config(args), **changes)
     run_stages(config, until, resume=True)
     return config
 
@@ -305,9 +309,14 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_importance(args) -> int:
     model_id = args.model.upper()
-    config = _run_dir(args, "eval", importance_models=model_id)
+    listed = [m.strip().upper() for m in _recorded_config(args).importance_models.split(",") if m.strip()]
+    # a model not yet listed is added, so the tables of the listed ones are kept
+    extended = None if model_id in listed else ",".join(listed + [model_id])
+    config = _run_dir(args, "eval", importance_models=extended)
     kind = "importance_profit" if args.kind == "profit" else "importance_accuracy"
     path = Path(config.out_dir) / "eval" / f"{kind}_{model_id}.csv"
+    if not path.exists():
+        raise DataError(f"no importance for model {model_id}: the run has no {model_id} forest")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     print(f"top {min(args.top, len(rows))} features by {args.kind} importance "

@@ -102,6 +102,8 @@ SYNTH_FIELDS = (
     "planted_feature_effect", "sd_weight", "cb_weight", "contagion_weight", "latent_weight",
     "start_year", "start_month",
 )
+# ExperimentConfig fields naming input files; when input_cdr is set they replace the generator
+INPUT_FIELDS = ("input_cdr", "input_accounts", "input_transactions", "input_card_activity")
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +315,21 @@ class PipelineContext:
     row_loans: list | None = None    # LoanOutcome per matrix row
     split: tuple | None = None       # (train, test, train_balanced) row indices
     scored: dict | None = None       # (model_id, classifier) -> ScoredDataset
-    loaded: set = dataclasses.field(default_factory=set)  # stages whose outputs are held
 
 
 def _data_paths(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     if cfg.input_cdr:
-        required = {
-            "cdr": cfg.input_cdr,
-            "accounts": cfg.input_accounts,
-            "transactions": cfg.input_transactions,
-            "card_activity": cfg.input_card_activity,
-        }
+        # a rebuilt stage replaces its whole directory, inputs included
+        rebuilt = [(ctx.out / stage.directory).resolve() for stage in STAGES if stage.name != "data"]
+        required = {field.removeprefix("input_"): getattr(cfg, field) for field in INPUT_FIELDS}
         for name, p in required.items():
             if not p:
                 raise UsageError(f"input_{name} must be set when input_cdr is given")
             if not Path(p).exists():
                 raise DataError(f"missing input file for {name}: {p}")
+            if any(Path(p).resolve().is_relative_to(d) for d in rebuilt):
+                raise UsageError(f"input_{name} lies inside a stage directory of {ctx.out}: {p}")
         return {k: Path(v) for k, v in required.items()}
     base = ctx.out / "data"
     return {
@@ -811,8 +811,7 @@ class Stage:
 
 
 STAGES = (
-    Stage("data", "data", ("seed", "input_cdr", "input_accounts", "input_transactions",
-                           "input_card_activity") + SYNTH_FIELDS, ()),
+    Stage("data", "data", INPUT_FIELDS + ("seed",) + SYNTH_FIELDS, ()),
     Stage("ingest", "ingest", ("min_duration", "delimiter"), ("data",)),
     Stage("network", "network", ("start_year", "start_month"), ("ingest",)),
     Stage("netstats", "netstats", (), ("network",)),
@@ -828,13 +827,18 @@ STAGES = (
 
 
 def _fingerprint(ctx: PipelineContext, stage: Stage, upstream: list) -> str:
-    """sha256 over the stage name, the fields it reads and its upstream fingerprints."""
+    """sha256 over the stage name, the fields it reads and its upstream fingerprints.
+
+    Data read from input files is fingerprinted by their paths and bytes
+    alone: the generator's fields play no part in it.
+    """
+    from_files = stage.name == "data" and ctx.config.input_cdr
     digest = hashlib.sha256(stage.name.encode())
-    for name in stage.fields:
+    for name in INPUT_FIELDS if from_files else stage.fields:
         digest.update(f"\n{name} = {getattr(ctx.config, name)}".encode())
     for fingerprint in upstream:
         digest.update(f"\n{fingerprint}".encode())
-    if stage.name == "data" and ctx.config.input_cdr:
+    if from_files:
         for path in _data_paths(ctx).values():
             with open(path, "rb") as fh:
                 for block in iter(lambda: fh.read(1 << 20), b""):
@@ -908,56 +912,66 @@ _LOADERS = {
 def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = False) -> None:
     """Bring every stage up to and including `until` up to date in config.out_dir.
 
-    Writes config.resolved first. With `resume`, a stage whose directory holds
-    a matching fingerprint is reused; otherwise it is built into
-    `.<directory>.tmp/`, its fingerprint written last, and swapped into place,
-    so an interrupted build leaves nothing a later resume trusts. A reused
-    stage's outputs are loaded only when a stage that reads them is built.
-    Afterwards every stage directory whose fingerprint does not match this
-    config is removed.
+    With `resume`, a stage whose directory holds a matching fingerprint is
+    reused; otherwise it is built into `.<directory>.tmp/`, its fingerprint
+    written last, and swapped into place, so an interrupted build leaves
+    nothing a later resume trusts. A reused stage's outputs are loaded only
+    when a stage that reads them is built. Only when every stage succeeded
+    is config.resolved written and every stage directory whose fingerprint
+    does not match this config removed; a failed run leaves the outputs of
+    the stages it did not rebuild, and the config that made them, in place.
+    An input-file run has no data directory: its files are its data.
     """
-    names = [stage.name for stage in STAGES]
+    # a bad value fails here, before any file of the run is touched
+    config.model_ids()
+    config.classifier_list()
+    EmpParams(roi=config.roi, lgd=config.lgd)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(dump_config(config))
     ctx = PipelineContext(config=config, out=out)
     prints: dict = {}
     for stage in STAGES:
         prints[stage.name] = _fingerprint(ctx, stage, [prints[u] for u in stage.upstream])
-    by_name = dict(zip(names, STAGES))
+    names = [stage.name for stage in STAGES]
+    owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
+    loaded: set = set()  # stages whose outputs ctx holds
 
+    out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    try:
-        for stage in STAGES[: names.index(until) + 1]:
-            target = out / stage.directory
-            if resume and _stored_fingerprint(target) == prints[stage.name]:
-                logger.info("stage %-9s reused", stage.name)
-                continue
-            for name in stage.upstream:
-                if name not in ctx.loaded and name in _LOADERS:
-                    _LOADERS[name](ctx, out / by_name[name].directory)
-                ctx.loaded.add(name)
-            t0 = time.perf_counter()
-            tmp = out / f".{stage.directory}.tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            tmp.mkdir()
-            try:
-                globals()[f"stage_{stage.name}"](ctx, tmp)
-            except Exception as exc:
-                logger.error("stage %s failed: %s", stage.name, exc)
-                raise
+    for stage in STAGES[: names.index(until) + 1]:
+        target = out / stage.directory
+        if stage not in owned:
+            continue
+        if resume and _stored_fingerprint(target) == prints[stage.name]:
+            logger.info("stage %-9s reused", stage.name)
+            continue
+        for name in stage.upstream:
+            if name not in loaded and name in _LOADERS:
+                _LOADERS[name](ctx, out / STAGES[names.index(name)].directory)
+            loaded.add(name)
+        t0 = time.perf_counter()
+        tmp = out / f".{stage.directory}.tmp"
+        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.mkdir()
+        try:
+            globals()[f"stage_{stage.name}"](ctx, tmp)
             (tmp / "fingerprint").write_text(prints[stage.name] + "\n")
             shutil.rmtree(target, ignore_errors=True)
             tmp.rename(target)
-            ctx.loaded.add(stage.name)
-            logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
-    finally:
-        for stage in STAGES:
-            target = out / stage.directory
-            shutil.rmtree(out / f".{stage.directory}.tmp", ignore_errors=True)
-            if target.exists() and _stored_fingerprint(target) != prints[stage.name]:
-                logger.info("stage %-9s removed: its fingerprint does not match", stage.name)
-                shutil.rmtree(target)
+        except Exception as exc:
+            logger.error("stage %s failed: %s", stage.name, exc)
+            raise
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        loaded.add(stage.name)
+        logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
+
+    for stage in owned:
+        target = out / stage.directory
+        stored = _stored_fingerprint(target)
+        if stored is not None and stored != prints[stage.name]:
+            logger.info("stage %-9s removed: its fingerprint does not match", stage.name)
+            shutil.rmtree(target)
+    (out / "config.resolved").write_text(dump_config(config))
     logger.info("stages up to %s done in %.1fs", until, time.perf_counter() - t_start)
 
 

@@ -152,7 +152,7 @@ def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch)
     monkeypatch.setattr(pipeline, "stage_ingest", half_written)
     with pytest.raises(RuntimeError):
         run_stages(config, until="ingest")
-    assert sorted(p.name for p in run.iterdir()) == ["config.resolved", "data"]
+    assert sorted(p.name for p in run.iterdir()) == ["data"]
     monkeypatch.undo()
     # an ingest directory without a fingerprint is not trusted either
     (run / "ingest").mkdir()
@@ -160,6 +160,56 @@ def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch)
     run_stages(config, until="ingest", resume=True)
     ingest = snapshot(run / "ingest")
     assert ingest == snapshot(out / "ingest")
+
+
+def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
+    _, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    before = snapshot(clone)
+    assert cli_main(["evaluate", "--run-dir", str(clone), "--roi", "0"]) != 0
+    assert cli_main(["train", "--run-dir", str(clone), "--models", "Z"]) != 0
+    # fails inside stage_features, after its upstream stages were loaded
+    assert cli_main(["featurize", "--run-dir", str(clone), "--corr-threshold", "2"]) != 0
+    assert snapshot(clone) == before
+
+
+def test_importance_adds_to_the_listed_models(tiny_run, tmp_path):
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    run_stages(dataclasses.replace(config, out_dir=str(clone), importance_models="A,H"), resume=True)
+    before = snapshot(clone)
+    assert cli_main(["importance", "--run-dir", str(clone), "--model", "H"]) == 0
+    assert snapshot(clone) == before
+    assert cli_main(["importance", "--run-dir", str(clone), "--model", "B"]) == 0
+    assert load_config(clone / "config.resolved").importance_models == "A,H,B"
+    for model_id in ("A", "H", "B"):
+        assert (clone / "eval" / f"importance_profit_{model_id}.csv").exists()
+    assert cli_main(["importance", "--run-dir", str(clone), "--model", "G"]) == 2
+
+
+def test_input_file_run_leaves_its_data_alone(tiny_run, tmp_path):
+    config, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    data = run / "data"
+    inputs = {f"input_{name}": str(data / f"{name}.csv")
+              for name in ("cdr", "accounts", "transactions", "card_activity")}
+    from_files = dataclasses.replace(config, out_dir=str(run), **inputs)
+    run_stages(from_files, resume=True)
+    # the inputs live in the data directory of a synthetic run, which stays as it was
+    assert snapshot(data) == snapshot(out / "data")
+    before = snapshot(run)
+    assert cli_main(["train", "--run-dir", str(run), "--seed", "5"]) == 0
+    after = snapshot(run)
+    upstream = ("data/", "ingest/", "network/", "netstats/", "exposure/", "features/")
+    assert ({k: v for k, v in after.items() if k.startswith(upstream)}
+            == {k: v for k, v in before.items() if k.startswith(upstream)})
+    assert after["models_out/fingerprint"] != before["models_out/fingerprint"]
+    misplaced = dataclasses.replace(from_files, input_cdr=str(run / "ingest" / "stats.json"))
+    with pytest.raises(UsageError, match="inside a stage directory"):
+        run_stages(misplaced, resume=True)
 
 
 def test_every_config_field_is_read_by_a_stage():
