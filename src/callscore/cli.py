@@ -21,9 +21,9 @@ import numpy as np
 from .errors import ConvergenceError, DataError, UsageError
 from .features import FeatureMatrix
 from .graph import build_graph, load_graph, save_graph
-from .ingest import cdr_line, ingest_cdr, parse_cdr_date
+from .ingest import ingest_cdr, parse_cdr_date, write_cdr
 from .models import load_model, predict_forest, predict_logistic, predict_tree_proba
-from .models import ForestModel, LogisticModel, TreeModel
+from .models import ForestModel, LogisticModel, ScoredDataset, TreeModel
 from .netstats import homophily_test
 from .pipeline import (
     ExperimentConfig,
@@ -31,6 +31,7 @@ from .pipeline import (
     load_labels,
     load_scores,
     run_stages,
+    save_scores,
     sensitivity_sweep,
 )
 from .profit import EmpParams
@@ -146,13 +147,15 @@ def _build_parser() -> _Parser:
 
 
 def _parse_grid(text: str) -> list:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("range grid must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(start, stop, count))
-    return [float(v) for v in text.split(",") if v.strip()]
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise UsageError("range grid must be start:stop:count")
+    try:
+        if len(parts) == 3:
+            return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad grid {text!r}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -175,10 +178,7 @@ def _cmd_ingest(args) -> int:
     with open(out / "rejects.log", "w") as rejects:
         batch, stats = ingest_cdr(args.cdr, min_duration=args.min_duration,
                                   delimiter=args.delimiter, reject_log=rejects)
-    with open(out / "filtered.csv", "w") as fh:
-        fh.write("start_date,start_time,duration,from_id,to_id\n")
-        for record in batch:
-            fh.write(cdr_line(record) + "\n")
+    write_cdr(out / "filtered.csv", batch)
     (out / "stats.json").write_text(
         json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
     print(f"read {stats.rows_read} rows: {stats.rows_accepted} accepted, "
@@ -291,12 +291,7 @@ def _cmd_predict(args) -> int:
         scores = predict_logistic(model, X)
     else:
         raise DataError("unsupported model type")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("subject_id", "timeframe", "y", "score"))
-        for i in range(matrix.n_rows):
-            writer.writerow((matrix.subject_ids[i], matrix.timeframes[i],
-                             int(matrix.y[i]), repr(float(scores[i]))))
+    save_scores(args.out, ScoredDataset(y=matrix.y, score=scores), matrix, range(matrix.n_rows))
     print(f"scored {matrix.n_rows} rows -> {args.out}")
     return 0
 
@@ -309,14 +304,19 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_importance(args) -> int:
     model_id = args.model.upper()
-    listed = [m.strip().upper() for m in _recorded_config(args).importance_models.split(",") if m.strip()]
+    recorded = _recorded_config(args)
+    absent = f"no importance for model {model_id}: the run has no {model_id} forest"
+    # refused before the run is touched: listing it would rebuild eval/ for nothing
+    if model_id not in recorded.model_ids() or "forest" not in recorded.classifier_list():
+        raise DataError(absent)
+    listed = recorded.importance_model_ids()
     # a model not yet listed is added, so the tables of the listed ones are kept
     extended = None if model_id in listed else ",".join(listed + [model_id])
     config = _run_dir(args, "eval", importance_models=extended)
     kind = "importance_profit" if args.kind == "profit" else "importance_accuracy"
     path = Path(config.out_dir) / "eval" / f"{kind}_{model_id}.csv"
     if not path.exists():
-        raise DataError(f"no importance for model {model_id}: the run has no {model_id} forest")
+        raise DataError(absent)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     print(f"top {min(args.top, len(rows))} features by {args.kind} importance "

@@ -29,6 +29,8 @@ _MONTHS = {
 _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 
 CDR_FIELD_COUNT = 5
+CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
+_WRITE_CHUNK = 1 << 16
 
 
 class CdrParseError(DataError):
@@ -60,66 +62,55 @@ def parse_cdr_date(text: str) -> date:
         raise CdrParseError(f"invalid date {text!r}") from None
 
 
-def parse_cdr_time(text: str) -> time:
-    """Parse an HH:MM:SS time of day."""
-    text = text.strip()
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CdrParseError(f"invalid time {text!r}")
-    try:
-        hh, mm, ss = (int(p) for p in parts)
-        return time(hh, mm, ss)
-    except ValueError:
-        raise CdrParseError(f"invalid time {text!r}") from None
-
-
 def format_cdr_date(d: date) -> str:
     return f"{d.day:02d}{_MONTH_NAMES[d.month]}{d.year:04d}"
 
 
-def format_cdr_time(t: time) -> str:
-    return f"{t.hour:02d}:{t.minute:02d}:{t.second:02d}"
-
-
-def cdr_line(record: CdrRecord, delimiter: str = ",") -> str:
-    """Canonical serialization; inverse of parse_cdr_line for valid rows."""
-    return delimiter.join(
-        (
-            format_cdr_date(record.start_date),
-            format_cdr_time(record.start_time),
-            str(record.duration),
-            record.from_id,
-            record.to_id,
-        )
-    )
-
-
-def parse_cdr_line(line: str, delimiter: str = ",") -> CdrRecord:
-    """Parse one CDR row into a typed record.
+def _parse_fields(fields: list[str], date_cache: dict[str, int]) -> tuple[int, int, int, str, str]:
+    """Validate one split CDR row: (date ordinal, seconds of day, duration, from_id, to_id).
 
     Raises CdrParseError on a wrong field count, malformed date or time,
     non-numeric or negative duration, empty identities, or a self-call.
-    Duration filtering is not applied here; zero is a valid parsed duration.
+    `date_cache` maps date text already parsed to its ordinal.
     """
-    fields = line.rstrip("\r\n").split(delimiter)
     if len(fields) != CDR_FIELD_COUNT:
         raise CdrParseError(f"expected {CDR_FIELD_COUNT} fields, got {len(fields)}")
-    start_date = parse_cdr_date(fields[0])
-    start_time = parse_cdr_time(fields[1])
-    dur_text = fields[2].strip()
+    dtext = fields[0].strip()
+    ordinal = date_cache.get(dtext)
+    if ordinal is None:
+        ordinal = date_cache[dtext] = parse_cdr_date(dtext).toordinal()
+    t = fields[1].strip()
+    tparts = t.split(":")
+    if len(tparts) != 3:
+        raise CdrParseError(f"invalid time {t!r}")
     try:
-        duration = int(dur_text)
+        hh, mm, ss = int(tparts[0]), int(tparts[1]), int(tparts[2])
     except ValueError:
-        raise CdrParseError(f"non-numeric duration {dur_text!r}") from None
-    if duration < 0:
-        raise CdrParseError(f"negative duration {duration}")
-    from_id = fields[3].strip()
-    to_id = fields[4].strip()
-    if not from_id or not to_id:
+        raise CdrParseError(f"invalid time {t!r}") from None
+    if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
+        raise CdrParseError(f"invalid time {t!r}")
+    try:
+        dur = int(fields[2])
+    except ValueError:
+        raise CdrParseError(f"non-numeric duration {fields[2].strip()!r}") from None
+    if dur < 0:
+        raise CdrParseError(f"negative duration {dur}")
+    fid = fields[3].strip()
+    tid = fields[4].strip()
+    if not fid or not tid:
         raise CdrParseError("empty phone identity")
-    if from_id == to_id:
-        raise CdrParseError(f"self-call for identity {from_id!r}")
-    return CdrRecord(start_date, start_time, duration, from_id, to_id)
+    if fid == tid:
+        raise CdrParseError(f"self-call for identity {fid!r}")
+    return ordinal, hh * 3600 + mm * 60 + ss, dur, fid, tid
+
+
+def parse_cdr_line(line: str, delimiter: str = ",") -> CdrRecord:
+    """Parse one CDR row into a typed record; CdrParseError gives the reason.
+
+    Duration filtering is not applied here; zero is a valid parsed duration.
+    """
+    ordinal, sec, dur, fid, tid = _parse_fields(line.rstrip("\r\n").split(delimiter), {})
+    return CdrRecord(date.fromordinal(ordinal), time(sec // 3600, sec % 3600 // 60, sec % 60), dur, fid, tid)
 
 
 @dataclass
@@ -140,9 +131,9 @@ class IngestStats:
 class CdrBatch:
     """Columnar batch of accepted call records.
 
-    Behaves as a sequence of CdrRecord but stores typed arrays, so a million
-    rows cost a few dozen megabytes instead of a million Python objects.
-    Identities are dictionary-encoded; `ids[code]` recovers the opaque string.
+    Stores typed arrays, so a million rows cost a few dozen megabytes instead
+    of a million Python objects. Identities are dictionary-encoded;
+    `ids[code]` recovers the opaque string.
     """
 
     __slots__ = ("date_ord", "time_sec", "duration", "from_code", "to_code", "ids")
@@ -157,22 +148,6 @@ class CdrBatch:
 
     def __len__(self) -> int:
         return len(self.duration)
-
-    def __getitem__(self, i: int) -> CdrRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        sec = int(self.time_sec[i])
-        return CdrRecord(
-            start_date=date.fromordinal(int(self.date_ord[i])),
-            start_time=time(sec // 3600, sec % 3600 // 60, sec % 60),
-            duration=int(self.duration[i]),
-            from_id=self.ids[self.from_code[i]],
-            to_id=self.ids[self.to_code[i]],
-        )
-
-    def __iter__(self) -> Iterator[CdrRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     def weekday(self) -> np.ndarray:
         """Per-row weekday, 0 = Monday (proleptic ordinal 1 was a Monday)."""
@@ -196,6 +171,21 @@ class CdrBatch:
             cols[3].append(codes.setdefault(r.from_id, len(codes)))
             cols[4].append(codes.setdefault(r.to_id, len(codes)))
         return cls(*cols, ids=list(codes))
+
+
+def write_cdr(path: str | Path, batch: CdrBatch) -> None:
+    """Write `batch` as a CDR log: the header, then one row per call in batch order."""
+    dates = {o: format_cdr_date(date.fromordinal(o)) for o in np.unique(batch.date_ord).tolist()}
+    ids = batch.ids
+    columns = (batch.date_ord, batch.time_sec, batch.duration, batch.from_code, batch.to_code)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CDR_HEADER + "\n")
+        # a chunk at a time: .tolist() costs about 36 bytes per value
+        for lo in range(0, len(batch), _WRITE_CHUNK):
+            fh.writelines(
+                f"{dates[o]},{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d},{d},{ids[a]},{ids[b]}\n"
+                for o, s, d, a, b in zip(*(c[lo:lo + _WRITE_CHUNK].tolist() for c in columns))
+            )
 
 
 def _looks_like_header(fields: list[str]) -> bool:
@@ -257,37 +247,8 @@ def ingest_cdr(
                 if _looks_like_header(fields):
                     continue
             row_number += 1
-            stats.rows_read += 1
             try:
-                if len(fields) != CDR_FIELD_COUNT:
-                    raise CdrParseError(f"expected {CDR_FIELD_COUNT} fields, got {len(fields)}")
-                dtext = fields[0].strip()
-                ordinal = date_cache.get(dtext)
-                if ordinal is None:
-                    ordinal = parse_cdr_date(dtext).toordinal()
-                    date_cache[dtext] = ordinal
-                t = fields[1].strip()
-                tparts = t.split(":")
-                if len(tparts) != 3:
-                    raise CdrParseError(f"invalid time {t!r}")
-                try:
-                    hh, mm, ss = int(tparts[0]), int(tparts[1]), int(tparts[2])
-                except ValueError:
-                    raise CdrParseError(f"invalid time {t!r}") from None
-                if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
-                    raise CdrParseError(f"invalid time {t!r}")
-                try:
-                    dur = int(fields[2])
-                except ValueError:
-                    raise CdrParseError(f"non-numeric duration {fields[2].strip()!r}") from None
-                if dur < 0:
-                    raise CdrParseError(f"negative duration {dur}")
-                fid = fields[3].strip()
-                tid = fields[4].strip()
-                if not fid or not tid:
-                    raise CdrParseError("empty phone identity")
-                if fid == tid:
-                    raise CdrParseError(f"self-call for identity {fid!r}")
+                ordinal, sec, dur, fid, tid = _parse_fields(fields, date_cache)
             except CdrParseError as exc:
                 stats.rows_rejected += 1
                 logger.warning("rejected CDR row %d: %s", row_number, exc)
@@ -297,15 +258,16 @@ def ingest_cdr(
             if dur < min_duration:
                 stats.rows_filtered_short += 1
                 continue
-            stats.rows_accepted += 1
             date_ord.append(ordinal)
-            time_sec.append(hh * 3600 + mm * 60 + ss)
+            time_sec.append(sec)
             duration_col.append(dur)
             from_code.append(codes.setdefault(fid, len(codes)))
             to_code.append(codes.setdefault(tid, len(codes)))
     finally:
         if hasattr(lines, "close"):
             lines.close()
+    stats.rows_read = row_number
+    stats.rows_accepted = len(duration_col)
     stats.distinct_ids = len(codes)
     batch = CdrBatch(date_ord, time_sec, duration_col, from_code, to_code, list(codes))
     return batch, stats
@@ -368,6 +330,13 @@ def _reader(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
             lines.close()
 
 
+def _number(row: dict, column: str, cid: str, what: str) -> float:
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):
+        raise DataError(f"{what} file: customer {cid!r} has non-numeric {column} {row[column]!r}") from None
+
+
 def ingest_bank(
     accounts: str | Path | Iterable[str],
     transactions: str | Path | Iterable[str],
@@ -388,9 +357,8 @@ def ingest_bank(
         cid = row["customer_id"].strip()
         if cid in sociodemo:
             raise DataError(f"duplicate customer_id {cid!r} in accounts")
-        age_text = (row["age"] or "").strip()
         sociodemo[cid] = {
-            "age": float(age_text) if age_text else None,
+            "age": _number(row, "age", cid, "accounts") if (row["age"] or "").strip() else None,
             "marital_status": (row["marital_status"] or "").strip() or None,
             "postcode": (row["postcode"] or "").strip() or None,
         }
@@ -404,7 +372,7 @@ def ingest_bank(
             logger.warning("orphan transaction for unknown customer %r", cid)
             continue
         debits.setdefault(cid, []).append(
-            (parse_cdr_date(row["date"]), float(row["amount"]))
+            (parse_cdr_date(row["date"]), _number(row, "amount", cid, "transactions"))
         )
 
     records: list[BankRecord] = []
@@ -415,10 +383,10 @@ def ingest_bank(
         if cid in seen_cards:
             raise DataError(f"duplicate customer_id {cid!r} in card activity")
         seen_cards.add(cid)
-        limit = float(row["credit_limit"])
+        limit = _number(row, "credit_limit", cid, "card activity")
         if limit <= 0:
             raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
-        drawn = tuple(float(row[f"drawn_{m}"]) for m in range(1, CARD_MONTHS + 1))
+        drawn = tuple(_number(row, f"drawn_{m}", cid, "card activity") for m in range(1, CARD_MONTHS + 1))
         over = [d for d in drawn if d > limit * (1 + 1e-9)]
         if over:
             raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")

@@ -77,7 +77,7 @@ from .propagation import (
     uniform_restart,
 )
 from .seeding import substream
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, generate, month_date
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +109,14 @@ INPUT_FIELDS = ("input_cdr", "input_accounts", "input_transactions", "input_card
 # ---------------------------------------------------------------------------
 # Experiment configuration: a flat key = value file.
 # ---------------------------------------------------------------------------
+
+def _model_list(text: str) -> list:
+    ids = [m.strip().upper() for m in text.split(",") if m.strip()]
+    bad = [m for m in ids if m not in MODEL_GROUPS]
+    if bad:
+        raise UsageError(f"unknown model ids {bad}; valid: {sorted(MODEL_GROUPS)}")
+    return ids
+
 
 @dataclass
 class ExperimentConfig:
@@ -170,11 +178,10 @@ class ExperimentConfig:
     lgd: float = 0.8
 
     def model_ids(self) -> list:
-        ids = [m.strip().upper() for m in self.models.split(",") if m.strip()]
-        bad = [m for m in ids if m not in MODEL_GROUPS]
-        if bad:
-            raise UsageError(f"unknown model ids {bad}; valid: {sorted(MODEL_GROUPS)}")
-        return ids
+        return _model_list(self.models)
+
+    def importance_model_ids(self) -> list:
+        return _model_list(self.importance_models)
 
     def classifier_list(self) -> list:
         kinds = [c.strip().lower() for c in self.classifiers.split(",") if c.strip()]
@@ -187,8 +194,7 @@ class ExperimentConfig:
         return SynthConfig(**{name: getattr(self, name) for name in SYNTH_FIELDS})
 
     def month_date(self, month_index: int, day: int = 1) -> date:
-        total = self.start_year * 12 + self.start_month - 1 + month_index - 1
-        return date(total // 12, total % 12 + 1, day)
+        return month_date(self.start_year, self.start_month, month_index, day)
 
     def month_index(self, d: date) -> int:
         return (d.year * 12 + d.month) - (self.start_year * 12 + self.start_month) + 1
@@ -605,12 +611,12 @@ def _load_row_loans(path: Path) -> list:
     return loans
 
 
-def _save_scores(path: Path, scored: ScoredDataset, matrix: FeatureMatrix, test_idx) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, rows) -> None:
+    """Write one scored row per matrix row index in `rows`, in that order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("subject_id", "timeframe", "y", "score"))
-        for row, i in enumerate(test_idx):
+        for row, i in enumerate(rows):
             writer.writerow((
                 matrix.subject_ids[i], matrix.timeframes[i],
                 int(scored.y[row]), repr(float(scored.score[row])),
@@ -676,7 +682,7 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
                 "groups": list(MODEL_GROUPS[model_id]),
                 "feature_names": list(sub.feature_names),
             }, sort_keys=True) + "\n")
-            _save_scores(mdir / "scores.csv", scored, matrix, test_idx)
+            save_scores(mdir / "scores.csv", scored, matrix, test_idx)
             ctx.scored[(model_id, classifier)] = scored
             logger.info("trained %s/%s in %.1fs", model_id, classifier, time.perf_counter() - t0)
 
@@ -740,7 +746,7 @@ def stage_eval(ctx: PipelineContext, out: Path) -> None:
                 ))
 
     corr_summary = {}
-    for model_id in [m.strip().upper() for m in cfg.importance_models.split(",") if m.strip()]:
+    for model_id in cfg.importance_model_ids():
         if (model_id, "forest") not in trained:
             continue
         sub = matrix.select_groups(MODEL_GROUPS[model_id])
@@ -924,6 +930,7 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     """
     # a bad value fails here, before any file of the run is touched
     config.model_ids()
+    config.importance_model_ids()
     config.classifier_list()
     EmpParams(roi=config.roi, lgd=config.lgd)
     out = Path(config.out_dir)

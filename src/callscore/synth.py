@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import format_cdr_date
+from .ingest import (
+    ACCOUNT_COLUMNS,
+    CARD_COLUMNS,
+    CARD_MONTHS,
+    TRANSACTION_COLUMNS,
+    CdrBatch,
+    format_cdr_date,
+    write_cdr,
+)
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -31,7 +39,6 @@ ROLE_EXISTING = 2
 ROLE_SUBJECT = 3
 
 N_TIMEFRAMES = 3
-CARD_MONTHS = 12
 
 # Delinquency level distribution for existing customers by latent class.
 _LEVEL_PROBS_RISKY = (0.40, 0.20, 0.15, 0.25)
@@ -39,6 +46,12 @@ _LEVEL_PROBS_SAFE = (0.93, 0.04, 0.02, 0.01)
 
 _MARITAL = ("single", "married", "divorced", "widowed")
 _MARITAL_P = (0.35, 0.45, 0.15, 0.05)
+
+
+def month_date(start_year: int, start_month: int, month_index: int, day: int = 1) -> date:
+    """Date `day` of month `month_index`, counted from 1 = (start_year, start_month)."""
+    total = start_year * 12 + start_month - 1 + month_index - 1
+    return date(total // 12, total % 12 + 1, day)
 
 
 @dataclass
@@ -102,10 +115,6 @@ class SynthData:
     transactions: list
     cards: list
 
-    def month_date(self, month_index: int, day: int = 1) -> date:
-        total = self.config.start_year * 12 + self.config.start_month - 1 + month_index - 1
-        return date(total // 12, total % 12 + 1, day)
-
     def write(self, outdir: str | Path) -> dict:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -116,24 +125,16 @@ class SynthData:
             "card_activity": outdir / "card_activity.csv",
             "truth": outdir / "truth.csv",
         }
-        self._write_cdr(paths["cdr"])
-        with open(paths["accounts"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("customer_id", "age", "marital_status", "postcode"))
-            w.writerows(self.accounts)
-        with open(paths["transactions"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("customer_id", "date", "amount"))
-            w.writerows(self.transactions)
-        with open(paths["card_activity"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = (
-                ("customer_id", "issue_date", "credit_limit")
-                + tuple(f"drawn_{m}" for m in range(1, CARD_MONTHS + 1))
-                + tuple(f"arrears_{m}" for m in range(1, CARD_MONTHS + 1))
-            )
-            w.writerow(header)
-            w.writerows(self.cards)
+        write_cdr(paths["cdr"], self.cdr_batch())
+        for name, header, rows in (
+            ("accounts", ACCOUNT_COLUMNS, self.accounts),
+            ("transactions", TRANSACTION_COLUMNS, self.transactions),
+            ("card_activity", CARD_COLUMNS, self.cards),
+        ):
+            with open(paths[name], "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
         with open(paths["truth"], "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(("identity", "role", "cohort", "risky", "delinquency", "y_default",
@@ -146,30 +147,16 @@ class SynthData:
                 ))
         return paths
 
-    def _write_cdr(self, path: Path) -> None:
+    def cdr_batch(self) -> CdrBatch:
+        """Every drawn call, ordered by month, day, time and caller."""
         calls = self.calls
+        cfg = self.config
         order = np.lexsort((calls["caller"], calls["sec"], calls["day"], calls["month"]))
-        date_text = {}
-        with open(path, "w", newline="") as fh:
-            fh.write("start_date,start_time,duration,from_id,to_id\n")
-            rows = []
-            for i in order:
-                m, d = int(calls["month"][i]), int(calls["day"][i])
-                key = (m, d)
-                text = date_text.get(key)
-                if text is None:
-                    text = format_cdr_date(self.month_date(m, d))
-                    date_text[key] = text
-                sec = int(calls["sec"][i])
-                rows.append(
-                    f"{text},{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d},"
-                    f"{int(calls['duration'][i])},{self.identities[calls['caller'][i]]},"
-                    f"{self.identities[calls['callee'][i]]}\n"
-                )
-                if len(rows) >= 65536:
-                    fh.writelines(rows)
-                    rows.clear()
-            fh.writelines(rows)
+        first_day = np.array([month_date(cfg.start_year, cfg.start_month, m).toordinal()
+                              for m in range(cfg.months + 1)])
+        date_ord = first_day[calls["month"]] + calls["day"] - 1
+        return CdrBatch(date_ord[order], calls["sec"][order], calls["duration"][order],
+                        calls["caller"][order], calls["callee"][order], self.identities)
 
 
 def _degree_propensity(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -356,10 +343,6 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     transactions: list = []
     cards: list = []
 
-    def month_date(m: int, day: int = 1) -> date:
-        total = cfg.start_year * 12 + cfg.start_month - 1 + m - 1
-        return date(total // 12, total % 12 + 1, day)
-
     def account_row(i: int) -> tuple:
         age = int(np.clip(round(rng_bank.normal(40, 12)), 18, 85))
         marital = _MARITAL[int(rng_bank.choice(len(_MARITAL), p=_MARITAL_P))]
@@ -376,7 +359,7 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     for i in subjects:
         i = int(i)
         k = int(cohort[i])
-        issue = month_date(k + 3)
+        issue = month_date(cfg.start_year, cfg.start_month, k + 3)
         limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1500), 0.5)), 300, 10000)))
         credit_limit[i] = limit
         spend_mu = float(np.exp(-0.5 * f_sd[i]))
@@ -418,7 +401,7 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         i = int(i)
         level = int(delinquency[i])
         issue_month = int(rng_bank.integers(-7, -1))  # well before the call window
-        issue = month_date(issue_month)
+        issue = month_date(cfg.start_year, cfg.start_month, issue_month)
         limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1200), 0.5)), 300, 10000)))
         credit_limit[i] = limit
         drawn = draw_profile(limit)
@@ -438,7 +421,7 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         i = int(i)
         n_tx = int(rng_bank.integers(1, 5))
         for _ in range(n_tx):
-            d = month_date(1, int(rng_bank.integers(1, 29)))
+            d = month_date(cfg.start_year, cfg.start_month, 1, int(rng_bank.integers(1, 29)))
             amount = float(np.round(np.exp(rng_bank.normal(np.log(25), 0.8)), 2))
             transactions.append((identities[i], format_cdr_date(d), f"{amount:.2f}"))
 

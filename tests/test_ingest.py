@@ -5,13 +5,14 @@ import pytest
 
 from callscore.errors import DataError
 from callscore.ingest import (
+    CDR_HEADER,
     CdrBatch,
     CdrParseError,
     CdrRecord,
-    cdr_line,
     ingest_bank,
     ingest_cdr,
     parse_cdr_line,
+    write_cdr,
 )
 
 TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
@@ -29,7 +30,7 @@ def test_zero_duration_is_parsed_not_filtered():
     assert record.duration == 0
 
 
-@pytest.mark.parametrize("line,reason", [
+MALFORMED = pytest.mark.parametrize("line,reason", [
     ("01MAY2017,25:61:00,10,X,Y", "time"),
     ("41MAY2017,14:51:14,10,X,Y", "date"),
     ("01MAZ2017,14:51:14,10,X,Y", "date"),
@@ -40,19 +41,42 @@ def test_zero_duration_is_parsed_not_filtered():
     ("01MAY2017,14:51:14,10,X,X", "self-call"),
     ("01MAY2017,14:51:14,10,,Y", "identity"),
 ], ids=lambda v: v if "," not in str(v) else "row")
+
+
+@MALFORMED
 def test_parse_rejects_malformed(line, reason):
     with pytest.raises(CdrParseError):
         parse_cdr_line(line)
 
 
-def test_round_trip_serialization(rng):
-    lines = [TABLE_ROW, "02MAY2017,20:03:38,89,(701) 555-0148,(803) 555-0129"]
-    for _ in range(50):
+@MALFORMED
+def test_reject_log_reason_is_the_parse_error(line, reason):
+    with pytest.raises(CdrParseError) as error:
+        parse_cdr_line(line)
+    log = io.StringIO()
+    ingest_cdr([TABLE_ROW, line], reject_log=log)
+    assert log.getvalue() == f"2\t{error.value}\t{line}\n"
+
+
+def columns(batch):
+    return (batch.date_ord.tolist(), batch.time_sec.tolist(), batch.duration.tolist(),
+            [batch.ids[c] for c in batch.from_code], [batch.ids[c] for c in batch.to_code])
+
+
+def test_round_trip_serialization(rng, tmp_path):
+    records = [parse_cdr_line(TABLE_ROW),
+               parse_cdr_line("02MAY2017,20:03:38,89,(701) 555-0148,(803) 555-0129")]
+    for i in range(50):
         d = date(2017, int(rng.integers(1, 13)), int(rng.integers(1, 29)))
         t = time(int(rng.integers(0, 24)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
-        lines.append(cdr_line(CdrRecord(d, t, int(rng.integers(0, 10_000)), "A 1", "B 2")))
-    for line in lines:
-        assert cdr_line(parse_cdr_line(line)) == line
+        records.append(CdrRecord(d, t, int(rng.integers(0, 10_000)), f"A {i % 7}", f"B {i % 5}"))
+    batch = CdrBatch.from_records(records)
+    write_cdr(tmp_path / "a.csv", batch)
+    read, stats = ingest_cdr(tmp_path / "a.csv", min_duration=0)
+    assert stats.rows_accepted == len(records)
+    assert columns(read) == columns(batch)
+    write_cdr(tmp_path / "b.csv", read)
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def test_ingest_duration_filter_keeps_at_threshold():
@@ -122,10 +146,11 @@ def test_filter_monotone_in_min_duration(rng):
     assert all(a >= b for a, b in zip(accepted, accepted[1:]))
 
 
-def test_batch_round_trips_records():
+def test_batch_round_trips_records(tmp_path):
     batch, _ = ingest_cdr([TABLE_ROW], min_duration=0)
-    assert cdr_line(batch[0]) == TABLE_ROW
-    assert list(CdrBatch.from_records([batch[0]]))[0] == batch[0]
+    assert columns(CdrBatch.from_records([parse_cdr_line(TABLE_ROW)])) == columns(batch)
+    write_cdr(tmp_path / "cdr.csv", batch)
+    assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +223,28 @@ def test_bank_nonpositive_limit_rejected():
     with pytest.raises(DataError, match="credit limit"):
         ingest_bank(["customer_id,age,marital_status,postcode"],
                     ["customer_id,date,amount"], cards)
+
+
+@pytest.mark.parametrize("file,column", [
+    ("accounts", "age"), ("transactions", "amount"),
+    ("card activity", "credit_limit"), ("card activity", "drawn_3"),
+])
+def test_bank_non_numeric_field_names_file_customer_and_column(file, column):
+    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
+    transactions = ["customer_id,date,amount", "C1,10MAR2017,25.50"]
+    drawn = ["100"] * 12
+    limit = "1000"
+    if column == "age":
+        accounts[1] = "C1,thirty,married,1234"
+    elif column == "amount":
+        transactions[1] = "C1,10MAR2017,twelve"
+    elif column == "credit_limit":
+        limit = "n/a"
+    else:
+        drawn[2] = "x"
+    cards = [CARD_HEADER, card_row("C1", limit=limit, drawn=drawn)]
+    with pytest.raises(DataError, match=f"^{file} file: customer 'C1' has non-numeric {column} "):
+        ingest_bank(accounts, transactions, cards)
 
 
 def test_bank_card_without_account_keeps_missing_sociodemographics():

@@ -171,6 +171,13 @@ def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
     assert cli_main(["train", "--run-dir", str(clone), "--models", "Z"]) != 0
     # fails inside stage_features, after its upstream stages were loaded
     assert cli_main(["featurize", "--run-dir", str(clone), "--corr-threshold", "2"]) != 0
+    # G is a valid id the run did not train, Z no id at all
+    assert cli_main(["importance", "--run-dir", str(clone), "--model", "G"]) == 2
+    assert cli_main(["importance", "--run-dir", str(clone), "--model", "Z"]) == 2
+    assert snapshot(clone) == before
+    recorded = dataclasses.replace(load_config(clone / "config.resolved"), out_dir=str(clone))
+    with pytest.raises(UsageError, match="Z"):
+        run_stages(dataclasses.replace(recorded, importance_models="H,Z"), resume=True)
     assert snapshot(clone) == before
 
 
@@ -376,6 +383,13 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
     assert cli_main(["compare", "--run-dir", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "model_a" in out
+
+
+@pytest.mark.parametrize("grid", ["0.01,abc", "0:1:-2"])
+def test_cli_bad_sweep_grid_is_usage_error(tiny_run, grid):
+    _, out = tiny_run
+    assert cli_main(["sweep", "--scores", str(out / "models_out" / "H_forest" / "scores.csv"),
+                     "--param", "roi", "--grid", grid]) == 1
 
 
 def test_cli_data_error_exit_code(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from callscore.errors import DataError
 from callscore.graph import build_graph
-from callscore.ingest import ingest_bank, ingest_cdr
+from callscore.ingest import ingest_bank, ingest_cdr, write_cdr
 from callscore.netstats import dyadicity, heterophilicity
 from callscore.synth import ROLE_EXISTING, ROLE_SUBJECT, SynthConfig, generate
 
@@ -58,7 +58,7 @@ def test_min_seed_delinquents_guaranteed():
     assert int((data.delinquency == 3).sum()) >= 3
 
 
-def test_homophily_null_when_strength_one():
+def test_homophily_null_when_strength_one(tmp_path):
     # graph-independent labels: the behavioral and contagion terms tie default
     # to node degree, which would bias D/H away from 1 even at strength 1
     ds, hs = [], []
@@ -68,7 +68,7 @@ def test_homophily_null_when_strength_one():
                              existing_customer_rate=0.2, planted_feature_effect=1.5,
                              cb_weight=0.0, contagion_weight=0.0)
         data = generate(config, seed=seed)
-        batch, _ = ingest_cdr_from(data)
+        batch, _ = ingest_cdr_from(data, tmp_path / "cdr.csv")
         g = build_graph(batch, mode="undirected")
         labels = default_labels_on(g, data)
         ds.append(dyadicity(g, labels))
@@ -77,24 +77,10 @@ def test_homophily_null_when_strength_one():
     assert abs(np.mean(hs) - 1) < 0.05
 
 
-def ingest_cdr_from(data):
-    """In-memory CDR lines from a SynthData, bypassing the filesystem."""
-    from callscore.ingest import format_cdr_date
-
-    lines = []
-    calls = data.calls
-    for i in range(len(calls["caller"])):
-        if calls["duration"][i] < 5:
-            continue
-        m, d = int(calls["month"][i]), int(calls["day"][i])
-        sec = int(calls["sec"][i])
-        lines.append(
-            f"{format_cdr_date(data.month_date(m, d))},"
-            f"{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d},"
-            f"{int(calls['duration'][i])},{data.identities[calls['caller'][i]]},"
-            f"{data.identities[calls['callee'][i]]}"
-        )
-    return ingest_cdr(lines, min_duration=5)
+def ingest_cdr_from(data, path):
+    """Ingest a SynthData's calls as the CDR writer serializes them."""
+    write_cdr(path, data.cdr_batch())
+    return ingest_cdr(path, min_duration=5)
 
 
 def default_labels_on(graph, data):
