@@ -2,9 +2,8 @@
 
 Groups: SD (sociodemographics and debit behavior), CB (calling behavior),
 LB (neighbor delinquency link features), PR and SPA (exposure scores with
-link features over the high/low-risk relabeling). CB, LB and the exposure
-groups come from batch builders over many subjects at once; SD features come
-from one bank record at a time.
+link features over the high/low-risk relabeling). Every group comes from a
+batch builder over many subjects at once.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .graph import CallGraph, NodeLabelSet
-from .ingest import BankRecord, CdrBatch
+from .graph import CallGraph, NodeLabelSet, neighbor_sum
+from .ingest import CdrBatch
 from .propagation import ExposureVector, RiskRelabeling
 
 logger = logging.getLogger(__name__)
@@ -132,12 +130,8 @@ def lb_feature_names() -> list:
 
 def _neighbor_class_counts(graph: CallGraph, labels: NodeLabelSet) -> np.ndarray:
     """Per node, counts of labeled (delinquency-known) neighbors by class."""
-    counts = np.zeros((graph.n_nodes, 4), dtype=np.float64)
-    rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    lvl = labels.delinquency_level[graph.indices]
-    mask = lvl >= 0
-    np.add.at(counts, (rows[mask], lvl[mask].astype(np.int64)), 1.0)
-    return counts
+    level = labels.delinquency_level[graph.indices]
+    return np.column_stack([neighbor_sum(graph, level == c) for c in DELINQUENCY_CLASSES])
 
 
 def _lb_block(counts: np.ndarray) -> np.ndarray:
@@ -203,12 +197,8 @@ def exposure_link_matrix(
     if exposure.n_nodes != graph.n_nodes or len(relabeling.high_risk) != graph.n_nodes:
         raise DataError("exposure vector is not aligned with the graph")
     nodes = np.asarray(nodes, dtype=np.int64)
-    high = relabeling.high_risk.astype(np.float64)
-    n_high = np.zeros(graph.n_nodes)
-    rows = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    np.add.at(n_high, rows, high[graph.indices])
-    degree = np.diff(graph.indptr).astype(np.float64)
-    n_low = degree - n_high
+    n_high = neighbor_sum(graph, relabeling.high_risk[graph.indices])
+    n_low = graph.degrees() - n_high
     own = exposure.scores[nodes]
     high_count = n_high[nodes]
     low_count = n_low[nodes]
@@ -226,56 +216,57 @@ def exposure_link_matrix(
 # Debit-behavior temporal features: diversity and loyalty over weekday bins.
 # ---------------------------------------------------------------------------
 
-def diversity(bins, scope: str = "non_empty"):
-    """Normalized entropy of activity over the seven weekday bins.
+def _shares(bins) -> np.ndarray:
+    """Each row of an (n, 7) bin array divided by its total; NaN rows where empty."""
+    p = np.asarray(bins, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != N_BINS:
+        raise DataError(f"expected rows of {N_BINS} bins")
+    if np.any(p < 0):
+        raise DataError("bin values must be non-negative")
+    with np.errstate(invalid="ignore"):
+        return p / p.sum(axis=1, keepdims=True)
+
+
+# log(m) normalizes an entropy over m >= 2 bins; 0 or 1 bins have no base
+_LOG_BASE = np.array([math.nan, math.nan] + [math.log(m) for m in range(2, N_BINS + 1)])
+
+
+def diversity(bins, scope: str = "non_empty") -> np.ndarray:
+    """Normalized entropy of each row's activity over the seven weekday bins.
 
     scope selects the normalization base: the number of non-empty bins or all
-    seven. Returns None for an empty profile (missing), and 0.0 when a single
-    bin holds everything (the 0/0 case is defined as minimal diversity).
+    seven. An empty row gives NaN (missing), and a row whose activity sits in
+    one bin gives 0 (the 0/0 case is defined as minimal diversity).
     """
     if scope not in ("non_empty", "all"):
         raise DataError(f"unknown diversity scope {scope!r}")
-    p = np.asarray(bins, dtype=np.float64)
-    if p.shape != (N_BINS,):
-        raise DataError(f"expected {N_BINS} bins")
-    if np.any(p < 0):
-        raise DataError("bin values must be non-negative")
-    total = p.sum()
-    if total == 0:
-        return None
-    p = p / total
-    nonzero = p[p > 0]
-    m = len(nonzero) if scope == "non_empty" else N_BINS
-    if m == 1:
-        return 0.0
-    entropy = float(-(nonzero * np.log(nonzero)).sum())
-    return entropy / math.log(m)
+    p = _shares(bins)
+    positive = p > 0
+    # an empty bin adds an exact 0 term to its row's sum
+    entropy = -(p * np.log(np.where(positive, p, 1.0))).sum(axis=1)
+    m = positive.sum(axis=1) if scope == "non_empty" else np.full(len(p), N_BINS)
+    return np.where(m == 1, 0.0, entropy / _LOG_BASE[m])
 
 
-def loyalty(bins, top_k: int = 3):
-    """Share of activity falling in the `top_k` busiest weekday bins.
+def loyalty(bins) -> np.ndarray:
+    """Share of each row's activity falling in its three busiest weekday bins.
 
     Ties between bins are broken by bin index. The normalizing sum of bin
-    fractions is identically one, so the result equals the top-k fraction.
-    Returns None for an empty profile.
+    fractions is one up to rounding, so the result is the top-3 fraction. An
+    empty row gives NaN (missing).
     """
-    p = np.asarray(bins, dtype=np.float64)
-    if p.shape != (N_BINS,):
-        raise DataError(f"expected {N_BINS} bins")
-    if np.any(p < 0):
-        raise DataError("bin values must be non-negative")
-    total = p.sum()
-    if total == 0:
-        return None
-    fractions = p / total
-    order = np.lexsort((np.arange(N_BINS), -fractions))
-    top = float(fractions[order[:top_k]].sum())
-    return top / float(fractions.sum())
+    fractions = _shares(bins)
+    order = np.argsort(-fractions, axis=1, kind="stable")
+    top = np.take_along_axis(fractions, order[:, :3], axis=1).sum(axis=1)
+    return top / fractions.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Sociodemographic and spending features (SD).
 # ---------------------------------------------------------------------------
+
+SD_WINDOW_DAYS = 30  # debit spending is read over the days before the card issue date
+
 
 def sd_feature_names() -> list:
     names = ["Age"]
@@ -306,83 +297,91 @@ def region_of_postcode(postcode) -> str | None:
     return REGIONS[0] if lead <= 3 else REGIONS[1] if lead <= 6 else REGIONS[2]
 
 
-def sociodemographic_features(record: BankRecord, window_days: int = 30) -> tuple[list, np.ndarray, np.ndarray]:
-    """SD features from one bank record; returns (names, values, missing mask).
+def _one_hot(values: list, categories: tuple) -> np.ndarray:
+    """One column per category; a row whose value is not a category is all NaN."""
+    codes = np.array([categories.index(v) if v in categories else -1 for v in values], dtype=np.int64)
+    out = (codes[:, None] == np.arange(len(categories))).astype(np.float64)
+    out[codes < 0] = np.nan
+    return out
 
-    Spending is computed over the `window_days` before the card issue date.
-    Missing inputs (no age, unknown marital status, no transactions for the
-    entropy features) yield zero values flagged in the missing mask.
+
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of `counts[i]` consecutive values, added as `run.sum()` adds.
+
+    numpy sums a row pairwise, so runs are gathered into one 2-D array per
+    run length; a flat segmented sum would round differently from 8 terms on.
     """
-    names = sd_feature_names()
-    values = np.zeros(len(names))
-    missing = np.zeros(len(names), dtype=bool)
-    pos = 0
+    out = np.zeros(len(counts))
+    starts = np.cumsum(counts) - counts
+    for length in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == length)
+        out[rows] = values[starts[rows, None] + np.arange(length)].sum(axis=1)
+    return out
 
-    age = record.sociodemographics.get("age")
-    if age is None:
-        missing[pos] = True
-    else:
-        values[pos] = float(age)
-    pos += 1
 
-    marital = (record.sociodemographics.get("marital_status") or "").lower()
-    if marital in MARITAL_CATEGORIES:
-        values[pos + MARITAL_CATEGORIES.index(marital)] = 1.0
-    else:
-        missing[pos:pos + len(MARITAL_CATEGORIES)] = True
-    pos += len(MARITAL_CATEGORIES)
+def _group_max(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Largest value per group 0..n-1; 0 for a group without values."""
+    out = np.full(n, -np.inf)
+    np.maximum.at(out, groups, values)
+    return np.where(np.isneginf(out), 0.0, out)
 
-    region = region_of_postcode(record.sociodemographics.get("postcode"))
-    if region is None:
-        missing[pos:pos + len(REGIONS)] = True
-    else:
-        values[pos + REGIONS.index(region)] = 1.0
-    pos += len(REGIONS)
 
-    start = record.card_issue_date - timedelta(days=window_days)
-    txns = [(d, a) for d, a in record.debit_transactions if start <= d < record.card_issue_date]
-    amounts = np.array([a for _, a in txns], dtype=np.float64)
-    count_bins = np.zeros(N_BINS)
-    value_bins = np.zeros(N_BINS)
-    daily: dict = {}
-    for (d, a) in txns:
-        count_bins[d.weekday()] += 1
-        value_bins[d.weekday()] += a
-        daily[d] = daily.get(d, 0.0) + a
-    total = float(amounts.sum()) if len(amounts) else 0.0
+def sociodemographic_matrix(records: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """SD features of many bank records: (names, values (n, 35), missing (n, 35)).
 
-    spend = [
+    Spending is read over the SD_WINDOW_DAYS days before each card issue
+    date. Missing inputs (no age, unknown marital status or region, no
+    transactions for the entropy features) yield zero values flagged in the
+    missing mask.
+    """
+    n = len(records)
+    demo = [r.sociodemographics for r in records]
+    age = np.array([np.nan if d.get("age") is None else float(d["age"]) for d in demo])
+    marital = _one_hot([(d.get("marital_status") or "").lower() for d in demo], MARITAL_CATEGORIES)
+    region = _one_hot([region_of_postcode(d.get("postcode")) for d in demo], REGIONS)
+
+    owner = np.repeat(np.arange(n), [len(r.debit_transactions) for r in records])
+    day = np.array([d.toordinal() for r in records for d, _ in r.debit_transactions], dtype=np.int64)
+    amount = np.array([a for r in records for _, a in r.debit_transactions], dtype=np.float64)
+    issue = np.array([r.card_issue_date.toordinal() for r in records], dtype=np.int64)
+    kept = (day >= issue[owner] - SD_WINDOW_DAYS) & (day < issue[owner])
+    owner, day, amount = owner[kept], day[kept], amount[kept]
+
+    # bincount adds in input order, as a running sum per record would
+    bin_key = owner * N_BINS + (day + 6) % 7   # date.weekday() from the ordinal
+    count_bins = np.bincount(bin_key, minlength=n * N_BINS).reshape(n, N_BINS).astype(np.float64)
+    value_bins = np.bincount(bin_key, weights=amount, minlength=n * N_BINS).reshape(n, N_BINS)
+    span = day.max(initial=0) + 1
+    day_keys, day_of = np.unique(owner * span + day, return_inverse=True)
+    day_owner = day_keys // span
+    daily = np.bincount(day_of, weights=amount, minlength=len(day_keys))
+
+    per_record = np.bincount(owner, minlength=n)
+    n_purchases = per_record.astype(np.float64)
+    total = _run_sums(amount, per_record)
+    spend = np.column_stack([
         total,
-        total / window_days,
-        max(daily.values()) if daily else 0.0,
-        float(len(txns)),
-        float(amounts.mean()) if len(amounts) else 0.0,
-        float(amounts.max()) if len(amounts) else 0.0,
-        float(len(daily)),
-    ]
-    values[pos:pos + len(spend)] = spend
-    pos += len(spend)
+        total / SD_WINDOW_DAYS,
+        _group_max(day_owner, daily, n),
+        n_purchases,
+        total / np.maximum(n_purchases, 1.0),
+        _group_max(owner, amount, n),
+        np.bincount(day_owner, minlength=n).astype(np.float64),
+    ])
+    count_fraction = count_bins / np.maximum(n_purchases, 1.0)[:, None]
+    value_fraction = np.zeros((n, N_BINS))
+    np.divide(value_bins, total[:, None], out=value_fraction, where=total[:, None] > 0)
 
-    entropy_feats = [
+    values = np.column_stack([
+        age, marital, region, spend,
         diversity(count_bins, "non_empty"), diversity(count_bins, "all"),
         diversity(value_bins, "non_empty"), diversity(value_bins, "all"),
         loyalty(count_bins), loyalty(value_bins),
-    ]
-    for j, feat in enumerate(entropy_feats):
-        if feat is None:
-            missing[pos + j] = True
-        else:
-            values[pos + j] = feat
-    pos += len(entropy_feats)
-
-    n_txns = count_bins.sum()
-    if n_txns > 0:
-        values[pos:pos + N_BINS] = count_bins / n_txns
-    pos += N_BINS
-    if total > 0:
-        values[pos:pos + N_BINS] = value_bins / total
-    pos += N_BINS
-    return names, values, missing
+        count_fraction, value_fraction,
+    ])
+    missing = np.isnan(values)
+    values[missing] = 0.0
+    return sd_feature_names(), values, missing
 
 
 # ---------------------------------------------------------------------------
@@ -504,60 +503,39 @@ class FeatureMatrix:
 
 def assemble_timeframe(
     timeframe: str,
-    parts: dict,
-    y_by_subject: dict,
-) -> tuple[FeatureMatrix, int]:
-    """Join per-group blocks into one timeframe matrix.
+    subject_ids: list,
+    blocks: dict,
+    y,
+) -> FeatureMatrix:
+    """Stack per-group blocks whose rows all follow `subject_ids` into one matrix.
 
-    `parts` maps a group tag to (subject_ids, names, values, missing-or-None).
-    Subjects absent from any group or without a target are excluded and
-    counted, mirroring the dataset clean-up step.
+    `blocks` maps a group tag to (names, values) or (names, values, missing);
+    `y` holds each subject's target.
     """
-    if not parts:
+    if not blocks:
         raise DataError("no feature groups to assemble")
-    common = None
-    for tag, (ids, _names, _vals, _miss) in parts.items():
-        ids_set = set(ids)
-        common = ids_set if common is None else (common & ids_set)
-    with_target = {s for s in common if y_by_subject.get(s) is not None}
-    union = set()
-    for ids, _n, _v, _m in parts.values():
-        union |= set(ids)
-    union |= {s for s in y_by_subject}
-    excluded = len(union - with_target)
-    keep = sorted(with_target)
-    if excluded:
-        logger.info("timeframe %s: excluded %d subjects missing a group or target", timeframe, excluded)
-
-    names_all, tags_all, blocks, masks = [], [], [], []
+    names_all, tags_all, values_all, masks = [], [], [], []
     for tag in GROUPS:
-        if tag not in parts:
+        if tag not in blocks:
             continue
-        ids, names, vals, miss = parts[tag]
-        vals = np.asarray(vals, dtype=np.float64)
-        index = {s: i for i, s in enumerate(ids)}
-        rows = np.array([index[s] for s in keep], dtype=np.int64)
-        block = vals[rows] if len(keep) else vals[:0]
-        mask = (np.asarray(miss, dtype=bool)[rows] if miss is not None
-                else np.zeros_like(block, dtype=bool))
+        names, values, *missing = blocks[tag]
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != len(subject_ids):
+            raise DataError(f"{tag} block has {len(values)} rows for {len(subject_ids)} subjects")
         names_all += list(names)
         tags_all += [tag] * len(names)
-        blocks.append(block)
-        masks.append(mask)
-
-    values = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(keep), 0))
-    missing = np.concatenate(masks, axis=1) if masks else np.zeros_like(values, dtype=bool)
-    y = np.array([bool(y_by_subject[s]) for s in keep], dtype=bool)
-    matrix = FeatureMatrix(
-        subject_ids=keep,
-        timeframes=[timeframe] * len(keep),
+        values_all.append(values)
+        masks.append(np.asarray(missing[0], dtype=bool) if missing else np.zeros(values.shape, dtype=bool))
+    missing = np.concatenate(masks, axis=1)
+    return FeatureMatrix(
+        subject_ids=list(subject_ids),
+        timeframes=[timeframe] * len(subject_ids),
         feature_names=names_all,
         group_tags=tags_all,
-        values=np.where(missing, 0.0, values),
-        y=y,
+        values=np.where(missing, 0.0, np.concatenate(values_all, axis=1)),
+        y=np.asarray(y, dtype=bool),
         missing=missing,
     )
-    return matrix, excluded
 
 
 def assemble(frames: list) -> FeatureMatrix:

@@ -202,6 +202,12 @@ def _with_csr(mode: str, ids: list, edge_src, edge_dst, w, **extra) -> CallGraph
                      indptr=indptr, indices=cols.astype(np.int32), weights=vals, **extra)
 
 
+def neighbor_sum(graph: CallGraph, values) -> np.ndarray:
+    """Per node, the sum of `values` over its CSR entries (one value per entry of `indices`)."""
+    rows = np.repeat(np.arange(graph.n_nodes), graph.degrees())
+    return np.bincount(rows, weights=values, minlength=graph.n_nodes)
+
+
 def degree_distribution(graph: CallGraph) -> dict:
     """Histogram of traversal degree; counts sum to n_nodes."""
     degs = graph.degrees()

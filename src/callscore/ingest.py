@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from array import array
 from dataclasses import dataclass
 from datetime import date, time
@@ -175,6 +176,9 @@ class CdrBatch:
 
 def write_cdr(path: str | Path, batch: CdrBatch) -> None:
     """Write `batch` as a CDR log: the header, then one row per call in batch order."""
+    unwritable = next((i for i in batch.ids if "," in i), None)
+    if unwritable is not None:
+        raise DataError(f"identity {unwritable!r} contains a comma and cannot be written as a CDR field")
     dates = {o: format_cdr_date(date.fromordinal(o)) for o in np.unique(batch.date_ord).tolist()}
     ids = batch.ids
     columns = (batch.date_ord, batch.time_sec, batch.duration, batch.from_code, batch.to_code)
@@ -330,11 +334,29 @@ def _reader(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
             lines.close()
 
 
+def _field(row: dict, column: str, cid: str, what: str) -> str:
+    """The stripped text of `column`; a row too short to hold it is a data error."""
+    if row[column] is None:
+        raise DataError(f"{what} file: customer {cid!r} has no {column} field")
+    return row[column].strip()
+
+
 def _number(row: dict, column: str, cid: str, what: str) -> float:
+    text = _field(row, column, cid, what)
     try:
-        return float(row[column])
-    except (TypeError, ValueError):
-        raise DataError(f"{what} file: customer {cid!r} has non-numeric {column} {row[column]!r}") from None
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise DataError(f"{what} file: customer {cid!r} has non-numeric {column} {row[column]!r}")
+
+
+def _date(row: dict, column: str, cid: str, what: str) -> date:
+    try:
+        return parse_cdr_date(_field(row, column, cid, what))
+    except CdrParseError:
+        raise DataError(f"{what} file: customer {cid!r} has invalid {column} {row[column]!r}") from None
 
 
 def ingest_bank(
@@ -358,9 +380,9 @@ def ingest_bank(
         if cid in sociodemo:
             raise DataError(f"duplicate customer_id {cid!r} in accounts")
         sociodemo[cid] = {
-            "age": _number(row, "age", cid, "accounts") if (row["age"] or "").strip() else None,
-            "marital_status": (row["marital_status"] or "").strip() or None,
-            "postcode": (row["postcode"] or "").strip() or None,
+            "age": _number(row, "age", cid, "accounts") if _field(row, "age", cid, "accounts") else None,
+            "marital_status": _field(row, "marital_status", cid, "accounts") or None,
+            "postcode": _field(row, "postcode", cid, "accounts") or None,
         }
 
     debits: dict[str, list] = {}
@@ -372,7 +394,7 @@ def ingest_bank(
             logger.warning("orphan transaction for unknown customer %r", cid)
             continue
         debits.setdefault(cid, []).append(
-            (parse_cdr_date(row["date"]), _number(row, "amount", cid, "transactions"))
+            (_date(row, "date", cid, "transactions"), _number(row, "amount", cid, "transactions"))
         )
 
     records: list[BankRecord] = []
@@ -390,7 +412,8 @@ def ingest_bank(
         over = [d for d in drawn if d > limit * (1 + 1e-9)]
         if over:
             raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
-        arrears = tuple(row[f"arrears_{m}"].strip() in ("1", "true", "True") for m in range(1, CARD_MONTHS + 1))
+        arrears = tuple(_field(row, f"arrears_{m}", cid, "card activity") in ("1", "true", "True")
+                        for m in range(1, CARD_MONTHS + 1))
         if cid not in sociodemo:
             stats.cards_without_account += 1
         records.append(
@@ -398,7 +421,7 @@ def ingest_bank(
                 customer_id=cid,
                 sociodemographics=sociodemo.get(cid, {"age": None, "marital_status": None, "postcode": None}),
                 debit_transactions=sorted(debits.get(cid, [])),
-                card_issue_date=parse_cdr_date(row["issue_date"]),
+                card_issue_date=_date(row, "issue_date", cid, "card activity"),
                 credit_limit=limit,
                 monthly_drawn=drawn,
                 monthly_arrears=arrears,

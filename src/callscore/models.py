@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 class SplitSpec:
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
@@ -46,8 +45,8 @@ class SplitSpec:
 def split(y: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test row indices, reproducible by seed.
 
-    Stratified mode preserves the class mix: train sizes per class are
-    allocated by largest remainder so the total is exactly
+    The split is stratified: train sizes per class are allocated by largest
+    remainder so that the class mix holds and the total is exactly
     round(train_fraction * n).
     """
     y = np.asarray(y, dtype=bool)
@@ -57,10 +56,6 @@ def split(y: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = substream(spec.seed, "split")
     n_train = int(round(spec.train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
     classes = [np.flatnonzero(~y), np.flatnonzero(y)]
     if any(len(c) < 2 for c in classes):
         raise DataError("too few instances in a class to stratify the split")
@@ -167,6 +162,7 @@ def _rank_auc(y: np.ndarray, score: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-12
+RIDGE = 1e-6  # penalty on every coefficient but the intercept
 
 
 @dataclass
@@ -189,7 +185,6 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
-    ridge: float = 1e-6,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> LogisticModel:
@@ -208,7 +203,7 @@ def train_logistic(
     active = np.flatnonzero(X.std(axis=0) > 0)
     design = np.column_stack([np.ones(n), X[:, active]])
     k = design.shape[1]
-    penalty = np.full(k, ridge)
+    penalty = np.full(k, RIDGE)
     penalty[0] = 0.0
 
     def deviance(beta: np.ndarray) -> float:
@@ -441,7 +436,6 @@ def train_tree(
     X: np.ndarray,
     y: np.ndarray,
     cv_folds: int = 10,
-    depth_grid=DEPTH_GRID,
     min_leaf: int = 5,
     seed: int = 0,
 ) -> TreeModel:
@@ -461,7 +455,7 @@ def train_tree(
     rng = substream(seed, "tree-cv")
     fold = _stratified_folds(y, cv_folds, rng)
     best_depth, best_auc = None, -np.inf
-    for depth in depth_grid:
+    for depth in DEPTH_GRID:
         aucs = []
         for f in range(cv_folds):
             hold = fold == f

@@ -34,8 +34,7 @@ from .features import (
     exposure_feature_names,
     exposure_link_matrix,
     link_based_matrix,
-    sd_feature_names,
-    sociodemographic_features,
+    sociodemographic_matrix,
 )
 from .graph import CallGraph, NodeLabelSet, build_graph, load_graph, save_graph
 from .ingest import CdrBatch, ingest_bank, ingest_cdr
@@ -274,8 +273,8 @@ def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: dict
             writer.writerow((
                 node, identity, int(labels.is_subject[node]), int(labels.is_bank_customer[node]),
                 int(labels.delinquency_level[node]), int(labels.default_label[node]),
-                f"{loan.principal:.2f}" if loan else "",
-                f"{loan.ead:.2f}" if loan else "",
+                repr(float(loan.principal)) if loan else "",
+                repr(float(loan.ead)) if loan else "",
                 int(loan.is_defaulter) if loan else "",
             ))
 
@@ -507,9 +506,12 @@ def stage_exposure(ctx: PipelineContext, out: Path) -> None:
 
 def stage_features(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
-    bank_by_id = {r.customer_id: r for r in ctx.bank}
+    # every subject is a card holder, so its SD row is found among the
+    # records, which ingest_bank sorts by customer id
+    bank_ids = np.array([r.customer_id for r in ctx.bank])
+    sd_names, sd_values, sd_missing = sociodemographic_matrix(ctx.bank)
+    code_of = {identity: c for c, identity in enumerate(ctx.batch.ids)}
     frames = []
-    total_excluded = 0
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = cfg.window(k)
         labels = ctx.labels[tf]
@@ -520,16 +522,14 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
         lo, hi = window[0].toordinal(), window[1].toordinal()
         in_window = (ctx.batch.date_ord >= lo) & (ctx.batch.date_ord <= hi)
         sub_batch = ctx.batch.select(in_window)
-        code_of = {identity: c for c, identity in enumerate(ctx.batch.ids)}
         subject_codes = np.array([code_of[s] for s in subject_ids], dtype=np.int64)
-        cb_names, cb_values = calling_behavior_matrix(
-            sub_batch, subject_codes, cfg.day_start_hour, cfg.day_end_hour,
-        )
-
+        sd_rows = np.searchsorted(bank_ids, subject_ids)
         graphs_by_dir = {d: ctx.graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
-        lb_names, lb_values = link_based_matrix(graphs_by_dir, labels, subject_nodes)
-
-        method_blocks = {}
+        blocks = {
+            "SD": (sd_names, sd_values[sd_rows], sd_missing[sd_rows]),
+            "CB": calling_behavior_matrix(sub_batch, subject_codes, cfg.day_start_hour, cfg.day_end_hour),
+            "LB": link_based_matrix(graphs_by_dir, labels, subject_nodes),
+        }
         for method in ("PR", "SPA"):
             cols = []
             for crit in (1, 2, 3):
@@ -538,35 +538,9 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
                     cols.append(exposure_link_matrix(
                         ctx.graphs[(tf, direction)], exposure, relabeling, subject_nodes,
                     ))
-            method_blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
-
-        sd_rows, sd_masks, sd_ids = [], [], []
-        for identity in subject_ids:
-            record = bank_by_id.get(identity)
-            if record is None:
-                continue
-            names, values, missing = sociodemographic_features(record)
-            sd_rows.append(values)
-            sd_masks.append(missing)
-            sd_ids.append(identity)
-        sd_values = np.asarray(sd_rows) if sd_rows else np.zeros((0, len(sd_feature_names())))
-        sd_miss = np.asarray(sd_masks) if sd_masks else np.zeros_like(sd_values, dtype=bool)
-
-        y_by_subject = {}
-        for identity in subject_ids:
-            loan = ctx.loans[tf].get(identity)
-            if loan is not None:
-                y_by_subject[identity] = loan.is_defaulter
-        parts = {
-            "SD": (sd_ids, sd_feature_names(), sd_values, sd_miss),
-            "CB": (subject_ids, cb_names, cb_values, None),
-            "LB": (subject_ids, lb_names, lb_values, None),
-            "PR": (subject_ids, *_with_none(method_blocks["PR"])),
-            "SPA": (subject_ids, *_with_none(method_blocks["SPA"])),
-        }
-        frame, excluded = assemble_timeframe(tf, parts, y_by_subject)
-        total_excluded += excluded
-        frames.append(frame)
+            blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
+        # a subject's default label is its loan outcome
+        frames.append(assemble_timeframe(tf, subject_ids, blocks, labels.default_label[subject_nodes] == 1))
 
     full = assemble(frames)
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
@@ -582,13 +556,7 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
         "n_features_after": pruned.n_features,
         "group_sizes_before": full.group_sizes(),
         "group_sizes_after": pruned.group_sizes(),
-        "subjects_excluded": total_excluded,
     }, indent=2, sort_keys=True) + "\n")
-
-
-def _with_none(block):
-    names, values = block
-    return names, values, None
 
 
 def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: list) -> None:
@@ -596,7 +564,7 @@ def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: list) -> None:
         writer = csv.writer(fh)
         writer.writerow(("subject_id", "timeframe", "principal", "ead", "is_defaulter"))
         for sid, tf, loan in zip(matrix.subject_ids, matrix.timeframes, loans):
-            writer.writerow((sid, tf, f"{loan.principal:.2f}", f"{loan.ead:.2f}", int(loan.is_defaulter)))
+            writer.writerow((sid, tf, repr(float(loan.principal)), repr(float(loan.ead)), int(loan.is_defaulter)))
 
 
 def _load_row_loans(path: Path) -> list:
@@ -636,7 +604,7 @@ def load_scores(path: str | Path) -> ScoredDataset:
 def stage_train(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     matrix = ctx.matrix
-    spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed, stratified=True)
+    spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed)
     train_idx, test_idx = split(matrix.y, spec)
     train_bal = undersample(train_idx, matrix.y, ratio=cfg.undersample_ratio, seed=cfg.seed)
     (out / "split.json").write_text(json.dumps({

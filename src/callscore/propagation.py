@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DataError
-from .graph import CallGraph
+from .graph import CallGraph, neighbor_sum
 
 logger = logging.getLogger(__name__)
 
@@ -95,13 +95,11 @@ def _transition_operator(graph: CallGraph) -> tuple[sp.csr_matrix, np.ndarray]:
     one hop along the graph's stored edge direction.
     """
     n = graph.n_nodes
-    out_weight = np.zeros(n)
-    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    np.add.at(out_weight, rows, graph.weights)
+    out_weight = neighbor_sum(graph, graph.weights)
     dangling = out_weight == 0
-    safe = np.where(dangling, 1.0, out_weight)
-    vals = graph.weights / safe[rows]
-    push = sp.csr_matrix((vals, (graph.indices, rows)), shape=(n, n))
+    share = graph.weights / np.repeat(np.where(dangling, 1.0, out_weight), graph.degrees())
+    # node i's CSR row, read as column i, is the transpose
+    push = sp.csc_matrix((share, graph.indices, graph.indptr), shape=(n, n)).tocsr()
     return push, dangling
 
 

@@ -1,5 +1,5 @@
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import pytest
 from callscore.errors import DataError
 from callscore.features import (
     EXPOSURE_KINDS,
+    MARITAL_CATEGORIES,
+    REGIONS,
     FeatureMatrix,
     assemble,
     assemble_timeframe,
@@ -21,7 +23,7 @@ from callscore.features import (
     loyalty,
     region_of_postcode,
     sd_feature_names,
-    sociodemographic_features,
+    sociodemographic_matrix,
 )
 from callscore.graph import NodeLabelSet, build_graph
 from callscore.ingest import BankRecord, CdrBatch
@@ -243,50 +245,53 @@ def test_exposure_isolated_subject():
 
 
 # ---------------------------------------------------------------------------
-# Diversity and loyalty.
+# Diversity and loyalty, row-wise over (n, 7) bin arrays.
 # ---------------------------------------------------------------------------
 
+def div(bins, scope="non_empty"):
+    return diversity(np.array([bins]), scope)[0]
+
+
+def loy(bins):
+    return loyalty(np.array([bins]))[0]
+
+
 def test_diversity_single_bin_is_zero():
-    assert diversity([5, 0, 0, 0, 0, 0, 0], "non_empty") == 0.0
-    assert diversity([5, 0, 0, 0, 0, 0, 0], "all") == 0.0
+    assert div([5, 0, 0, 0, 0, 0, 0], "non_empty") == 0.0
+    assert div([5, 0, 0, 0, 0, 0, 0], "all") == 0.0
 
 
 def test_diversity_uniform_is_one():
-    assert diversity([3, 3, 3, 3, 3, 3, 3], "non_empty") == pytest.approx(1.0)
-    assert diversity([3, 3, 3, 3, 3, 3, 3], "all") == pytest.approx(1.0)
+    assert div([3, 3, 3, 3, 3, 3, 3], "non_empty") == pytest.approx(1.0)
+    assert div([3, 3, 3, 3, 3, 3, 3], "all") == pytest.approx(1.0)
 
 
 def test_diversity_two_even_bins():
     # hand-computed: -(0.5 ln 0.5 + 0.5 ln 0.5) / ln 2 = 1
-    assert diversity([4, 4, 0, 0, 0, 0, 0], "non_empty") == pytest.approx(1.0)
-    assert diversity([4, 4, 0, 0, 0, 0, 0], "all") == pytest.approx(math.log(2) / math.log(7))
+    assert div([4, 4, 0, 0, 0, 0, 0], "non_empty") == pytest.approx(1.0)
+    assert div([4, 4, 0, 0, 0, 0, 0], "all") == pytest.approx(math.log(2) / math.log(7))
 
 
 def test_diversity_bounds_property(rng):
-    for _ in range(200):
-        bins = rng.integers(0, 10, size=7)
-        if bins.sum() == 0:
-            continue
-        for scope in ("non_empty", "all"):
-            d = diversity(bins, scope)
-            assert 0.0 <= d <= 1.0 + 1e-12
-    assert diversity([0] * 7) is None
+    bins = rng.integers(0, 10, size=(200, 7))
+    bins = bins[bins.sum(axis=1) > 0]
+    for scope in ("non_empty", "all"):
+        d = diversity(bins, scope)
+        assert np.all((d >= 0.0) & (d <= 1.0 + 1e-12))
+    assert np.isnan(div([0] * 7))
 
 
 def test_loyalty_cases():
-    assert loyalty([5, 3, 1, 0, 0, 0, 0]) == pytest.approx(1.0)  # all in top 3
-    assert loyalty([1, 1, 1, 1, 1, 1, 1]) == pytest.approx(3 / 7)
-    assert loyalty([5, 3, 1, 1, 0, 0, 0]) == pytest.approx(9 / 10)  # hand count
-    assert loyalty([0] * 7) is None
+    assert loy([5, 3, 1, 0, 0, 0, 0]) == pytest.approx(1.0)  # all in top 3
+    assert loy([1, 1, 1, 1, 1, 1, 1]) == pytest.approx(3 / 7)
+    assert loy([5, 3, 1, 1, 0, 0, 0]) == pytest.approx(9 / 10)  # hand count
+    assert np.isnan(loy([0] * 7))
 
 
 def test_loyalty_bounds_property(rng):
-    for _ in range(200):
-        bins = rng.integers(0, 10, size=7)
-        if bins.sum() == 0:
-            continue
-        value = loyalty(bins)
-        assert 3 / 7 - 1e-12 <= value <= 1.0 + 1e-12
+    bins = rng.integers(0, 10, size=(200, 7))
+    value = loyalty(bins[bins.sum(axis=1) > 0])
+    assert np.all((value >= 3 / 7 - 1e-12) & (value <= 1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +299,9 @@ def test_loyalty_bounds_property(rng):
 # ---------------------------------------------------------------------------
 
 def bank_record(transactions, age=34.0, marital="married", postcode="1234",
-                issue=date(2017, 4, 1)):
+                issue=date(2017, 4, 1), customer_id="C1"):
     return BankRecord(
-        customer_id="C1",
+        customer_id=customer_id,
         sociodemographics={"age": age, "marital_status": marital, "postcode": postcode},
         debit_transactions=transactions,
         card_issue_date=issue,
@@ -304,6 +309,12 @@ def bank_record(transactions, age=34.0, marital="married", postcode="1234",
         monthly_drawn=tuple([100.0] * 12),
         monthly_arrears=tuple([False] * 12),
     )
+
+
+def sd_row(record):
+    """SD names, values and missing mask of the one-row batch of `record`."""
+    names, values, missing = sociodemographic_matrix([record])
+    return names, values[0], missing[0]
 
 
 def test_sd_names_are_35_unique():
@@ -314,7 +325,7 @@ def test_sd_names_are_35_unique():
 def test_sd_spend_features():
     txns = [(date(2017, 3, d), 10.0) for d in range(2, 32)]  # 30 in-window days
     record = bank_record(txns)
-    names, values, missing = sociodemographic_features(record)
+    names, values, missing = sd_row(record)
     assert feature(names, values, "Amount Spent") == pytest.approx(300.0)
     assert feature(names, values, "Mean Spent p. Day") == pytest.approx(10.0)
     assert feature(names, values, "Age") == 34.0
@@ -325,7 +336,7 @@ def test_sd_spend_features():
 
 def test_sd_no_activity_sentinels():
     record = bank_record([])
-    names, values, missing = sociodemographic_features(record)
+    names, values, missing = sd_row(record)
     assert feature(names, values, "Amount Spent") == 0.0
     assert missing[names.index("Loyalty-Number")]
     assert missing[names.index("Diversity-NE Value")]
@@ -334,7 +345,7 @@ def test_sd_no_activity_sentinels():
 
 def test_sd_missing_fields_flagged():
     record = bank_record([], age=None, marital=None, postcode=None)
-    names, values, missing = sociodemographic_features(record)
+    names, values, missing = sd_row(record)
     assert missing[names.index("Age")]
     assert missing[names.index("Marital Married")]
     assert missing[names.index("Region Urban")]
@@ -342,8 +353,98 @@ def test_sd_missing_fields_flagged():
 
 def test_sd_window_excludes_older_transactions():
     txns = [(date(2016, 12, 1), 999.0), (date(2017, 3, 15), 40.0)]
-    names, values, _ = sociodemographic_features(bank_record(txns))
+    names, values, _ = sd_row(bank_record(txns))
     assert feature(names, values, "Amount Spent") == pytest.approx(40.0)
+
+
+def test_sd_batch_rows_equal_one_row_batches(rng):
+    # 8 or more terms is where numpy's pairwise sum groups additions differently
+    records = []
+    for k, n_in in enumerate((0, 1, 7, 8, 9, 20)):
+        issue = date(2017, 4, 1) + timedelta(days=3 * k)
+        days = rng.integers(1, 31, size=n_in)   # 1..30 days before the issue date
+        txns = [(issue - timedelta(days=int(d)), float(a))
+                for d, a in zip(days, rng.lognormal(3.0, 1.5, size=n_in).round(3))]
+        txns.append((issue - timedelta(days=45), 500.0))   # outside the window
+        records.append(bank_record(sorted(txns), issue=issue, customer_id=f"C{k}",
+                                   age=None if k == 2 else 30.0 + k,
+                                   postcode=None if k == 3 else str(k)))
+    names, values, missing = sociodemographic_matrix(records)
+    assert values.shape == missing.shape == (len(records), 35)
+    for i, record in enumerate(records):
+        _, one, one_missing = sd_row(record)
+        assert one.tobytes() == values[i].tobytes()
+        assert np.array_equal(one_missing, missing[i])
+    assert values[:, names.index("N Purchases")].tolist() == [0, 1, 7, 8, 9, 20]
+
+
+def sd_reference(record):
+    """One record's SD values and mask by the per-record definition, a loop per transaction."""
+    values, missing = np.zeros(35), np.zeros(35, dtype=bool)
+    demo = record.sociodemographics
+    if demo["age"] is None:
+        missing[0] = True
+    else:
+        values[0] = float(demo["age"])
+    marital = (demo["marital_status"] or "").lower()
+    if marital in MARITAL_CATEGORIES:
+        values[1 + MARITAL_CATEGORIES.index(marital)] = 1.0
+    else:
+        missing[1:5] = True
+    region = region_of_postcode(demo["postcode"])
+    if region is None:
+        missing[5:8] = True
+    else:
+        values[5 + REGIONS.index(region)] = 1.0
+    start = record.card_issue_date - timedelta(days=30)
+    txns = [(d, a) for d, a in record.debit_transactions if start <= d < record.card_issue_date]
+    amounts = np.array([a for _, a in txns], dtype=np.float64)
+    count_bins, value_bins, daily = np.zeros(7), np.zeros(7), {}
+    for d, a in txns:
+        count_bins[d.weekday()] += 1
+        value_bins[d.weekday()] += a
+        daily[d] = daily.get(d, 0.0) + a
+    total = float(amounts.sum()) if txns else 0.0
+    values[8:15] = [total, total / 30, max(daily.values(), default=0.0), len(txns),
+                    float(amounts.mean()) if txns else 0.0, float(amounts.max()) if txns else 0.0,
+                    len(daily)]
+    for j, (bins, kind) in enumerate([(count_bins, "non_empty"), (count_bins, "all"),
+                                      (value_bins, "non_empty"), (value_bins, "all"),
+                                      (count_bins, "loyalty"), (value_bins, "loyalty")]):
+        if bins.sum() == 0:
+            missing[15 + j] = True
+            continue
+        p = bins / bins.sum()
+        if kind == "loyalty":
+            values[15 + j] = float(p[np.lexsort((np.arange(7), -p))[:3]].sum()) / float(p.sum())
+            continue
+        nonzero = p[p > 0]
+        m = len(nonzero) if kind == "non_empty" else 7
+        values[15 + j] = 0.0 if m == 1 else float(-(nonzero * np.log(nonzero)).sum()) / math.log(m)
+    if txns:
+        values[21:28] = count_bins / count_bins.sum()
+    if total > 0:
+        values[28:35] = value_bins / total
+    return values, missing
+
+
+def test_sd_matches_per_record_reference(rng):
+    records = []
+    for k in range(300):
+        issue = date(2017, 4, 1) + timedelta(days=int(rng.integers(0, 90)))
+        n = int(rng.choice([0, 1, 2, 7, 8, 9, 16, 20, 40, 130]))
+        txns = sorted((issue - timedelta(days=int(rng.integers(-5, 40))),
+                       round(float(rng.lognormal(3.0, 1.5)), int(rng.integers(0, 5))))
+                      for _ in range(n))
+        records.append(bank_record(txns, issue=issue, customer_id=f"C{k}",
+                                   age=None if k % 7 == 0 else 20.0 + k % 50,
+                                   marital=("single", "Married", None, "other")[k % 4],
+                                   postcode=(None, "", "x1", "402", "9")[k % 5]))
+    _, values, missing = sociodemographic_matrix(records)
+    for i, record in enumerate(records):
+        ref_values, ref_missing = sd_reference(record)
+        assert values[i].tobytes() == ref_values.tobytes(), i
+        assert np.array_equal(missing[i], ref_missing), i
 
 
 def test_region_mapping():
@@ -357,36 +458,34 @@ def test_region_mapping():
 # Assembly and pruning.
 # ---------------------------------------------------------------------------
 
-def tiny_parts(ids, n_feat=2, group="CB"):
+def tiny_block(ids, n_feat=2, group="CB"):
     values = np.arange(len(ids) * n_feat, dtype=float).reshape(len(ids), n_feat)
-    names = [f"{group.lower()}{j}" for j in range(n_feat)]
-    return (list(ids), names, values, None)
+    return [f"{group.lower()}{j}" for j in range(n_feat)], values
 
 
-def test_assemble_timeframe_excludes_incomplete_subjects():
-    parts = {
-        "SD": tiny_parts(["s1", "s2"], group="SD"),
-        "CB": tiny_parts(["s1", "s2", "s3"], group="CB"),
-    }
-    y = {"s1": True, "s2": False, "s3": False}
-    frame, excluded = assemble_timeframe("t1", parts, y)
-    assert frame.subject_ids == ["s1", "s2"]
-    assert excluded == 1
-    assert frame.group_sizes() == {"SD": 2, "CB": 2}
+def test_assemble_timeframe_stacks_aligned_blocks():
+    ids = ["s1", "s2"]
+    names, values = tiny_block(ids, group="SD")
+    missing = np.array([[True, False], [False, False]])
+    blocks = {"CB": tiny_block(ids, 3, "CB"), "SD": (names, values, missing)}
+    frame = assemble_timeframe("t1", ids, blocks, [True, False])
+    assert frame.subject_ids == ids
+    assert frame.feature_names == ["sd0", "sd1", "cb0", "cb1", "cb2"]   # GROUPS order
+    assert frame.values[0, 0] == 0.0 and frame.missing[0, 0]
+    assert not frame.missing[:, 2:].any()
+    assert frame.y.tolist() == [True, False]
 
 
-def test_assemble_timeframe_requires_target():
-    parts = {"CB": tiny_parts(["s1", "s2"])}
-    frame, excluded = assemble_timeframe("t1", parts, {"s1": True})
-    assert frame.subject_ids == ["s1"]
-    assert excluded == 1
+def test_assemble_timeframe_rejects_misaligned_block():
+    with pytest.raises(DataError, match="SD block has 1 rows for 2 subjects"):
+        assemble_timeframe("t1", ["s1", "s2"], {
+            "CB": tiny_block(["s1", "s2"]), "SD": tiny_block(["s1"], group="SD"),
+        }, [True, False])
 
 
 def test_assemble_stacks_timeframes():
-    frames = []
-    for tf in ("t1", "t2", "t3"):
-        frame, _ = assemble_timeframe(tf, {"CB": tiny_parts(["a", "b"])}, {"a": True, "b": False})
-        frames.append(frame)
+    frames = [assemble_timeframe(tf, ["a", "b"], {"CB": tiny_block(["a", "b"])}, [True, False])
+              for tf in ("t1", "t2", "t3")]
     full = assemble(frames)
     assert full.n_rows == 6
     assert full.timeframes == ["t1", "t1", "t2", "t2", "t3", "t3"]

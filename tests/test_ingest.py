@@ -3,6 +3,7 @@ from datetime import date, time
 
 import pytest
 
+from callscore.cli import main as cli_main
 from callscore.errors import DataError
 from callscore.ingest import (
     CDR_HEADER,
@@ -153,6 +154,18 @@ def test_batch_round_trips_records(tmp_path):
     assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
 
 
+def test_write_cdr_refuses_identity_with_comma(tmp_path):
+    log = tmp_path / "semicolon.csv"
+    log.write_text("01MAY2017;10:00:00;30;A,1;B\n01MAY2017;10:00:05;40;B;C\n")
+    batch, _ = ingest_cdr(log, delimiter=";")
+    with pytest.raises(DataError, match="'A,1'"):
+        write_cdr(tmp_path / "filtered.csv", batch)
+    assert not (tmp_path / "filtered.csv").exists()
+    out = tmp_path / "out"
+    assert cli_main(["ingest", "--cdr", str(log), "--delimiter", ";", "--out", str(out)]) == 2
+    assert not (out / "filtered.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Bank ingestion.
 # ---------------------------------------------------------------------------
@@ -245,6 +258,26 @@ def test_bank_non_numeric_field_names_file_customer_and_column(file, column):
     cards = [CARD_HEADER, card_row("C1", limit=limit, drawn=drawn)]
     with pytest.raises(DataError, match=f"^{file} file: customer 'C1' has non-numeric {column} "):
         ingest_bank(accounts, transactions, cards)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("short card row", "card activity file: customer 'C1' has no arrears_12 field"),
+    ("short transaction row", "transactions file: customer 'C1' has no date field"),
+    ("invalid transaction date", "transactions file: customer 'C1' has invalid date '32MAR2017'"),
+], ids=["short-card-row", "short-transaction-row", "invalid-date"])
+def test_bank_field_error_names_file_customer_and_column(case, message):
+    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
+    transactions = ["customer_id,date,amount", "C1,10MAR2017,25.50"]
+    cards = [CARD_HEADER, card_row("C1")]
+    if case == "short card row":
+        cards[1] = cards[1].rsplit(",", 1)[0]
+    elif case == "short transaction row":
+        transactions[1] = "C1"
+    else:
+        transactions[1] = "C1,32MAR2017,5.00"
+    with pytest.raises(DataError) as excinfo:
+        ingest_bank(accounts, transactions, cards)
+    assert str(excinfo.value) == message
 
 
 def test_bank_card_without_account_keeps_missing_sociodemographics():

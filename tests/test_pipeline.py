@@ -219,6 +219,34 @@ def test_input_file_run_leaves_its_data_alone(tiny_run, tmp_path):
         run_stages(misplaced, resume=True)
 
 
+def test_rebuilt_eval_reads_loan_amounts_exactly(tiny_run, tmp_path):
+    # card amounts with a sub-cent part: a rebuilt eval/ reads the loans from
+    # the network and features files and must see what the fresh run saw
+    config, out = tiny_run
+    data = tmp_path / "data"
+    shutil.copytree(out / "data", data)
+    with open(data / "card_activity.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    for row in rows:
+        row["credit_limit"] = repr(float(row["credit_limit"]) + 0.004)
+        for m in range(1, 13):
+            row[f"drawn_{m}"] = repr(float(row[f"drawn_{m}"]) + 0.003)
+    with open(data / "card_activity.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header)
+        writer.writeheader()
+        writer.writerows(rows)
+    run = tmp_path / "run"
+    inputs = {f"input_{name}": str(data / f"{name}.csv")
+              for name in ("cdr", "accounts", "transactions", "card_activity")}
+    config = dataclasses.replace(config, out_dir=str(run), **inputs)
+    run_stages(config)
+    fresh = snapshot(run / "eval")
+    shutil.rmtree(run / "eval")
+    run_stages(config, resume=True)
+    assert snapshot(run / "eval") == fresh
+
+
 def test_every_config_field_is_read_by_a_stage():
     read = {name for stage in STAGES for name in stage.fields}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
