@@ -20,6 +20,7 @@ from .models import (
     TreeModel,
     split,
     train_forest,
+    train_forests,
     train_logistic,
     train_tree,
     undersample,

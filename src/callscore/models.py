@@ -5,7 +5,8 @@ Split, undersample, then fit one of: ridge-stabilized logistic regression
 or a bagged forest of such trees with per-split feature subsampling. The
 forest records, per tree, exactly which features its internal nodes test,
 and prediction exposes per-tree votes; both are needed by the profit-based
-feature importance downstream.
+feature importance downstream. Forest trees are grown in worker processes and
+walked as one flat array of nodes; neither changes a model or a score.
 
 All randomness is drawn from named substreams of one seed, so any model is
 replayable in isolation.
@@ -16,11 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConvergenceError, DataError
 from .seeding import substream
@@ -146,6 +148,18 @@ class ScoredDataset:
         return len(self.y)
 
 
+def midrank(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, tied values sharing the mean of their ranks."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    counts = np.diff(starts, append=len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
 def _rank_auc(y: np.ndarray, score: np.ndarray) -> float:
     """Midrank AUC; equals the trapezoidal area with tied scores grouped."""
     y = np.asarray(y, dtype=bool)
@@ -153,7 +167,7 @@ def _rank_auc(y: np.ndarray, score: np.ndarray) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise DataError("AUC needs both classes")
-    ranks = rankdata(score)
+    ranks = midrank(score)
     return float((ranks[y].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
@@ -398,26 +412,93 @@ def _grow_tree(
     )
 
 
-def _tree_leaf_nodes(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    pos = np.zeros(len(X), dtype=np.int32)
-    while True:
-        feats = tree.feature[pos]
-        active = np.flatnonzero(feats >= 0)
-        if active.size == 0:
-            return pos
-        node = pos[active]
-        go_left = X[active, feats[active]] <= tree.threshold[node]
-        pos[active] = np.where(go_left, tree.left[node], tree.right[node])
+# ---------------------------------------------------------------------------
+# Traversal: every tree of a forest walked as one flat array of nodes.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FlatForest:
+    """The node arrays of all trees concatenated; `roots[i]` is tree i's root
+    and `left`/`right` index the concatenation."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
+    vote: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def of(cls, trees: list) -> FlatForest:
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.intp)
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+
+        def child(attr: str) -> np.ndarray:
+            return np.concatenate([np.where(getattr(t, attr) >= 0, getattr(t, attr) + r, -1)
+                                   for t, r in zip(trees, roots)]).astype(np.intp)
+
+        return cls(
+            feature=np.concatenate([t.feature for t in trees]).astype(np.intp),
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=child("left"),
+            right=child("right"),
+            prob=np.concatenate([t.prob for t in trees]),
+            vote=np.concatenate([t.vote for t in trees]),
+            roots=roots,
+        )
+
+
+# (tree, row) pairs walked at once; bounds the pair and path arrays of a walk
+_WALK_PAIRS = 1 << 16
+
+
+def tree_blocks(n_trees: int, n_rows: int) -> list:
+    """Consecutive tree ranges of at most `_WALK_PAIRS` (tree, row) pairs each (one tree at least)."""
+    step = max(1, _WALK_PAIRS // max(n_rows, 1))
+    return [range(i, min(i + step, n_trees)) for i in range(0, n_trees, step)]
+
+
+def descend(flat: FlatForest, X: np.ndarray, node: np.ndarray, row: np.ndarray) -> list:
+    """Move each (node, row) pair down to its leaf, updating `node` in place.
+
+    Returns the path level by level: the positions of the pairs still at an
+    internal node and the nodes they were at, shallowest level first.
+    """
+    path = []
+    active = np.flatnonzero(flat.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[row[active], flat.feature[at]] <= flat.threshold[at]
+        path.append((active, at))
+        node[active] = nxt = np.where(go_left, flat.left[at], flat.right[at])
+        active = active[flat.feature[nxt] >= 0]
+    return path
+
+
+def leaf_block(flat: FlatForest, X: np.ndarray, trees: range) -> tuple[np.ndarray, list]:
+    """Leaf of every (tree, row) pair as (len(trees), n_rows) flat node ids, and the walk's path.
+
+    Pair k of the path is tree trees[k // n_rows] on row k % n_rows.
+    """
+    n = len(X)
+    node = np.repeat(flat.roots[trees.start:trees.stop], n)
+    row = np.tile(np.arange(n), len(trees))
+    path = descend(flat, X, node, row)
+    return node.reshape(len(trees), n), path
+
+
+def _tree_leaves(tree: TreeModel, X: np.ndarray) -> np.ndarray:
+    leaves, _ = leaf_block(FlatForest.of([tree]), np.asarray(X, dtype=np.float64), range(1))
+    return leaves[0]
 
 
 def predict_tree_proba(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return tree.prob[_tree_leaf_nodes(tree, X)]
+    return tree.prob[_tree_leaves(tree, X)]
 
 
 def predict_tree_votes(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return tree.vote[_tree_leaf_nodes(tree, X)]
+    return tree.vote[_tree_leaves(tree, X)]
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -495,6 +576,81 @@ def default_mtry(n_features: int) -> int:
     return max(1, int(math.ceil(math.sqrt(n_features))))
 
 
+def _worker_count(n_tasks: int) -> int:
+    """Processes to grow trees in: one per CPU this process may run on, at most one per task."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
+
+
+def _grow_forest_tree(problem: tuple, i: int) -> TreeModel:
+    """Tree i of a forest, from its own substream.
+
+    `problem` is (X, y, mtry, min_leaf, max_depth, seed, bootstrap).
+    """
+    X, y, mtry, min_leaf, max_depth, seed, bootstrap = problem
+    n = len(y)
+    rng = substream(seed, "tree", i)
+    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    return _grow_tree(X[rows], y[rows], max_depth, min_leaf, mtry, rng)
+
+
+# Set only in pool workers, which inherit the problems by fork instead of receiving them pickled.
+_inherited_problems: list = []
+
+
+def _inherit(problems: list) -> None:
+    global _inherited_problems
+    _inherited_problems = problems
+
+
+def _grow_inherited_tree(task: tuple) -> TreeModel:
+    p, i = task
+    return _grow_forest_tree(_inherited_problems[p], i)
+
+
+def train_forests(
+    problems: list,
+    n_trees: int,
+    mtry: int | None,
+    min_leaf: int,
+    max_depth: int | None,
+    seed: int,
+    bootstrap: bool,
+) -> list:
+    """One forest per (X, y) problem, as `train_forest` grows it, all grown in one pool.
+
+    Each tree draws only from its own substream, so which process grows it
+    does not change it. With more than one worker the trees are grown in a
+    fork pool, one task per (problem, tree), and the workers read the
+    matrices they inherit; with one, the same task runs in this process.
+    `mtry` None takes `default_mtry` of each problem's feature count.
+    """
+    if n_trees < 1:
+        raise DataError(f"a forest needs at least one tree, not {n_trees}")
+    jobs = []
+    for X, y in problems:
+        X = np.asarray(X, dtype=np.float64)
+        m = X.shape[1]
+        problem_mtry = default_mtry(m) if mtry is None else mtry
+        if problem_mtry > m:
+            raise DataError(f"mtry {problem_mtry} exceeds the {m} available features")
+        jobs.append((X, np.asarray(y, dtype=bool), problem_mtry, min_leaf, max_depth, seed, bootstrap))
+    tasks = [(p, i) for p in range(len(jobs)) for i in range(n_trees)]
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        trees = [_grow_forest_tree(jobs[p], i) for p, i in tasks]
+    else:
+        # fork, so that workers inherit the matrices instead of unpickling
+        # them; growing a tree calls no BLAS, whose threads a fork does not copy
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, initializer=_inherit, initargs=(jobs,)) as pool:
+            trees = pool.map(_grow_inherited_tree, tasks, chunksize=1)
+    return [
+        ForestModel(trees=trees[p * n_trees:(p + 1) * n_trees], tree_seeds=list(range(n_trees)),
+                    mtry=job[2], bootstrap=bootstrap)
+        for p, job in enumerate(jobs)
+    ]
+
+
 def train_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -506,20 +662,7 @@ def train_forest(
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bag `n_trees` trees, each on its own bootstrap with `mtry` features per split."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=bool)
-    n, m = X.shape
-    if mtry is None:
-        mtry = default_mtry(m)
-    if mtry > m:
-        raise DataError(f"mtry {mtry} exceeds the {m} available features")
-    trees, seeds = [], []
-    for i in range(n_trees):
-        rng = substream(seed, "tree", i)
-        seeds.append(i)
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(X[rows], y[rows], max_depth, min_leaf, mtry, rng))
-    return ForestModel(trees=trees, tree_seeds=seeds, mtry=mtry, bootstrap=bootstrap)
+    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap)[0]
 
 
 def predict_forest(
@@ -530,12 +673,14 @@ def predict_forest(
 ) -> ScoredDataset:
     """Score = mean of per-tree leaf probabilities; hard per-tree votes attached."""
     X = np.asarray(X, dtype=np.float64)
+    flat = FlatForest.of(forest.trees)
     votes = np.empty((forest.n_trees, len(X)), dtype=np.int8)
     score = np.zeros(len(X))
-    for i, tree in enumerate(forest.trees):
-        leaves = _tree_leaf_nodes(tree, X)
-        score += tree.prob[leaves]
-        votes[i] = tree.vote[leaves]
+    for trees in tree_blocks(forest.n_trees, len(X)):
+        leaves, _ = leaf_block(flat, X, trees)
+        for prob in flat.prob[leaves]:  # tree by tree, so the sum's order is fixed
+            score += prob
+        votes[trees.start:trees.stop] = flat.vote[leaves]
     score /= forest.n_trees
     labels = np.zeros(len(X), dtype=bool) if y is None else y
     return ScoredDataset(y=labels, score=score, per_tree_votes=votes, subject_ids=subject_ids)

@@ -11,7 +11,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DataError
 from .graph import CallGraph
@@ -116,6 +115,8 @@ def homophily_test(graph: CallGraph, labels: np.ndarray) -> HomophilyReport:
     n = n1 + n0
     expected = (2 * n1 * n0) / (n * (n - 1))
     observed = m_cross / m_total
+    from scipy.stats import norm  # imported on use: it is most of the package's import time
+
     se = np.sqrt(expected * (1 - expected) / m_total)
     z = (observed - expected) / se if se > 0 else 0.0
     p = float(norm.cdf(z))

@@ -48,7 +48,7 @@ from .models import (
     predict_tree_proba,
     save_model,
     split,
-    train_forest,
+    train_forests,
     train_logistic,
     train_tree,
     undersample,
@@ -615,23 +615,31 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
 
     ctx.split = (train_idx, test_idx, train_bal)
     ctx.scored = {}
+    subs = {}
     for model_id in cfg.model_ids():
         sub = matrix.select_groups(MODEL_GROUPS[model_id])
         if sub.n_features == 0:
             logger.warning("model %s skipped: correlation pruning left none of its %s features",
                            model_id, "+".join(MODEL_GROUPS[model_id]))
             continue
+        subs[model_id] = sub
+    forests = {}
+    if "forest" in cfg.classifier_list():
+        t0 = time.perf_counter()
+        forests = dict(zip(subs, train_forests(
+            [(sub.values[train_bal], matrix.y[train_bal]) for sub in subs.values()],
+            n_trees=cfg.n_trees, mtry=cfg.mtry or None, min_leaf=cfg.min_leaf,
+            max_depth=None, seed=cfg.seed, bootstrap=True,
+        )))
+        logger.info("trained %d forests in %.1fs", len(forests), time.perf_counter() - t0)
+    for model_id, sub in subs.items():
         X = sub.values
         for classifier in cfg.classifier_list():
             mdir = out / f"{model_id}_{classifier}"
             mdir.mkdir()
             t0 = time.perf_counter()
             if classifier == "forest":
-                model = train_forest(
-                    X[train_bal], matrix.y[train_bal],
-                    n_trees=cfg.n_trees, mtry=cfg.mtry or None,
-                    min_leaf=cfg.min_leaf, seed=cfg.seed,
-                )
+                model = forests[model_id]
                 scored = predict_forest(model, X[test_idx], matrix.y[test_idx])
                 np.save(mdir / "votes.npy", scored.per_tree_votes)
             elif classifier == "tree":
@@ -652,7 +660,7 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
             }, sort_keys=True) + "\n")
             save_scores(mdir / "scores.csv", scored, matrix, test_idx)
             ctx.scored[(model_id, classifier)] = scored
-            logger.info("trained %s/%s in %.1fs", model_id, classifier, time.perf_counter() - t0)
+            logger.info("model %s/%s done in %.1fs", model_id, classifier, time.perf_counter() - t0)
 
 
 def stage_eval(ctx: PipelineContext, out: Path) -> None:

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import kendalltau, norm, rankdata, spearmanr
 
 from .errors import DataError
-from .models import ForestModel, ScoredDataset, _tree_leaf_nodes
+from .models import FlatForest, ForestModel, ScoredDataset, descend, leaf_block, midrank, tree_blocks
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -289,6 +288,32 @@ def fraction_to_cutoff(scores: np.ndarray, fraction: float) -> float:
 # Model profit per the accept/reject outcome table.
 # ---------------------------------------------------------------------------
 
+def _profit_terms(
+    y: np.ndarray,
+    loans: Sequence[LoanOutcome],
+    params: EmpParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-loan profit if accepted and if rejected, by the outcome table of
+    `profit_from_rejections`."""
+    y = np.asarray(y, dtype=bool)
+    if len(loans) != len(y):
+        raise DataError("loans, labels and decisions must align")
+    defaulter = np.array([loan.is_defaulter for loan in loans], dtype=bool)
+    if np.any(defaulter != y):
+        raise DataError("loan outcome labels disagree with the scored labels")
+    principal = np.array([loan.principal for loan in loans], dtype=np.float64)
+    ead = np.array([loan.ead for loan in loans], dtype=np.float64)
+    lgd = np.array([params.lgd if loan.lgd is None else loan.lgd for loan in loans], dtype=np.float64)
+    accepted = np.where(y, -lgd * ead, params.roi * principal)
+    rejected = np.where(y, 0.0, -params.roi * principal)
+    return accepted, rejected
+
+
+def _total_profit(reject: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> float:
+    accepted, rejected = terms
+    return math.fsum(np.where(reject, rejected, accepted).tolist())
+
+
 def profit_from_rejections(
     y: np.ndarray,
     reject: np.ndarray,
@@ -297,20 +322,10 @@ def profit_from_rejections(
 ) -> float:
     """Total profit: accepted good +ROI*A, rejected good -ROI*A,
     accepted defaulter -LGD*EAD, rejected defaulter 0."""
-    y = np.asarray(y, dtype=bool)
     reject = np.asarray(reject, dtype=bool)
-    if len(loans) != len(y) or len(reject) != len(y):
+    if len(reject) != len(y):
         raise DataError("loans, labels and decisions must align")
-    terms = []
-    for yi, ri, loan in zip(y, reject, loans):
-        if bool(yi) != loan.is_defaulter:
-            raise DataError("loan outcome labels disagree with the scored labels")
-        lgd = loan.lgd if loan.lgd is not None else params.lgd
-        if yi:
-            terms.append(0.0 if ri else -lgd * loan.ead)
-        else:
-            terms.append(-params.roi * loan.principal if ri else params.roi * loan.principal)
-    return math.fsum(terms)
+    return _total_profit(reject, _profit_terms(y, loans, params))
 
 
 def model_profit(
@@ -374,10 +389,8 @@ def profit_feature_importance(
     votes = scored.per_tree_votes
     if votes.shape[0] != forest.n_trees:
         raise DataError("votes do not match the forest")
-    profits = np.array([
-        profit_from_rejections(scored.y, votes[i] >= cutoff, loans, params)
-        for i in range(forest.n_trees)
-    ])
+    terms = _profit_terms(scored.y, loans, params)
+    profits = np.array([_total_profit(votes[i] >= cutoff, terms) for i in range(forest.n_trees)])
     member = forest.feature_membership(len(feature_names))
     n_in = member.sum(axis=0)
     importance = np.full(len(feature_names), np.nan)
@@ -391,19 +404,35 @@ def profit_feature_importance(
     return _ranked(feature_names, importance)
 
 
+def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
+    """For each feature, the pairs whose path tests it and the first node on the path that does.
+
+    Returns (keys, starts, bounds): the slice bounds[j]:bounds[j + 1] holds
+    feature j's entries, keys minus j * n_pairs being the pair positions in
+    ascending order and starts the nodes.
+    """
+    pairs = np.concatenate([np.empty(0, dtype=np.intp)] + [p for p, _ in path])
+    nodes = np.concatenate([np.empty(0, dtype=np.intp)] + [a for _, a in path])
+    keys = flat.feature[nodes].astype(np.int64) * n_pairs + pairs
+    # the path runs shallowest first, and unique keeps each key's first index
+    keys, first = np.unique(keys, return_index=True)
+    bounds = np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)
+    return keys, nodes[first], bounds
+
+
 def accuracy_feature_importance(
     forest: ForestModel,
     X: np.ndarray,
     y: np.ndarray,
     feature_names: Sequence[str],
     seed: int = 0,
-    n_repeats: int = 1,
 ) -> dict:
     """Mean decrease in accuracy, two readings of the leave-out idea.
 
     "permutation" (the default ranking): accuracy drop of the forest when the
-    feature's test column is shuffled (averaged over `n_repeats` shuffles);
-    only trees that test the feature are re-evaluated. "membership": the
+    feature's test column is shuffled once. Only a (tree, row) pair whose path
+    tests the feature can change leaf, so only those pairs are walked again,
+    from the first node on the path that tests it. "membership": the
     tree-profit construction applied to per-tree accuracy. A feature tested
     by no tree scores exactly zero.
     """
@@ -412,32 +441,43 @@ def accuracy_feature_importance(
     n = len(y)
     n_feat = len(feature_names)
     member = forest.feature_membership(n_feat)
+    tested = np.flatnonzero(member.any(axis=0))
+    flat = FlatForest.of(forest.trees)
+    shuffled = {j: X[substream(seed, "perm", j).permutation(n), j] for j in tested}
+    X_perm = X.copy()  # holds one shuffled column at a time
 
-    probs = np.empty((forest.n_trees, n), dtype=np.float64)
+    score = np.zeros(n)
     tree_acc = np.empty(forest.n_trees)
-    for i, tree in enumerate(forest.trees):
-        leaves = _tree_leaf_nodes(tree, X)
-        probs[i] = tree.prob[leaves]
-        tree_acc[i] = np.mean((tree.vote[leaves] == 1) == y)
-    base_score = probs.mean(axis=0)
+    delta = np.zeros((n_feat, n))  # per feature, the summed changes of tree probabilities
+    for trees in tree_blocks(forest.n_trees, n):
+        leaves, path = leaf_block(flat, X, trees)
+        for prob in flat.prob[leaves]:  # tree by tree, as predict_forest sums
+            score += prob
+        tree_acc[trees.start:trees.stop] = np.mean((flat.vote[leaves] == 1) == y, axis=1)
+        leaves = leaves.ravel()
+        keys, starts, bounds = _first_tests(flat, path, len(leaves), n_feat)
+        for j in tested:
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo == hi:
+                continue
+            pairs = keys[lo:hi] - j * len(leaves)
+            rows = pairs % n
+            node = starts[lo:hi].copy()
+            X_perm[:, j] = shuffled[j]
+            descend(flat, X_perm, node, rows)
+            X_perm[:, j] = X[:, j]
+            old = leaves[pairs]
+            moved = node != old
+            # pairs run tree-major and add.at adds in index order, so each row
+            # sums its changes in tree order; an unmoved pair would add 0.0
+            np.add.at(delta[j], rows[moved], flat.prob[node[moved]] - flat.prob[old[moved]])
+    base_score = score / forest.n_trees
     base_acc = float(np.mean((base_score >= 0.5) == y))
 
     perm = np.zeros(n_feat)
-    for j in range(n_feat):
-        trees_with = np.flatnonzero(member[:, j])
-        if trees_with.size == 0:
-            continue  # untested feature: permuting it cannot move any split
-        rng = substream(seed, "perm", j)
-        drops = []
-        for _ in range(n_repeats):
-            Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(n), j]
-            delta = np.zeros(n)
-            for i in trees_with:
-                delta += forest.trees[i].prob[_tree_leaf_nodes(forest.trees[i], Xp)] - probs[i]
-            new_score = base_score + delta / forest.n_trees
-            drops.append(base_acc - float(np.mean((new_score >= 0.5) == y)))
-        perm[j] = float(np.mean(drops))
+    for j in tested:
+        new_score = base_score + delta[j] / forest.n_trees
+        perm[j] = base_acc - float(np.mean((new_score >= 0.5) == y))
 
     n_in = member.sum(axis=0)
     membership = np.full(n_feat, np.nan)
@@ -471,9 +511,9 @@ def _delong_components(score: np.ndarray, y: np.ndarray):
     pos = score[y]
     neg = score[~y]
     m, nn = len(pos), len(neg)
-    tz = rankdata(np.concatenate([pos, neg]))
-    tx = rankdata(pos)
-    ty = rankdata(neg)
+    tz = midrank(np.concatenate([pos, neg]))
+    tx = midrank(pos)
+    ty = midrank(neg)
     v10 = (tz[:m] - tx) / nn            # per defaulter
     v01 = 1.0 - (tz[m:] - ty) / m       # per non-defaulter
     auc = float(v10.mean())
@@ -505,6 +545,8 @@ def delong_test(scores_a: np.ndarray, scores_b: np.ndarray, y: np.ndarray) -> De
     diff = auc_a - auc_b
     if variance <= 1e-16:
         return DelongResult(auc_a, auc_b, diff, max(variance, 0.0), 0.0, 1.0)
+    from scipy.stats import norm  # imported on use: it is most of the package's import time
+
     z = diff / math.sqrt(variance)
     p = float(2 * norm.sf(abs(z)))
     return DelongResult(auc_a, auc_b, diff, variance, z, p)
@@ -529,6 +571,8 @@ def rank_correlations(ranking_a: Sequence[float], ranking_b: Sequence[float]) ->
         raise DataError("rankings must be one-dimensional and aligned")
     if len(a) < 2:
         raise DataError("need at least two items to correlate")
+    from scipy.stats import kendalltau, spearmanr  # imported on use, as in delong_test
+
     rho = float(spearmanr(a, b).statistic)
     tau = float(kendalltau(a, b).statistic)
     da = np.sign(a[:, None] - a[None, :])

@@ -7,6 +7,7 @@ import pytest
 
 from callscore.graph import build_graph
 from callscore.ingest import CdrRecord
+from callscore.models import ForestModel, TreeModel, train_forest
 
 
 def call(from_id, to_id, duration=60, day=1, month=5, hh=12, mm=0, ss=0, year=2017):
@@ -60,6 +61,39 @@ def dense_pagerank_solve(graph, restart, alpha=0.85):
     for u in dangling:
         moved[:, u] += alpha * z
     return np.linalg.solve(np.eye(n) - moved, (1 - alpha) * z)
+
+
+def reference_leaves(tree, X):
+    """Per-tree walk: every row moves down one level per step until all sit at leaves."""
+    pos = np.zeros(len(X), dtype=np.int32)
+    while True:
+        feats = tree.feature[pos]
+        active = np.flatnonzero(feats >= 0)
+        if active.size == 0:
+            return pos
+        node = pos[active]
+        go_left = X[active, feats[active]] <= tree.threshold[node]
+        pos[active] = np.where(go_left, tree.left[node], tree.right[node])
+
+
+def one_node_tree(n0=3, n1=2):
+    return TreeModel(
+        feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+        left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
+        n0=np.array([n0]), n1=np.array([n1]), prob=np.array([n1 / (n0 + n1)]),
+        vote=np.array([int(n1 > n0)], dtype=np.int8), depth=0,
+    )
+
+
+def mixed_depth_forest(rng, n=300, m=6):
+    """Forest with tied feature values, trees of depth 1 to unlimited, and a one-node tree."""
+    X = np.round(rng.normal(size=(n, m)), 1)
+    y = rng.random(n) < 1 / (1 + np.exp(-2 * X[:, 0] + X[:, 1]))
+    trees = []
+    for depth, seed in ((1, 0), (3, 1), (None, 2), (2, 3)):
+        trees += train_forest(X, y, n_trees=5, mtry=2, max_depth=depth, seed=seed).trees
+    trees.insert(7, one_node_tree())
+    return ForestModel(trees=trees, tree_seeds=list(range(len(trees))), mtry=2), X, y
 
 
 @pytest.fixture

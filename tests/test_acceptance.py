@@ -149,8 +149,7 @@ def test_criterion_05_profit_importance_recovery():
         params = EmpParams(roi=0.05, lgd=0.8, p0=0.1, p1=0.1)
         profit_rank = profit_feature_importance(forest, scored, loans[cut:], params, names)
         hits_profit += profit_rank[0][0] == f"f{informative}"
-        acc_rank = accuracy_feature_importance(forest, X[cut:], y[cut:], names,
-                                               seed=seed, n_repeats=3)
+        acc_rank = accuracy_feature_importance(forest, X[cut:], y[cut:], names, seed=seed)
         hits_accuracy += acc_rank["permutation"][0][0] == f"f{informative}"
     assert hits_profit >= 18, f"profit importance recovered {hits_profit}/20"
     assert hits_accuracy >= 18, f"accuracy importance recovered {hits_accuracy}/20"

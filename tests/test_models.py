@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+import callscore.models as models
 from callscore.errors import ConvergenceError, DataError
+from conftest import mixed_depth_forest, reference_leaves
 from callscore.models import (
     ScoredDataset,
     SplitSpec,
     _rank_auc,
     load_model,
+    midrank,
     predict_forest,
     predict_logistic,
     predict_tree_proba,
@@ -16,6 +24,7 @@ from callscore.models import (
     save_model,
     split,
     train_forest,
+    train_forests,
     train_logistic,
     train_tree,
     undersample,
@@ -255,12 +264,86 @@ def test_forest_mtry_exceeds_features(rng):
         train_forest(X, y, n_trees=2, mtry=10)
 
 
+def test_forest_without_trees_is_refused(rng):
+    X, y = informative_data(rng, n=100, m=3)
+    with pytest.raises(DataError, match="at least one tree"):
+        train_forest(X, y, n_trees=0)
+
+
 def test_forest_membership_matrix(rng):
     X, y = informative_data(rng, n=300, m=6)
     forest = train_forest(X, y, n_trees=25, mtry=2, max_depth=3, seed=3)
     member = forest.feature_membership(6)
     for i, tree in enumerate(forest.trees):
         assert set(np.flatnonzero(member[i])) == set(tree.features_used)
+
+
+@pytest.mark.parametrize("walk_pairs", [1 << 16, 50])
+def test_predict_forest_matches_per_tree_reference(rng, monkeypatch, walk_pairs):
+    monkeypatch.setattr(models, "_WALK_PAIRS", walk_pairs)  # 50: several tree blocks
+    forest, X, y = mixed_depth_forest(rng)
+    assert len({t.depth for t in forest.trees}) >= 4
+    score = np.zeros(len(X))
+    votes = []
+    for tree in forest.trees:
+        leaves = reference_leaves(tree, X)
+        score += tree.prob[leaves]
+        votes.append(tree.vote[leaves])
+    score /= forest.n_trees
+    scored = predict_forest(forest, X, y)
+    assert np.array_equal(scored.score, score)
+    assert np.array_equal(scored.per_tree_votes, np.array(votes, dtype=np.int8))
+    for tree in forest.trees:
+        leaves = reference_leaves(tree, X)
+        assert np.array_equal(predict_tree_proba(tree, X), tree.prob[leaves])
+        assert np.array_equal(predict_tree_votes(tree, X), tree.vote[leaves])
+
+
+def _problems(rng):
+    out = []
+    for n, m in ((200, 4), (150, 9), (260, 6)):
+        X, y = informative_data(rng, n=n, m=m)
+        out.append((np.round(X, 1), y))
+    return out
+
+
+def test_train_forests_equals_separate_train_forest_calls(rng):
+    problems = _problems(rng)
+    together = train_forests(problems, 12, None, 5, None, 7, True)
+    for (X, y), forest in zip(problems, together):
+        alone = train_forest(X, y, n_trees=12, seed=7)
+        assert forest.mtry == alone.mtry and forest.tree_seeds == alone.tree_seeds
+        assert ([models._tree_to_dict(t) for t in forest.trees]
+                == [models._tree_to_dict(t) for t in alone.trees])
+
+
+def test_worker_count_does_not_change_model_json(rng, tmp_path, monkeypatch):
+    problems = _problems(rng)
+    saved = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(models, "_worker_count", lambda n_tasks, w=workers: w)
+        for k, forest in enumerate(train_forests(problems, 15, 3, 5, None, 11, True)):
+            path = tmp_path / f"{workers}_{k}.json"
+            save_model(forest, path)
+            saved[workers, k] = path.read_bytes()
+    for k in range(len(problems)):
+        assert saved[1, k] == saved[2, k]
+
+
+def test_midrank_equals_scipy_rankdata():
+    r = np.random.default_rng(5)
+    for _ in range(2000):
+        n = int(r.integers(1, 60))
+        x = r.integers(0, max(1, n // 3), size=n).astype(np.float64) / 7
+        got = midrank(x)
+        assert np.array_equal(got, rankdata(x)) and got.dtype == np.float64
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    probe = "import sys, callscore; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_leaf_tie_breaks_toward_parent_majority():

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import kstest, rankdata
 
 from callscore.errors import DataError
-from callscore.models import ScoredDataset, train_forest, predict_forest
+from callscore import models
+from callscore.models import ForestModel, ScoredDataset, train_forest, predict_forest
 from callscore.profit import (
     EmpParams,
     LoanOutcome,
@@ -18,12 +19,15 @@ from callscore.profit import (
     fraction_to_cutoff,
     model_profit,
     profit_feature_importance,
+    profit_from_rejections,
     rank_correlations,
     roc_and_auc,
     roc_convex_hull,
     roc_points,
 )
+from callscore.seeding import substream
 from callscore.synth import planted_feature_dataset
+from conftest import mixed_depth_forest, one_node_tree, reference_leaves
 
 
 def scored(y, s):
@@ -211,6 +215,39 @@ def test_model_profit_outcome_table():
     assert model_profit(sc, [LoanOutcome(100, 80, True)], params, 0.5) == 0.0
 
 
+def reference_profit(y, reject, loans, params):
+    """Per-loan loop over the outcome table."""
+    terms = []
+    for yi, ri, loan in zip(y, reject, loans):
+        if bool(yi) != loan.is_defaulter:
+            raise DataError("loan outcome labels disagree with the scored labels")
+        lgd = loan.lgd if loan.lgd is not None else params.lgd
+        if yi:
+            terms.append(0.0 if ri else -lgd * loan.ead)
+        else:
+            terms.append(-params.roi * loan.principal if ri else params.roi * loan.principal)
+    return math.fsum(terms)
+
+
+def test_profit_from_rejections_matches_per_loan_loop():
+    r = np.random.default_rng(11)
+    for case in range(300):
+        n = int(r.integers(1, 80))
+        y = r.random(n) < 0.3
+        principal = np.round(r.uniform(1, 5000, n), 2)
+        ead = np.where(r.random(n) < 0.2, 0.0, principal * r.random(n))
+        with_lgd = case % 2 == 1
+        lgd = [float(r.uniform(0.1, 1)) if with_lgd and k % 3 else None for k in range(n)]
+        loans = [LoanOutcome(float(p), float(e), bool(d), g) for p, e, d, g in zip(principal, ead, y, lgd)]
+        reject = r.random(n) < 0.5
+        params = EmpParams(roi=float(r.uniform(0.01, 0.3)), lgd=float(r.uniform(0.1, 1)))
+        got = profit_from_rejections(y, reject, loans, params)
+        assert repr(got) == repr(reference_profit(y, reject, loans, params))
+    loans[0] = LoanOutcome(100.0, 50.0, not y[0])
+    with pytest.raises(DataError, match="disagree"):
+        profit_from_rejections(y, reject, loans, params)
+
+
 def test_profit_at_zero_fraction_equals_accept_all():
     sc = random_scored(13, n=300, base=0.2)
     r = np.random.default_rng(13)
@@ -364,12 +401,53 @@ def test_planted_feature_recovered_by_both_importances():
         ranking = profit_feature_importance(forest, sc, loans[split_at:], params, names)
         if ranking[0][0] == f"f{j}":
             hits_profit += 1
-        acc = accuracy_feature_importance(forest, X[split_at:], y[split_at:], names,
-                                          seed=seed, n_repeats=3)
+        acc = accuracy_feature_importance(forest, X[split_at:], y[split_at:], names, seed=seed)
         if acc["permutation"][0][0] == f"f{j}":
             hits_acc += 1
     assert hits_profit == runs
     assert hits_acc >= runs - 1
+
+
+def reference_permutation_importance(forest, X, y, n_feat, seed):
+    """The per-(feature, tree) loop: permute the column, walk every tree that tests it."""
+    n = len(y)
+    member = forest.feature_membership(n_feat)
+    probs = np.array([t.prob[reference_leaves(t, X)] for t in forest.trees])
+    base_score = probs.mean(axis=0)
+    base_acc = float(np.mean((base_score >= 0.5) == y))
+    perm = np.zeros(n_feat)
+    for j in range(n_feat):
+        trees_with = np.flatnonzero(member[:, j])
+        if trees_with.size == 0:
+            continue
+        Xp = X.copy()
+        Xp[:, j] = Xp[substream(seed, "perm", j).permutation(n), j]
+        delta = np.zeros(n)
+        for i in trees_with:
+            delta += forest.trees[i].prob[reference_leaves(forest.trees[i], Xp)] - probs[i]
+        perm[j] = base_acc - float(np.mean((base_score + delta / forest.n_trees >= 0.5) == y))
+    return perm
+
+
+@pytest.mark.parametrize("walk_pairs", [1 << 16, 50])
+def test_permutation_importance_matches_per_tree_loop(rng, monkeypatch, walk_pairs):
+    monkeypatch.setattr(models, "_WALK_PAIRS", walk_pairs)  # 50: several tree blocks
+    forest, X, y = mixed_depth_forest(rng)
+    X = np.hstack([X, np.zeros((len(X), 2))])  # two features no tree tests
+    names = [f"f{k}" for k in range(X.shape[1])]
+    for seed in (0, 3):
+        expected = reference_permutation_importance(forest, X, y, len(names), seed)
+        got = dict(accuracy_feature_importance(forest, X, y, names, seed=seed)["permutation"])
+        assert [repr(got[name]) for name in names] == [repr(float(v)) for v in expected]
+        assert got["f6"] == 0.0 and got["f7"] == 0.0
+
+
+def test_permutation_importance_of_one_node_forest_is_zero():
+    forest = ForestModel(trees=[one_node_tree(), one_node_tree(4, 1)], tree_seeds=[0, 1], mtry=1)
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.array([True, False] * 3)
+    acc = accuracy_feature_importance(forest, X, y, ["a", "b"], seed=0)
+    assert acc["permutation"] == [("a", 0.0), ("b", 0.0)]
 
 
 def test_accuracy_importance_unused_feature_exactly_zero(rng):
