@@ -22,28 +22,22 @@ from .errors import ConvergenceError, DataError, UsageError
 from .features import FeatureMatrix
 from .graph import build_graph, load_graph, save_graph
 from .ingest import ingest_cdr, parse_cdr_date, write_cdr
-from .models import load_model, predict_forest, predict_logistic, predict_tree_proba
-from .models import ForestModel, LogisticModel, ScoredDataset, TreeModel
+from .models import load_model
 from .netstats import homophily_test
 from .pipeline import (
     ExperimentConfig,
+    ingest_calls,
     load_config,
     load_labels,
     load_scores,
+    propagate_exposure,
     run_stages,
     save_scores,
+    score_model,
     sensitivity_sweep,
 )
 from .profit import EmpParams
-from .propagation import (
-    PropagationConfig,
-    exposure_cutoff,
-    personalized_pagerank,
-    relabel_high_risk,
-    spreading_activation,
-    uniform_restart,
-)
-from .synth import SynthConfig, generate
+from .synth import generate
 
 logger = logging.getLogger(__name__)
 
@@ -58,20 +52,22 @@ def _build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that sets a config key defaults to None: the key keeps its
+    # ExperimentConfig default unless the flag is given
     p = sub.add_parser("synth", help="generate a synthetic CDR + bank dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=2000)
-    p.add_argument("--subjects", type=int, default=600)
-    p.add_argument("--default-rate", type=float, default=0.0449)
-    p.add_argument("--homophily", type=float, default=1.0)
-    p.add_argument("--effect", type=float, default=1.0)
-    p.add_argument("--mean-calls", type=float, default=8.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--subjects", type=int)
+    p.add_argument("--default-rate", type=float)
+    p.add_argument("--homophily", type=float)
+    p.add_argument("--effect", type=float)
+    p.add_argument("--mean-calls", type=float)
 
     p = sub.add_parser("ingest", help="parse and filter a CDR log")
     p.add_argument("--cdr", required=True)
-    p.add_argument("--min-duration", type=int, default=5)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--min-duration", type=int)
+    p.add_argument("--delimiter")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("build-graph", help="build one call graph from a CDR file")
@@ -80,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--window", nargs=2, metavar=("START", "END"),
                    help="inclusive DDMONYYYY date range")
     p.add_argument("--weight-by", choices=("count", "duration"), default="count")
-    p.add_argument("--min-duration", type=int, default=5)
+    p.add_argument("--min-duration", type=int)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("propagate", help="compute exposure scores on a saved graph")
@@ -88,10 +84,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--method", choices=("pr", "spa"), required=True)
     p.add_argument("--seeds", choices=("ge1", "ge2", "ge3"), default="ge1")
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--d", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--d", type=float)
+    p.add_argument("--tol", type=float, help="the method's pr_tolerance or spa_tolerance")
+    p.add_argument("--max-iter", type=int, help="the method's pr_max_iterations or spa_max_iterations")
     p.add_argument("--out", required=True, help="exposure CSV path")
 
     p = sub.add_parser("netstats", help="homophily statistics of a saved graph")
@@ -134,8 +130,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", choices=("roi", "lgd"), required=True)
     p.add_argument("--grid", required=True,
                    help="comma list '0.01,0.05' or range 'start:stop:count'")
-    p.add_argument("--roi", type=float, default=0.05)
-    p.add_argument("--lgd", type=float, default=0.8)
+    p.add_argument("--roi", type=float)
+    p.add_argument("--lgd", type=float)
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--p1", type=float, default=0.0)
     p.add_argument("--out", help="write the sweep CSV here")
@@ -158,37 +154,38 @@ def _parse_grid(text: str) -> list:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
 
 
+def _with_flags(config: ExperimentConfig, **flags) -> ExperimentConfig:
+    """`config` with the keys whose flags were given (not None) replaced."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return dataclasses.replace(config, **given)
+
+
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_nodes=args.nodes,
-        n_subjects=args.subjects,
-        default_rate=args.default_rate,
-        homophily_strength=args.homophily,
-        planted_feature_effect=args.effect,
-        mean_calls_per_node=args.mean_calls,
+    config = _with_flags(
+        ExperimentConfig(), seed=args.seed, n_nodes=args.nodes, n_subjects=args.subjects,
+        default_rate=args.default_rate, homophily_strength=args.homophily,
+        planted_feature_effect=args.effect, mean_calls_per_node=args.mean_calls,
     )
-    paths = generate(config, args.seed).write(args.out)
+    paths = generate(config.synth_config(), config.seed).write(args.out)
     print(f"wrote {len(paths)} files under {args.out}")
     return 0
 
 
 def _cmd_ingest(args) -> int:
+    config = _with_flags(ExperimentConfig(), min_duration=args.min_duration, delimiter=args.delimiter)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "rejects.log", "w") as rejects:
-        batch, stats = ingest_cdr(args.cdr, min_duration=args.min_duration,
-                                  delimiter=args.delimiter, reject_log=rejects)
+    batch, stats = ingest_calls(args.cdr, out, config)
     write_cdr(out / "filtered.csv", batch)
-    (out / "stats.json").write_text(
-        json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
     print(f"read {stats.rows_read} rows: {stats.rows_accepted} accepted, "
           f"{stats.rows_rejected} rejected, {stats.rows_filtered_short} under "
-          f"{args.min_duration}s; {stats.distinct_ids} identities")
+          f"{config.min_duration}s; {stats.distinct_ids} identities")
     return 0
 
 
 def _cmd_build_graph(args) -> int:
-    batch, _ = ingest_cdr(args.cdr, min_duration=args.min_duration)
+    config = _with_flags(ExperimentConfig(), min_duration=args.min_duration)
+    batch, _ = ingest_cdr(args.cdr, min_duration=config.min_duration, delimiter=config.delimiter)
     window = None
     if args.window:
         window = (parse_cdr_date(args.window[0]), parse_cdr_date(args.window[1]))
@@ -200,28 +197,19 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
+    budget = {f"{args.method}_tolerance": args.tol, f"{args.method}_max_iterations": args.max_iter}
+    config = _with_flags(ExperimentConfig(), alpha=args.alpha, spread_fraction=args.d, **budget)
     graph = load_graph(args.graph)
     labels, _ = load_labels(args.labels)
-    if labels.n_nodes != graph.n_nodes:
-        raise DataError("labels file does not match the graph")
-    criterion = int(args.seeds[-1])
-    seeds = labels.delinquent_nodes(criterion)
-    config = PropagationConfig(alpha=args.alpha, spread_fraction=args.d,
-                               tolerance=args.tol, max_iterations=args.max_iter)
-    if args.method == "pr":
-        exposure = personalized_pagerank(graph, uniform_restart(graph.n_nodes, seeds), config)
-    else:
-        exposure = spreading_activation(graph, seeds, config)
-    exposure.seed_spec = args.seeds
+    exposure, relabeling = propagate_exposure(
+        graph, labels, args.method.upper(), int(args.seeds[-1]), config)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("node_id", "score"))
         for i, s in enumerate(exposure.scores):
             writer.writerow((i, repr(float(s))))
-    cutoff = exposure_cutoff(exposure, labels)
-    relabeling = relabel_high_risk(exposure, cutoff)
     print(f"{exposure.method} converged in {exposure.iterations_run} iterations "
-          f"(residual {exposure.residual:.3e}); cutoff {cutoff:.6g} flags "
+          f"(residual {exposure.residual:.3e}); cutoff {relabeling.cutoff:.6g} flags "
           f"{relabeling.n_high_risk} high-risk nodes")
     return 0
 
@@ -246,8 +234,7 @@ def _recorded_config(args) -> ExperimentConfig:
 def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
     """Bring a run directory's stages up to `until` under its recorded config
     plus the given overrides, which config.resolved then records."""
-    changes = {key: value for key, value in overrides.items() if value is not None}
-    config = dataclasses.replace(_recorded_config(args), **changes)
+    config = _with_flags(_recorded_config(args), **overrides)
     run_stages(config, until, resume=True)
     return config
 
@@ -283,15 +270,7 @@ def _cmd_predict(args) -> int:
     if missing:
         raise DataError(f"feature matrix lacks {len(missing)} model features, e.g. {missing[:3]}")
     X = matrix.values[:, [index[n] for n in meta["feature_names"]]]
-    if isinstance(model, ForestModel):
-        scores = predict_forest(model, X).score
-    elif isinstance(model, TreeModel):
-        scores = predict_tree_proba(model, X)
-    elif isinstance(model, LogisticModel):
-        scores = predict_logistic(model, X)
-    else:
-        raise DataError("unsupported model type")
-    save_scores(args.out, ScoredDataset(y=matrix.y, score=scores), matrix, range(matrix.n_rows))
+    save_scores(args.out, score_model(model, X, matrix.y), matrix, range(matrix.n_rows))
     print(f"scored {matrix.n_rows} rows -> {args.out}")
     return 0
 
@@ -333,8 +312,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    config = _with_flags(ExperimentConfig(), roi=args.roi, lgd=args.lgd)
     scored = load_scores(args.scores)
-    params = EmpParams(roi=args.roi, lgd=args.lgd, p0=args.p0, p1=args.p1)
+    params = EmpParams(roi=config.roi, lgd=config.lgd, p0=args.p0, p1=args.p1)
     rows = sensitivity_sweep(scored, params, args.param, _parse_grid(args.grid))
     lines = [f"{args.param},emp,emp_fraction"]
     lines += [f"{v!r},{e!r},{f!r}" for v, e, f in rows]

@@ -130,7 +130,6 @@ class ScoredDataset:
     y: np.ndarray
     score: np.ndarray
     per_tree_votes: np.ndarray | None = None
-    subject_ids: list | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=bool)
@@ -669,7 +668,6 @@ def predict_forest(
     forest: ForestModel,
     X: np.ndarray,
     y: np.ndarray | None = None,
-    subject_ids: list | None = None,
 ) -> ScoredDataset:
     """Score = mean of per-tree leaf probabilities; hard per-tree votes attached."""
     X = np.asarray(X, dtype=np.float64)
@@ -683,7 +681,7 @@ def predict_forest(
         votes[trees.start:trees.stop] = flat.vote[leaves]
     score /= forest.n_trees
     labels = np.zeros(len(X), dtype=bool) if y is None else y
-    return ScoredDataset(y=labels, score=score, per_tree_votes=votes, subject_ids=subject_ids)
+    return ScoredDataset(y=labels, score=score, per_tree_votes=votes)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,13 @@ from .features import (
     sociodemographic_matrix,
 )
 from .graph import CallGraph, NodeLabelSet, build_graph, load_graph, save_graph
-from .ingest import CdrBatch, ingest_bank, ingest_cdr
+from .ingest import CdrBatch, IngestStats, ingest_bank, ingest_cdr
 from .models import (
     ForestModel,
+    LogisticModel,
     ScoredDataset,
     SplitSpec,
+    TreeModel,
     load_model,
     predict_forest,
     predict_logistic,
@@ -67,8 +69,10 @@ from .profit import (
     roc_and_auc,
 )
 from .propagation import (
+    METHOD_PAGERANK,
     ExposureVector,
     PropagationConfig,
+    RiskRelabeling,
     exposure_cutoff,
     personalized_pagerank,
     relabel_high_risk,
@@ -177,7 +181,10 @@ class ExperimentConfig:
     lgd: float = 0.8
 
     def model_ids(self) -> list:
-        return _model_list(self.models)
+        ids = _model_list(self.models)
+        if not ids:
+            raise UsageError("models lists no model")
+        return ids
 
     def importance_model_ids(self) -> list:
         return _model_list(self.importance_models)
@@ -187,6 +194,8 @@ class ExperimentConfig:
         bad = [c for c in kinds if c not in CLASSIFIERS]
         if bad:
             raise UsageError(f"unknown classifiers {bad}; valid: {CLASSIFIERS}")
+        if not kinds:
+            raise UsageError("classifiers lists no classifier")
         return kinds
 
     def synth_config(self) -> SynthConfig:
@@ -351,17 +360,22 @@ def stage_data(ctx: PipelineContext, out: Path) -> None:
         generate(cfg.synth_config(), cfg.seed).write(out)
 
 
-def stage_ingest(ctx: PipelineContext, out: Path) -> None:
-    paths = _data_paths(ctx)
+def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[CdrBatch, IngestStats]:
+    """Parse the CDR log `cdr` under cfg's ingest keys, writing rejects.log
+    and stats.json into `out`; refuses stats that do not account for every row."""
     with open(out / "rejects.log", "w") as rejects:
-        batch, stats = ingest_cdr(
-            paths["cdr"], min_duration=ctx.config.min_duration,
-            delimiter=ctx.config.delimiter, reject_log=rejects,
-        )
+        batch, stats = ingest_cdr(cdr, min_duration=cfg.min_duration,
+                                  delimiter=cfg.delimiter, reject_log=rejects)
     if not stats.conserved:
         raise DataError("ingest stats do not conserve rows")
-    _save_batch(batch, out)
     (out / "stats.json").write_text(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
+    return batch, stats
+
+
+def stage_ingest(ctx: PipelineContext, out: Path) -> None:
+    paths = _data_paths(ctx)
+    batch, _ = ingest_calls(paths["cdr"], out, ctx.config)
+    _save_batch(batch, out)
     ctx.batch = batch
     ctx.bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
     (out / "bank_stats.json").write_text(
@@ -468,35 +482,35 @@ def _propagation_runs():
                     yield tf, method, crit, direction, f"{tf}_{method}_ge{crit}_{direction}"
 
 
+def propagate_exposure(
+    graph: CallGraph, labels: NodeLabelSet, method: str, criterion: int, cfg: ExperimentConfig,
+) -> tuple[ExposureVector, RiskRelabeling]:
+    """Exposure from the nodes with at least `criterion` arrears, by the walk
+    ("PR", keys alpha and pr_*) or by spreading ("SPA", keys spread_fraction
+    and spa_*), and the high-risk split at its cutoff."""
+    if labels.n_nodes != graph.n_nodes:
+        raise DataError("labels do not match the graph")
+    seeds = labels.delinquent_nodes(criterion)
+    if seeds.size == 0:
+        raise DataError(f"no delinquent seeds with {criterion} or more arrears")
+    if method == METHOD_PAGERANK:
+        config = PropagationConfig(cfg.alpha, cfg.spread_fraction, cfg.pr_tolerance, cfg.pr_max_iterations)
+        exposure = personalized_pagerank(graph, uniform_restart(graph.n_nodes, seeds), config)
+    else:
+        config = PropagationConfig(cfg.alpha, cfg.spread_fraction, cfg.spa_tolerance, cfg.spa_max_iterations)
+        exposure = spreading_activation(graph, seeds, config)
+    return exposure, relabel_high_risk(exposure, exposure_cutoff(exposure, labels))
+
+
 def stage_exposure(ctx: PipelineContext, out: Path) -> None:
-    cfg = ctx.config
-    pr_config = PropagationConfig(
-        alpha=cfg.alpha, spread_fraction=cfg.spread_fraction,
-        tolerance=cfg.pr_tolerance, max_iterations=cfg.pr_max_iterations,
-    )
-    spa_config = PropagationConfig(
-        alpha=cfg.alpha, spread_fraction=cfg.spread_fraction,
-        tolerance=cfg.spa_tolerance, max_iterations=cfg.spa_max_iterations,
-    )
     ctx.exposures = {}
     cutoffs: dict = {}
     for tf, method, crit, direction, name in _propagation_runs():
-        graph = ctx.graphs[(tf, direction)]
-        labels = ctx.labels[tf]
-        seeds = labels.delinquent_nodes(crit)
-        if seeds.size == 0:
-            raise DataError(f"no delinquent seeds for {name}")
-        if method == "PR":
-            restart = uniform_restart(graph.n_nodes, seeds)
-            exposure = personalized_pagerank(graph, restart, pr_config)
-        else:
-            exposure = spreading_activation(graph, seeds, spa_config)
-        exposure.seed_spec = f"ge{crit}"
+        exposure, relabeling = propagate_exposure(
+            ctx.graphs[(tf, direction)], ctx.labels[tf], method, crit, ctx.config)
         np.save(out / f"{name}.npy", exposure.scores)
-        cutoff = exposure_cutoff(exposure, labels)
-        relabeling = relabel_high_risk(exposure, cutoff)
         cutoffs[name] = {
-            "cutoff": cutoff,
+            "cutoff": relabeling.cutoff,
             "n_high_risk": relabeling.n_high_risk,
             "iterations": exposure.iterations_run,
         }
@@ -592,13 +606,24 @@ def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, 
 
 
 def load_scores(path: str | Path) -> ScoredDataset:
-    ys, ss, ids = [], [], []
+    ys, ss = [], []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             ys.append(row["y"] == "1")
             ss.append(float(row["score"]))
-            ids.append(row["subject_id"])
-    return ScoredDataset(y=np.array(ys, dtype=bool), score=np.array(ss), subject_ids=ids)
+    return ScoredDataset(y=np.array(ys, dtype=bool), score=np.array(ss))
+
+
+def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:
+    """Scores of a forest, tree or logistic model on X; a forest's per-tree
+    votes come along."""
+    if isinstance(model, ForestModel):
+        return predict_forest(model, X, y)
+    if isinstance(model, TreeModel):
+        return ScoredDataset(y=y, score=predict_tree_proba(model, X))
+    if isinstance(model, LogisticModel):
+        return ScoredDataset(y=y, score=predict_logistic(model, X))
+    raise DataError("unsupported model type")
 
 
 def stage_train(ctx: PipelineContext, out: Path) -> None:
@@ -640,17 +665,16 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
             t0 = time.perf_counter()
             if classifier == "forest":
                 model = forests[model_id]
-                scored = predict_forest(model, X[test_idx], matrix.y[test_idx])
-                np.save(mdir / "votes.npy", scored.per_tree_votes)
             elif classifier == "tree":
                 model = train_tree(
                     X[train_bal], matrix.y[train_bal],
                     cv_folds=cfg.cv_folds, min_leaf=cfg.min_leaf, seed=cfg.seed,
                 )
-                scored = ScoredDataset(y=matrix.y[test_idx], score=predict_tree_proba(model, X[test_idx]))
             else:
                 model = train_logistic(X[train_bal], matrix.y[train_bal])
-                scored = ScoredDataset(y=matrix.y[test_idx], score=predict_logistic(model, X[test_idx]))
+            scored = score_model(model, X[test_idx], matrix.y[test_idx])
+            if scored.per_tree_votes is not None:
+                np.save(mdir / "votes.npy", scored.per_tree_votes)
             save_model(model, mdir / "model.json")
             (mdir / "meta.json").write_text(json.dumps({
                 "model_id": model_id,
@@ -853,7 +877,7 @@ def _load_exposure(ctx: PipelineContext, directory: Path) -> None:
     for tf, method, crit, direction, name in _propagation_runs():
         # the residual is not persisted
         exposure = ExposureVector(
-            scores=np.load(directory / f"{name}.npy"), method=method, seed_spec=f"ge{crit}",
+            scores=np.load(directory / f"{name}.npy"), method=method,
             iterations_run=cutoffs[name]["iterations"], residual=float("nan"),
         )
         relabeling = relabel_high_risk(exposure, cutoffs[name]["cutoff"])

@@ -103,8 +103,8 @@ class EmpParams:
     a good customer). lgd: loss given default; the maximum attainable loss
     fraction, and the upper end of the loss distribution. p0/p1: point masses
     of the loss fraction at zero (full recovery) and at the maximum (fully
-    drawn, nothing recovered); the rest is uniform in between. pi0/pi1: class
-    priors of defaulters/non-defaulters, taken from the scored data when None.
+    drawn, nothing recovered); the rest is uniform in between. The class
+    priors of defaulters/non-defaulters are those of the scored data.
     Rejecting an applicant itself costs nothing.
     """
 
@@ -112,8 +112,6 @@ class EmpParams:
     lgd: float = 0.8
     p0: float = 0.0
     p1: float = 0.0
-    pi0: float | None = None
-    pi1: float | None = None
 
     def __post_init__(self):
         if self.roi <= 0:
@@ -122,14 +120,8 @@ class EmpParams:
             raise DataError("lgd must lie in (0, 1]")
         if self.p0 < 0 or self.p1 < 0 or self.p0 + self.p1 > 1:
             raise DataError("point masses must be non-negative with p0 + p1 <= 1")
-        if (self.pi0 is None) != (self.pi1 is None):
-            raise DataError("set both priors or neither")
-        if self.pi0 is not None and not math.isclose(self.pi0 + self.pi1, 1.0, abs_tol=1e-9):
-            raise DataError("class priors must sum to one")
 
     def priors(self, y: np.ndarray) -> tuple[float, float]:
-        if self.pi0 is not None:
-            return float(self.pi0), float(self.pi1)
         pi0 = float(np.asarray(y, dtype=bool).mean())
         return pi0, 1.0 - pi0
 
@@ -141,7 +133,6 @@ class LoanOutcome:
     principal: float
     ead: float
     is_defaulter: bool
-    lgd: float | None = None
 
     def __post_init__(self):
         if self.principal <= 0:
@@ -149,8 +140,7 @@ class LoanOutcome:
         if not 0 <= self.ead <= self.principal * (1 + 1e-9):
             raise DataError("EAD must lie in [0, principal]")
 
-    def loss_fraction(self, default_lgd: float) -> float:
-        lgd = self.lgd if self.lgd is not None else default_lgd
+    def loss_fraction(self, lgd: float) -> float:
         return lgd * self.ead / self.principal
 
 
@@ -303,8 +293,7 @@ def _profit_terms(
         raise DataError("loan outcome labels disagree with the scored labels")
     principal = np.array([loan.principal for loan in loans], dtype=np.float64)
     ead = np.array([loan.ead for loan in loans], dtype=np.float64)
-    lgd = np.array([params.lgd if loan.lgd is None else loan.lgd for loan in loans], dtype=np.float64)
-    accepted = np.where(y, -lgd * ead, params.roi * principal)
+    accepted = np.where(y, -params.lgd * ead, params.roi * principal)
     rejected = np.where(y, 0.0, -params.roi * principal)
     return accepted, rejected
 

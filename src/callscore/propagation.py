@@ -38,10 +38,10 @@ class PropagationConfig:
     spread_fraction: share of an active node's energy forwarded per round (d).
     """
 
-    alpha: float = 0.85
-    spread_fraction: float = 0.85
-    tolerance: float = 1e-6
-    max_iterations: int = 100
+    alpha: float
+    spread_fraction: float
+    tolerance: float
+    max_iterations: int
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -60,7 +60,6 @@ class ExposureVector:
 
     scores: np.ndarray
     method: str
-    seed_spec: str
     iterations_run: int
     residual: float
     energy_trace: tuple = field(default_factory=tuple)
@@ -106,7 +105,7 @@ def _transition_operator(graph: CallGraph) -> tuple[sp.csr_matrix, np.ndarray]:
 def personalized_pagerank(
     graph: CallGraph,
     restart: np.ndarray,
-    config: PropagationConfig | None = None,
+    config: PropagationConfig,
 ) -> ExposureVector:
     """Exposure by power iteration with restart vector `restart` (>= 0, not all zero).
 
@@ -116,7 +115,6 @@ def personalized_pagerank(
     by alpha / (1 - alpha). Raises ConvergenceError when the iteration budget
     runs out, carrying the last residual.
     """
-    config = config or PropagationConfig()
     z = np.asarray(restart, dtype=np.float64)
     if z.shape != (graph.n_nodes,):
         raise DataError(f"restart vector must have length {graph.n_nodes}")
@@ -139,7 +137,6 @@ def personalized_pagerank(
             return ExposureVector(
                 scores=xi,
                 method=METHOD_PAGERANK,
-                seed_spec="",
                 iterations_run=iteration,
                 residual=residual,
             )
@@ -154,19 +151,16 @@ def personalized_pagerank(
 def spreading_activation(
     graph: CallGraph,
     seeds: np.ndarray,
-    config: PropagationConfig | None = None,
-    energies: np.ndarray | None = None,
+    config: PropagationConfig,
 ) -> ExposureVector:
     """Exposure by energy spreading from `seeds` (node ids).
 
-    Each seed starts with equal energy summing to one unless `energies` gives
-    explicit per-seed amounts. Per round, every node holding at least
-    `tolerance` of freshly received energy keeps (1 - d) and forwards d along
-    its outgoing weights; smaller parcels and energy on nodes without outgoing
-    edges settle where they are. Total energy is conserved to float precision;
-    `energy_trace` records the total after every round.
+    Each seed starts with equal energy summing to one. Per round, every node
+    holding at least `tolerance` of freshly received energy keeps (1 - d) and
+    forwards d along its outgoing weights; smaller parcels and energy on nodes
+    without outgoing edges settle where they are. Total energy is conserved
+    to float precision; `energy_trace` records the total after every round.
     """
-    config = config or PropagationConfig()
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.size == 0:
         raise DataError("spreading activation requires a non-empty seed set")
@@ -174,20 +168,12 @@ def spreading_activation(
         raise DataError("seed node id out of range")
     if len(np.unique(seeds)) != len(seeds):
         raise DataError("duplicate seed node ids")
-    if energies is None:
-        energy0 = np.full(len(seeds), 1.0 / len(seeds))
-    else:
-        energy0 = np.asarray(energies, dtype=np.float64)
-        if energy0.shape != seeds.shape:
-            raise DataError("energies must align with seeds")
-        if np.any(energy0 <= 0):
-            raise DataError("seed energies must be positive")
 
     push, dangling = _transition_operator(graph)
     d = config.spread_fraction
     settled = np.zeros(graph.n_nodes)
     active = np.zeros(graph.n_nodes)
-    active[seeds] = energy0
+    active[seeds] = 1.0 / len(seeds)
     trace = []
     iterations = 0
     residual = float(active.max())
@@ -209,7 +195,6 @@ def spreading_activation(
     return ExposureVector(
         scores=settled,
         method=METHOD_SPREADING,
-        seed_spec="",
         iterations_run=iterations,
         residual=residual,
         energy_trace=tuple(trace),

@@ -52,7 +52,8 @@ def random_graph_for(seed: int, max_nodes: int = 100):
 
 
 def test_criterion_01_pagerank_matches_dense_solve():
-    tight = PropagationConfig(tolerance=1e-12, max_iterations=20_000)
+    tight = PropagationConfig(alpha=0.85, spread_fraction=0.85,
+                              tolerance=1e-12, max_iterations=20_000)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(50):
@@ -76,7 +77,8 @@ def test_criterion_02_spreading_conserves_energy():
         graph, rng = random_graph_for(seed + 1000)
         k = int(rng.integers(1, max(2, graph.n_nodes // 2)))
         seeds = rng.choice(graph.n_nodes, size=k, replace=False)
-        result = spreading_activation(graph, seeds, PropagationConfig())
+        result = spreading_activation(graph, seeds, PropagationConfig(
+            alpha=0.85, spread_fraction=0.85, tolerance=1e-6, max_iterations=100))
         for total in result.energy_trace:
             worst = max(worst, abs(total - 1.0))
         worst = max(worst, abs(float(result.scores.sum()) - 1.0))

@@ -218,7 +218,7 @@ def test_exposure_link_features_counts():
     scores[g.node("SUBJ")] = 0.7
     high = np.zeros(g.n_nodes, dtype=bool)
     high[[g.node("L0"), g.node("L1")]] = True
-    exposure = ExposureVector(scores=scores, method="PR", seed_spec="ge1",
+    exposure = ExposureVector(scores=scores, method="PR",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.5, high_risk=high)
     got = exposure_row(g, exposure, relabeling, g.node("SUBJ"))
@@ -235,7 +235,7 @@ def test_exposure_isolated_subject():
     # isolate D by giving it no calls: use node with no neighbors in incoming mode
     gi = build_graph([call("SUBJ", "A")], mode="outgoing")
     scores = np.full(gi.n_nodes, 0.2)
-    exposure = ExposureVector(scores=scores, method="SPA", seed_spec="ge1",
+    exposure = ExposureVector(scores=scores, method="SPA",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.1, high_risk=np.ones(gi.n_nodes, dtype=bool))
     got = exposure_row(gi, exposure, relabeling, gi.node("A"))

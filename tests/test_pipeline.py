@@ -174,8 +174,14 @@ def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
     # G is a valid id the run did not train, Z no id at all
     assert cli_main(["importance", "--run-dir", str(clone), "--model", "G"]) == 2
     assert cli_main(["importance", "--run-dir", str(clone), "--model", "Z"]) == 2
-    assert snapshot(clone) == before
     recorded = dataclasses.replace(load_config(clone / "config.resolved"), out_dir=str(clone))
+    # an empty list is refused before any stage directory is removed
+    for key in ("classifiers", "models"):
+        emptied = tmp_path / f"no_{key}.cfg"
+        emptied.write_text(dump_config(dataclasses.replace(recorded, **{key: ""})))
+        assert f"{key} = \n" in emptied.read_text()
+        assert cli_main(["run", "--config", str(emptied), "--resume"]) == 1
+    assert snapshot(clone) == before
     with pytest.raises(UsageError, match="Z"):
         run_stages(dataclasses.replace(recorded, importance_models="H,Z"), resume=True)
     assert snapshot(clone) == before
@@ -371,16 +377,27 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
     ]) + "\n")
     assert cli_main(["run", "--config", str(cfg)]) == 0
 
-    exposure_csv = tmp_path / "exposure.csv"
-    assert cli_main(["propagate",
-                     "--graph", str(run_dir / "network" / "t1" / "UD"),
-                     "--labels", str(run_dir / "network" / "labels_t1.csv"),
-                     "--method", "pr", "--seeds", "ge1",
-                     "--out", str(exposure_csv)]) == 0
-    with open(exposure_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    total = sum(float(r["score"]) for r in rows)
-    assert total == pytest.approx(1.0, abs=1e-6)
+    # the file commands run the stages' own steps under the config defaults,
+    # so on the run's files they reproduce its outputs exactly
+    again = tmp_path / "ingest_again"
+    assert cli_main(["ingest", "--cdr", str(run_dir / "data" / "cdr.csv"), "--out", str(again)]) == 0
+    for name in ("rejects.log", "stats.json"):
+        assert (again / name).read_bytes() == (run_dir / "ingest" / name).read_bytes(), name
+
+    for method in ("pr", "spa"):
+        for criterion in (1, 2, 3):
+            exposure_csv = tmp_path / f"exposure_{method}_ge{criterion}.csv"
+            assert cli_main(["propagate",
+                             "--graph", str(run_dir / "network" / "t1" / "UD"),
+                             "--labels", str(run_dir / "network" / "labels_t1.csv"),
+                             "--method", method, "--seeds", f"ge{criterion}",
+                             "--out", str(exposure_csv)]) == 0
+            with open(exposure_csv, newline="") as fh:
+                scores = np.array([float(r["score"]) for r in csv.DictReader(fh)])
+            name = f"t1_{method.upper()}_ge{criterion}_UD.npy"
+            assert np.array_equal(scores, np.load(run_dir / "exposure" / name)), name
+            if method == "pr":
+                assert scores.sum() == pytest.approx(1.0, abs=1e-6)
 
     assert cli_main(["netstats",
                      "--graph", str(run_dir / "network" / "t1" / "UD"),
@@ -402,7 +419,10 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
     assert cli_main(["predict", "--model", str(run_dir / "models_out" / "H_forest"),
                      "--features", str(run_dir / "features" / "matrix.csv"),
                      "--out", str(scores_csv)]) == 0
-    assert scores_csv.exists()
+    rescored = scores_csv.read_text().splitlines()
+    test_rows = json.loads((run_dir / "models_out" / "split.json").read_text())["test"]
+    assert ([rescored[0]] + [rescored[1 + i] for i in test_rows]
+            == (run_dir / "models_out" / "H_forest" / "scores.csv").read_text().splitlines())
 
     assert cli_main(["evaluate", "--run-dir", str(run_dir), "--roi", "0.06"]) == 0
     out = capsys.readouterr().out

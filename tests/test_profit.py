@@ -160,8 +160,6 @@ def test_emp_params_validation():
         EmpParams(lgd=1.5)
     with pytest.raises(DataError):
         EmpParams(p0=0.7, p1=0.5)
-    with pytest.raises(DataError):
-        EmpParams(pi0=0.3, pi1=0.8)
 
 
 def test_estimate_loss_masses():
@@ -221,9 +219,8 @@ def reference_profit(y, reject, loans, params):
     for yi, ri, loan in zip(y, reject, loans):
         if bool(yi) != loan.is_defaulter:
             raise DataError("loan outcome labels disagree with the scored labels")
-        lgd = loan.lgd if loan.lgd is not None else params.lgd
         if yi:
-            terms.append(0.0 if ri else -lgd * loan.ead)
+            terms.append(0.0 if ri else -params.lgd * loan.ead)
         else:
             terms.append(-params.roi * loan.principal if ri else params.roi * loan.principal)
     return math.fsum(terms)
@@ -231,14 +228,12 @@ def reference_profit(y, reject, loans, params):
 
 def test_profit_from_rejections_matches_per_loan_loop():
     r = np.random.default_rng(11)
-    for case in range(300):
+    for _ in range(300):
         n = int(r.integers(1, 80))
         y = r.random(n) < 0.3
         principal = np.round(r.uniform(1, 5000, n), 2)
         ead = np.where(r.random(n) < 0.2, 0.0, principal * r.random(n))
-        with_lgd = case % 2 == 1
-        lgd = [float(r.uniform(0.1, 1)) if with_lgd and k % 3 else None for k in range(n)]
-        loans = [LoanOutcome(float(p), float(e), bool(d), g) for p, e, d, g in zip(principal, ead, y, lgd)]
+        loans = [LoanOutcome(float(p), float(e), bool(d)) for p, e, d in zip(principal, ead, y)]
         reject = r.random(n) < 0.5
         params = EmpParams(roi=float(r.uniform(0.01, 0.3)), lgd=float(r.uniform(0.1, 1)))
         got = profit_from_rejections(y, reject, loans, params)

@@ -13,7 +13,14 @@ from callscore.propagation import (
 )
 from conftest import call, dense_pagerank_solve, random_records
 
-TIGHT = PropagationConfig(tolerance=1e-12, max_iterations=5000)
+
+def budget(tolerance: float, max_iterations: int) -> PropagationConfig:
+    return PropagationConfig(alpha=0.85, spread_fraction=0.85,
+                             tolerance=tolerance, max_iterations=max_iterations)
+
+
+TIGHT = budget(1e-12, 5000)
+SPREAD = budget(1e-6, 100)
 
 
 def labels_for(graph, levels: dict):
@@ -62,7 +69,7 @@ def test_matches_dense_solve_on_random_graphs(rng):
 def test_fixed_point_residual_bound(rng):
     g = build_graph(random_records(rng, 25, 120))
     z = uniform_restart(g.n_nodes, np.array([0, 1, 2]))
-    config = PropagationConfig(tolerance=1e-9, max_iterations=2000)
+    config = budget(1e-9, 2000)
     result = personalized_pagerank(g, z, config)
     # apply one more update by hand and check the L1 change stays in tolerance
     n = g.n_nodes
@@ -93,13 +100,13 @@ def test_single_seed_path_scores_decay_with_distance():
 def test_all_zero_restart_rejected():
     g = build_graph([call("A", "B")])
     with pytest.raises(DataError):
-        personalized_pagerank(g, np.zeros(2))
+        personalized_pagerank(g, np.zeros(2), TIGHT)
 
 
 def test_nonconvergence_carries_residual():
     g = build_graph([call("A", "B"), call("B", "C"), call("C", "A")])
     with pytest.raises(ConvergenceError) as err:
-        personalized_pagerank(g, np.array([1.0, 0, 0]), PropagationConfig(tolerance=1e-15, max_iterations=3))
+        personalized_pagerank(g, np.array([1.0, 0, 0]), budget(1e-15, 3))
     assert err.value.iterations == 3
     assert err.value.residual > 0
 
@@ -117,7 +124,7 @@ def test_dangling_mass_returns_to_restart():
 
 def test_isolated_seed_keeps_energy_one_iteration():
     g = build_graph([call("A", "B")], mode="outgoing")  # B is dangling
-    result = spreading_activation(g, np.array([g.node("B")]))
+    result = spreading_activation(g, np.array([g.node("B")]), SPREAD)
     assert result.iterations_run == 1
     expected = np.zeros(2)
     expected[g.node("B")] = 1.0
@@ -126,7 +133,7 @@ def test_isolated_seed_keeps_energy_one_iteration():
 
 def test_one_round_transfer_split():
     g = build_graph([call("A", "B")])
-    result = spreading_activation(g, np.array([g.node("A")]), PropagationConfig(max_iterations=1))
+    result = spreading_activation(g, np.array([g.node("A")]), budget(1e-6, 1))
     # sender keeps 0.15; the 0.85 delivered to B settles when iterations stop
     assert result.scores[g.node("A")] == pytest.approx(0.15)
     assert result.scores[g.node("B")] == pytest.approx(0.85)
@@ -138,25 +145,17 @@ def test_energy_conserved_every_iteration(rng):
         g = build_graph(random_records(rng, int(rng.integers(5, 50)), 140), mode=mode)
         n_seeds = int(rng.integers(1, max(2, g.n_nodes // 3)))
         seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
-        result = spreading_activation(g, seeds)
+        result = spreading_activation(g, seeds, SPREAD)
         assert result.energy_trace, "no iterations recorded"
         for total in result.energy_trace:
             assert abs(total - 1.0) < 1e-9
         assert abs(result.scores.sum() - 1.0) < 1e-9
 
 
-def test_seed_energies_override():
-    g = build_graph([call("A", "B")])
-    result = spreading_activation(
-        g, np.array([g.node("A"), g.node("B")]), energies=np.array([3.0, 1.0])
-    )
-    assert result.scores.sum() == pytest.approx(4.0, abs=1e-9)
-
-
 def test_empty_seed_set_rejected():
     g = build_graph([call("A", "B")])
     with pytest.raises(DataError):
-        spreading_activation(g, np.array([], dtype=int))
+        spreading_activation(g, np.array([], dtype=int), SPREAD)
 
 
 def test_both_methods_bit_identical_on_repeat(rng):
@@ -165,8 +164,8 @@ def test_both_methods_bit_identical_on_repeat(rng):
     a = personalized_pagerank(g, z, TIGHT).scores
     b = personalized_pagerank(g, z, TIGHT).scores
     assert np.array_equal(a, b)
-    sa = spreading_activation(g, np.array([0, 3, 5])).scores
-    sb = spreading_activation(g, np.array([0, 3, 5])).scores
+    sa = spreading_activation(g, np.array([0, 3, 5]), SPREAD).scores
+    sb = spreading_activation(g, np.array([0, 3, 5]), SPREAD).scores
     assert np.array_equal(sa, sb)
 
 
@@ -178,7 +177,7 @@ def exposure_of(scores):
     from callscore.propagation import ExposureVector
 
     return ExposureVector(scores=np.asarray(scores, float), method="PR",
-                          seed_spec="ge3", iterations_run=1, residual=0.0)
+                          iterations_run=1, residual=0.0)
 
 
 def test_cutoff_is_min_over_three_arrears():
