@@ -16,7 +16,6 @@ from .models import (
     ForestModel,
     LogisticModel,
     ScoredDataset,
-    SplitSpec,
     TreeModel,
     split,
     train_forest,
@@ -45,7 +44,6 @@ from .profit import (
 )
 from .propagation import (
     ExposureVector,
-    PropagationConfig,
     RiskRelabeling,
     exposure_cutoff,
     personalized_pagerank,

@@ -166,7 +166,7 @@ def _cmd_synth(args) -> int:
         default_rate=args.default_rate, homophily_strength=args.homophily,
         planted_feature_effect=args.effect, mean_calls_per_node=args.mean_calls,
     )
-    paths = generate(config.synth_config(), config.seed).write(args.out)
+    paths = generate(config, config.seed).write(args.out)
     print(f"wrote {len(paths)} files under {args.out}")
     return 0
 

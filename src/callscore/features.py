@@ -80,12 +80,12 @@ def _compose_cb(cells_count: np.ndarray, cells_dur: np.ndarray) -> np.ndarray:
 def calling_behavior_matrix(
     batch: CdrBatch,
     subject_codes: np.ndarray,
-    day_start_hour: int = 8,
-    day_end_hour: int = 20,
+    day_start_hour: int,
+    day_end_hour: int,
 ) -> tuple[list, np.ndarray]:
     """CB features for each subject code over the whole batch, vectorized.
 
-    Day means day_start_hour <= hour-of-day < day_end_hour (default 08-20).
+    Day means day_start_hour <= hour-of-day < day_end_hour.
     A subject with no calls gets an all-zero row.
     """
     n_ids = len(batch.ids)
@@ -231,7 +231,7 @@ def _shares(bins) -> np.ndarray:
 _LOG_BASE = np.array([math.nan, math.nan] + [math.log(m) for m in range(2, N_BINS + 1)])
 
 
-def diversity(bins, scope: str = "non_empty") -> np.ndarray:
+def diversity(bins, scope: str) -> np.ndarray:
     """Normalized entropy of each row's activity over the seven weekday bins.
 
     scope selects the normalization base: the number of non-empty bins or all
@@ -438,12 +438,8 @@ class FeatureMatrix:
             sizes[tag] = sizes.get(tag, 0) + 1
         return sizes
 
-    def select_groups(self, groups) -> "FeatureMatrix":
-        wanted = set(groups)
-        bad = wanted - set(GROUPS)
-        if bad:
-            raise DataError(f"unknown feature groups: {sorted(bad)}")
-        cols = [j for j, tag in enumerate(self.group_tags) if tag in wanted]
+    def select_columns(self, cols) -> "FeatureMatrix":
+        """The same rows with only the columns at indices `cols`, in that order."""
         return FeatureMatrix(
             subject_ids=list(self.subject_ids),
             timeframes=list(self.timeframes),
@@ -453,6 +449,13 @@ class FeatureMatrix:
             y=self.y.copy(),
             missing=self.missing[:, cols],
         )
+
+    def select_groups(self, groups) -> "FeatureMatrix":
+        wanted = set(groups)
+        bad = wanted - set(GROUPS)
+        if bad:
+            raise DataError(f"unknown feature groups: {sorted(bad)}")
+        return self.select_columns([j for j, tag in enumerate(self.group_tags) if tag in wanted])
 
     def to_csv(self, path) -> None:
         path = Path(path)
@@ -557,7 +560,7 @@ def assemble(frames: list) -> FeatureMatrix:
     )
 
 
-def drop_correlated(matrix: FeatureMatrix, threshold: float = 0.95) -> tuple[FeatureMatrix, list]:
+def drop_correlated(matrix: FeatureMatrix, threshold: float) -> tuple[FeatureMatrix, list]:
     """Greedy correlation pruning in fixed column order.
 
     Constant columns go first (their correlation is undefined); then each
@@ -584,15 +587,7 @@ def drop_correlated(matrix: FeatureMatrix, threshold: float = 0.95) -> tuple[Fea
         kept_cols = candidates[kept]
     else:
         kept_cols = candidates
-    pruned = FeatureMatrix(
-        subject_ids=list(matrix.subject_ids),
-        timeframes=list(matrix.timeframes),
-        feature_names=[matrix.feature_names[j] for j in kept_cols],
-        group_tags=[matrix.group_tags[j] for j in kept_cols],
-        values=matrix.values[:, kept_cols],
-        y=matrix.y.copy(),
-        missing=matrix.missing[:, kept_cols],
-    )
+    pruned = matrix.select_columns(kept_cols)
     if dropped:
         logger.info("correlation pruning dropped %d of %d features", len(dropped), matrix.n_features)
     return pruned, dropped

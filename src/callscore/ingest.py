@@ -105,7 +105,7 @@ def _parse_fields(fields: list[str], date_cache: dict[str, int]) -> tuple[int, i
     return ordinal, hh * 3600 + mm * 60 + ss, dur, fid, tid
 
 
-def parse_cdr_line(line: str, delimiter: str = ",") -> CdrRecord:
+def parse_cdr_line(line: str, delimiter: str) -> CdrRecord:
     """Parse one CDR row into a typed record; CdrParseError gives the reason.
 
     Duration filtering is not applied here; zero is a valid parsed duration.
@@ -216,8 +216,8 @@ def _open_lines(source) -> Iterable[str]:
 
 def ingest_cdr(
     source: str | Path | Iterable[str],
-    min_duration: int = 5,
-    delimiter: str = ",",
+    min_duration: int,
+    delimiter: str,
     reject_log: TextIO | None = None,
 ) -> tuple[CdrBatch, IngestStats]:
     """Stream-parse a CDR log, dropping calls shorter than `min_duration` seconds.

@@ -34,34 +34,26 @@ logger = logging.getLogger(__name__)
 # Data protocol: split and undersample.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SplitSpec:
-    train_fraction: float = 0.7
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
-            raise DataError("train_fraction must lie in (0, 1)")
-
-
-def split(y: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def split(y: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test row indices, reproducible by seed.
 
     The split is stratified: train sizes per class are allocated by largest
     remainder so that the class mix holds and the total is exactly
     round(train_fraction * n).
     """
+    if not 0 < train_fraction < 1:
+        raise DataError("train_fraction must lie in (0, 1)")
     y = np.asarray(y, dtype=bool)
     n = len(y)
     if n == 0:
         raise DataError("cannot split an empty dataset")
-    rng = substream(spec.seed, "split")
-    n_train = int(round(spec.train_fraction * n))
+    rng = substream(seed, "split")
+    n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)
     classes = [np.flatnonzero(~y), np.flatnonzero(y)]
     if any(len(c) < 2 for c in classes):
         raise DataError("too few instances in a class to stratify the split")
-    exact = [spec.train_fraction * len(c) for c in classes]
+    exact = [train_fraction * len(c) for c in classes]
     base = [int(math.floor(e)) for e in exact]
     base = [min(max(b, 1), len(c) - 1) for b, c in zip(base, classes)]
     leftover = n_train - sum(base)
@@ -89,8 +81,8 @@ def split(y: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
 def undersample(
     train_idx: np.ndarray,
     y: np.ndarray,
-    ratio: float = 1.0,
-    seed: int = 0,
+    ratio: float,
+    seed: int,
 ) -> np.ndarray:
     """Subsample the majority class of the training rows to minority:majority = ratio.
 
@@ -515,15 +507,17 @@ DEPTH_GRID = (2, 3, 4, 6, 8, 12, 16)
 def train_tree(
     X: np.ndarray,
     y: np.ndarray,
-    cv_folds: int = 10,
-    min_leaf: int = 5,
-    seed: int = 0,
+    cv_folds: int,
+    min_leaf: int,
+    seed: int,
 ) -> TreeModel:
     """Depth-pruned CART: pick tree depth by cross-validated AUC, refit on all rows.
 
-    Requires at least `cv_folds` rows of each class so every fold sees both.
-    Ties in CV AUC go to the shallower tree.
+    Requires at least two folds, and `cv_folds` rows of each class so every
+    fold sees both. Ties in CV AUC go to the shallower tree.
     """
+    if cv_folds < 2:
+        raise DataError(f"depth pruning needs at least 2 folds, not {cv_folds}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=bool)
     n_pos = int(y.sum())
@@ -630,6 +624,8 @@ def train_forests(
         X = np.asarray(X, dtype=np.float64)
         m = X.shape[1]
         problem_mtry = default_mtry(m) if mtry is None else mtry
+        if problem_mtry < 1:
+            raise DataError(f"mtry must be at least 1, not {problem_mtry}")
         if problem_mtry > m:
             raise DataError(f"mtry {problem_mtry} exceeds the {m} available features")
         jobs.append((X, np.asarray(y, dtype=bool), problem_mtry, min_leaf, max_depth, seed, bootstrap))
@@ -653,11 +649,11 @@ def train_forests(
 def train_forest(
     X: np.ndarray,
     y: np.ndarray,
-    n_trees: int = 500,
-    mtry: int | None = None,
-    min_leaf: int = 5,
+    n_trees: int,
+    mtry: int | None,
+    min_leaf: int,
+    seed: int,
     max_depth: int | None = None,
-    seed: int = 0,
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bag `n_trees` trees, each on its own bootstrap with `mtry` features per split."""

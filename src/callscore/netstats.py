@@ -75,28 +75,33 @@ def _edge_partition(graph: CallGraph, labels: np.ndarray):
     return n1, n0, m_total, m_cross, m_dyadic
 
 
+def _mixing_ratios(n1: int, n0: int, m_total: int, m_cross: int, m_dyadic: int):
+    """The cross-edge fraction expected under random label mixing, and the
+    default-default (dyadicity) and cross-label (heterophilicity) edge counts
+    relative to their random-mixing expectations; an undefined ratio is NaN."""
+    if m_total == 0:
+        raise DataError("no edges among labeled nodes")
+    n = n1 + n0
+    expected = (2 * n1 * n0) / (n * (n - 1))
+    d = m_dyadic / (m_total * (n1 * (n1 - 1)) / (n * (n - 1))) if n1 >= 2 else float("nan")
+    h = m_cross / (m_total * expected) if expected > 0 else float("nan")
+    return expected, d, h
+
+
 def dyadicity(graph: CallGraph, labels: np.ndarray) -> float:
     """Same-label (default) edge count relative to the random-mixing expectation."""
-    n1, n0, m_total, _, m_dyadic = _edge_partition(graph, labels)
-    if n1 < 2:
+    partition = _edge_partition(graph, labels)
+    if partition[0] < 2:
         raise DataError("dyadicity requires at least two defaulters")
-    n = n1 + n0
-    expected = m_total * (n1 * (n1 - 1)) / (n * (n - 1))
-    if expected == 0:
-        raise DataError("no edges among labeled nodes")
-    return m_dyadic / expected
+    return _mixing_ratios(*partition)[1]
 
 
 def heterophilicity(graph: CallGraph, labels: np.ndarray) -> float:
     """Cross-label edge count relative to the random-mixing expectation."""
-    n1, n0, m_total, m_cross, _ = _edge_partition(graph, labels)
-    if n1 == 0 or n0 == 0:
+    partition = _edge_partition(graph, labels)
+    if partition[0] == 0 or partition[1] == 0:
         raise DataError("heterophilicity requires both labels present")
-    n = n1 + n0
-    expected = m_total * (2 * n1 * n0) / (n * (n - 1))
-    if expected == 0:
-        raise DataError("no edges among labeled nodes")
-    return m_cross / expected
+    return _mixing_ratios(*partition)[2]
 
 
 def homophily_test(graph: CallGraph, labels: np.ndarray) -> HomophilyReport:
@@ -110,21 +115,15 @@ def homophily_test(graph: CallGraph, labels: np.ndarray) -> HomophilyReport:
     n1, n0, m_total, m_cross, m_dyadic = _edge_partition(graph, labels)
     if n1 == 0 or n0 == 0:
         raise DataError("homophily test requires both labels present")
-    if m_total == 0:
-        raise DataError("no edges among labeled nodes")
-    n = n1 + n0
-    expected = (2 * n1 * n0) / (n * (n - 1))
+    expected, d, h = _mixing_ratios(n1, n0, m_total, m_cross, m_dyadic)
     observed = m_cross / m_total
     from scipy.stats import norm  # imported on use: it is most of the package's import time
 
     se = np.sqrt(expected * (1 - expected) / m_total)
     z = (observed - expected) / se if se > 0 else 0.0
     p = float(norm.cdf(z))
-    n_def = n1
-    d = m_dyadic / (m_total * (n1 * (n1 - 1)) / (n * (n - 1))) if n1 >= 2 else float("nan")
-    h = m_cross / (m_total * expected)
     return HomophilyReport(
-        n_default=n_def,
+        n_default=n1,
         n_nondefault=n0,
         m_total=m_total,
         m_cross=m_cross,

@@ -42,7 +42,6 @@ from .models import (
     ForestModel,
     LogisticModel,
     ScoredDataset,
-    SplitSpec,
     TreeModel,
     load_model,
     predict_forest,
@@ -71,7 +70,6 @@ from .profit import (
 from .propagation import (
     METHOD_PAGERANK,
     ExposureVector,
-    PropagationConfig,
     RiskRelabeling,
     exposure_cutoff,
     personalized_pagerank,
@@ -97,14 +95,8 @@ MODEL_GROUPS = {
     "H": ("SD", "CB", "LB", "PR", "SPA"),
 }
 CLASSIFIERS = ("logit", "tree", "forest")
-# ExperimentConfig fields passed through to the synthetic generator
-SYNTH_FIELDS = (
-    "n_nodes", "n_subjects", "months", "mean_calls_per_node", "default_rate",
-    "homophily_strength", "risky_rate", "degree_mode", "degree_exponent", "degree_cutoff",
-    "existing_customer_rate", "uncarded_customer_rate", "short_call_rate",
-    "planted_feature_effect", "sd_weight", "cb_weight", "contagion_weight", "latent_weight",
-    "start_year", "start_month",
-)
+# ExperimentConfig fields inherited from the synthetic generator's config
+SYNTH_FIELDS = tuple(f.name for f in dataclasses.fields(SynthConfig))
 # ExperimentConfig fields naming input files; when input_cdr is set they replace the generator
 INPUT_FIELDS = ("input_cdr", "input_accounts", "input_transactions", "input_card_activity")
 
@@ -122,7 +114,9 @@ def _model_list(text: str) -> list:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(SynthConfig):
+    """Every key of one experiment; the generator's keys and defaults are SynthConfig's."""
+
     out_dir: str = ""
     seed: int = 20170501
     # data source: leave the input_* paths empty to generate synthetic data
@@ -130,27 +124,6 @@ class ExperimentConfig:
     input_accounts: str = ""
     input_transactions: str = ""
     input_card_activity: str = ""
-    # synthetic generator
-    n_nodes: int = 2000
-    n_subjects: int = 600
-    months: int = 5
-    mean_calls_per_node: float = 8.0
-    default_rate: float = 0.0449
-    homophily_strength: float = 1.0
-    risky_rate: float = 0.15
-    degree_mode: str = "powerlaw"
-    degree_exponent: float = 2.5
-    degree_cutoff: float = 30.0
-    existing_customer_rate: float = 0.15
-    uncarded_customer_rate: float = 0.01
-    short_call_rate: float = 0.08
-    planted_feature_effect: float = 1.0
-    sd_weight: float = 1.0
-    cb_weight: float = 1.0
-    contagion_weight: float = 1.0
-    latent_weight: float = 0.75
-    start_year: int = 2017
-    start_month: int = 1
     # ingest
     min_duration: int = 5
     delimiter: str = ","
@@ -197,9 +170,6 @@ class ExperimentConfig:
         if not kinds:
             raise UsageError("classifiers lists no classifier")
         return kinds
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(**{name: getattr(self, name) for name in SYNTH_FIELDS})
 
     def month_date(self, month_index: int, day: int = 1) -> date:
         return month_date(self.start_year, self.start_month, month_index, day)
@@ -357,7 +327,7 @@ def _data_paths(ctx: PipelineContext) -> dict:
 def stage_data(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     if not cfg.input_cdr:
-        generate(cfg.synth_config(), cfg.seed).write(out)
+        generate(cfg, cfg.seed).write(out)
 
 
 def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[CdrBatch, IngestStats]:
@@ -494,11 +464,11 @@ def propagate_exposure(
     if seeds.size == 0:
         raise DataError(f"no delinquent seeds with {criterion} or more arrears")
     if method == METHOD_PAGERANK:
-        config = PropagationConfig(cfg.alpha, cfg.spread_fraction, cfg.pr_tolerance, cfg.pr_max_iterations)
-        exposure = personalized_pagerank(graph, uniform_restart(graph.n_nodes, seeds), config)
+        exposure = personalized_pagerank(graph, uniform_restart(graph.n_nodes, seeds), cfg.alpha,
+                                         cfg.pr_tolerance, cfg.pr_max_iterations)
     else:
-        config = PropagationConfig(cfg.alpha, cfg.spread_fraction, cfg.spa_tolerance, cfg.spa_max_iterations)
-        exposure = spreading_activation(graph, seeds, config)
+        exposure = spreading_activation(graph, seeds, cfg.spread_fraction,
+                                        cfg.spa_tolerance, cfg.spa_max_iterations)
     return exposure, relabel_high_risk(exposure, exposure_cutoff(exposure, labels))
 
 
@@ -629,9 +599,8 @@ def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:
 def stage_train(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
     matrix = ctx.matrix
-    spec = SplitSpec(train_fraction=cfg.train_fraction, seed=cfg.seed)
-    train_idx, test_idx = split(matrix.y, spec)
-    train_bal = undersample(train_idx, matrix.y, ratio=cfg.undersample_ratio, seed=cfg.seed)
+    train_idx, test_idx = split(matrix.y, cfg.train_fraction, cfg.seed)
+    train_bal = undersample(train_idx, matrix.y, cfg.undersample_ratio, cfg.seed)
     (out / "split.json").write_text(json.dumps({
         "train": train_idx.tolist(),
         "test": test_idx.tolist(),
@@ -653,8 +622,7 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
         t0 = time.perf_counter()
         forests = dict(zip(subs, train_forests(
             [(sub.values[train_bal], matrix.y[train_bal]) for sub in subs.values()],
-            n_trees=cfg.n_trees, mtry=cfg.mtry or None, min_leaf=cfg.min_leaf,
-            max_depth=None, seed=cfg.seed, bootstrap=True,
+            cfg.n_trees, cfg.mtry or None, cfg.min_leaf, max_depth=None, seed=cfg.seed, bootstrap=True,
         )))
         logger.info("trained %d forests in %.1fs", len(forests), time.perf_counter() - t0)
     for model_id, sub in subs.items():
@@ -666,10 +634,7 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
             if classifier == "forest":
                 model = forests[model_id]
             elif classifier == "tree":
-                model = train_tree(
-                    X[train_bal], matrix.y[train_bal],
-                    cv_folds=cfg.cv_folds, min_leaf=cfg.min_leaf, seed=cfg.seed,
-                )
+                model = train_tree(X[train_bal], matrix.y[train_bal], cfg.cv_folds, cfg.min_leaf, cfg.seed)
             else:
                 model = train_logistic(X[train_bal], matrix.y[train_bal])
             scored = score_model(model, X[test_idx], matrix.y[test_idx])
@@ -689,6 +654,8 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
 
 def stage_eval(ctx: PipelineContext, out: Path) -> None:
     cfg = ctx.config
+    if cfg.importance_max_rows < 0:
+        raise DataError(f"importance_max_rows must be >= 0, not {cfg.importance_max_rows}")
     matrix = ctx.matrix
     trained = ctx.scored
     train_idx, test_idx, _ = ctx.split
@@ -762,7 +729,7 @@ def stage_eval(ctx: PipelineContext, out: Path) -> None:
                 len(y_test), size=cfg.importance_max_rows, replace=False)
             keep = np.sort(keep)
             X_test, y_test = X_test[keep], y_test[keep]
-        acc_rank = accuracy_feature_importance(model, X_test, y_test, sub.feature_names, seed=cfg.seed)
+        acc_rank = accuracy_feature_importance(model, X_test, y_test, sub.feature_names, cfg.seed)
         _write_importance(out / f"importance_profit_{model_id}.csv", profit_rank)
         _write_importance(out / f"importance_accuracy_{model_id}.csv", acc_rank["permutation"])
         _write_importance(out / f"importance_accuracy_membership_{model_id}.csv", acc_rank["membership"])

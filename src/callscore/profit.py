@@ -108,8 +108,8 @@ class EmpParams:
     Rejecting an applicant itself costs nothing.
     """
 
-    roi: float = 0.05
-    lgd: float = 0.8
+    roi: float
+    lgd: float
     p0: float = 0.0
     p1: float = 0.0
 
@@ -357,17 +357,19 @@ def _ranked(names: Sequence[str], values: np.ndarray) -> list:
     return [(names[j], float(values[j])) for j in order]
 
 
+_VOTE_CUTOFF = 0.5  # a tree's hard vote at or above it rejects the applicant
+
+
 def profit_feature_importance(
     forest: ForestModel,
     scored: ScoredDataset,
     loans: Sequence[LoanOutcome],
     params: EmpParams,
     feature_names: Sequence[str],
-    cutoff: float = 0.5,
 ) -> list:
     """Mean decrease in profit per feature, ranked descending.
 
-    Each tree classifies the test set with its own hard votes (vote >= cutoff
+    Each tree classifies the test set with its own hard votes (a vote of 1
     rejects) and earns a profit from the outcome table; a feature scores the
     mean profit of trees whose internal nodes test it minus the mean profit of
     the remaining trees. Features in every tree or in none have no such
@@ -379,7 +381,7 @@ def profit_feature_importance(
     if votes.shape[0] != forest.n_trees:
         raise DataError("votes do not match the forest")
     terms = _profit_terms(scored.y, loans, params)
-    profits = np.array([_total_profit(votes[i] >= cutoff, terms) for i in range(forest.n_trees)])
+    profits = np.array([_total_profit(votes[i] >= _VOTE_CUTOFF, terms) for i in range(forest.n_trees)])
     member = forest.feature_membership(len(feature_names))
     n_in = member.sum(axis=0)
     importance = np.full(len(feature_names), np.nan)
@@ -414,7 +416,7 @@ def accuracy_feature_importance(
     X: np.ndarray,
     y: np.ndarray,
     feature_names: Sequence[str],
-    seed: int = 0,
+    seed: int,
 ) -> dict:
     """Mean decrease in accuracy, two readings of the leave-out idea.
 

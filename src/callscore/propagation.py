@@ -31,30 +31,6 @@ METHOD_SPREADING = "SPA"
 
 
 @dataclass
-class PropagationConfig:
-    """Knobs shared by both propagation methods.
-
-    alpha: probability of following an edge rather than restarting (walk).
-    spread_fraction: share of an active node's energy forwarded per round (d).
-    """
-
-    alpha: float
-    spread_fraction: float
-    tolerance: float
-    max_iterations: int
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise DataError("alpha must lie in (0, 1)")
-        if not 0 < self.spread_fraction < 1:
-            raise DataError("spread_fraction must lie in (0, 1)")
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be at least 1")
-
-
-@dataclass
 class ExposureVector:
     """Per-node exposure scores plus provenance of the run that produced them."""
 
@@ -102,19 +78,32 @@ def _transition_operator(graph: CallGraph) -> tuple[sp.csr_matrix, np.ndarray]:
     return push, dangling
 
 
+def _check_budget(tolerance: float, max_iterations: int) -> None:
+    if tolerance <= 0:
+        raise DataError("tolerance must be positive")
+    if max_iterations < 1:
+        raise DataError("max_iterations must be at least 1")
+
+
 def personalized_pagerank(
     graph: CallGraph,
     restart: np.ndarray,
-    config: PropagationConfig,
+    alpha: float,
+    tolerance: float,
+    max_iterations: int,
 ) -> ExposureVector:
     """Exposure by power iteration with restart vector `restart` (>= 0, not all zero).
 
+    `alpha` is the probability of following an edge rather than restarting.
     Returns scores summing to one whose one-step update moves by at most
-    `config.tolerance` in L1 norm; the walk contracts by alpha per step, so
-    the returned vector is within tolerance of the exact fixed point scaled
-    by alpha / (1 - alpha). Raises ConvergenceError when the iteration budget
-    runs out, carrying the last residual.
+    `tolerance` in L1 norm; the walk contracts by alpha per step, so the
+    returned vector is within tolerance of the exact fixed point scaled by
+    alpha / (1 - alpha). Raises ConvergenceError when the `max_iterations`
+    budget runs out, carrying the last residual.
     """
+    if not 0 < alpha < 1:
+        raise DataError("alpha must lie in (0, 1)")
+    _check_budget(tolerance, max_iterations)
     z = np.asarray(restart, dtype=np.float64)
     if z.shape != (graph.n_nodes,):
         raise DataError(f"restart vector must have length {graph.n_nodes}")
@@ -126,14 +115,13 @@ def personalized_pagerank(
     z = z / total
 
     push, dangling = _transition_operator(graph)
-    alpha = config.alpha
     xi = z.copy()
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         lost = xi[dangling].sum() if dangling.any() else 0.0
         nxt = alpha * (push @ xi + lost * z) + (1 - alpha) * z
         residual = float(np.abs(nxt - xi).sum())
         xi = nxt
-        if residual <= config.tolerance:
+        if residual <= tolerance:
             return ExposureVector(
                 scores=xi,
                 method=METHOD_PAGERANK,
@@ -141,9 +129,9 @@ def personalized_pagerank(
                 residual=residual,
             )
     raise ConvergenceError(
-        f"personalized pagerank did not converge in {config.max_iterations} iterations "
+        f"personalized pagerank did not converge in {max_iterations} iterations "
         f"(last residual {residual:.3e})",
-        iterations=config.max_iterations,
+        iterations=max_iterations,
         residual=residual,
     )
 
@@ -151,16 +139,22 @@ def personalized_pagerank(
 def spreading_activation(
     graph: CallGraph,
     seeds: np.ndarray,
-    config: PropagationConfig,
+    spread_fraction: float,
+    tolerance: float,
+    max_iterations: int,
 ) -> ExposureVector:
-    """Exposure by energy spreading from `seeds` (node ids).
+    """Exposure by energy spreading from `seeds` (node ids), for at most `max_iterations` rounds.
 
     Each seed starts with equal energy summing to one. Per round, every node
     holding at least `tolerance` of freshly received energy keeps (1 - d) and
-    forwards d along its outgoing weights; smaller parcels and energy on nodes
-    without outgoing edges settle where they are. Total energy is conserved
-    to float precision; `energy_trace` records the total after every round.
+    forwards d = `spread_fraction` along its outgoing weights; smaller parcels
+    and energy on nodes without outgoing edges settle where they are. Total
+    energy is conserved to float precision; `energy_trace` records the total
+    after every round.
     """
+    if not 0 < spread_fraction < 1:
+        raise DataError("spread_fraction must lie in (0, 1)")
+    _check_budget(tolerance, max_iterations)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.size == 0:
         raise DataError("spreading activation requires a non-empty seed set")
@@ -170,15 +164,15 @@ def spreading_activation(
         raise DataError("duplicate seed node ids")
 
     push, dangling = _transition_operator(graph)
-    d = config.spread_fraction
+    d = spread_fraction
     settled = np.zeros(graph.n_nodes)
     active = np.zeros(graph.n_nodes)
     active[seeds] = 1.0 / len(seeds)
     trace = []
     iterations = 0
     residual = float(active.max())
-    while iterations < config.max_iterations:
-        spreading = (active >= config.tolerance) & ~dangling
+    while iterations < max_iterations:
+        spreading = (active >= tolerance) & ~dangling
         if not spreading.any():
             break
         iterations += 1

@@ -44,6 +44,9 @@ N_TIMEFRAMES = 3
 _LEVEL_PROBS_RISKY = (0.40, 0.20, 0.15, 0.25)
 _LEVEL_PROBS_SAFE = (0.93, 0.04, 0.02, 0.01)
 
+# three-arrears customers guaranteed per population: the relabeling cutoff needs them
+MIN_SEED_DELINQUENTS = 3
+
 _MARITAL = ("single", "married", "divorced", "widowed")
 _MARITAL_P = (0.35, 0.45, 0.15, 0.05)
 
@@ -56,6 +59,8 @@ def month_date(start_year: int, start_month: int, month_index: int, day: int = 1
 
 @dataclass
 class SynthConfig:
+    """The generator's keys and their defaults; `ExperimentConfig` inherits them."""
+
     n_nodes: int = 2000
     n_subjects: int = 600
     months: int = 5
@@ -74,7 +79,6 @@ class SynthConfig:
     cb_weight: float = 1.0
     contagion_weight: float = 1.0
     latent_weight: float = 0.75
-    min_seed_delinquents: int = 3
     start_year: int = 2017
     start_month: int = 1
 
@@ -285,8 +289,7 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         cum = probs.cumsum(axis=1)
         u = rng_del.random(len(existing))
         delinquency[existing] = (u[:, None] >= cum).sum(axis=1)
-        # the relabeling cutoff needs three-arrears customers in every run
-        shortfall = cfg.min_seed_delinquents - int((delinquency[existing] == 3).sum())
+        shortfall = MIN_SEED_DELINQUENTS - int((delinquency[existing] == 3).sum())
         if shortfall > 0:
             promotable = existing[delinquency[existing] < 3][:shortfall]
             delinquency[promotable] = 3
@@ -451,10 +454,10 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
 
 def planted_feature_dataset(
     n: int,
+    seed: int,
     n_noise: int = 30,
     effect: float = 2.0,
     base_rate: float = 0.3,
-    seed: int = 0,
 ):
     """One informative column among standard-normal noise, plus loan outcomes.
 

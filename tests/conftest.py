@@ -91,7 +91,7 @@ def mixed_depth_forest(rng, n=300, m=6):
     y = rng.random(n) < 1 / (1 + np.exp(-2 * X[:, 0] + X[:, 1]))
     trees = []
     for depth, seed in ((1, 0), (3, 1), (None, 2), (2, 3)):
-        trees += train_forest(X, y, n_trees=5, mtry=2, max_depth=depth, seed=seed).trees
+        trees += train_forest(X, y, n_trees=5, mtry=2, min_leaf=5, seed=seed, max_depth=depth).trees
     trees.insert(7, one_node_tree())
     return ForestModel(trees=trees, tree_seeds=list(range(len(trees))), mtry=2), X, y
 

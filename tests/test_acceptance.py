@@ -33,7 +33,7 @@ from callscore.profit import (
     model_profit,
     profit_feature_importance,
 )
-from callscore.propagation import PropagationConfig, personalized_pagerank, spreading_activation
+from callscore.propagation import personalized_pagerank, spreading_activation
 from callscore.synth import SynthConfig, generate, planted_feature_dataset
 from conftest import dense_pagerank_solve, random_records
 
@@ -52,8 +52,6 @@ def random_graph_for(seed: int, max_nodes: int = 100):
 
 
 def test_criterion_01_pagerank_matches_dense_solve():
-    tight = PropagationConfig(alpha=0.85, spread_fraction=0.85,
-                              tolerance=1e-12, max_iterations=20_000)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(50):
@@ -62,7 +60,7 @@ def test_criterion_01_pagerank_matches_dense_solve():
         restart[restart < 0.5] = 0.0
         if restart.sum() == 0:
             restart[0] = 1.0
-        got = personalized_pagerank(graph, restart, tight).scores
+        got = personalized_pagerank(graph, restart, 0.85, 1e-12, 20_000).scores
         want = dense_pagerank_solve(graph, restart, alpha=0.85)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - start
@@ -77,8 +75,7 @@ def test_criterion_02_spreading_conserves_energy():
         graph, rng = random_graph_for(seed + 1000)
         k = int(rng.integers(1, max(2, graph.n_nodes // 2)))
         seeds = rng.choice(graph.n_nodes, size=k, replace=False)
-        result = spreading_activation(graph, seeds, PropagationConfig(
-            alpha=0.85, spread_fraction=0.85, tolerance=1e-6, max_iterations=100))
+        result = spreading_activation(graph, seeds, 0.85, 1e-6, 100)
         for total in result.energy_trace:
             worst = max(worst, abs(total - 1.0))
         worst = max(worst, abs(float(result.scores.sum()) - 1.0))
@@ -145,7 +142,7 @@ def test_criterion_05_profit_importance_recovery():
     for seed in range(runs):
         X, y, informative, loans = planted_feature_dataset(2000, n_noise=30, effect=2.5, seed=seed)
         cut = 700
-        forest = train_forest(X[:cut], y[:cut], n_trees=200, mtry=4, max_depth=4, seed=seed)
+        forest = train_forest(X[:cut], y[:cut], n_trees=200, mtry=4, min_leaf=5, seed=seed, max_depth=4)
         scored = predict_forest(forest, X[cut:], y[cut:])
         names = [f"f{j}" for j in range(X.shape[1])]
         params = EmpParams(roi=0.05, lgd=0.8, p0=0.1, p1=0.1)

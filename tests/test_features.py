@@ -40,7 +40,7 @@ def cb_row(records, subject_id, batch_mask=None):
     batch = CdrBatch.from_records(records)
     if batch_mask is not None:
         batch = batch.select(batch_mask(batch))
-    names, matrix = calling_behavior_matrix(batch, np.array([batch.ids.index(subject_id)]))
+    names, matrix = calling_behavior_matrix(batch, np.array([batch.ids.index(subject_id)]), 8, 20)
     return names, matrix[0]
 
 
@@ -114,7 +114,7 @@ def test_cb_bulk_matches_per_subject(rng):
     records = random_records(rng, 12, 200)
     batch = CdrBatch.from_records(records)
     codes = np.arange(len(batch.ids))
-    names, matrix = calling_behavior_matrix(batch, codes)
+    names, matrix = calling_behavior_matrix(batch, codes, 8, 20)
     for code, identity in enumerate(batch.ids):
         _, single = cb_row(records, identity)
         assert np.array_equal(matrix[code], single)

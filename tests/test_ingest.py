@@ -20,14 +20,14 @@ TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
 
 
 def test_parse_published_log_row():
-    record = parse_cdr_line(TABLE_ROW)
+    record = parse_cdr_line(TABLE_ROW, ",")
     assert record == CdrRecord(
         date(2017, 5, 1), time(14, 51, 14), 715, "(202) 555-0116", "(701) 555-0191"
     )
 
 
 def test_zero_duration_is_parsed_not_filtered():
-    record = parse_cdr_line("01MAY2017,14:51:14,0,X,Y")
+    record = parse_cdr_line("01MAY2017,14:51:14,0,X,Y", ",")
     assert record.duration == 0
 
 
@@ -47,15 +47,15 @@ MALFORMED = pytest.mark.parametrize("line,reason", [
 @MALFORMED
 def test_parse_rejects_malformed(line, reason):
     with pytest.raises(CdrParseError):
-        parse_cdr_line(line)
+        parse_cdr_line(line, ",")
 
 
 @MALFORMED
 def test_reject_log_reason_is_the_parse_error(line, reason):
     with pytest.raises(CdrParseError) as error:
-        parse_cdr_line(line)
+        parse_cdr_line(line, ",")
     log = io.StringIO()
-    ingest_cdr([TABLE_ROW, line], reject_log=log)
+    ingest_cdr([TABLE_ROW, line], min_duration=5, delimiter=",", reject_log=log)
     assert log.getvalue() == f"2\t{error.value}\t{line}\n"
 
 
@@ -65,15 +65,15 @@ def columns(batch):
 
 
 def test_round_trip_serialization(rng, tmp_path):
-    records = [parse_cdr_line(TABLE_ROW),
-               parse_cdr_line("02MAY2017,20:03:38,89,(701) 555-0148,(803) 555-0129")]
+    records = [parse_cdr_line(TABLE_ROW, ","),
+               parse_cdr_line("02MAY2017,20:03:38,89,(701) 555-0148,(803) 555-0129", ",")]
     for i in range(50):
         d = date(2017, int(rng.integers(1, 13)), int(rng.integers(1, 29)))
         t = time(int(rng.integers(0, 24)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
         records.append(CdrRecord(d, t, int(rng.integers(0, 10_000)), f"A {i % 7}", f"B {i % 5}"))
     batch = CdrBatch.from_records(records)
     write_cdr(tmp_path / "a.csv", batch)
-    read, stats = ingest_cdr(tmp_path / "a.csv", min_duration=0)
+    read, stats = ingest_cdr(tmp_path / "a.csv", min_duration=0, delimiter=",")
     assert stats.rows_accepted == len(records)
     assert columns(read) == columns(batch)
     write_cdr(tmp_path / "b.csv", read)
@@ -86,7 +86,7 @@ def test_ingest_duration_filter_keeps_at_threshold():
         "01MAY2017,10:00:01,5,A,B",
         "01MAY2017,10:00:02,715,B,C",
     ]
-    batch, stats = ingest_cdr(rows, min_duration=5)
+    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
     assert len(batch) == 2
     assert stats.rows_filtered_short == 1
     assert stats.rows_accepted == 2
@@ -94,7 +94,7 @@ def test_ingest_duration_filter_keeps_at_threshold():
 
 
 def test_ingest_empty_stream():
-    batch, stats = ingest_cdr([])
+    batch, stats = ingest_cdr([], min_duration=5, delimiter=",")
     assert len(batch) == 0
     assert (stats.rows_read, stats.rows_rejected, stats.rows_filtered_short,
             stats.distinct_ids) == (0, 0, 0, 0)
@@ -107,7 +107,7 @@ def test_ingest_partial_failure_counts_and_logs():
         "01MAY2017,10:00:02,30,B,C",
     ]
     log = io.StringIO()
-    batch, stats = ingest_cdr(rows, reject_log=log)
+    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",", reject_log=log)
     assert len(batch) == 2
     assert stats.rows_rejected == 1
     logged = log.getvalue()
@@ -119,7 +119,7 @@ def test_ingest_header_autodetected():
         "Call Start Date,Call Start Time,Call Duration (sec),From Number,To Number",
         TABLE_ROW,
     ]
-    batch, stats = ingest_cdr(rows)
+    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
     assert stats.rows_read == 1
     assert len(batch) == 1
 
@@ -136,20 +136,20 @@ def test_ingest_conservation_property(rng):
             rows.append(f"01MAY2017,99:00:00,10,A{i},B{i}")
         else:
             rows.append(f"02MAY2017,11:30:00,{rng.integers(5, 100)},A{i},B{i}")
-    _, stats = ingest_cdr(rows, min_duration=5)
+    _, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
     assert stats.conserved
     assert stats.rows_read == 300
 
 
 def test_filter_monotone_in_min_duration(rng):
     rows = [f"01MAY2017,10:00:00,{rng.integers(0, 30)},A{i},B{i}" for i in range(100)]
-    accepted = [ingest_cdr(rows, min_duration=d)[1].rows_accepted for d in range(0, 12)]
+    accepted = [ingest_cdr(rows, min_duration=d, delimiter=",")[1].rows_accepted for d in range(0, 12)]
     assert all(a >= b for a, b in zip(accepted, accepted[1:]))
 
 
 def test_batch_round_trips_records(tmp_path):
-    batch, _ = ingest_cdr([TABLE_ROW], min_duration=0)
-    assert columns(CdrBatch.from_records([parse_cdr_line(TABLE_ROW)])) == columns(batch)
+    batch, _ = ingest_cdr([TABLE_ROW], min_duration=0, delimiter=",")
+    assert columns(CdrBatch.from_records([parse_cdr_line(TABLE_ROW, ",")])) == columns(batch)
     write_cdr(tmp_path / "cdr.csv", batch)
     assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
 
@@ -157,7 +157,7 @@ def test_batch_round_trips_records(tmp_path):
 def test_write_cdr_refuses_identity_with_comma(tmp_path):
     log = tmp_path / "semicolon.csv"
     log.write_text("01MAY2017;10:00:00;30;A,1;B\n01MAY2017;10:00:05;40;B;C\n")
-    batch, _ = ingest_cdr(log, delimiter=";")
+    batch, _ = ingest_cdr(log, min_duration=5, delimiter=";")
     with pytest.raises(DataError, match="'A,1'"):
         write_cdr(tmp_path / "filtered.csv", batch)
     assert not (tmp_path / "filtered.csv").exists()

@@ -13,7 +13,6 @@ from callscore.errors import ConvergenceError, DataError
 from conftest import mixed_depth_forest, reference_leaves
 from callscore.models import (
     ScoredDataset,
-    SplitSpec,
     _rank_auc,
     load_model,
     midrank,
@@ -52,7 +51,7 @@ def informative_data(rng, n=600, m=8, effect=2.0):
 def test_split_70_30_exact():
     y = np.zeros(100, dtype=bool)
     y[:30] = True
-    train, test = split(y, SplitSpec(train_fraction=0.7, seed=1))
+    train, test = split(y, 0.7, 1)
     assert len(train) == 70 and len(test) == 30
     assert len(np.intersect1d(train, test)) == 0
     assert len(np.union1d(train, test)) == 100
@@ -60,17 +59,17 @@ def test_split_70_30_exact():
 
 def test_split_deterministic():
     y = np.random.default_rng(0).random(200) < 0.2
-    a = split(y, SplitSpec(seed=42))
-    b = split(y, SplitSpec(seed=42))
+    a = split(y, 0.7, 42)
+    b = split(y, 0.7, 42)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = split(y, SplitSpec(seed=43))
+    c = split(y, 0.7, 43)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_split_stratification_tolerance():
     y = np.zeros(200, dtype=bool)
     y[:10] = True  # 5% positives
-    train, test = split(y, SplitSpec(train_fraction=0.7, seed=3))
+    train, test = split(y, 0.7, 3)
     test_pos = int(y[test].sum())
     assert abs(test_pos - 3) <= 1
 
@@ -79,7 +78,7 @@ def test_split_too_few_minority():
     y = np.zeros(50, dtype=bool)
     y[0] = True
     with pytest.raises(DataError):
-        split(y, SplitSpec())
+        split(y, 0.7, 0)
 
 
 def test_undersample_to_balance():
@@ -101,8 +100,8 @@ def test_undersample_balanced_input_untouched():
 def test_undersample_deterministic():
     y = np.zeros(400, dtype=bool)
     y[:40] = True
-    a = undersample(np.arange(400), y, seed=9)
-    b = undersample(np.arange(400), y, seed=9)
+    a = undersample(np.arange(400), y, ratio=1.0, seed=9)
+    b = undersample(np.arange(400), y, ratio=1.0, seed=9)
     assert np.array_equal(a, b)
 
 
@@ -115,7 +114,7 @@ def test_undersample_unreachable_ratio():
 def test_undersample_never_touches_test_set():
     rng = np.random.default_rng(3)
     y = rng.random(1000) < 0.1
-    train, test = split(y, SplitSpec(train_fraction=0.7, seed=3))
+    train, test = split(y, 0.7, 3)
     balanced = undersample(train, y, ratio=1.0, seed=3)
     assert set(balanced) <= set(train)
     assert abs(y[test].mean() - y.mean()) <= 1.5 / len(test) + 0.01
@@ -161,7 +160,7 @@ def test_logistic_nonconvergence_reports_iterations(rng):
 
 def test_tree_learns_xor(rng):
     X, y = xor_data(rng)
-    tree = train_tree(X, y, cv_folds=5, seed=0)
+    tree = train_tree(X, y, cv_folds=5, min_leaf=5, seed=0)
     assert tree.depth >= 2
     pred = predict_tree_proba(tree, X) > 0.5
     assert np.mean(pred == y) > 0.9
@@ -179,8 +178,8 @@ def test_tree_pure_class_single_leaf():
 
 def test_tree_deterministic(rng):
     X, y = xor_data(rng)
-    t1 = train_tree(X, y, cv_folds=5, seed=7)
-    t2 = train_tree(X, y, cv_folds=5, seed=7)
+    t1 = train_tree(X, y, cv_folds=5, min_leaf=5, seed=7)
+    t2 = train_tree(X, y, cv_folds=5, min_leaf=5, seed=7)
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold)
 
@@ -190,7 +189,14 @@ def test_tree_requires_enough_per_class():
     y = np.zeros(30, dtype=bool)
     y[:4] = True
     with pytest.raises(DataError):
-        train_tree(X, y, cv_folds=10)
+        train_tree(X, y, cv_folds=10, min_leaf=5, seed=0)
+
+
+@pytest.mark.parametrize("folds", [0, 1])
+def test_tree_needs_two_folds(rng, folds):
+    X, y = xor_data(rng, n=60)
+    with pytest.raises(DataError, match="at least 2 folds"):
+        train_tree(X, y, cv_folds=folds, min_leaf=5, seed=0)
 
 
 def test_tree_features_used_sound_and_complete(rng):
@@ -221,7 +227,7 @@ def test_forest_single_tree_degenerates_to_tree(rng):
     X, y = informative_data(rng, n=300, m=5)
     from callscore.models import _grow_tree
 
-    forest = train_forest(X, y, n_trees=1, mtry=5, max_depth=4, seed=0, bootstrap=False)
+    forest = train_forest(X, y, n_trees=1, mtry=5, min_leaf=5, seed=0, max_depth=4, bootstrap=False)
     alone = _grow_tree(X, y, max_depth=4, min_leaf=5, mtry=None, rng=None)
     assert np.allclose(predict_forest(forest, X).score, predict_tree_proba(alone, X))
 
@@ -230,14 +236,14 @@ def test_forest_recovers_signal(rng):
     X, y = informative_data(rng, n=800, m=10, effect=2.5)
     train_rows = np.arange(500)
     test_rows = np.arange(500, 800)
-    forest = train_forest(X[train_rows], y[train_rows], n_trees=80, seed=0)
+    forest = train_forest(X[train_rows], y[train_rows], n_trees=80, mtry=None, min_leaf=5, seed=0)
     scored = predict_forest(forest, X[test_rows], y[test_rows])
     assert _rank_auc(scored.y, scored.score) >= 0.75
 
 
 def test_forest_vote_matrix_shape(rng):
     X, y = informative_data(rng, n=200, m=4)
-    forest = train_forest(X, y, n_trees=30, seed=1)
+    forest = train_forest(X, y, n_trees=30, mtry=None, min_leaf=5, seed=1)
     scored = predict_forest(forest, X[:50], y[:50])
     assert scored.per_tree_votes.shape == (30, 50)
     assert set(np.unique(scored.per_tree_votes)) <= {0, 1}
@@ -245,7 +251,7 @@ def test_forest_vote_matrix_shape(rng):
 
 def test_forest_score_is_mean_of_tree_probs(rng):
     X, y = informative_data(rng, n=300, m=5)
-    forest = train_forest(X, y, n_trees=20, seed=2)
+    forest = train_forest(X, y, n_trees=20, mtry=None, min_leaf=5, seed=2)
     scored = predict_forest(forest, X, y)
     stacked = np.stack([predict_tree_proba(t, X) for t in forest.trees])
     assert np.array_equal(scored.score, stacked.mean(axis=0))
@@ -253,26 +259,33 @@ def test_forest_score_is_mean_of_tree_probs(rng):
 
 def test_forest_deterministic(rng):
     X, y = informative_data(rng, n=200, m=4)
-    s1 = predict_forest(train_forest(X, y, n_trees=15, seed=5), X).score
-    s2 = predict_forest(train_forest(X, y, n_trees=15, seed=5), X).score
+    s1 = predict_forest(train_forest(X, y, n_trees=15, mtry=None, min_leaf=5, seed=5), X).score
+    s2 = predict_forest(train_forest(X, y, n_trees=15, mtry=None, min_leaf=5, seed=5), X).score
     assert np.array_equal(s1, s2)
 
 
 def test_forest_mtry_exceeds_features(rng):
     X, y = informative_data(rng, n=100, m=3)
     with pytest.raises(DataError):
-        train_forest(X, y, n_trees=2, mtry=10)
+        train_forest(X, y, n_trees=2, mtry=10, min_leaf=5, seed=0)
+
+
+@pytest.mark.parametrize("mtry", [0, -1])
+def test_forest_mtry_below_one_is_refused(rng, mtry):
+    X, y = informative_data(rng, n=100, m=3)
+    with pytest.raises(DataError, match="mtry must be at least 1"):
+        train_forest(X, y, n_trees=2, mtry=mtry, min_leaf=5, seed=0)
 
 
 def test_forest_without_trees_is_refused(rng):
     X, y = informative_data(rng, n=100, m=3)
     with pytest.raises(DataError, match="at least one tree"):
-        train_forest(X, y, n_trees=0)
+        train_forest(X, y, n_trees=0, mtry=None, min_leaf=5, seed=0)
 
 
 def test_forest_membership_matrix(rng):
     X, y = informative_data(rng, n=300, m=6)
-    forest = train_forest(X, y, n_trees=25, mtry=2, max_depth=3, seed=3)
+    forest = train_forest(X, y, n_trees=25, mtry=2, min_leaf=5, seed=3, max_depth=3)
     member = forest.feature_membership(6)
     for i, tree in enumerate(forest.trees):
         assert set(np.flatnonzero(member[i])) == set(tree.features_used)
@@ -311,7 +324,7 @@ def test_train_forests_equals_separate_train_forest_calls(rng):
     problems = _problems(rng)
     together = train_forests(problems, 12, None, 5, None, 7, True)
     for (X, y), forest in zip(problems, together):
-        alone = train_forest(X, y, n_trees=12, seed=7)
+        alone = train_forest(X, y, n_trees=12, mtry=None, min_leaf=5, seed=7)
         assert forest.mtry == alone.mtry and forest.tree_seeds == alone.tree_seeds
         assert ([models._tree_to_dict(t) for t in forest.trees]
                 == [models._tree_to_dict(t) for t in alone.trees])
@@ -372,13 +385,13 @@ def test_model_json_round_trip(tmp_path, rng):
     assert np.allclose(again.coef, logistic.coef)
     assert again.intercept == pytest.approx(logistic.intercept)
 
-    tree = train_tree(X, y, cv_folds=5, seed=0)
+    tree = train_tree(X, y, cv_folds=5, min_leaf=5, seed=0)
     save_model(tree, tmp_path / "tree.json")
     t2 = load_model(tmp_path / "tree.json")
     assert np.array_equal(predict_tree_proba(t2, X), predict_tree_proba(tree, X))
     assert t2.features_used == tree.features_used
 
-    forest = train_forest(X, y, n_trees=5, seed=0)
+    forest = train_forest(X, y, n_trees=5, mtry=None, min_leaf=5, seed=0)
     save_model(forest, tmp_path / "forest.json")
     f2 = load_model(tmp_path / "forest.json")
     assert np.array_equal(predict_forest(f2, X).score, predict_forest(forest, X).score)

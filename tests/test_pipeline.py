@@ -1,16 +1,20 @@
 import csv
 import dataclasses
 import filecmp
+import importlib
+import inspect
 import json
+import pkgutil
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import callscore
 from callscore import pipeline
 from callscore.cli import main as cli_main
-from callscore.errors import UsageError
+from callscore.errors import DataError, UsageError
 from callscore.features import FeatureMatrix, drop_correlated
 from callscore.pipeline import (
     STAGES,
@@ -25,6 +29,7 @@ from callscore.pipeline import (
     stage_train,
 )
 from callscore.profit import EmpParams, LoanOutcome
+from callscore.synth import SynthConfig
 
 TINY = dict(
     seed=101,
@@ -181,6 +186,11 @@ def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
         emptied.write_text(dump_config(dataclasses.replace(recorded, **{key: ""})))
         assert f"{key} = \n" in emptied.read_text()
         assert cli_main(["run", "--config", str(emptied), "--resume"]) == 1
+    # out-of-range model keys are data errors raised inside the stage that reads them
+    for key in ("mtry", "importance_max_rows"):
+        bad = tmp_path / f"negative_{key}.cfg"
+        bad.write_text(dump_config(dataclasses.replace(recorded, **{key: -1})))
+        assert cli_main(["run", "--config", str(bad), "--resume"]) == 2
     assert snapshot(clone) == before
     with pytest.raises(UsageError, match="Z"):
         run_stages(dataclasses.replace(recorded, importance_models="H,Z"), resume=True)
@@ -271,7 +281,7 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
         feature_names=["a", "b", "c", "s1", "s2"], group_tags=["SD"] * 3 + ["SPA"] * 2,
         values=np.hstack([sd, spa]), y=y, missing=np.zeros((n, 5), dtype=bool),
     )
-    pruned, _ = drop_correlated(full)
+    pruned, _ = drop_correlated(full, 0.95)
     assert pruned.group_sizes() == {"SD": 3}
     config = ExperimentConfig(out_dir=str(tmp_path), models="A,E", n_trees=5, importance_models="E")
     ctx = PipelineContext(config=config, out=tmp_path, matrix=pruned,
@@ -284,6 +294,13 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     stage_eval(ctx, tmp_path / "eval")
     with open(tmp_path / "eval" / "models.csv", newline="") as fh:
         assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
+
+
+def test_negative_importance_rows_refused(tmp_path):
+    ctx = PipelineContext(config=ExperimentConfig(importance_max_rows=-1), out=tmp_path)
+    with pytest.raises(DataError, match="importance_max_rows"):
+        stage_eval(ctx, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_fails_before_work(tmp_path):
@@ -312,6 +329,42 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("out_dir = runs/x\nbanana = 7\n")
     with pytest.raises(UsageError, match="banana"):
         load_config(path)
+
+
+def test_bad_generator_value_refused_before_the_run(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"out_dir = {tmp_path / 'run'}\nn_nodes = 100\nn_subjects = 200\n")
+    with pytest.raises(DataError, match="n_subjects"):
+        load_config(path)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert cli_main(["synth", "--out", str(tmp_path / "data"), "--nodes", "100", "--subjects", "200"]) == 2
+    assert not (tmp_path / "run").exists() and not (tmp_path / "data").exists()
+
+
+def _callables(module):
+    """(qualified name, function) of every function and method defined in `module`."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj) and obj not in (ExperimentConfig, SynthConfig):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member):  # a dataclass's __init__ holds its fields
+                    yield member.__qualname__, member
+
+
+def test_no_second_home_for_a_config_default():
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    restated = []
+    for info in pkgutil.iter_modules(callscore.__path__):
+        module = importlib.import_module(f"callscore.{info.name}")
+        for name, fn in _callables(module):
+            restated += [f"{module.__name__}.{name}({p.name}={p.default!r})"
+                         for p in inspect.signature(fn).parameters.values()
+                         if p.name in keys and p.default is not inspect.Parameter.empty]
+    assert restated == []
 
 
 def test_config_comments_and_types(tmp_path):

@@ -155,11 +155,11 @@ def test_emp_oracle_refines_with_grid():
 
 def test_emp_params_validation():
     with pytest.raises(DataError):
-        EmpParams(roi=0.0)
+        EmpParams(roi=0.0, lgd=0.8)
     with pytest.raises(DataError):
-        EmpParams(lgd=1.5)
+        EmpParams(roi=0.05, lgd=1.5)
     with pytest.raises(DataError):
-        EmpParams(p0=0.7, p1=0.5)
+        EmpParams(roi=0.05, lgd=0.8, p0=0.7, p1=0.5)
 
 
 def test_estimate_loss_masses():
@@ -377,7 +377,7 @@ def test_profit_importance_feature_in_all_trees_is_sentinel():
     votes = np.zeros((2, 2), dtype=np.int8)
     sc = ScoredDataset(y=y, score=np.array([0.2, 0.8]), per_tree_votes=votes)
     loans = [LoanOutcome(100, 0, False), LoanOutcome(100, 75, True)]
-    ranking = dict(profit_feature_importance(forest, sc, loans, EmpParams(), ["f0"]))
+    ranking = dict(profit_feature_importance(forest, sc, loans, EmpParams(roi=0.05, lgd=0.8), ["f0"]))
     assert math.isnan(ranking["f0"])
 
 
@@ -389,7 +389,7 @@ def test_planted_feature_recovered_by_both_importances():
         X, y, j, loans = planted_feature_dataset(2000, n_noise=30, effect=2.5, seed=seed)
         split_at = 700
         forest = train_forest(X[:split_at], y[:split_at], n_trees=200, mtry=4,
-                              max_depth=4, seed=seed)
+                              min_leaf=5, seed=seed, max_depth=4)
         sc = predict_forest(forest, X[split_at:], y[split_at:])
         names = [f"f{k}" for k in range(X.shape[1])]
         params = EmpParams(roi=0.05, lgd=0.8, p0=0.1, p1=0.1)
@@ -448,10 +448,10 @@ def test_permutation_importance_of_one_node_forest_is_zero():
 def test_accuracy_importance_unused_feature_exactly_zero(rng):
     X = rng.normal(size=(300, 4))
     y = X[:, 0] > 0
-    forest = train_forest(X[:, :1], y, n_trees=10, seed=0)
+    forest = train_forest(X[:, :1], y, n_trees=10, mtry=None, min_leaf=5, seed=0)
     # widen membership matrix artificially: feature 3 exists but in no tree
     padded = np.hstack([X[:, :1], np.zeros((300, 3))])
-    forest2 = train_forest(padded, y, n_trees=10, mtry=1, seed=0)
+    forest2 = train_forest(padded, y, n_trees=10, mtry=1, min_leaf=5, seed=0)
     names = ["f0", "f1", "f2", "f3"]
     acc = accuracy_feature_importance(forest2, padded, y, names, seed=0)
     values = dict(acc["permutation"])
@@ -465,7 +465,7 @@ def test_accuracy_importance_noise_feature_negligible(rng):
     deltas = []
     for seed in range(5):
         X, y, j, _ = planted_feature_dataset(400, n_noise=10, effect=2.5, seed=100 + seed)
-        forest = train_forest(X, y, n_trees=60, mtry=3, max_depth=3, seed=seed)
+        forest = train_forest(X, y, n_trees=60, mtry=3, min_leaf=5, seed=seed, max_depth=3)
         names = [f"f{k}" for k in range(X.shape[1])]
         acc = dict(accuracy_feature_importance(forest, X, y, names, seed=seed)["permutation"])
         noise = [acc[n] for n in names if n != f"f{j}"]

@@ -4,7 +4,6 @@ import pytest
 from callscore.errors import ConvergenceError, DataError
 from callscore.graph import NodeLabelSet, build_graph
 from callscore.propagation import (
-    PropagationConfig,
     exposure_cutoff,
     personalized_pagerank,
     relabel_high_risk,
@@ -14,9 +13,9 @@ from callscore.propagation import (
 from conftest import call, dense_pagerank_solve, random_records
 
 
-def budget(tolerance: float, max_iterations: int) -> PropagationConfig:
-    return PropagationConfig(alpha=0.85, spread_fraction=0.85,
-                             tolerance=tolerance, max_iterations=max_iterations)
+def budget(tolerance: float, max_iterations: int) -> tuple:
+    """(alpha or spread fraction, tolerance, max_iterations), with alpha and spread fraction 0.85."""
+    return 0.85, tolerance, max_iterations
 
 
 TIGHT = budget(1e-12, 5000)
@@ -41,7 +40,7 @@ def labels_for(graph, levels: dict):
 def test_two_node_exact_solution():
     # xi_A = 0.15 / (1 - 0.85^2) = 20/37, xi_B = 17/37 for restart on A
     g = build_graph([call("A", "B")])
-    result = personalized_pagerank(g, np.array([1.0, 0.0]), TIGHT)
+    result = personalized_pagerank(g, np.array([1.0, 0.0]), *TIGHT)
     assert result.scores == pytest.approx([20 / 37, 17 / 37], abs=1e-10)
     assert abs(result.scores.sum() - 1) < 1e-12
 
@@ -49,7 +48,7 @@ def test_two_node_exact_solution():
 def test_uniform_restart_on_ring_is_uniform():
     n = 12
     g = build_graph([call(f"N{i:02d}", f"N{(i + 1) % n:02d}") for i in range(n)])
-    result = personalized_pagerank(g, np.ones(n), TIGHT)
+    result = personalized_pagerank(g, np.ones(n), *TIGHT)
     assert result.scores == pytest.approx(np.full(n, 1 / n), abs=1e-10)
 
 
@@ -61,7 +60,7 @@ def test_matches_dense_solve_on_random_graphs(rng):
         z[z < 0.4] = 0.0
         if z.sum() == 0:
             z[0] = 1.0
-        got = personalized_pagerank(g, z, TIGHT).scores
+        got = personalized_pagerank(g, z, *TIGHT).scores
         want = dense_pagerank_solve(g, z, alpha=0.85)
         assert np.abs(got - want).max() < 1e-8
 
@@ -69,8 +68,7 @@ def test_matches_dense_solve_on_random_graphs(rng):
 def test_fixed_point_residual_bound(rng):
     g = build_graph(random_records(rng, 25, 120))
     z = uniform_restart(g.n_nodes, np.array([0, 1, 2]))
-    config = budget(1e-9, 2000)
-    result = personalized_pagerank(g, z, config)
+    result = personalized_pagerank(g, z, 0.85, 1e-9, 2000)
     # apply one more update by hand and check the L1 change stays in tolerance
     n = g.n_nodes
     push = np.zeros((n, n))
@@ -79,7 +77,7 @@ def test_fixed_point_residual_bound(rng):
         if w.sum() > 0:
             push[idx, u] = w / w.sum()
     one_more = 0.85 * push @ result.scores + 0.15 * z
-    assert np.abs(one_more - result.scores).sum() <= config.tolerance
+    assert np.abs(one_more - result.scores).sum() <= 1e-9
 
 
 def test_single_seed_path_scores_decay_with_distance():
@@ -90,7 +88,7 @@ def test_single_seed_path_scores_decay_with_distance():
     mid = n // 2
     z = np.zeros(n)
     z[g.node(f"N{mid:02d}")] = 1.0
-    scores = personalized_pagerank(g, z, TIGHT).scores
+    scores = personalized_pagerank(g, z, *TIGHT).scores
     left = [scores[g.node(f"N{i:02d}")] for i in range(mid, -1, -1)]
     right = [scores[g.node(f"N{i:02d}")] for i in range(mid, n)]
     for side in (left, right):
@@ -100,20 +98,38 @@ def test_single_seed_path_scores_decay_with_distance():
 def test_all_zero_restart_rejected():
     g = build_graph([call("A", "B")])
     with pytest.raises(DataError):
-        personalized_pagerank(g, np.zeros(2), TIGHT)
+        personalized_pagerank(g, np.zeros(2), *TIGHT)
 
 
 def test_nonconvergence_carries_residual():
     g = build_graph([call("A", "B"), call("B", "C"), call("C", "A")])
     with pytest.raises(ConvergenceError) as err:
-        personalized_pagerank(g, np.array([1.0, 0, 0]), budget(1e-15, 3))
+        personalized_pagerank(g, np.array([1.0, 0, 0]), *budget(1e-15, 3))
     assert err.value.iterations == 3
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1e-8, 10), "alpha"), ((0.85, 0.0, 10), "tolerance"), ((0.85, 1e-8, 0), "max_iterations"),
+])
+def test_walk_values_checked(args, message):
+    g = build_graph([call("A", "B")])
+    with pytest.raises(DataError, match=message):
+        personalized_pagerank(g, np.array([1.0, 0.0]), *args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1e-6, 10), "spread_fraction"), ((0.85, -1.0, 10), "tolerance"), ((0.85, 1e-6, 0), "max_iterations"),
+])
+def test_spreading_values_checked(args, message):
+    g = build_graph([call("A", "B")])
+    with pytest.raises(DataError, match=message):
+        spreading_activation(g, np.array([0]), *args)
+
+
 def test_dangling_mass_returns_to_restart():
     g = build_graph([call("A", "B")], mode="outgoing")  # B has no outgoing edge
-    result = personalized_pagerank(g, np.array([1.0, 0.0]), TIGHT)
+    result = personalized_pagerank(g, np.array([1.0, 0.0]), *TIGHT)
     assert abs(result.scores.sum() - 1) < 1e-12
     assert (result.scores > 0).all()
 
@@ -124,7 +140,7 @@ def test_dangling_mass_returns_to_restart():
 
 def test_isolated_seed_keeps_energy_one_iteration():
     g = build_graph([call("A", "B")], mode="outgoing")  # B is dangling
-    result = spreading_activation(g, np.array([g.node("B")]), SPREAD)
+    result = spreading_activation(g, np.array([g.node("B")]), *SPREAD)
     assert result.iterations_run == 1
     expected = np.zeros(2)
     expected[g.node("B")] = 1.0
@@ -133,7 +149,7 @@ def test_isolated_seed_keeps_energy_one_iteration():
 
 def test_one_round_transfer_split():
     g = build_graph([call("A", "B")])
-    result = spreading_activation(g, np.array([g.node("A")]), budget(1e-6, 1))
+    result = spreading_activation(g, np.array([g.node("A")]), *budget(1e-6, 1))
     # sender keeps 0.15; the 0.85 delivered to B settles when iterations stop
     assert result.scores[g.node("A")] == pytest.approx(0.15)
     assert result.scores[g.node("B")] == pytest.approx(0.85)
@@ -145,7 +161,7 @@ def test_energy_conserved_every_iteration(rng):
         g = build_graph(random_records(rng, int(rng.integers(5, 50)), 140), mode=mode)
         n_seeds = int(rng.integers(1, max(2, g.n_nodes // 3)))
         seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
-        result = spreading_activation(g, seeds, SPREAD)
+        result = spreading_activation(g, seeds, *SPREAD)
         assert result.energy_trace, "no iterations recorded"
         for total in result.energy_trace:
             assert abs(total - 1.0) < 1e-9
@@ -155,17 +171,17 @@ def test_energy_conserved_every_iteration(rng):
 def test_empty_seed_set_rejected():
     g = build_graph([call("A", "B")])
     with pytest.raises(DataError):
-        spreading_activation(g, np.array([], dtype=int), SPREAD)
+        spreading_activation(g, np.array([], dtype=int), *SPREAD)
 
 
 def test_both_methods_bit_identical_on_repeat(rng):
     g = build_graph(random_records(rng, 30, 150))
     z = uniform_restart(g.n_nodes, np.array([0, 3, 5]))
-    a = personalized_pagerank(g, z, TIGHT).scores
-    b = personalized_pagerank(g, z, TIGHT).scores
+    a = personalized_pagerank(g, z, *TIGHT).scores
+    b = personalized_pagerank(g, z, *TIGHT).scores
     assert np.array_equal(a, b)
-    sa = spreading_activation(g, np.array([0, 3, 5]), SPREAD).scores
-    sb = spreading_activation(g, np.array([0, 3, 5]), SPREAD).scores
+    sa = spreading_activation(g, np.array([0, 3, 5]), *SPREAD).scores
+    sb = spreading_activation(g, np.array([0, 3, 5]), *SPREAD).scores
     assert np.array_equal(sa, sb)
 
 

@@ -7,7 +7,7 @@ from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.ingest import ingest_bank, ingest_cdr, write_cdr
 from callscore.netstats import dyadicity, heterophilicity
-from callscore.synth import ROLE_EXISTING, ROLE_SUBJECT, SynthConfig, generate
+from callscore.synth import MIN_SEED_DELINQUENTS, ROLE_EXISTING, ROLE_SUBJECT, SynthConfig, generate
 
 SMALL = SynthConfig(n_nodes=400, n_subjects=120, mean_calls_per_node=8.0,
                     default_rate=0.15, planted_feature_effect=1.5)
@@ -31,7 +31,7 @@ def test_generate_seed_changes_output(tmp_path):
 def test_emitted_files_ingest_cleanly(tmp_path):
     data = generate(SMALL, seed=3)
     paths = data.write(tmp_path)
-    batch, stats = ingest_cdr(paths["cdr"], min_duration=5)
+    batch, stats = ingest_cdr(paths["cdr"], min_duration=5, delimiter=",")
     assert stats.rows_rejected == 0
     assert stats.rows_read == len(data.calls["caller"])
     assert 0 < stats.rows_filtered_short < stats.rows_read  # short calls planted
@@ -53,9 +53,9 @@ def test_default_rate_calibration():
 
 def test_min_seed_delinquents_guaranteed():
     config = SynthConfig(n_nodes=300, n_subjects=60, existing_customer_rate=0.05,
-                         risky_rate=0.02, min_seed_delinquents=3)
+                         risky_rate=0.02)
     data = generate(config, seed=9)
-    assert int((data.delinquency == 3).sum()) >= 3
+    assert int((data.delinquency == 3).sum()) >= MIN_SEED_DELINQUENTS
 
 
 def test_homophily_null_when_strength_one(tmp_path):
@@ -80,7 +80,7 @@ def test_homophily_null_when_strength_one(tmp_path):
 def ingest_cdr_from(data, path):
     """Ingest a SynthData's calls as the CDR writer serializes them."""
     write_cdr(path, data.cdr_batch())
-    return ingest_cdr(path, min_duration=5)
+    return ingest_cdr(path, min_duration=5, delimiter=",")
 
 
 def default_labels_on(graph, data):
