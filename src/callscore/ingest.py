@@ -304,10 +304,6 @@ class BankRecord:
     monthly_drawn: tuple
     monthly_arrears: tuple
 
-    @property
-    def arrears_count(self) -> int:
-        return sum(self.monthly_arrears)
-
 
 @dataclass
 class BankIngestStats:

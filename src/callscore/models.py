@@ -167,7 +167,7 @@ def _rank_auc(y: np.ndarray, score: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-12
-RIDGE = 1e-6  # penalty on every coefficient but the intercept
+RIDGE = 1e-6  # penalty on every standardised coefficient but the intercept
 
 
 @dataclass
@@ -195,7 +195,10 @@ def train_logistic(
 ) -> LogisticModel:
     """Fit by Newton/IRLS on the ridge-penalized log-likelihood.
 
-    The intercept is unpenalized; zero-variance columns get coefficient zero.
+    The fit runs on the standardised non-constant columns, whose scales can
+    differ by orders of magnitude and which can sum to one another, and is
+    mapped back to X's units. The intercept is unpenalized; zero-variance
+    columns get coefficient zero.
     Steps are halved whenever the penalized deviance would rise, which keeps
     the iteration stable on separable data. Raises ConvergenceError with the
     iteration count if the step never shrinks below `tol`.
@@ -205,8 +208,10 @@ def train_logistic(
     if not np.all(np.isfinite(X)):
         raise DataError("features must be finite")
     n, m = X.shape
-    active = np.flatnonzero(X.std(axis=0) > 0)
-    design = np.column_stack([np.ones(n), X[:, active]])
+    sd = X.std(axis=0)
+    active = np.flatnonzero(sd > 0)
+    mean, sd = X[:, active].mean(axis=0), sd[active]
+    design = np.column_stack([np.ones(n), (X[:, active] - mean) / sd])
     k = design.shape[1]
     penalty = np.full(k, RIDGE)
     penalty[0] = 0.0
@@ -236,8 +241,9 @@ def train_logistic(
         step_size = float(np.abs(delta).max())
         if step_size <= tol:
             coef = np.zeros(m)
-            coef[active] = beta[1:]
-            return LogisticModel(coef=coef, intercept=float(beta[0]), n_iter=iteration, converged=True)
+            coef[active] = beta[1:] / sd
+            intercept = float(beta[0] - coef[active] @ mean)
+            return LogisticModel(coef=coef, intercept=intercept, n_iter=iteration, converged=True)
     raise ConvergenceError(
         f"logistic regression did not converge in {max_iter} iterations",
         iterations=max_iter,

@@ -230,12 +230,6 @@ def _save_batch(batch: CdrBatch, directory: Path) -> None:
         fh.writelines(f"{i}\n" for i in batch.ids)
 
 
-def _load_batch(directory: Path) -> CdrBatch:
-    cols = np.load(directory / "columns.npy")
-    ids = (directory / "ids.txt").read_text().splitlines()
-    return CdrBatch(cols[0], cols[1], cols[2], cols[3], cols[4], ids)
-
-
 LABEL_COLUMNS = (
     "node_id", "identity", "is_subject", "is_bank_customer",
     "delinquency_level", "default_label", "credit_limit", "ead", "y_default",
@@ -285,27 +279,17 @@ def load_labels(path: str | Path) -> tuple[NodeLabelSet, dict]:
     return labels, loans
 
 
-@dataclass
-class PipelineContext:
-    config: ExperimentConfig
-    out: Path
-    batch: CdrBatch | None = None
-    bank: list | None = None
-    graphs: dict | None = None       # (timeframe, DIR) -> CallGraph
-    labels: dict | None = None       # timeframe -> NodeLabelSet
-    loans: dict | None = None        # timeframe -> {identity: LoanOutcome}
-    exposures: dict | None = None    # (timeframe, method, crit, DIR) -> (ExposureVector, RiskRelabeling)
-    matrix: FeatureMatrix | None = None
-    row_loans: list | None = None    # LoanOutcome per matrix row
-    split: tuple | None = None       # (train, test, train_balanced) row indices
-    scored: dict | None = None       # (model_id, classifier) -> ScoredDataset
+def stage_data(cfg: ExperimentConfig, out: Path) -> None:
+    if not cfg.input_cdr:
+        generate(cfg, cfg.seed).write(out)
 
 
-def _data_paths(ctx: PipelineContext) -> dict:
-    cfg = ctx.config
+def load_data(cfg: ExperimentConfig, directory: Path) -> dict:
+    """The four input files: input_* when input_cdr is set, else the generator's in `directory`."""
     if cfg.input_cdr:
         # a rebuilt stage replaces its whole directory, inputs included
-        rebuilt = [(ctx.out / stage.directory).resolve() for stage in STAGES if stage.name != "data"]
+        run = directory.parent
+        rebuilt = [(run / stage.directory).resolve() for stage in STAGES if stage.name != "data"]
         required = {field.removeprefix("input_"): getattr(cfg, field) for field in INPUT_FIELDS}
         for name, p in required.items():
             if not p:
@@ -313,21 +297,14 @@ def _data_paths(ctx: PipelineContext) -> dict:
             if not Path(p).exists():
                 raise DataError(f"missing input file for {name}: {p}")
             if any(Path(p).resolve().is_relative_to(d) for d in rebuilt):
-                raise UsageError(f"input_{name} lies inside a stage directory of {ctx.out}: {p}")
+                raise UsageError(f"input_{name} lies inside a stage directory of {run}: {p}")
         return {k: Path(v) for k, v in required.items()}
-    base = ctx.out / "data"
     return {
-        "cdr": base / "cdr.csv",
-        "accounts": base / "accounts.csv",
-        "transactions": base / "transactions.csv",
-        "card_activity": base / "card_activity.csv",
+        "cdr": directory / "cdr.csv",
+        "accounts": directory / "accounts.csv",
+        "transactions": directory / "transactions.csv",
+        "card_activity": directory / "card_activity.csv",
     }
-
-
-def stage_data(ctx: PipelineContext, out: Path) -> None:
-    cfg = ctx.config
-    if not cfg.input_cdr:
-        generate(cfg, cfg.seed).write(out)
 
 
 def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[CdrBatch, IngestStats]:
@@ -342,19 +319,26 @@ def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[Cdr
     return batch, stats
 
 
-def stage_ingest(ctx: PipelineContext, out: Path) -> None:
-    paths = _data_paths(ctx)
-    batch, _ = ingest_calls(paths["cdr"], out, ctx.config)
+def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatch, list]:
+    batch, _ = ingest_calls(paths["cdr"], out, cfg)
     _save_batch(batch, out)
-    ctx.batch = batch
-    ctx.bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+    bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
     (out / "bank_stats.json").write_text(
         json.dumps(dataclasses.asdict(bank_stats), indent=2, sort_keys=True) + "\n"
     )
+    return batch, bank
+
+
+def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, list]:
+    cols = np.load(directory / "columns.npy")
+    batch = CdrBatch(*cols, (directory / "ids.txt").read_text().splitlines())
+    paths = load_data(cfg, directory.parent / "data")
+    bank, _ = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+    return batch, bank
 
 
 def _build_labels(
-    ctx: PipelineContext, graph: CallGraph, timeframe_k: int
+    cfg: ExperimentConfig, bank: list, graph: CallGraph, timeframe_k: int
 ) -> tuple[NodeLabelSet, dict]:
     """Role and delinquency labels for one timeframe's node set.
 
@@ -364,7 +348,6 @@ def _build_labels(
     more observed arrears) also feeds the default label used by the network
     statistics.
     """
-    cfg = ctx.config
     window_end_month = timeframe_k + 2
     card_month = timeframe_k + 3
     n = graph.n_nodes
@@ -374,7 +357,7 @@ def _build_labels(
     default_label = np.full(n, -1, dtype=np.int8)
     loans: dict = {}
     n_absent_subjects = 0
-    for record in ctx.bank:
+    for record in bank:
         if not graph.has_identity(record.customer_id):
             if cfg.month_index(record.card_issue_date) == card_month:
                 n_absent_subjects += 1
@@ -413,32 +396,43 @@ def _build_labels(
     return labels, loans
 
 
-def stage_network(ctx: PipelineContext, out: Path) -> None:
-    ctx.graphs, ctx.labels, ctx.loans = {}, {}, {}
+def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict]:
+    """Graphs by (timeframe, DIR), and labels and {identity: LoanOutcome} by timeframe."""
+    batch, bank = ingested
+    graphs, labels_by_tf, loans_by_tf = {}, {}, {}
     for k, tf in enumerate(TIMEFRAMES, start=1):
-        window = ctx.config.window(k)
+        window = cfg.window(k)
         for direction, mode in DIR_TO_MODE.items():
-            graph = build_graph(ctx.batch, window=window, mode=mode, timeframe_id=tf)
+            graph = build_graph(batch, window=window, mode=mode, timeframe_id=tf)
             save_graph(graph, out / tf / direction)
-            ctx.graphs[(tf, direction)] = graph
-        ud = ctx.graphs[(tf, "UD")]
-        labels, loans = _build_labels(ctx, ud, k)
+            graphs[(tf, direction)] = graph
+        ud = graphs[(tf, "UD")]
+        labels, loans = _build_labels(cfg, bank, ud, k)
         _save_labels(out / f"labels_{tf}.csv", ud, labels, loans)
-        ctx.labels[tf] = labels
-        ctx.loans[tf] = loans
+        labels_by_tf[tf] = labels
+        loans_by_tf[tf] = loans
         logger.info(
             "network %s: %d nodes, %d undirected edges, %d subjects, %d delinquents",
             tf, ud.n_nodes, ud.n_edges, int(labels.is_subject.sum()),
             int((labels.delinquency_level >= 1).sum()),
         )
+    return graphs, labels_by_tf, loans_by_tf
 
 
-def stage_netstats(ctx: PipelineContext, out: Path) -> None:
+def load_network(cfg: ExperimentConfig, directory: Path) -> tuple[dict, dict, dict]:
+    graphs, labels, loans = {}, {}, {}
+    for tf in TIMEFRAMES:
+        for direction in DIR_TO_MODE:
+            graphs[(tf, direction)] = load_graph(directory / tf / direction)
+        labels[tf], loans[tf] = load_labels(directory / f"labels_{tf}.csv")
+    return graphs, labels, loans
+
+
+def stage_netstats(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
+    graphs, labels, _ = network
     reports = {}
     for tf in TIMEFRAMES:
-        graph = ctx.graphs[(tf, "UD")]
-        labels = ctx.labels[tf]
-        report = homophily_test(graph, labels.default_label)
+        report = homophily_test(graphs[(tf, "UD")], labels[tf].default_label)
         reports[tf] = json.loads(report.to_json())
         (out / f"report_{tf}.txt").write_text(report.to_text())
     (out / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
@@ -472,43 +466,64 @@ def propagate_exposure(
     return exposure, relabel_high_risk(exposure, exposure_cutoff(exposure, labels))
 
 
-def stage_exposure(ctx: PipelineContext, out: Path) -> None:
-    ctx.exposures = {}
+def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
+    """(ExposureVector, RiskRelabeling) by (timeframe, method, criterion, DIR)."""
+    graphs, labels, _ = network
+    exposures: dict = {}
     cutoffs: dict = {}
     for tf, method, crit, direction, name in _propagation_runs():
         exposure, relabeling = propagate_exposure(
-            ctx.graphs[(tf, direction)], ctx.labels[tf], method, crit, ctx.config)
+            graphs[(tf, direction)], labels[tf], method, crit, cfg)
         np.save(out / f"{name}.npy", exposure.scores)
         cutoffs[name] = {
             "cutoff": relabeling.cutoff,
             "n_high_risk": relabeling.n_high_risk,
             "iterations": exposure.iterations_run,
         }
-        ctx.exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+        exposures[(tf, method, crit, direction)] = (exposure, relabeling)
     (out / "cutoffs.json").write_text(json.dumps(cutoffs, indent=2, sort_keys=True) + "\n")
+    return exposures
 
 
-def stage_features(ctx: PipelineContext, out: Path) -> None:
-    cfg = ctx.config
+def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
+    cutoffs = json.loads((directory / "cutoffs.json").read_text())
+    exposures = {}
+    for tf, method, crit, direction, name in _propagation_runs():
+        # the residual is not persisted
+        exposure = ExposureVector(
+            scores=np.load(directory / f"{name}.npy"), method=method,
+            iterations_run=cutoffs[name]["iterations"], residual=float("nan"),
+        )
+        relabeling = relabel_high_risk(exposure, cutoffs[name]["cutoff"])
+        exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+    return exposures
+
+
+def stage_features(
+    cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
+) -> tuple[FeatureMatrix, list]:
+    """The pruned matrix and the LoanOutcome of each of its rows."""
+    batch, bank = ingested
+    graphs, labels_by_tf, loans = network
     # every subject is a card holder, so its SD row is found among the
     # records, which ingest_bank sorts by customer id
-    bank_ids = np.array([r.customer_id for r in ctx.bank])
-    sd_names, sd_values, sd_missing = sociodemographic_matrix(ctx.bank)
-    code_of = {identity: c for c, identity in enumerate(ctx.batch.ids)}
+    bank_ids = np.array([r.customer_id for r in bank])
+    sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
+    code_of = {identity: c for c, identity in enumerate(batch.ids)}
     frames = []
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = cfg.window(k)
-        labels = ctx.labels[tf]
-        ud = ctx.graphs[(tf, "UD")]
+        labels = labels_by_tf[tf]
+        ud = graphs[(tf, "UD")]
         subject_nodes = np.flatnonzero(labels.is_subject)
         subject_ids = [ud.ids[i] for i in subject_nodes]
 
         lo, hi = window[0].toordinal(), window[1].toordinal()
-        in_window = (ctx.batch.date_ord >= lo) & (ctx.batch.date_ord <= hi)
-        sub_batch = ctx.batch.select(in_window)
+        in_window = (batch.date_ord >= lo) & (batch.date_ord <= hi)
+        sub_batch = batch.select(in_window)
         subject_codes = np.array([code_of[s] for s in subject_ids], dtype=np.int64)
         sd_rows = np.searchsorted(bank_ids, subject_ids)
-        graphs_by_dir = {d: ctx.graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
+        graphs_by_dir = {d: graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
         blocks = {
             "SD": (sd_names, sd_values[sd_rows], sd_missing[sd_rows]),
             "CB": calling_behavior_matrix(sub_batch, subject_codes, cfg.day_start_hour, cfg.day_end_hour),
@@ -518,9 +533,9 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
             cols = []
             for crit in (1, 2, 3):
                 for direction in ("IN", "OUT", "UD"):
-                    exposure, relabeling = ctx.exposures[(tf, method, crit, direction)]
+                    exposure, relabeling = exposures[(tf, method, crit, direction)]
                     cols.append(exposure_link_matrix(
-                        ctx.graphs[(tf, direction)], exposure, relabeling, subject_nodes,
+                        graphs[(tf, direction)], exposure, relabeling, subject_nodes,
                     ))
             blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
         # a subject's default label is its loan outcome
@@ -529,11 +544,10 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
     full = assemble(frames)
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
     pruned.to_csv(out / "matrix.csv")
-    ctx.matrix = pruned
-    ctx.row_loans = [
-        ctx.loans[tf][sid] for sid, tf in zip(pruned.subject_ids, pruned.timeframes)
+    row_loans = [
+        loans[tf][sid] for sid, tf in zip(pruned.subject_ids, pruned.timeframes)
     ]
-    _save_row_loans(out / "loans.csv", pruned, ctx.row_loans)
+    _save_row_loans(out / "loans.csv", pruned, row_loans)
     (out / "pruning.json").write_text(json.dumps({
         "dropped": dropped,
         "n_features_before": full.n_features,
@@ -541,6 +555,7 @@ def stage_features(ctx: PipelineContext, out: Path) -> None:
         "group_sizes_before": full.group_sizes(),
         "group_sizes_after": pruned.group_sizes(),
     }, indent=2, sort_keys=True) + "\n")
+    return pruned, row_loans
 
 
 def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: list) -> None:
@@ -551,16 +566,17 @@ def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: list) -> None:
             writer.writerow((sid, tf, repr(float(loan.principal)), repr(float(loan.ead)), int(loan.is_defaulter)))
 
 
-def _load_row_loans(path: Path) -> list:
-    loans = []
-    with open(path, newline="") as fh:
+def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix, list]:
+    matrix = FeatureMatrix.from_csv(directory / "matrix.csv")
+    row_loans = []
+    with open(directory / "loans.csv", newline="") as fh:
         for row in csv.DictReader(fh):
-            loans.append(LoanOutcome(
+            row_loans.append(LoanOutcome(
                 principal=float(row["principal"]),
                 ead=float(row["ead"]),
                 is_defaulter=row["is_defaulter"] == "1",
             ))
-    return loans
+    return matrix, row_loans
 
 
 def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, rows) -> None:
@@ -596,9 +612,9 @@ def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:
     raise DataError("unsupported model type")
 
 
-def stage_train(ctx: PipelineContext, out: Path) -> None:
-    cfg = ctx.config
-    matrix = ctx.matrix
+def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tuple, dict]:
+    """(train, test, train_balanced) row indices, and test-set scores by (model_id, classifier)."""
+    matrix, _ = featured
     train_idx, test_idx = split(matrix.y, cfg.train_fraction, cfg.seed)
     train_bal = undersample(train_idx, matrix.y, cfg.undersample_ratio, cfg.seed)
     (out / "split.json").write_text(json.dumps({
@@ -607,8 +623,7 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
         "train_balanced": train_bal.tolist(),
     }, sort_keys=True) + "\n")
 
-    ctx.split = (train_idx, test_idx, train_bal)
-    ctx.scored = {}
+    trained = {}
     subs = {}
     for model_id in cfg.model_ids():
         sub = matrix.select_groups(MODEL_GROUPS[model_id])
@@ -648,19 +663,36 @@ def stage_train(ctx: PipelineContext, out: Path) -> None:
                 "feature_names": list(sub.feature_names),
             }, sort_keys=True) + "\n")
             save_scores(mdir / "scores.csv", scored, matrix, test_idx)
-            ctx.scored[(model_id, classifier)] = scored
+            trained[(model_id, classifier)] = scored
             logger.info("model %s/%s done in %.1fs", model_id, classifier, time.perf_counter() - t0)
+    return (train_idx, test_idx, train_bal), trained
 
 
-def stage_eval(ctx: PipelineContext, out: Path) -> None:
-    cfg = ctx.config
+def load_train(cfg: ExperimentConfig, directory: Path) -> tuple[tuple, dict]:
+    split_rows = json.loads((directory / "split.json").read_text())
+    rows = tuple(np.asarray(split_rows[key], dtype=np.int64)
+                 for key in ("train", "test", "train_balanced"))
+    trained = {}
+    for model_id in cfg.model_ids():
+        for classifier in cfg.classifier_list():
+            mdir = directory / f"{model_id}_{classifier}"
+            if not mdir.exists():  # a model whose feature groups were pruned away
+                continue
+            scored = load_scores(mdir / "scores.csv")
+            if (mdir / "votes.npy").exists():
+                scored.per_tree_votes = np.load(mdir / "votes.npy")
+            trained[(model_id, classifier)] = scored
+    return rows, trained
+
+
+def stage_eval(cfg: ExperimentConfig, out: Path, featured: tuple, fitted: tuple) -> None:
+    """Reads the importance forests from models_out/, next to `out`."""
     if cfg.importance_max_rows < 0:
         raise DataError(f"importance_max_rows must be >= 0, not {cfg.importance_max_rows}")
-    matrix = ctx.matrix
-    trained = ctx.scored
-    train_idx, test_idx, _ = ctx.split
-    test_loans = [ctx.row_loans[i] for i in test_idx]
-    train_loans = [ctx.row_loans[i] for i in train_idx]
+    matrix, row_loans = featured
+    (train_idx, test_idx, _), trained = fitted
+    test_loans = [row_loans[i] for i in test_idx]
+    train_loans = [row_loans[i] for i in train_idx]
     p0, p1 = estimate_loss_masses(train_loans, cfg.lgd)
     params = EmpParams(roi=cfg.roi, lgd=cfg.lgd, p0=p0, p1=p1)
 
@@ -717,7 +749,7 @@ def stage_eval(ctx: PipelineContext, out: Path) -> None:
         if (model_id, "forest") not in trained:
             continue
         sub = matrix.select_groups(MODEL_GROUPS[model_id])
-        model = _load_forest(ctx, model_id)
+        model = load_model(out.parent / "models_out" / f"{model_id}_forest" / "model.json")
         scored = trained[(model_id, "forest")]
         profit_rank = profit_feature_importance(
             model, scored, test_loans, params, sub.feature_names,
@@ -755,13 +787,6 @@ def stage_eval(ctx: PipelineContext, out: Path) -> None:
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def _load_forest(ctx: PipelineContext, model_id: str) -> ForestModel:
-    model = load_model(ctx.out / "models_out" / f"{model_id}_forest" / "model.json")
-    if not isinstance(model, ForestModel):
-        raise DataError(f"model {model_id} is not a forest")
-    return model
-
-
 def _write_importance(path: Path, ranking: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -777,7 +802,9 @@ def _write_importance(path: Path, ranking: list) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    name: str          # built by the module-level function stage_<name>
+    # stage_<name>(cfg, out, *upstream products) builds into out and returns
+    # the stage's product; load_<name>(cfg, directory) reads it back
+    name: str
     directory: str     # under out_dir
     fields: tuple      # ExperimentConfig fields the stage reads
     upstream: tuple    # stages whose outputs it reads
@@ -799,20 +826,20 @@ STAGES = (
 )
 
 
-def _fingerprint(ctx: PipelineContext, stage: Stage, upstream: list) -> str:
+def _fingerprint(config: ExperimentConfig, stage: Stage, upstream: list) -> str:
     """sha256 over the stage name, the fields it reads and its upstream fingerprints.
 
     Data read from input files is fingerprinted by their paths and bytes
     alone: the generator's fields play no part in it.
     """
-    from_files = stage.name == "data" and ctx.config.input_cdr
+    from_files = stage.name == "data" and config.input_cdr
     digest = hashlib.sha256(stage.name.encode())
     for name in INPUT_FIELDS if from_files else stage.fields:
-        digest.update(f"\n{name} = {getattr(ctx.config, name)}".encode())
+        digest.update(f"\n{name} = {getattr(config, name)}".encode())
     for fingerprint in upstream:
         digest.update(f"\n{fingerprint}".encode())
     if from_files:
-        for path in _data_paths(ctx).values():
+        for path in load_data(config, Path(config.out_dir) / stage.directory).values():
             with open(path, "rb") as fh:
                 for block in iter(lambda: fh.read(1 << 20), b""):
                     digest.update(block)
@@ -824,73 +851,16 @@ def _stored_fingerprint(directory: Path) -> str | None:
     return path.read_text().strip() if path.exists() else None
 
 
-def _load_ingest(ctx: PipelineContext, directory: Path) -> None:
-    ctx.batch = _load_batch(directory)
-    paths = _data_paths(ctx)
-    ctx.bank, _ = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
-
-
-def _load_network(ctx: PipelineContext, directory: Path) -> None:
-    ctx.graphs, ctx.labels, ctx.loans = {}, {}, {}
-    for tf in TIMEFRAMES:
-        for direction in DIR_TO_MODE:
-            ctx.graphs[(tf, direction)] = load_graph(directory / tf / direction)
-        ctx.labels[tf], ctx.loans[tf] = load_labels(directory / f"labels_{tf}.csv")
-
-
-def _load_exposure(ctx: PipelineContext, directory: Path) -> None:
-    cutoffs = json.loads((directory / "cutoffs.json").read_text())
-    ctx.exposures = {}
-    for tf, method, crit, direction, name in _propagation_runs():
-        # the residual is not persisted
-        exposure = ExposureVector(
-            scores=np.load(directory / f"{name}.npy"), method=method,
-            iterations_run=cutoffs[name]["iterations"], residual=float("nan"),
-        )
-        relabeling = relabel_high_risk(exposure, cutoffs[name]["cutoff"])
-        ctx.exposures[(tf, method, crit, direction)] = (exposure, relabeling)
-
-
-def _load_features(ctx: PipelineContext, directory: Path) -> None:
-    ctx.matrix = FeatureMatrix.from_csv(directory / "matrix.csv")
-    ctx.row_loans = _load_row_loans(directory / "loans.csv")
-
-
-def _load_train(ctx: PipelineContext, directory: Path) -> None:
-    split_rows = json.loads((directory / "split.json").read_text())
-    ctx.split = tuple(np.asarray(split_rows[key], dtype=np.int64)
-                      for key in ("train", "test", "train_balanced"))
-    ctx.scored = {}
-    for model_id in ctx.config.model_ids():
-        for classifier in ctx.config.classifier_list():
-            mdir = directory / f"{model_id}_{classifier}"
-            if not mdir.exists():  # a model whose feature groups were pruned away
-                continue
-            scored = load_scores(mdir / "scores.csv")
-            if (mdir / "votes.npy").exists():
-                scored.per_tree_votes = np.load(mdir / "votes.npy")
-            ctx.scored[(model_id, classifier)] = scored
-
-
-# Fill the context from a stage directory that was reused instead of built.
-_LOADERS = {
-    "ingest": _load_ingest,
-    "network": _load_network,
-    "exposure": _load_exposure,
-    "features": _load_features,
-    "train": _load_train,
-}
-
-
 def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = False) -> None:
     """Bring every stage up to and including `until` up to date in config.out_dir.
 
     With `resume`, a stage whose directory holds a matching fingerprint is
     reused; otherwise it is built into `.<directory>.tmp/`, its fingerprint
     written last, and swapped into place, so an interrupted build leaves
-    nothing a later resume trusts. A reused stage's outputs are loaded only
-    when a stage that reads them is built. Only when every stage succeeded
-    is config.resolved written and every stage directory whose fingerprint
+    nothing a later resume trusts. A built stage hands its product to the
+    stages that read it; a reused stage's product is loaded only when a
+    stage that reads it is built. Only when every stage succeeded is
+    config.resolved written and every stage directory whose fingerprint
     does not match this config removed; a failed run leaves the outputs of
     the stages it did not rebuild, and the config that made them, in place.
     An input-file run has no data directory: its files are its data.
@@ -901,17 +871,16 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     config.classifier_list()
     EmpParams(roi=config.roi, lgd=config.lgd)
     out = Path(config.out_dir)
-    ctx = PipelineContext(config=config, out=out)
     prints: dict = {}
     for stage in STAGES:
-        prints[stage.name] = _fingerprint(ctx, stage, [prints[u] for u in stage.upstream])
-    names = [stage.name for stage in STAGES]
+        prints[stage.name] = _fingerprint(config, stage, [prints[u] for u in stage.upstream])
+    directories = {stage.name: stage.directory for stage in STAGES}
     owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
-    loaded: set = set()  # stages whose outputs ctx holds
+    products: dict = {}
 
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    for stage in STAGES[: names.index(until) + 1]:
+    for stage in STAGES[: list(directories).index(until) + 1]:
         target = out / stage.directory
         if stage not in owned:
             continue
@@ -919,15 +888,14 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
             logger.info("stage %-9s reused", stage.name)
             continue
         for name in stage.upstream:
-            if name not in loaded and name in _LOADERS:
-                _LOADERS[name](ctx, out / STAGES[names.index(name)].directory)
-            loaded.add(name)
+            if name not in products:
+                products[name] = globals()[f"load_{name}"](config, out / directories[name])
         t0 = time.perf_counter()
         tmp = out / f".{stage.directory}.tmp"
         shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir()
         try:
-            globals()[f"stage_{stage.name}"](ctx, tmp)
+            product = globals()[f"stage_{stage.name}"](config, tmp, *[products[u] for u in stage.upstream])
             (tmp / "fingerprint").write_text(prints[stage.name] + "\n")
             shutil.rmtree(target, ignore_errors=True)
             tmp.rename(target)
@@ -936,7 +904,9 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
             raise
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        loaded.add(stage.name)
+        # the data stage's product, its file paths, is loaded after the rename
+        if product is not None:
+            products[stage.name] = product
         logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
 
     for stage in owned:

@@ -536,10 +536,10 @@ def delong_test(scores_a: np.ndarray, scores_b: np.ndarray, y: np.ndarray) -> De
     diff = auc_a - auc_b
     if variance <= 1e-16:
         return DelongResult(auc_a, auc_b, diff, max(variance, 0.0), 0.0, 1.0)
-    from scipy.stats import norm  # imported on use: it is most of the package's import time
+    from scipy.special import ndtr  # the normal CDF; imported on use, as the import costs time
 
     z = diff / math.sqrt(variance)
-    p = float(2 * norm.sf(abs(z)))
+    p = float(2 * ndtr(-abs(z)))
     return DelongResult(auc_a, auc_b, diff, variance, z, p)
 
 
@@ -562,16 +562,20 @@ def rank_correlations(ranking_a: Sequence[float], ranking_b: Sequence[float]) ->
         raise DataError("rankings must be one-dimensional and aligned")
     if len(a) < 2:
         raise DataError("need at least two items to correlate")
-    from scipy.stats import kendalltau, spearmanr  # imported on use, as in delong_test
-
-    rho = float(spearmanr(a, b).statistic)
-    tau = float(kendalltau(a, b).statistic)
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
+    with np.errstate(invalid="ignore", divide="ignore"):  # a constant side has no correlation
+        rho = float(np.corrcoef(np.column_stack([midrank(a), midrank(b)]), rowvar=False)[1, 0])
     upper = np.triu_indices(len(a), k=1)
-    prod = da[upper] * db[upper]
+    da = np.sign(a[:, None] - a[None, :])[upper]
+    db = np.sign(b[:, None] - b[None, :])[upper]
+    prod = da * db
     concordant = int(np.sum(prod > 0))
     discordant = int(np.sum(prod < 0))
+    untied_a, untied_b = int(np.count_nonzero(da)), int(np.count_nonzero(db))
+    if untied_a == 0 or untied_b == 0:
+        tau = float("nan")
+    else:
+        # tau-b, computed as scipy.stats.kendalltau does
+        tau = float(np.clip((concordant - discordant) / np.sqrt(untied_a) / np.sqrt(untied_b), -1.0, 1.0))
     if concordant + discordant == 0:
         gamma = float("nan")
     else:

@@ -147,6 +147,22 @@ def test_logistic_scores_strictly_inside_unit_interval(rng):
     assert scores.min() > 0.0 and scores.max() < 1.0
 
 
+def test_logistic_converges_on_summed_duration_columns():
+    # calling-behaviour columns hold exact sums of others (UD = IN + OUT,
+    # weekday + weekend = all) at the scale of call seconds
+    for seed in (0, 3):
+        r = np.random.default_rng(seed)
+        n = 600
+        seconds = r.lognormal(7, 1.5, size=(n, 4)).round()
+        counts = r.poisson(20, size=(n, 4)).astype(float)
+        X = np.hstack([seconds, seconds[:, :2].sum(1, keepdims=True), seconds[:, 2:].sum(1, keepdims=True),
+                       seconds.sum(1, keepdims=True), counts, counts.sum(1, keepdims=True)])
+        y = r.random(n) < 1 / (1 + np.exp(7 - np.log1p(seconds[:, 0])))
+        model = train_logistic(X, y)
+        assert model.converged
+        assert _rank_auc(y, predict_logistic(model, X)) > 0.6
+
+
 def test_logistic_nonconvergence_reports_iterations(rng):
     X, y = informative_data(rng)
     with pytest.raises(ConvergenceError) as err:

@@ -1,11 +1,15 @@
+import copy
 import csv
 import dataclasses
 import filecmp
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,6 @@ from callscore.features import FeatureMatrix, drop_correlated
 from callscore.pipeline import (
     STAGES,
     ExperimentConfig,
-    PipelineContext,
     dump_config,
     load_config,
     load_scores,
@@ -150,7 +153,7 @@ def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch)
     run = tmp_path / "run"
     config = ExperimentConfig(out_dir=str(run), **TINY)
 
-    def half_written(ctx, directory):
+    def half_written(cfg, directory, paths):
         np.save(directory / "columns.npy", np.zeros((5, 0)))
         raise RuntimeError("killed mid-write")
 
@@ -263,11 +266,47 @@ def test_rebuilt_eval_reads_loan_amounts_exactly(tiny_run, tmp_path):
     assert snapshot(run / "eval") == fresh
 
 
+def test_run_never_imports_scipy_stats(tmp_path):
+    probe = ("import sys; from callscore.pipeline import ExperimentConfig, run_stages; "
+             f"run_stages(ExperimentConfig(out_dir={str(tmp_path)!r}, **{TINY!r})); "
+             "print('scipy.stats' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+    assert (tmp_path / "eval" / "rank_correlations.json").exists()
+
+
 def test_every_config_field_is_read_by_a_stage():
     read = {name for stage in STAGES for name in stage.fields}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert fields - read == {"out_dir"}
     assert read <= fields
+
+
+def test_each_stage_reads_only_the_fields_its_fingerprint_covers(tmp_path, monkeypatch):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    reads = {stage.name: set() for stage in STAGES}
+
+    def recorded(name, build):
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, key):
+                if key in fields:
+                    reads[name].add(key)
+                return super().__getattribute__(key)
+
+        def stage(cfg, out, *inputs):
+            spy = copy.copy(cfg)
+            spy.__class__ = Recording
+            return build(spy, out, *inputs)
+        return stage
+
+    for stage in STAGES:
+        attr = f"stage_{stage.name}"
+        monkeypatch.setattr(pipeline, attr, recorded(stage.name, getattr(pipeline, attr)))
+    run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY))
+    unfingerprinted = {stage.name: sorted(reads[stage.name] - set(stage.fields)) for stage in STAGES}
+    assert unfingerprinted == {stage.name: [] for stage in STAGES}
+    assert all(reads[stage.name] for stage in STAGES if stage.fields)
 
 
 def test_model_with_pruned_away_groups_is_skipped(tmp_path):
@@ -284,22 +323,20 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     pruned, _ = drop_correlated(full, 0.95)
     assert pruned.group_sizes() == {"SD": 3}
     config = ExperimentConfig(out_dir=str(tmp_path), models="A,E", n_trees=5, importance_models="E")
-    ctx = PipelineContext(config=config, out=tmp_path, matrix=pruned,
-                          row_loans=[LoanOutcome(100.0, 80.0 * v, bool(v)) for v in y])
+    featured = (pruned, [LoanOutcome(100.0, 80.0 * v, bool(v)) for v in y])
     (tmp_path / "models_out").mkdir()
     (tmp_path / "eval").mkdir()
-    stage_train(ctx, tmp_path / "models_out")
-    assert set(ctx.scored) == {("A", "forest")}
+    fitted = stage_train(config, tmp_path / "models_out", featured)
+    assert set(fitted[1]) == {("A", "forest")}
     assert not (tmp_path / "models_out" / "E_forest").exists()
-    stage_eval(ctx, tmp_path / "eval")
+    stage_eval(config, tmp_path / "eval", featured, fitted)
     with open(tmp_path / "eval" / "models.csv", newline="") as fh:
         assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
 
 
 def test_negative_importance_rows_refused(tmp_path):
-    ctx = PipelineContext(config=ExperimentConfig(importance_max_rows=-1), out=tmp_path)
     with pytest.raises(DataError, match="importance_max_rows"):
-        stage_eval(ctx, tmp_path)
+        stage_eval(ExperimentConfig(importance_max_rows=-1), tmp_path, None, None)
     assert list(tmp_path.iterdir()) == []
 
 

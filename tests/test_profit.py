@@ -501,3 +501,38 @@ def test_kendall_single_swap_hand_case():
 def test_rank_correlations_require_two_items():
     with pytest.raises(DataError):
         rank_correlations([1], [2])
+
+
+def test_tests_and_correlations_equal_scipy_stats():
+    # normal tails from scipy.special.ndtr and both rank correlations in numpy
+    # stay bit for bit what scipy.stats computes, ties and constant sides included
+    import warnings
+
+    from scipy.stats import kendalltau, norm, spearmanr
+
+    from callscore.netstats import homophily_test
+    from conftest import random_graph
+
+    r = np.random.default_rng(11)
+    pairs = [(np.ones(5), r.normal(size=5)), (r.normal(size=6), np.full(6, 2.0)), (np.zeros(3), np.zeros(3))]
+    pairs += [(r.integers(0, 4, n).astype(float), r.integers(0, 6, n) / 7)
+              for n in r.integers(2, 40, size=300)]
+    pairs += [(r.normal(size=n), r.normal(size=n)) for n in r.integers(2, 40, size=100)]
+    for a, b in pairs:
+        res = rank_correlations(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant side
+            want = [spearmanr(a, b).statistic, kendalltau(a, b).statistic]
+        np.testing.assert_array_equal([res.spearman, res.kendall], want)
+    for _ in range(200):
+        y = r.random(60) < 0.3
+        sa = r.random(60)
+        sb = np.clip(sa + r.normal(0, r.choice([0.01, 0.3]), 60), 0, 1)
+        res = delong_test(sa, sb, y)
+        assert res.p_value == 2 * norm.sf(abs(res.z))
+    for _ in range(50):
+        graph = random_graph(r, n_nodes=40, n_calls=int(r.integers(60, 200)))
+        labels = (r.random(graph.n_nodes) < r.choice([0.1, 0.4])).astype(np.int8)
+        labels[:2] = 0, 1
+        report = homophily_test(graph, labels)
+        assert report.p_value == norm.cdf(report.z_statistic)
