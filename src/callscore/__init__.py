@@ -10,7 +10,7 @@ model profit, profit-based feature importance).
 
 from .errors import ConvergenceError, DataError, UsageError
 from .features import FeatureMatrix, diversity, drop_correlated, loyalty
-from .graph import CallGraph, NodeLabelSet, build_graph, degree_distribution
+from .graph import CallGraph, NodeLabelSet, build_graph
 from .ingest import BankRecord, CdrRecord, IngestStats, ingest_bank, ingest_cdr, parse_cdr_line
 from .models import (
     ForestModel,
@@ -34,7 +34,6 @@ from .profit import (
     accuracy_feature_importance,
     delong_test,
     emp,
-    emp_oracle,
     evaluate_economics,
     fraction_to_cutoff,
     model_profit,

@@ -388,6 +388,12 @@ def sociodemographic_matrix(records: list) -> tuple[list, np.ndarray, np.ndarray
 # FeatureMatrix: assembled dataset with group tags and target.
 # ---------------------------------------------------------------------------
 
+# rows that FeatureMatrix.to_csv turns into Python values at once: per-cell
+# numpy scalars are slow, and converting the whole matrix would add its size in
+# Python floats to the peak memory
+_CSV_BLOCK_ROWS = 256
+
+
 @dataclass
 class FeatureMatrix:
     """Subjects x named features with per-feature group tags and the target.
@@ -465,21 +471,23 @@ class FeatureMatrix:
             header += [f"{name}:{tag}" for name, tag in zip(self.feature_names, self.group_tags)]
             header.append("y_default")
             writer.writerow(header)
-            for i in range(self.n_rows):
-                row = [self.subject_ids[i], self.timeframes[i]]
-                for j in range(self.n_features):
-                    row.append("" if self.missing[i, j] else repr(float(self.values[i, j])))
-                row.append(int(self.y[i]))
-                writer.writerow(row)
+            for start in range(0, self.n_rows, _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                writer.writerows(
+                    [sid, frame, *("" if gap else repr(v) for v, gap in zip(vals, gaps)), int(label)]
+                    for sid, frame, vals, gaps, label in zip(
+                        self.subject_ids[start:stop], self.timeframes[start:stop],
+                        self.values[start:stop].tolist(), self.missing[start:stop].tolist(),
+                        self.y[start:stop].tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
         path = Path(path)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["subject_id", "timeframe"] or header[-1] != "y_default":
-                raise DataError("not a feature matrix file")
+            header = next(reader, [])
+            if header[:2] != ["subject_id", "timeframe"] or header[-1:] != ["y_default"]:
+                raise DataError(f"{path} is not a feature matrix file")
             names, tags = [], []
             for col in header[2:-1]:
                 name, _, tag = col.rpartition(":")
@@ -487,10 +495,16 @@ class FeatureMatrix:
                 tags.append(tag)
             ids, frames, rows, ys, miss = [], [], [], [], []
             for rec in reader:
+                if len(rec) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                                    f"got {len(rec)}")
                 ids.append(rec[0])
                 frames.append(rec[1])
                 cells = rec[2:-1]
-                rows.append([float(c) if c else 0.0 for c in cells])
+                try:
+                    rows.append([float(c) if c else 0.0 for c in cells])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
                 miss.append([c == "" for c in cells])
                 ys.append(rec[-1] == "1")
         return cls(

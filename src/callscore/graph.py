@@ -208,13 +208,6 @@ def neighbor_sum(graph: CallGraph, values) -> np.ndarray:
     return np.bincount(rows, weights=values, minlength=graph.n_nodes)
 
 
-def degree_distribution(graph: CallGraph) -> dict:
-    """Histogram of traversal degree; counts sum to n_nodes."""
-    degs = graph.degrees()
-    values, counts = np.unique(degs, return_counts=True)
-    return {int(d): int(c) for d, c in zip(values, counts)}
-
-
 @dataclass
 class NodeLabelSet:
     """Per-node role and delinquency labels aligned with a graph's dense ids.

@@ -485,17 +485,9 @@ def leaf_block(flat: FlatForest, X: np.ndarray, trees: range) -> tuple[np.ndarra
     return node.reshape(len(trees), n), path
 
 
-def _tree_leaves(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    leaves, _ = leaf_block(FlatForest.of([tree]), np.asarray(X, dtype=np.float64), range(1))
-    return leaves[0]
-
-
 def predict_tree_proba(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    return tree.prob[_tree_leaves(tree, X)]
-
-
-def predict_tree_votes(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    return tree.vote[_tree_leaves(tree, X)]
+    leaves, _ = leaf_block(FlatForest.of([tree]), np.asarray(X, dtype=np.float64), range(1))
+    return tree.prob[leaves[0]]
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

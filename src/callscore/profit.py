@@ -15,8 +15,8 @@ fraction distribution with point masses p0 at zero and p1 at the maximum
 attainable loss (lambda = LGD, a fully drawn card) and a uniform middle. The
 maximization is exact: each vertex of the ROC convex hull is optimal on one
 lambda interval, delimited by the slope condition on the adjacent segments,
-so the integral is a finite sum over hull vertices. `emp_oracle` provides an
-independent brute-force check on a lambda grid.
+so the integral is a finite sum over hull vertices. The tests check it against
+an independent brute-force scan on a lambda grid.
 
 Profit-based feature importance scores a forest feature by the mean profit of
 trees that test it minus the mean profit of trees that do not, each tree
@@ -220,36 +220,6 @@ def emp(scored: ScoredDataset, params: EmpParams) -> tuple[float, float]:
         emp_value += params.p1 * (lam_max * pi0 * hy[k1] - params.roi * pi1 * hx[k1])
         eta_value += params.p1 * (pi0 * hy[k1] + pi1 * hx[k1])
     return emp_value, eta_value
-
-
-def emp_oracle(scored: ScoredDataset, params: EmpParams, grid_size: int = 10_000) -> float:
-    """Brute-force EMP: scan every empirical threshold on a lambda grid.
-
-    Midpoint quadrature over the uniform part plus exact point masses;
-    independent of the hull walk. Deterministic, monotone in grid size.
-    """
-    if grid_size < 1_000:
-        raise DataError("grid_size must be at least 1000")
-    pi0, pi1 = params.priors(scored.y)
-    fpr, tpr = roc_points(scored.y, scored.score)
-    lam_max = params.lgd
-    reward = pi0 * tpr
-    cost = params.roi * pi1 * fpr
-    total = 0.0
-    uniform_mass = 1.0 - params.p0 - params.p1
-    if uniform_mass > 0:
-        acc = 0.0
-        grid = (np.arange(grid_size) + 0.5) * (lam_max / grid_size)
-        chunk = 2048
-        for start in range(0, grid_size, chunk):
-            lam = grid[start:start + chunk, None]
-            acc += float(np.max(lam * reward[None, :] - cost[None, :], axis=1).sum())
-        total += uniform_mass * acc / grid_size
-    if params.p1 > 0:
-        total += params.p1 * float(np.max(lam_max * reward - cost))
-    if params.p0 > 0:
-        total += params.p0 * float(np.max(-cost))
-    return total
 
 
 def fraction_to_cutoff(scores: np.ndarray, fraction: float) -> float:

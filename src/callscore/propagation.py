@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, DataError
 from .graph import CallGraph, neighbor_sum
@@ -63,12 +62,14 @@ class RiskRelabeling:
         return int(self.high_risk.sum())
 
 
-def _transition_operator(graph: CallGraph) -> tuple[sp.csr_matrix, np.ndarray]:
+def _transition_operator(graph: CallGraph) -> tuple["sp.csr_matrix", np.ndarray]:
     """Column-stochastic propagation operator P and the dangling-node mask.
 
     P[j, i] is the share of node i's mass sent to j, i.e. P @ x pushes mass
     one hop along the graph's stored edge direction.
     """
+    import scipy.sparse as sp  # imported on use: commands that never propagate skip its import time
+
     n = graph.n_nodes
     out_weight = neighbor_sum(graph, graph.weights)
     dangling = out_weight == 0

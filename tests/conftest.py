@@ -8,6 +8,7 @@ import pytest
 from callscore.graph import build_graph
 from callscore.ingest import CdrRecord
 from callscore.models import ForestModel, TreeModel, train_forest
+from callscore.profit import roc_points
 
 
 def call(from_id, to_id, duration=60, day=1, month=5, hh=12, mm=0, ss=0, year=2017):
@@ -61,6 +62,34 @@ def dense_pagerank_solve(graph, restart, alpha=0.85):
     for u in dangling:
         moved[:, u] += alpha * z
     return np.linalg.solve(np.eye(n) - moved, (1 - alpha) * z)
+
+
+def emp_oracle(scored, params, grid_size):
+    """Brute-force EMP: scan every empirical threshold on a lambda grid.
+
+    Midpoint quadrature over the uniform part plus exact point masses;
+    independent of the hull walk. Deterministic, monotone in grid size.
+    """
+    pi0, pi1 = params.priors(scored.y)
+    fpr, tpr = roc_points(scored.y, scored.score)
+    lam_max = params.lgd
+    reward = pi0 * tpr
+    cost = params.roi * pi1 * fpr
+    total = 0.0
+    uniform_mass = 1.0 - params.p0 - params.p1
+    if uniform_mass > 0:
+        acc = 0.0
+        grid = (np.arange(grid_size) + 0.5) * (lam_max / grid_size)
+        chunk = 2048
+        for start in range(0, grid_size, chunk):
+            lam = grid[start:start + chunk, None]
+            acc += float(np.max(lam * reward[None, :] - cost[None, :], axis=1).sum())
+        total += uniform_mass * acc / grid_size
+    if params.p1 > 0:
+        total += params.p1 * float(np.max(lam_max * reward - cost))
+    if params.p0 > 0:
+        total += params.p0 * float(np.max(-cost))
+    return total
 
 
 def reference_leaves(tree, X):

@@ -28,14 +28,13 @@ from callscore.profit import (
     accuracy_feature_importance,
     delong_test,
     emp,
-    emp_oracle,
     fraction_to_cutoff,
     model_profit,
     profit_feature_importance,
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
 from callscore.synth import SynthConfig, generate, planted_feature_dataset
-from conftest import dense_pagerank_solve, random_records
+from conftest import dense_pagerank_solve, emp_oracle, random_records
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

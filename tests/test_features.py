@@ -580,6 +580,22 @@ def test_matrix_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back.y, matrix.y)
 
 
+MATRIX_HEAD = "subject_id,timeframe,a:SD,b:CB,y_default\ns1,t1,1.5,,0\n"
+
+
+@pytest.mark.parametrize("text, wanted", [
+    (MATRIX_HEAD + "s9,t1,0.5,1\n", "m.csv:3: expected 5 fields, got 4"),
+    (MATRIX_HEAD + "s9,t1,0.5,abc,,1\n", "m.csv:3: expected 5 fields, got 6"),
+    (MATRIX_HEAD + "s9,t1,0.5,abc,1\n", "m.csv:3: could not convert string to float: 'abc'"),
+    ("", "m.csv is not a feature matrix file"),
+], ids=["short row", "long row", "non-numeric cell", "empty file"])
+def test_matrix_csv_refuses_malformed_file(tmp_path, text, wanted):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=wanted):
+        FeatureMatrix.from_csv(path)
+
+
 def test_select_groups():
     values = np.zeros((2, 3))
     matrix = FeatureMatrix(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from callscore.errors import DataError
-from callscore.graph import build_graph, degree_distribution, load_graph, save_graph
+from callscore.graph import build_graph, load_graph, save_graph
 from conftest import call, random_records
 
 
@@ -37,7 +37,7 @@ def test_empty_records_give_empty_graph():
     g = build_graph([], mode="undirected")
     assert g.n_nodes == 0
     assert g.n_edges == 0
-    assert degree_distribution(g) == {}
+    assert g.degrees().tolist() == []
 
 
 def test_window_rejects_outside_records():
@@ -57,10 +57,10 @@ def test_unknown_node_errors():
 
 def test_degree_distribution_cases():
     tri = build_graph([call("A", "B"), call("B", "C"), call("A", "C")])
-    assert degree_distribution(tri) == {2: 3}
+    assert tri.degrees().tolist() == [2, 2, 2]
     star = build_graph([call("HUB", f"L{i}") for i in range(4)])
-    assert degree_distribution(star) == {1: 4, 4: 1}
-    assert sum(degree_distribution(star).values()) == star.n_nodes
+    assert sorted(star.degrees().tolist()) == [1, 1, 1, 1, 4]
+    assert len(star.degrees()) == star.n_nodes
 
 
 def test_weight_conservation(rng):

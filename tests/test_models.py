@@ -19,7 +19,6 @@ from callscore.models import (
     predict_forest,
     predict_logistic,
     predict_tree_proba,
-    predict_tree_votes,
     save_model,
     split,
     train_forest,
@@ -325,7 +324,6 @@ def test_predict_forest_matches_per_tree_reference(rng, monkeypatch, walk_pairs)
     for tree in forest.trees:
         leaves = reference_leaves(tree, X)
         assert np.array_equal(predict_tree_proba(tree, X), tree.prob[leaves])
-        assert np.array_equal(predict_tree_votes(tree, X), tree.vote[leaves])
 
 
 def _problems(rng):
@@ -369,10 +367,11 @@ def test_midrank_equals_scipy_rankdata():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    probe = "import sys, callscore; print('scipy.stats' in sys.modules)"
+    # nor any other scipy module: only propagation and the statistical tests load scipy
+    probe = "import sys, callscore; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_leaf_tie_breaks_toward_parent_majority():
@@ -383,7 +382,7 @@ def test_leaf_tie_breaks_toward_parent_majority():
     from callscore.models import _grow_tree
 
     tree = _grow_tree(X, y, max_depth=1, min_leaf=2, mtry=None, rng=None)
-    votes = predict_tree_votes(tree, X)
+    votes = tree.vote[reference_leaves(tree, X)]
     # parent is 6 negatives / 2 positives -> majority 0; the tied right leaf
     # (2 pos, 2 neg) inherits it
     assert votes[-4:].tolist() == [0, 0, 0, 0]

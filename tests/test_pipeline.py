@@ -276,6 +276,27 @@ def test_run_never_imports_scipy_stats(tmp_path):
     assert (tmp_path / "eval" / "rank_correlations.json").exists()
 
 
+def test_analyst_commands_never_import_scipy(tiny_run, tmp_path):
+    # commands that neither propagate nor test have no use for any scipy module
+    _, out = tiny_run
+    model = out / "models_out" / "H_forest"
+    commands = [
+        ["run", "--config", str(out / "config.resolved"), "--resume"],
+        ["predict", "--model", str(model), "--features", str(out / "features" / "matrix.csv"),
+         "--out", str(tmp_path / "predict.csv")],
+        ["sweep", "--scores", str(model / "scores.csv"), "--param", "roi", "--grid", "0.01,0.1",
+         "--out", str(tmp_path / "sweep.csv")],
+    ]
+    probe = ("import sys; from callscore.cli import main; code = main(sys.argv[1:]); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, check=True, env=env)
+        assert done.stdout.splitlines()[-1] == "0 []", argv[0]
+    assert (tmp_path / "predict.csv").exists() and (tmp_path / "sweep.csv").exists()
+
+
 def test_every_config_field_is_read_by_a_stage():
     read = {name for stage in STAGES for name in stage.fields}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}

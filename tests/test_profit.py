@@ -13,7 +13,6 @@ from callscore.profit import (
     accuracy_feature_importance,
     delong_test,
     emp,
-    emp_oracle,
     estimate_loss_masses,
     evaluate_economics,
     fraction_to_cutoff,
@@ -27,7 +26,7 @@ from callscore.profit import (
 )
 from callscore.seeding import substream
 from callscore.synth import planted_feature_dataset
-from conftest import mixed_depth_forest, one_node_tree, reference_leaves
+from conftest import emp_oracle, mixed_depth_forest, one_node_tree, reference_leaves
 
 
 def scored(y, s):
