@@ -506,6 +506,8 @@ class FeatureMatrix:
                 except ValueError as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from None
                 miss.append([c == "" for c in cells])
+                if rec[-1] not in ("0", "1"):
+                    raise DataError(f"{path}:{reader.line_num}: y_default must be 0 or 1, not {rec[-1]!r}")
                 ys.append(rec[-1] == "1")
         return cls(
             subject_ids=ids,

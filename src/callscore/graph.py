@@ -1,7 +1,7 @@
 """Compressed sparse weighted call networks aggregated over a date window.
 
-A graph is built per (timeframe, mode). Modes: `outgoing` links caller to
-callee, `incoming` stores the reverse so that neighbors(v) are v's callers,
+A timeframe's calls give one graph per mode. Modes: `outgoing` links caller
+to callee, `incoming` stores the reverse so that neighbors(v) are v's callers,
 and `undirected` merges both directions into one edge per pair. Edge weights
 default to call counts; duration weighting is available but not the default.
 """
@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import CdrBatch, CdrRecord
+from .ingest import CdrBatch
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +37,11 @@ def canonical_mode(mode: str) -> str:
 class CallGraph:
     """Sparse weighted graph over dense node ids with an identity bijection.
 
-    `edge_src/edge_dst/edge_weight` store each edge exactly once (undirected
-    edges with src < dst). `indptr/indices/weights` form the CSR traversal
-    index: rows are senders in directed modes and symmetric when undirected.
+    `edge_src/edge_dst/edge_weight` store each edge exactly once, sorted by
+    (src, dst) (undirected edges with src < dst). `indptr/indices/weights`
+    form the CSR traversal index: rows are senders in directed modes, where
+    `indices` and `weights` are `edge_dst` and `edge_weight` themselves, and
+    symmetric when undirected. A graph's arrays are not changed once built.
     """
 
     mode: str
@@ -53,11 +55,10 @@ class CallGraph:
     timeframe_id: str | None = None
     window: tuple | None = None
     n_out_of_window: int = 0
-    _id_to_node: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if not self._id_to_node:
-            self._id_to_node = {identity: i for i, identity in enumerate(self.ids)}
+    @cached_property
+    def _id_to_node(self) -> dict:
+        return {identity: i for i, identity in enumerate(self.ids)}
 
     @property
     def n_nodes(self) -> int:
@@ -79,9 +80,6 @@ class CallGraph:
 
     def identity(self, node: int) -> str:
         return self.ids[node]
-
-    def has_identity(self, identity: str) -> bool:
-        return identity in self._id_to_node
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
@@ -112,94 +110,95 @@ def _window_ordinals(window) -> tuple[int, int]:
     return int(start), int(end)
 
 
+def identity_order(ids: list) -> np.ndarray:
+    """Identity codes 0..len(ids)-1 in sorted identity order."""
+    return np.argsort(np.asarray(ids, dtype=object), kind="stable")
+
+
+def build_graphs(
+    batch: CdrBatch, window: tuple | None, weight_by: str, timeframe_id: str | None, order: np.ndarray,
+) -> dict:
+    """The graph of each mode over the calls in `window`, by mode.
+
+    `order` is `identity_order(batch.ids)`. Nodes are exactly the identities
+    appearing in a kept call, numbered in sorted identity order, so the same
+    call multiset always yields the same graphs regardless of input order.
+    Calls outside the window (an inclusive date range; None keeps every call)
+    are dropped and counted. The calls are filtered, remapped and aggregated
+    once, into the outgoing edges. Incoming edges are those reversed, and
+    undirected edges their (min, max) fold with weights summed, which is
+    exact while the weights are integer-valued.
+    """
+    if weight_by not in ("count", "duration"):
+        raise DataError(f"weight_by must be 'count' or 'duration', got {weight_by!r}")
+    u, v, dur = batch.from_code, batch.to_code, batch.duration
+    n_out = 0
+    if window is not None and len(u):
+        lo, hi = _window_ordinals(window)
+        keep = (batch.date_ord >= lo) & (batch.date_ord <= hi)
+        n_out = int(len(keep) - keep.sum())
+        u, v, dur = u[keep], v[keep], dur[keep]
+        if n_out:
+            logger.info("build_graphs: %d records outside window dropped", n_out)
+
+    present = np.zeros(len(batch.ids), dtype=bool)
+    present[u] = True
+    present[v] = True
+    codes = order[present[order]]
+    ids = [batch.ids[c] for c in codes.tolist()]
+    n = max(len(ids), 1)
+    node = np.zeros(len(batch.ids), dtype=np.int64)
+    node[codes] = np.arange(len(codes))
+
+    keys, inverse = np.unique(node[u] * n + node[v], return_inverse=True)
+    weights = dur.astype(np.float64) if weight_by == "duration" else None
+    w = np.bincount(inverse, weights=weights, minlength=len(keys)).astype(np.float64)
+    src, dst = (keys // n).astype(np.int32), (keys % n).astype(np.int32)
+    back = np.argsort(dst.astype(np.int64) * n + src)
+    pairs, pair = np.unique(np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst),
+                            return_inverse=True)
+    edges = {
+        "outgoing": (src, dst, w),
+        "incoming": (dst[back], src[back], w[back]),
+        "undirected": ((pairs // n).astype(np.int32), (pairs % n).astype(np.int32),
+                       np.bincount(pair, weights=w, minlength=len(pairs)).astype(np.float64)),
+    }
+    return {mode: _with_csr(mode, ids, *edges[mode], timeframe_id=timeframe_id, window=window,
+                            n_out_of_window=n_out)
+            for mode in MODES}
+
+
 def build_graph(
-    records: CdrBatch | Iterable[CdrRecord],
+    batch: CdrBatch,
     window: tuple | None = None,
     mode: str = "undirected",
     weight_by: str = "count",
     timeframe_id: str | None = None,
 ) -> CallGraph:
-    """Aggregate duration-filtered call records into one weighted graph.
-
-    Nodes are exactly the identities appearing in a kept call; dense ids are
-    assigned in sorted identity order, so the same record multiset always
-    yields the same graph regardless of input order. Records outside the
-    window (inclusive date range) are dropped and counted.
-    """
+    """The graph of one mode over the calls of `batch` in `window`; see `build_graphs`."""
     mode = canonical_mode(mode)
-    if weight_by not in ("count", "duration"):
-        raise DataError(f"weight_by must be 'count' or 'duration', got {weight_by!r}")
-    if not isinstance(records, CdrBatch):
-        records = CdrBatch.from_records(records)
-
-    u = records.from_code
-    v = records.to_code
-    dur = records.duration
-    n_out = 0
-    if window is not None and len(u):
-        lo, hi = _window_ordinals(window)
-        keep = (records.date_ord >= lo) & (records.date_ord <= hi)
-        n_out = int(len(keep) - keep.sum())
-        u, v, dur = u[keep], v[keep], dur[keep]
-        if n_out:
-            logger.info("build_graph: %d records outside window dropped", n_out)
-
-    # Remap surviving codes to dense ids ordered by identity string.
-    used = np.unique(np.concatenate([u, v])) if len(u) else np.array([], dtype=np.int64)
-    id_strings = [records.ids[c] for c in used]
-    order = np.argsort(np.asarray(id_strings, dtype=object), kind="stable")
-    ids = [id_strings[i] for i in order]
-    remap = np.empty(len(records.ids) if len(records.ids) else 1, dtype=np.int64)
-    remap[used[order]] = np.arange(len(used))
-    if len(u):
-        u = remap[u]
-        v = remap[v]
-    n = len(ids)
-
-    if mode == "incoming":
-        u, v = v, u
-    if mode == "undirected":
-        a = np.minimum(u, v)
-        b = np.maximum(u, v)
-        u, v = a, b
-
-    if len(u):
-        key = u.astype(np.int64) * n + v.astype(np.int64)
-        uniq, inverse = np.unique(key, return_inverse=True)
-        if weight_by == "count":
-            w = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
-        else:
-            w = np.bincount(inverse, weights=dur.astype(np.float64), minlength=len(uniq))
-        edge_src = (uniq // n).astype(np.int32)
-        edge_dst = (uniq % n).astype(np.int32)
-    else:
-        edge_src = np.array([], dtype=np.int32)
-        edge_dst = np.array([], dtype=np.int32)
-        w = np.array([], dtype=np.float64)
-
-    return _with_csr(mode, ids, edge_src, edge_dst, w, timeframe_id=timeframe_id,
-                     window=window, n_out_of_window=n_out)
+    return build_graphs(batch, window, weight_by, timeframe_id, identity_order(batch.ids))[mode]
 
 
 def _with_csr(mode: str, ids: list, edge_src, edge_dst, w, **extra) -> CallGraph:
-    """A CallGraph over an edge list, with its CSR traversal index built.
+    """A CallGraph over an edge list sorted by (src, dst), with its CSR traversal index.
 
-    Undirected graphs index both directions of each edge for O(deg) scans.
+    A directed graph's CSR rows are its edge list itself. An undirected
+    graph's index holds both directions of each edge for O(deg) scans; the
+    mirrored half, sorted by its column, is merged in by a stable sort on
+    the row, which leaves each row's columns ascending.
     """
+    rows, cols, vals = edge_src, edge_dst, w
     if mode == "undirected" and len(edge_src):
-        rows = np.concatenate([edge_src, edge_dst])
-        cols = np.concatenate([edge_dst, edge_src])
-        vals = np.concatenate([w, w])
-    else:
-        rows, cols, vals = edge_src, edge_dst, w
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+        rows = np.concatenate([edge_dst, edge_src])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        cols = np.concatenate([edge_src, edge_dst])[order]
+        vals = np.concatenate([w, w])[order]
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    if len(rows):
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(rows, minlength=len(ids)), out=indptr[1:])
     return CallGraph(mode=mode, ids=ids, edge_src=edge_src, edge_dst=edge_dst, edge_weight=w,
-                     indptr=indptr, indices=cols.astype(np.int32), weights=vals, **extra)
+                     indptr=indptr, indices=cols, weights=vals, **extra)
 
 
 def neighbor_sum(graph: CallGraph, values) -> np.ndarray:
@@ -275,11 +274,16 @@ def load_graph(directory: str | Path) -> CallGraph:
         raise DataError(f"no saved graph at {directory}")
     meta = json.loads((directory / "meta.json").read_text())
     triplets = np.load(directory / "edges.npy")
+    ids = (directory / "nodes.txt").read_text().splitlines()
+    src, dst = triplets[:, 0].astype(np.int32), triplets[:, 1].astype(np.int32)
+    key = src.astype(np.int64) * max(len(ids), 1) + dst
+    if np.any(key[1:] <= key[:-1]) or (meta["mode"] == "undirected" and np.any(src > dst)):
+        raise DataError(f"{directory / 'edges.npy'} does not list each edge once, sorted by (src, dst)")
     return _with_csr(
         meta["mode"],
-        (directory / "nodes.txt").read_text().splitlines(),
-        triplets[:, 0].astype(np.int32),
-        triplets[:, 1].astype(np.int32),
+        ids,
+        src,
+        dst,
         triplets[:, 2].astype(np.float64),
         timeframe_id=meta.get("timeframe_id"),
         window=tuple(meta["window"]) if meta.get("window") else None,

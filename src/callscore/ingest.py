@@ -2,8 +2,9 @@
 
 Call logs arrive as delimited text with five columns (start date, start time,
 duration in seconds, caller identity, callee identity). Dates use the DDMONYYYY
-form, identities are opaque strings and never interpreted as numbers. Rows are
-validated one at a time; rejects are counted and logged, never silently dropped.
+form, identities are opaque strings and never interpreted as numbers. Rows in
+canonical form are converted a column at a time and every other row is
+validated on its own; rejects are counted and logged, never silently dropped.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from array import array
+import operator
 from dataclasses import dataclass
 from datetime import date, time
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -32,6 +35,10 @@ _MONTH_NAMES = {v: k for k, v in _MONTHS.items()}
 CDR_FIELD_COUNT = 5
 CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
 _WRITE_CHUNK = 1 << 16
+_PARSE_CHUNK = 1 << 12  # CDR lines per parse step; bounds the memory a parse takes
+# bank rows per block: csv rows are lists the garbage collector tracks, and
+# a smaller block frees them before they fill its younger generations
+_BANK_CHUNK = 1 << 9
 
 
 class CdrParseError(DataError):
@@ -161,18 +168,6 @@ class CdrBatch:
             self.from_code[mask], self.to_code[mask], self.ids,
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[CdrRecord]) -> "CdrBatch":
-        codes: dict[str, int] = {}
-        cols = [array("i") for _ in range(5)]
-        for r in records:
-            cols[0].append(r.start_date.toordinal())
-            cols[1].append(r.start_time.hour * 3600 + r.start_time.minute * 60 + r.start_time.second)
-            cols[2].append(r.duration)
-            cols[3].append(codes.setdefault(r.from_id, len(codes)))
-            cols[4].append(codes.setdefault(r.to_id, len(codes)))
-        return cls(*cols, ids=list(codes))
-
 
 def write_cdr(path: str | Path, batch: CdrBatch) -> None:
     """Write `batch` as a CDR log: the header, then one row per call in batch order."""
@@ -214,6 +209,70 @@ def _open_lines(source) -> Iterable[str]:
     return source
 
 
+def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
+    """Which lines of `text` are in canonical form, and their five columns.
+
+    Canonical: five fields split by a one-character delimiter, a nine-character
+    ASCII date that `parse_cdr_date` reads, an `HH:MM:SS` time in range, a
+    duration of 1-9 ASCII digits, and two distinct identities that are not
+    empty once stripped. `_parse_fields` accepts such a row with the same
+    values; the other rows are left to it. The lines are read as one array
+    of code points. `ordinals` caches the ordinal of each date text, 0 for
+    one that does not parse.
+    """
+    n = len(text)
+    blob = "\n".join(text)
+    if blob.isascii():
+        points = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
+    else:
+        points = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    size = np.fromiter(map(len, text), np.int64, n)
+    start = np.cumsum(size + 1) - size - 1
+    end = start + size
+    cut = np.flatnonzero(points == ord(delimiter)) if len(delimiter) == 1 else np.zeros(0, np.int64)
+    first = np.searchsorted(cut, start)
+    # a canonical line's delimiters follow its date, its time, its duration and its caller
+    cuts = np.append(cut, -1)[np.minimum(first[:, None] + np.arange(CDR_FIELD_COUNT - 1), len(cut))]
+    ok = np.searchsorted(cut, end) - first == CDR_FIELD_COUNT - 1
+    ok &= (cuts[:, 0] == start + 9) & (cuts[:, 1] == start + 18)
+    windows = sliding_window_view(np.concatenate([np.zeros(9, points.dtype), points, np.zeros(18, points.dtype)]), 18)
+    head = windows[start + 9]
+    digit = (head >= ord("0")) & (head <= ord("9"))
+
+    # one parse per distinct date: a date's nine ASCII characters packed into one key
+    date = head[:, :9].astype(np.int64)
+    ok &= (date < 128).all(axis=1)
+    _, row, inverse = np.unique(np.where(ok, (date << 7 * np.arange(9)).sum(axis=1), -1),
+                                return_index=True, return_inverse=True)
+    dates = [text[i][:9] for i in row.tolist()]
+    for date_text in set(dates).difference(ordinals):
+        try:
+            ordinals[date_text] = parse_cdr_date(date_text).toordinal()
+        except CdrParseError:
+            ordinals[date_text] = 0
+    date_ord = np.where(ok, np.array([ordinals[d] for d in dates], dtype=np.int32)[inverse], 0)
+    ok &= date_ord > 0
+
+    ok &= digit[:, [10, 11, 13, 14, 16, 17]].all(axis=1) & (head[:, 12] == ord(":")) & (head[:, 15] == ord(":"))
+    hh, mm, ss = (head[:, i].astype(np.int32) * 10 + head[:, i + 1] - 11 * ord("0") for i in (10, 13, 16))
+    ok &= (hh < 24) & (mm < 60) & (ss < 60)
+
+    # the duration, right-aligned into nine places with '0' before it
+    width = cuts[:, 2] - cuts[:, 1] - 1
+    right = windows[np.clip(cuts[:, 2], 0, len(points))]
+    digits = np.where(np.arange(9) >= 9 - width[:, None], right[:, :9], ord("0"))
+    ok &= (width >= 1) & (width <= 9) & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
+    duration = (digits.astype(np.int64) - ord("0")) @ 10 ** np.arange(8, -1, -1)
+
+    callers = list(map(str.strip, map(blob.__getitem__, map(slice, (cuts[:, 2] + 1).tolist(), cuts[:, 3].tolist()))))
+    callees = list(map(str.strip, map(blob.__getitem__, map(slice, (cuts[:, 3] + 1).tolist(), end.tolist()))))
+    ok &= np.fromiter(map(operator.ne, callers, callees), bool, n)
+    if "" in callers or "" in callees:
+        ok &= np.fromiter(map(operator.truth, callers), bool, n) & np.fromiter(map(operator.truth, callees), bool, n)
+    time_sec = np.where(ok, hh * 3600 + mm * 60 + ss, 0).astype(np.int32)
+    return ok, date_ord.astype(np.int32), time_sec, np.where(ok, duration, 0).astype(np.int32), callers, callees
+
+
 def ingest_cdr(
     source: str | Path | Iterable[str],
     min_duration: int,
@@ -226,54 +285,61 @@ def ingest_cdr(
     input row: accepted + rejected + filtered_short = read. An optional header
     row is auto-detected and not counted. Rejected rows go to the module logger
     and, when given, to `reject_log` as `row<TAB>reason<TAB>line`.
+
+    Lines are read `_PARSE_CHUNK` at a time. Rows in canonical form are
+    converted column by column; every other row goes through `_parse_fields`
+    in row order, which accepts it or gives the reason it is rejected.
+    Identity codes follow first appearance among accepted calls, caller first.
     """
     if min_duration < 0:
         raise DataError("min_duration must be >= 0")
     codes: dict[str, int] = {}
     date_cache: dict[str, int] = {}
-    date_ord = array("i")
-    time_sec = array("i")
-    duration_col = array("i")
-    from_code = array("i")
-    to_code = array("i")
+    ordinals: dict[str, int] = {}
+    blocks = []
     stats = IngestStats()
     lines = _open_lines(source)
     try:
-        row_number = 0
+        rows = iter(lines)
         first = True
-        for raw in lines:
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(delimiter)
-            if first:
+        while chunk := list(islice(rows, _PARSE_CHUNK)):
+            text = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+            if first and text:
                 first = False
-                if _looks_like_header(fields):
+                if _looks_like_header(text[0].split(delimiter)):
+                    del text[0]
+            if not text:
+                continue
+            ok, date_ord, time_sec, duration, callers, callees = _canonical_rows(text, delimiter, ordinals)
+            for i in np.flatnonzero(~ok).tolist():
+                try:
+                    fields = _parse_fields(text[i].split(delimiter), date_cache)
+                except CdrParseError as exc:
+                    stats.rows_rejected += 1
+                    logger.warning("rejected CDR row %d: %s", stats.rows_read + i + 1, exc)
+                    if reject_log is not None:
+                        reject_log.write(f"{stats.rows_read + i + 1}\t{exc}\t{text[i]}\n")
                     continue
-            row_number += 1
-            try:
-                ordinal, sec, dur, fid, tid = _parse_fields(fields, date_cache)
-            except CdrParseError as exc:
-                stats.rows_rejected += 1
-                logger.warning("rejected CDR row %d: %s", row_number, exc)
-                if reject_log is not None:
-                    reject_log.write(f"{row_number}\t{exc}\t{line}\n")
-                continue
-            if dur < min_duration:
-                stats.rows_filtered_short += 1
-                continue
-            date_ord.append(ordinal)
-            time_sec.append(sec)
-            duration_col.append(dur)
-            from_code.append(codes.setdefault(fid, len(codes)))
-            to_code.append(codes.setdefault(tid, len(codes)))
+                date_ord[i], time_sec[i], duration[i], callers[i], callees[i] = fields
+                ok[i] = True
+            stats.rows_read += len(text)
+            keep = ok & (duration >= min_duration)
+            stats.rows_filtered_short += int(ok.sum() - keep.sum())
+            selected = keep.tolist()
+            callers, callees = list(compress(callers, selected)), list(compress(callees, selected))
+            seen = dict.fromkeys(chain.from_iterable(zip(callers, callees)))
+            fresh = [identity for identity in seen if identity not in codes]
+            codes.update(zip(fresh, range(len(codes), len(codes) + len(fresh))))
+            blocks.append((date_ord[keep], time_sec[keep], duration[keep],
+                           np.fromiter(map(codes.__getitem__, callers), np.int32, len(callers)),
+                           np.fromiter(map(codes.__getitem__, callees), np.int32, len(callees))))
     finally:
         if hasattr(lines, "close"):
             lines.close()
-    stats.rows_read = row_number
-    stats.rows_accepted = len(duration_col)
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * CDR_FIELD_COUNT
+    batch = CdrBatch(*columns, ids=list(codes))
+    stats.rows_accepted = len(batch)
     stats.distinct_ids = len(codes)
-    batch = CdrBatch(date_ord, time_sec, duration_col, from_code, to_code, list(codes))
     return batch, stats
 
 
@@ -282,6 +348,7 @@ def ingest_cdr(
 # ---------------------------------------------------------------------------
 
 CARD_MONTHS = 12
+_ARREARS_TRUE = ("1", "true", "True")
 
 ACCOUNT_COLUMNS = ("customer_id", "age", "marital_status", "postcode")
 TRANSACTION_COLUMNS = ("customer_id", "date", "amount")
@@ -315,19 +382,37 @@ class BankIngestStats:
     orphan_transactions: int = 0
 
 
-def _reader(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
+def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
+    """The rows of a bank file as {column: values}, up to `_BANK_CHUNK` rows at a time.
+
+    Rows are read as csv.DictReader reads them: blank rows are skipped, a
+    column named twice is its last one, and a row too short to hold a
+    column gives None there.
+    """
     lines = _open_lines(source)
     try:
-        rows = csv.DictReader(lines)
-        if rows.fieldnames is None:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
             return
-        missing = [c for c in expected if c not in rows.fieldnames]
+        missing = [c for c in expected if c not in header]
         if missing:
             raise DataError(f"{what} file is missing columns: {', '.join(missing)}")
-        yield from rows
+        index = {name: i for i, name in enumerate(header)}
+        width = max(index[c] for c in expected) + 1
+        while chunk := list(islice(reader, _BANK_CHUNK)):
+            rows = list(filter(None, chunk))
+            if rows and min(map(len, rows)) < width:
+                rows = [r + [None] * (width - len(r)) for r in rows]
+            if rows:
+                yield {c: list(map(operator.itemgetter(index[c]), rows)) for c in expected}
     finally:
         if hasattr(lines, "close"):
             lines.close()
+
+
+def _dict_rows(columns: dict) -> Iterator[dict]:
+    return (dict(zip(columns, values)) for values in zip(*columns.values()))
 
 
 def _field(row: dict, column: str, cid: str, what: str) -> str:
@@ -355,6 +440,36 @@ def _date(row: dict, column: str, cid: str, what: str) -> date:
         raise DataError(f"{what} file: customer {cid!r} has invalid {column} {row[column]!r}") from None
 
 
+def _numbers(values: list) -> list | None:
+    """The values as finite floats, or None when one is missing or is not one."""
+    if None in values:
+        return None
+    try:
+        numbers = list(map(float, map(str.strip, values)))
+    except ValueError:
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
+
+
+def _dates(values: list, cache: dict) -> list | None:
+    """The values as dates, each distinct text parsed once into `cache`;
+    None when one is missing or does not parse."""
+    if None in values:
+        return None
+    texts = list(map(str.strip, values))
+    for text in set(texts).difference(cache):
+        try:
+            cache[text] = parse_cdr_date(text)
+        except CdrParseError:
+            cache[text] = None
+    dates = list(map(cache.__getitem__, texts))
+    return None if None in dates else dates
+
+
+def _stripped(values: list) -> list | None:
+    return None if None in values else list(map(str.strip, values))
+
+
 def ingest_bank(
     accounts: str | Path | Iterable[str],
     transactions: str | Path | Iterable[str],
@@ -366,64 +481,110 @@ def ingest_bank(
     an account row keep missing sociodemographics. Duplicated customer_id in
     either keyed file is an error naming the identity. Orphan transactions
     (no account row) are counted and logged, never attached.
+
+    Each chunk of rows is converted a column at a time. A chunk with a value
+    that does not convert, or that breaks a check, is read again a row at a
+    time, so that the first fault in file order raises its error, naming the
+    file, the customer and the column.
     """
     stats = BankIngestStats()
+    dates: dict = {}
 
     sociodemo: dict[str, dict] = {}
-    for row in _reader(accounts, ACCOUNT_COLUMNS, "accounts"):
-        stats.accounts_read += 1
-        cid = row["customer_id"].strip()
-        if cid in sociodemo:
-            raise DataError(f"duplicate customer_id {cid!r} in accounts")
-        sociodemo[cid] = {
-            "age": _number(row, "age", cid, "accounts") if _field(row, "age", cid, "accounts") else None,
-            "marital_status": _field(row, "marital_status", cid, "accounts") or None,
-            "postcode": _field(row, "postcode", cid, "accounts") or None,
-        }
+    for cols in _column_chunks(accounts, ACCOUNT_COLUMNS, "accounts"):
+        stats.accounts_read += len(cols["customer_id"])
+        cids, ages, marital, postcode = (_stripped(cols[c]) for c in ACCOUNT_COLUMNS)
+        numbers = _numbers([a for a in ages if a]) if ages is not None else None
+        if (cids is not None and numbers is not None and marital is not None and postcode is not None
+                and len(set(cids)) == len(cids) and sociodemo.keys().isdisjoint(cids)):
+            numbers = iter(numbers)
+            for cid, age, m, code in zip(cids, ages, marital, postcode):
+                sociodemo[cid] = {"age": next(numbers) if age else None,
+                                  "marital_status": m or None, "postcode": code or None}
+            continue
+        for row in _dict_rows(cols):
+            cid = row["customer_id"].strip()
+            if cid in sociodemo:
+                raise DataError(f"duplicate customer_id {cid!r} in accounts")
+            sociodemo[cid] = {
+                "age": _number(row, "age", cid, "accounts") if _field(row, "age", cid, "accounts") else None,
+                "marital_status": _field(row, "marital_status", cid, "accounts") or None,
+                "postcode": _field(row, "postcode", cid, "accounts") or None,
+            }
 
     debits: dict[str, list] = {}
-    for row in _reader(transactions, TRANSACTION_COLUMNS, "transactions"):
-        stats.transactions_read += 1
-        cid = row["customer_id"].strip()
-        if cid not in sociodemo:
-            stats.orphan_transactions += 1
-            logger.warning("orphan transaction for unknown customer %r", cid)
-            continue
-        debits.setdefault(cid, []).append(
-            (_date(row, "date", cid, "transactions"), _number(row, "amount", cid, "transactions"))
-        )
+    for cols in _column_chunks(transactions, TRANSACTION_COLUMNS, "transactions"):
+        stats.transactions_read += len(cols["customer_id"])
+        cids = _stripped(cols["customer_id"])
+        if cids is not None:
+            known = list(map(sociodemo.__contains__, cids))
+            on = _dates(list(compress(cols["date"], known)), dates)
+            amounts = _numbers(list(compress(cols["amount"], known)))
+            if on is not None and amounts is not None:
+                for cid in compress(cids, map(operator.not_, known)):
+                    stats.orphan_transactions += 1
+                    logger.warning("orphan transaction for unknown customer %r", cid)
+                for cid, day, amount in zip(compress(cids, known), on, amounts):
+                    debits.setdefault(cid, []).append((day, amount))
+                continue
+        for row in _dict_rows(cols):
+            cid = row["customer_id"].strip()
+            if cid not in sociodemo:
+                stats.orphan_transactions += 1
+                logger.warning("orphan transaction for unknown customer %r", cid)
+                continue
+            debits.setdefault(cid, []).append(
+                (_date(row, "date", cid, "transactions"), _number(row, "amount", cid, "transactions"))
+            )
 
-    records: list[BankRecord] = []
+    cards: list[tuple] = []
     seen_cards: set[str] = set()
-    for row in _reader(card_activity, CARD_COLUMNS, "card activity"):
-        stats.cards_read += 1
-        cid = row["customer_id"].strip()
-        if cid in seen_cards:
-            raise DataError(f"duplicate customer_id {cid!r} in card activity")
-        seen_cards.add(cid)
-        limit = _number(row, "credit_limit", cid, "card activity")
-        if limit <= 0:
-            raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
-        drawn = tuple(_number(row, f"drawn_{m}", cid, "card activity") for m in range(1, CARD_MONTHS + 1))
-        over = [d for d in drawn if d > limit * (1 + 1e-9)]
-        if over:
-            raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
-        arrears = tuple(_field(row, f"arrears_{m}", cid, "card activity") in ("1", "true", "True")
-                        for m in range(1, CARD_MONTHS + 1))
+    drawn_columns = [f"drawn_{m}" for m in range(1, CARD_MONTHS + 1)]
+    arrears_columns = [f"arrears_{m}" for m in range(1, CARD_MONTHS + 1)]
+    for cols in _column_chunks(card_activity, CARD_COLUMNS, "card activity"):
+        stats.cards_read += len(cols["customer_id"])
+        cids = _stripped(cols["customer_id"])
+        issued = _dates(cols["issue_date"], dates)
+        limits = _numbers(cols["credit_limit"])
+        drawn = [_numbers(cols[c]) for c in drawn_columns]
+        flags = [_stripped(cols[c]) for c in arrears_columns]
+        if (cids is not None and issued is not None and limits is not None
+                and None not in drawn and None not in flags
+                and len(set(cids)) == len(cids) and seen_cards.isdisjoint(cids)
+                and min(limits) > 0
+                and not (np.array(drawn) > np.array(limits) * (1 + 1e-9)).any()):
+            seen_cards.update(cids)
+            arrears = [[f in _ARREARS_TRUE for f in column] for column in flags]
+            cards += zip(cids, limits, zip(*drawn), zip(*arrears), issued)
+            continue
+        for row in _dict_rows(cols):
+            cid = row["customer_id"].strip()
+            if cid in seen_cards:
+                raise DataError(f"duplicate customer_id {cid!r} in card activity")
+            seen_cards.add(cid)
+            limit = _number(row, "credit_limit", cid, "card activity")
+            if limit <= 0:
+                raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
+            drawn = tuple(_number(row, c, cid, "card activity") for c in drawn_columns)
+            over = [d for d in drawn if d > limit * (1 + 1e-9)]
+            if over:
+                raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
+            arrears = tuple(_field(row, c, cid, "card activity") in _ARREARS_TRUE for c in arrears_columns)
+            cards.append((cid, limit, drawn, arrears, _date(row, "issue_date", cid, "card activity")))
+
+    records = []
+    for cid, limit, drawn, arrears, issued in cards:
         if cid not in sociodemo:
             stats.cards_without_account += 1
-        records.append(
-            BankRecord(
-                customer_id=cid,
-                sociodemographics=sociodemo.get(cid, {"age": None, "marital_status": None, "postcode": None}),
-                debit_transactions=sorted(debits.get(cid, [])),
-                card_issue_date=_date(row, "issue_date", cid, "card activity"),
-                credit_limit=limit,
-                monthly_drawn=drawn,
-                monthly_arrears=arrears,
-            )
-        )
-
+        records.append(BankRecord(
+            customer_id=cid,
+            sociodemographics=sociodemo.get(cid, {"age": None, "marital_status": None, "postcode": None}),
+            debit_transactions=sorted(debits.get(cid, [])),
+            card_issue_date=issued,
+            credit_limit=limit,
+            monthly_drawn=drawn,
+            monthly_arrears=arrears,
+        ))
     stats.customers_without_card = sum(1 for cid in sociodemo if cid not in seen_cards)
     if stats.customers_without_card:
         logger.info("excluded %d customers without card activity", stats.customers_without_card)

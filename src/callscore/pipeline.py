@@ -36,8 +36,8 @@ from .features import (
     link_based_matrix,
     sociodemographic_matrix,
 )
-from .graph import CallGraph, NodeLabelSet, build_graph, load_graph, save_graph
-from .ingest import CdrBatch, IngestStats, ingest_bank, ingest_cdr
+from .graph import CallGraph, NodeLabelSet, build_graphs, identity_order, load_graph, save_graph
+from .ingest import CARD_MONTHS, CdrBatch, IngestStats, ingest_bank, ingest_cdr
 from .models import (
     ForestModel,
     LogisticModel,
@@ -237,19 +237,20 @@ LABEL_COLUMNS = (
 
 
 def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: dict) -> None:
+    n = graph.n_nodes
+    principal, ead, y = [""] * n, [""] * n, [""] * n
+    for node in np.flatnonzero(labels.is_subject).tolist():
+        loan = loans[graph.ids[node]]
+        principal[node], ead[node] = repr(float(loan.principal)), repr(float(loan.ead))
+        y[node] = int(loan.is_defaulter)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_COLUMNS)
-        for node in range(graph.n_nodes):
-            identity = graph.ids[node]
-            loan = loans.get(identity)
-            writer.writerow((
-                node, identity, int(labels.is_subject[node]), int(labels.is_bank_customer[node]),
-                int(labels.delinquency_level[node]), int(labels.default_label[node]),
-                repr(float(loan.principal)) if loan else "",
-                repr(float(loan.ead)) if loan else "",
-                int(loan.is_defaulter) if loan else "",
-            ))
+        writer.writerows(zip(
+            range(n), graph.ids, labels.is_subject.astype(int).tolist(),
+            labels.is_bank_customer.astype(int).tolist(), labels.delinquency_level.tolist(),
+            labels.default_label.tolist(), principal, ead, y,
+        ))
 
 
 def load_labels(path: str | Path) -> tuple[NodeLabelSet, dict]:
@@ -337,53 +338,59 @@ def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, list]
     return batch, bank
 
 
-def _build_labels(
-    cfg: ExperimentConfig, bank: list, graph: CallGraph, timeframe_k: int
-) -> tuple[NodeLabelSet, dict]:
-    """Role and delinquency labels for one timeframe's node set.
+def _card_table(cfg: ExperimentConfig, bank: list) -> tuple:
+    """The card holders' ids, issue months, arrears flags, drawn amounts and
+    credit limits as arrays, one row per record of `bank`."""
+    m = len(bank)
+    return (
+        np.array([r.customer_id for r in bank], dtype=object),
+        np.array([cfg.month_index(r.card_issue_date) for r in bank], dtype=np.int64),
+        np.array([r.monthly_arrears for r in bank], dtype=bool).reshape(m, CARD_MONTHS),
+        np.array([r.monthly_drawn for r in bank], dtype=np.float64).reshape(m, CARD_MONTHS),
+        [r.credit_limit for r in bank],
+    )
+
+
+def _build_labels(cards: tuple, graph: CallGraph, timeframe_k: int) -> tuple[NodeLabelSet, dict]:
+    """Role and delinquency labels for one timeframe's node set; `cards` is `_card_table`'s.
 
     Delinquency counts arrears months observed up to the window end; subjects
     are card holders issued in the month right after the window, labeled by
     their twelve-month outcome. Existing customers' known outcome (three or
     more observed arrears) also feeds the default label used by the network
-    statistics.
+    statistics. Card holders are found among the nodes by a search of the
+    graph's sorted identities.
     """
+    ids, issue_month, arrears, drawn, limits = cards
     window_end_month = timeframe_k + 2
     card_month = timeframe_k + 3
     n = graph.n_nodes
+    graph_ids = np.asarray(graph.ids, dtype=object)
+    node = np.searchsorted(graph_ids, ids)
+    found = node < n
+    found[found] = graph_ids[node[found]] == ids[found]
+    issued_next = issue_month == card_month
+    subject = found & issued_next
+    n_absent_subjects = int((issued_next & ~found).sum())
+    observed = (arrears & (issue_month[:, None] + np.arange(CARD_MONTHS) <= window_end_month)).sum(axis=1)
+    existing = found & ~subject & (issue_month <= window_end_month)
+    y = arrears.sum(axis=1) >= 3
+    # the month of the third arrears, where the running count first reaches three
+    ead = np.where(y, drawn[np.arange(len(ids)), np.argmax(np.cumsum(arrears, axis=1) >= 3, axis=1)], 0.0)
+
     delinquency = np.full(n, -1, dtype=np.int8)
     is_subject = np.zeros(n, dtype=bool)
     is_bank = np.zeros(n, dtype=bool)
     default_label = np.full(n, -1, dtype=np.int8)
-    loans: dict = {}
-    n_absent_subjects = 0
-    for record in bank:
-        if not graph.has_identity(record.customer_id):
-            if cfg.month_index(record.card_issue_date) == card_month:
-                n_absent_subjects += 1
-            continue
-        node = graph.node(record.customer_id)
-        is_bank[node] = True
-        issue_month = cfg.month_index(record.card_issue_date)
-        if issue_month == card_month:
-            is_subject[node] = True
-            arrears = sum(record.monthly_arrears)
-            y = arrears >= 3
-            default_label[node] = int(y)
-            ead = 0.0
-            if y:
-                third = [j for j, f in enumerate(record.monthly_arrears) if f][2]
-                ead = float(record.monthly_drawn[third])
-            loans[record.customer_id] = LoanOutcome(
-                principal=float(record.credit_limit), ead=ead, is_defaulter=y,
-            )
-        elif issue_month <= window_end_month:
-            observed = sum(
-                1 for j, flagged in enumerate(record.monthly_arrears)
-                if flagged and issue_month + j <= window_end_month
-            )
-            delinquency[node] = min(3, observed)
-            default_label[node] = int(delinquency[node] == 3)
+    is_bank[node[found]] = True
+    is_subject[node[subject]] = True
+    default_label[node[subject]] = y[subject]
+    delinquency[node[existing]] = np.minimum(3, observed[existing])
+    default_label[node[existing]] = observed[existing] >= 3
+    loans = {
+        ids[i]: LoanOutcome(principal=float(limits[i]), ead=float(ead[i]), is_defaulter=bool(y[i]))
+        for i in np.flatnonzero(subject).tolist()
+    }
     if n_absent_subjects:
         logger.info("timeframe %d: dropped %d subjects with no calls in the window",
                     timeframe_k, n_absent_subjects)
@@ -399,15 +406,16 @@ def _build_labels(
 def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict]:
     """Graphs by (timeframe, DIR), and labels and {identity: LoanOutcome} by timeframe."""
     batch, bank = ingested
+    order = identity_order(batch.ids)
+    cards = _card_table(cfg, bank)
     graphs, labels_by_tf, loans_by_tf = {}, {}, {}
     for k, tf in enumerate(TIMEFRAMES, start=1):
-        window = cfg.window(k)
+        by_mode = build_graphs(batch, cfg.window(k), "count", tf, order)
         for direction, mode in DIR_TO_MODE.items():
-            graph = build_graph(batch, window=window, mode=mode, timeframe_id=tf)
-            save_graph(graph, out / tf / direction)
-            graphs[(tf, direction)] = graph
+            save_graph(by_mode[mode], out / tf / direction)
+            graphs[(tf, direction)] = by_mode[mode]
         ud = graphs[(tf, "UD")]
-        labels, loans = _build_labels(cfg, bank, ud, k)
+        labels, loans = _build_labels(cards, ud, k)
         _save_labels(out / f"labels_{tf}.csv", ud, labels, loans)
         labels_by_tf[tf] = labels
         loans_by_tf[tf] = loans
@@ -471,16 +479,21 @@ def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
     graphs, labels, _ = network
     exposures: dict = {}
     cutoffs: dict = {}
-    for tf, method, crit, direction, name in _propagation_runs():
-        exposure, relabeling = propagate_exposure(
-            graphs[(tf, direction)], labels[tf], method, crit, cfg)
-        np.save(out / f"{name}.npy", exposure.scores)
-        cutoffs[name] = {
-            "cutoff": relabeling.cutoff,
-            "n_high_risk": relabeling.n_high_risk,
-            "iterations": exposure.iterations_run,
-        }
-        exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+    for key, graph in graphs.items():
+        # the operator that a graph's six runs share is kept on the graph;
+        # kept on a copy, it is freed after them
+        graph = dataclasses.replace(graph)
+        for tf, method, crit, direction, name in _propagation_runs():
+            if (tf, direction) != key:
+                continue
+            exposure, relabeling = propagate_exposure(graph, labels[tf], method, crit, cfg)
+            np.save(out / f"{name}.npy", exposure.scores)
+            cutoffs[name] = {
+                "cutoff": relabeling.cutoff,
+                "n_high_risk": relabeling.n_high_risk,
+                "iterations": exposure.iterations_run,
+            }
+            exposures[(tf, method, crit, direction)] = (exposure, relabeling)
     (out / "cutoffs.json").write_text(json.dumps(cutoffs, indent=2, sort_keys=True) + "\n")
     return exposures
 
@@ -594,9 +607,16 @@ def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, 
 def load_scores(path: str | Path) -> ScoredDataset:
     ys, ss = [], []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh)
+        for column in ("y", "score"):
+            if column not in (rows.fieldnames or ()):
+                raise DataError(f"{path}:1: no {column} column")
+        for row in rows:
+            try:
+                ss.append(float(row["score"]))
+            except (TypeError, ValueError):
+                raise DataError(f"{path}:{rows.line_num}: non-numeric score {row['score']!r}") from None
             ys.append(row["y"] == "1")
-            ss.append(float(row["score"]))
     return ScoredDataset(y=np.array(ys, dtype=bool), score=np.array(ss))
 
 

@@ -66,8 +66,11 @@ def _transition_operator(graph: CallGraph) -> tuple["sp.csr_matrix", np.ndarray]
     """Column-stochastic propagation operator P and the dangling-node mask.
 
     P[j, i] is the share of node i's mass sent to j, i.e. P @ x pushes mass
-    one hop along the graph's stored edge direction.
+    one hop along the graph's stored edge direction. Built on a graph's
+    first propagation and kept on it, since a graph's arrays do not change.
     """
+    if "_transition" in vars(graph):
+        return graph._transition
     import scipy.sparse as sp  # imported on use: commands that never propagate skip its import time
 
     n = graph.n_nodes
@@ -76,7 +79,8 @@ def _transition_operator(graph: CallGraph) -> tuple["sp.csr_matrix", np.ndarray]
     share = graph.weights / np.repeat(np.where(dangling, 1.0, out_weight), graph.degrees())
     # node i's CSR row, read as column i, is the transpose
     push = sp.csc_matrix((share, graph.indices, graph.indptr), shape=(n, n)).tocsr()
-    return push, dangling
+    graph._transition = push, dangling
+    return graph._transition
 
 
 def _check_budget(tolerance: float, max_iterations: int) -> None:

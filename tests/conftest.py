@@ -1,14 +1,52 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the per-row reference
+implementations that the columnar ingest, graph and label code must match."""
 
+import csv
+import logging
+from array import array
 from datetime import date, time
 
 import numpy as np
 import pytest
 
-from callscore.graph import build_graph
-from callscore.ingest import CdrRecord
+from callscore.errors import DataError
+from callscore.graph import CallGraph, NodeLabelSet, build_graph, canonical_mode
+from callscore.ingest import (
+    ACCOUNT_COLUMNS,
+    CARD_COLUMNS,
+    CARD_MONTHS,
+    TRANSACTION_COLUMNS,
+    BankIngestStats,
+    BankRecord,
+    CdrBatch,
+    CdrParseError,
+    CdrRecord,
+    IngestStats,
+    _date,
+    _field,
+    _looks_like_header,
+    _number,
+    _open_lines,
+    _parse_fields,
+)
 from callscore.models import ForestModel, TreeModel, train_forest
-from callscore.profit import roc_points
+from callscore.pipeline import LABEL_COLUMNS
+from callscore.profit import LoanOutcome, roc_points
+
+logger = logging.getLogger("callscore.ingest")
+
+
+def records_batch(records) -> CdrBatch:
+    """The columnar batch of `records`, identities coded in first-appearance order."""
+    codes: dict = {}
+    cols = [array("i") for _ in range(5)]
+    for r in records:
+        cols[0].append(r.start_date.toordinal())
+        cols[1].append(r.start_time.hour * 3600 + r.start_time.minute * 60 + r.start_time.second)
+        cols[2].append(r.duration)
+        cols[3].append(codes.setdefault(r.from_id, len(codes)))
+        cols[4].append(codes.setdefault(r.to_id, len(codes)))
+    return CdrBatch(*cols, ids=list(codes))
 
 
 def call(from_id, to_id, duration=60, day=1, month=5, hh=12, mm=0, ss=0, year=2017):
@@ -36,7 +74,7 @@ def random_records(rng, n_nodes, n_calls, year=2017, month=5):
 
 def random_graph(rng, n_nodes=30, n_calls=120, mode="undirected"):
     records = random_records(rng, n_nodes, n_calls)
-    return build_graph(records, mode=mode)
+    return build_graph(records_batch(records), mode=mode)
 
 
 def dense_pagerank_solve(graph, restart, alpha=0.85):
@@ -128,3 +166,223 @@ def mixed_depth_forest(rng, n=300, m=6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20170501)
+
+
+# ---------------------------------------------------------------------------
+# Per-row references: ingest, graph building and labels as they were before
+# they became columnar. The columnar code must give identical results.
+# ---------------------------------------------------------------------------
+
+def reference_ingest_cdr(source, min_duration, delimiter, reject_log=None):
+    """One `_parse_fields` call per row, codes assigned as rows are accepted."""
+    if min_duration < 0:
+        raise DataError("min_duration must be >= 0")
+    codes: dict = {}
+    date_cache: dict = {}
+    cols = [array("i") for _ in range(5)]
+    stats = IngestStats()
+    lines = _open_lines(source)
+    try:
+        row_number = 0
+        first = True
+        for raw in lines:
+            line = raw.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split(delimiter)
+            if first:
+                first = False
+                if _looks_like_header(fields):
+                    continue
+            row_number += 1
+            try:
+                ordinal, sec, dur, fid, tid = _parse_fields(fields, date_cache)
+            except CdrParseError as exc:
+                stats.rows_rejected += 1
+                logger.warning("rejected CDR row %d: %s", row_number, exc)
+                if reject_log is not None:
+                    reject_log.write(f"{row_number}\t{exc}\t{line}\n")
+                continue
+            if dur < min_duration:
+                stats.rows_filtered_short += 1
+                continue
+            for col, value in zip(cols, (ordinal, sec, dur, codes.setdefault(fid, len(codes)),
+                                         codes.setdefault(tid, len(codes)))):
+                col.append(value)
+    finally:
+        if hasattr(lines, "close"):
+            lines.close()
+    stats.rows_read = row_number
+    stats.rows_accepted = len(cols[2])
+    stats.distinct_ids = len(codes)
+    return CdrBatch(*cols, ids=list(codes)), stats
+
+
+def _dict_reader(source, expected, what):
+    lines = _open_lines(source)
+    try:
+        rows = csv.DictReader(lines)
+        if rows.fieldnames is None:
+            return
+        missing = [c for c in expected if c not in rows.fieldnames]
+        if missing:
+            raise DataError(f"{what} file is missing columns: {', '.join(missing)}")
+        yield from rows
+    finally:
+        if hasattr(lines, "close"):
+            lines.close()
+
+
+def reference_ingest_bank(accounts, transactions, card_activity):
+    """csv.DictReader rows, every field through `_field`, `_number` or `_date`."""
+    stats = BankIngestStats()
+    sociodemo: dict = {}
+    for row in _dict_reader(accounts, ACCOUNT_COLUMNS, "accounts"):
+        stats.accounts_read += 1
+        cid = row["customer_id"].strip()
+        if cid in sociodemo:
+            raise DataError(f"duplicate customer_id {cid!r} in accounts")
+        sociodemo[cid] = {
+            "age": _number(row, "age", cid, "accounts") if _field(row, "age", cid, "accounts") else None,
+            "marital_status": _field(row, "marital_status", cid, "accounts") or None,
+            "postcode": _field(row, "postcode", cid, "accounts") or None,
+        }
+    debits: dict = {}
+    for row in _dict_reader(transactions, TRANSACTION_COLUMNS, "transactions"):
+        stats.transactions_read += 1
+        cid = row["customer_id"].strip()
+        if cid not in sociodemo:
+            stats.orphan_transactions += 1
+            logger.warning("orphan transaction for unknown customer %r", cid)
+            continue
+        debits.setdefault(cid, []).append(
+            (_date(row, "date", cid, "transactions"), _number(row, "amount", cid, "transactions")))
+    records = []
+    seen: set = set()
+    for row in _dict_reader(card_activity, CARD_COLUMNS, "card activity"):
+        stats.cards_read += 1
+        cid = row["customer_id"].strip()
+        if cid in seen:
+            raise DataError(f"duplicate customer_id {cid!r} in card activity")
+        seen.add(cid)
+        limit = _number(row, "credit_limit", cid, "card activity")
+        if limit <= 0:
+            raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
+        drawn = tuple(_number(row, f"drawn_{m}", cid, "card activity") for m in range(1, CARD_MONTHS + 1))
+        over = [d for d in drawn if d > limit * (1 + 1e-9)]
+        if over:
+            raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
+        arrears = tuple(_field(row, f"arrears_{m}", cid, "card activity") in ("1", "true", "True")
+                        for m in range(1, CARD_MONTHS + 1))
+        if cid not in sociodemo:
+            stats.cards_without_account += 1
+        records.append(BankRecord(
+            customer_id=cid,
+            sociodemographics=sociodemo.get(cid, {"age": None, "marital_status": None, "postcode": None}),
+            debit_transactions=sorted(debits.get(cid, [])),
+            card_issue_date=_date(row, "issue_date", cid, "card activity"),
+            credit_limit=limit,
+            monthly_drawn=drawn,
+            monthly_arrears=arrears,
+        ))
+    stats.customers_without_card = sum(1 for cid in sociodemo if cid not in seen)
+    records.sort(key=lambda r: r.customer_id)
+    return records, stats
+
+
+def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
+    """One filter, remap and aggregation per mode, and a lexsorted CSR index."""
+    mode = canonical_mode(mode)
+    u, v, dur = batch.from_code, batch.to_code, batch.duration
+    n_out = 0
+    if window is not None and len(u):
+        lo, hi = (d.toordinal() for d in window)
+        keep = (batch.date_ord >= lo) & (batch.date_ord <= hi)
+        n_out = int(len(keep) - keep.sum())
+        u, v, dur = u[keep], v[keep], dur[keep]
+    used = np.unique(np.concatenate([u, v])) if len(u) else np.array([], dtype=np.int64)
+    id_strings = [batch.ids[c] for c in used]
+    order = np.argsort(np.asarray(id_strings, dtype=object), kind="stable")
+    ids = [id_strings[i] for i in order]
+    remap = np.empty(len(batch.ids) if len(batch.ids) else 1, dtype=np.int64)
+    remap[used[order]] = np.arange(len(used))
+    if len(u):
+        u, v = remap[u], remap[v]
+    n = len(ids)
+    if mode == "incoming":
+        u, v = v, u
+    if mode == "undirected":
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    if len(u):
+        uniq, inverse = np.unique(u.astype(np.int64) * n + v.astype(np.int64), return_inverse=True)
+        if weight_by == "count":
+            w = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+        else:
+            w = np.bincount(inverse, weights=dur.astype(np.float64), minlength=len(uniq))
+        edge_src, edge_dst = (uniq // n).astype(np.int32), (uniq % n).astype(np.int32)
+    else:
+        edge_src = edge_dst = np.array([], dtype=np.int32)
+        w = np.array([], dtype=np.float64)
+    if mode == "undirected" and len(edge_src):
+        rows = np.concatenate([edge_src, edge_dst])
+        cols = np.concatenate([edge_dst, edge_src])
+        vals = np.concatenate([w, w])
+    else:
+        rows, cols, vals = edge_src, edge_dst, w
+    lex = np.lexsort((cols, rows))
+    rows, cols, vals = rows[lex], cols[lex], vals[lex]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if len(rows):
+        np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CallGraph(mode=mode, ids=ids, edge_src=edge_src, edge_dst=edge_dst, edge_weight=w,
+                     indptr=indptr, indices=cols.astype(np.int32), weights=vals,
+                     timeframe_id=timeframe_id, window=window, n_out_of_window=n_out)
+
+
+def reference_labels(cfg, bank, graph, timeframe_k):
+    """Labels and loans by one identity lookup per bank record."""
+    window_end_month, card_month = timeframe_k + 2, timeframe_k + 3
+    node_of = {identity: i for i, identity in enumerate(graph.ids)}
+    n = graph.n_nodes
+    delinquency = np.full(n, -1, dtype=np.int8)
+    is_subject = np.zeros(n, dtype=bool)
+    is_bank = np.zeros(n, dtype=bool)
+    default_label = np.full(n, -1, dtype=np.int8)
+    loans = {}
+    for record in bank:
+        if record.customer_id not in node_of:
+            continue
+        node = node_of[record.customer_id]
+        is_bank[node] = True
+        issue_month = cfg.month_index(record.card_issue_date)
+        if issue_month == card_month:
+            is_subject[node] = True
+            y = sum(record.monthly_arrears) >= 3
+            default_label[node] = int(y)
+            ead = float(record.monthly_drawn[[j for j, f in enumerate(record.monthly_arrears) if f][2]]) if y else 0.0
+            loans[record.customer_id] = LoanOutcome(principal=float(record.credit_limit), ead=ead, is_defaulter=y)
+        elif issue_month <= window_end_month:
+            observed = sum(1 for j, flagged in enumerate(record.monthly_arrears)
+                           if flagged and issue_month + j <= window_end_month)
+            delinquency[node] = min(3, observed)
+            default_label[node] = int(delinquency[node] == 3)
+    return NodeLabelSet(delinquency_level=delinquency, is_subject=is_subject,
+                        is_bank_customer=is_bank, default_label=default_label), loans
+
+
+def reference_save_labels(path, graph, labels, loans):
+    """One csv row per node, its loan looked up by identity."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_COLUMNS)
+        for node in range(graph.n_nodes):
+            identity = graph.ids[node]
+            loan = loans.get(identity)
+            writer.writerow((
+                node, identity, int(labels.is_subject[node]), int(labels.is_bank_customer[node]),
+                int(labels.delinquency_level[node]), int(labels.default_label[node]),
+                repr(float(loan.principal)) if loan else "",
+                repr(float(loan.ead)) if loan else "",
+                int(loan.is_defaulter) if loan else "",
+            ))

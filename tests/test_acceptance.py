@@ -34,7 +34,7 @@ from callscore.profit import (
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
 from callscore.synth import SynthConfig, generate, planted_feature_dataset
-from conftest import dense_pagerank_solve, emp_oracle, random_records
+from conftest import dense_pagerank_solve, emp_oracle, random_records, records_batch
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,7 +47,7 @@ def random_graph_for(seed: int, max_nodes: int = 100):
     rng = np.random.default_rng(seed)
     mode = ("undirected", "outgoing", "incoming")[seed % 3]
     n = int(rng.integers(5, max_nodes + 1))
-    return build_graph(random_records(rng, n, int(rng.integers(2 * n, 6 * n))), mode=mode), rng
+    return build_graph(records_batch(random_records(rng, n, int(rng.integers(2 * n, 6 * n)))), mode=mode), rng
 
 
 def test_criterion_01_pagerank_matches_dense_solve():

@@ -26,9 +26,9 @@ from callscore.features import (
     sociodemographic_matrix,
 )
 from callscore.graph import NodeLabelSet, build_graph
-from callscore.ingest import BankRecord, CdrBatch
+from callscore.ingest import BankRecord
 from callscore.propagation import ExposureVector, RiskRelabeling
-from conftest import call, random_records
+from conftest import call, random_records, records_batch
 
 
 def feature(names, values, name):
@@ -37,7 +37,7 @@ def feature(names, values, name):
 
 def cb_row(records, subject_id, batch_mask=None):
     """CB names and the one-row CB matrix of `subject_id`, over calls kept by `batch_mask`."""
-    batch = CdrBatch.from_records(records)
+    batch = records_batch(records)
     if batch_mask is not None:
         batch = batch.select(batch_mask(batch))
     names, matrix = calling_behavior_matrix(batch, np.array([batch.ids.index(subject_id)]), 8, 20)
@@ -112,7 +112,7 @@ def test_cb_day_night_boundary():
 
 def test_cb_bulk_matches_per_subject(rng):
     records = random_records(rng, 12, 200)
-    batch = CdrBatch.from_records(records)
+    batch = records_batch(records)
     codes = np.arange(len(batch.ids))
     names, matrix = calling_behavior_matrix(batch, codes, 8, 20)
     for code, identity in enumerate(batch.ids):
@@ -127,7 +127,7 @@ def test_cb_bulk_matches_per_subject(rng):
 def make_labeled_star(levels):
     """Star with SUBJ at the center and one leaf per delinquency level entry."""
     records = [call("SUBJ", f"L{i}") for i in range(len(levels))]
-    graphs = {d: build_graph(records, mode=m)
+    graphs = {d: build_graph(records_batch(records), mode=m)
               for d, m in (("IN", "incoming"), ("OUT", "outgoing"), ("UD", "undirected"))}
     g = graphs["UD"]
     delinquency = np.full(g.n_nodes, -1, dtype=np.int8)
@@ -181,7 +181,7 @@ def test_lb_one_delinquent_of_eight():
 
 def test_lb_count_consistency(rng):
     records = random_records(rng, 20, 150)
-    graphs = {d: build_graph(records, mode=m)
+    graphs = {d: build_graph(records_batch(records), mode=m)
               for d, m in (("IN", "incoming"), ("OUT", "outgoing"), ("UD", "undirected"))}
     n = graphs["UD"].n_nodes
     delinquency = rng.integers(-1, 4, size=n).astype(np.int8)
@@ -213,7 +213,7 @@ def test_exposure_feature_names_are_54_per_method():
 
 def test_exposure_link_features_counts():
     records = [call("SUBJ", f"L{i}") for i in range(5)]
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     scores = np.zeros(g.n_nodes)
     scores[g.node("SUBJ")] = 0.7
     high = np.zeros(g.n_nodes, dtype=bool)
@@ -231,9 +231,9 @@ def test_exposure_link_features_counts():
 
 
 def test_exposure_isolated_subject():
-    g = build_graph([call("SUBJ", "A"), call("B", "C")])
+    g = build_graph(records_batch([call("SUBJ", "A"), call("B", "C")]))
     # isolate D by giving it no calls: use node with no neighbors in incoming mode
-    gi = build_graph([call("SUBJ", "A")], mode="outgoing")
+    gi = build_graph(records_batch([call("SUBJ", "A")]), mode="outgoing")
     scores = np.full(gi.n_nodes, 0.2)
     exposure = ExposureVector(scores=scores, method="SPA",
                               iterations_run=1, residual=0.0)
@@ -587,8 +587,10 @@ MATRIX_HEAD = "subject_id,timeframe,a:SD,b:CB,y_default\ns1,t1,1.5,,0\n"
     (MATRIX_HEAD + "s9,t1,0.5,1\n", "m.csv:3: expected 5 fields, got 4"),
     (MATRIX_HEAD + "s9,t1,0.5,abc,,1\n", "m.csv:3: expected 5 fields, got 6"),
     (MATRIX_HEAD + "s9,t1,0.5,abc,1\n", "m.csv:3: could not convert string to float: 'abc'"),
+    (MATRIX_HEAD + "s9,t1,0.5,2,yes\n", "m.csv:3: y_default must be 0 or 1, not 'yes'"),
+    (MATRIX_HEAD + "s9,t1,0.5,2,\n", "m.csv:3: y_default must be 0 or 1, not ''"),
     ("", "m.csv is not a feature matrix file"),
-], ids=["short row", "long row", "non-numeric cell", "empty file"])
+], ids=["short row", "long row", "non-numeric cell", "non-binary target", "empty target", "empty file"])
 def test_matrix_csv_refuses_malformed_file(tmp_path, text, wanted):
     path = tmp_path / "m.csv"
     path.write_text(text)

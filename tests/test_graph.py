@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from callscore.errors import DataError
-from callscore.graph import build_graph, load_graph, save_graph
-from conftest import call, random_records
+from callscore.graph import MODES, build_graph, build_graphs, identity_order, load_graph, save_graph
+from callscore.ingest import CdrBatch
+from conftest import call, random_records, records_batch, reference_build_graph
 
 
 def test_undirected_merges_directions():
     records = [call("A", "B"), call("A", "B"), call("B", "A")]
-    g = build_graph(records, mode="undirected")
+    g = build_graph(records_batch(records), mode="undirected")
     assert g.n_edges == 1
     assert g.edge_weight[0] == 3.0
     a, b = g.node("A"), g.node("B")
@@ -20,21 +21,21 @@ def test_undirected_merges_directions():
 
 def test_outgoing_splits_directions():
     records = [call("A", "B"), call("A", "B"), call("B", "A")]
-    g = build_graph(records, mode="outgoing")
+    g = build_graph(records_batch(records), mode="outgoing")
     a, b = g.node("A"), g.node("B")
     assert g.neighbors(a) == [(b, 2.0)]
     assert g.neighbors(b) == [(a, 1.0)]
 
 
 def test_incoming_neighbors_are_callers():
-    g = build_graph([call("A", "B")], mode="incoming")
+    g = build_graph(records_batch([call("A", "B")]), mode="incoming")
     a, b = g.node("A"), g.node("B")
     assert g.neighbors(b) == [(a, 1.0)]
     assert g.neighbors(a) == []
 
 
 def test_empty_records_give_empty_graph():
-    g = build_graph([], mode="undirected")
+    g = build_graph(records_batch([]), mode="undirected")
     assert g.n_nodes == 0
     assert g.n_edges == 0
     assert g.degrees().tolist() == []
@@ -42,13 +43,13 @@ def test_empty_records_give_empty_graph():
 
 def test_window_rejects_outside_records():
     records = [call("A", "B", month=5), call("A", "B", month=7)]
-    g = build_graph(records, window=(date(2017, 5, 1), date(2017, 5, 31)))
+    g = build_graph(records_batch(records), window=(date(2017, 5, 1), date(2017, 5, 31)))
     assert g.n_out_of_window == 1
     assert g.edge_weight.sum() == 1.0
 
 
 def test_unknown_node_errors():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     with pytest.raises(DataError):
         g.neighbors(5)
     with pytest.raises(DataError):
@@ -56,25 +57,25 @@ def test_unknown_node_errors():
 
 
 def test_degree_distribution_cases():
-    tri = build_graph([call("A", "B"), call("B", "C"), call("A", "C")])
+    tri = build_graph(records_batch([call("A", "B"), call("B", "C"), call("A", "C")]))
     assert tri.degrees().tolist() == [2, 2, 2]
-    star = build_graph([call("HUB", f"L{i}") for i in range(4)])
+    star = build_graph(records_batch([call("HUB", f"L{i}") for i in range(4)]))
     assert sorted(star.degrees().tolist()) == [1, 1, 1, 1, 4]
     assert len(star.degrees()) == star.n_nodes
 
 
 def test_weight_conservation(rng):
     records = random_records(rng, 25, 200)
-    out = build_graph(records, mode="outgoing")
-    ud = build_graph(records, mode="undirected")
+    out = build_graph(records_batch(records), mode="outgoing")
+    ud = build_graph(records_batch(records), mode="undirected")
     assert out.total_weight == len(records)
     assert ud.total_weight == len(records)
 
 
 def test_mode_duality(rng):
     records = random_records(rng, 20, 150)
-    incoming = build_graph(records, mode="incoming")
-    outgoing = build_graph(records, mode="outgoing")
+    incoming = build_graph(records_batch(records), mode="incoming")
+    outgoing = build_graph(records_batch(records), mode="outgoing")
     assert incoming.ids == outgoing.ids
     for node in range(incoming.n_nodes):
         reverse = sorted(
@@ -86,9 +87,9 @@ def test_mode_duality(rng):
 
 def test_build_is_order_invariant(rng):
     records = random_records(rng, 15, 120)
-    g1 = build_graph(records, mode="undirected")
+    g1 = build_graph(records_batch(records), mode="undirected")
     shuffled = [records[i] for i in rng.permutation(len(records))]
-    g2 = build_graph(shuffled, mode="undirected")
+    g2 = build_graph(records_batch(shuffled), mode="undirected")
     assert g1.ids == g2.ids
     assert np.array_equal(g1.edge_src, g2.edge_src)
     assert np.array_equal(g1.edge_dst, g2.edge_dst)
@@ -96,7 +97,7 @@ def test_build_is_order_invariant(rng):
 
 
 def test_neighbors_sorted_ascending(rng):
-    g = build_graph(random_records(rng, 30, 300))
+    g = build_graph(records_batch(random_records(rng, 30, 300)))
     for node in range(g.n_nodes):
         ids = [i for i, _ in g.neighbors(node)]
         assert ids == sorted(ids)
@@ -105,12 +106,12 @@ def test_neighbors_sorted_ascending(rng):
 
 def test_duration_weighting():
     records = [call("A", "B", duration=30), call("A", "B", duration=12)]
-    g = build_graph(records, weight_by="duration")
+    g = build_graph(records_batch(records), weight_by="duration")
     assert g.edge_weight[0] == 42.0
 
 
 def test_graph_round_trip(tmp_path, rng):
-    g = build_graph(random_records(rng, 12, 60), mode="incoming", timeframe_id="t2")
+    g = build_graph(records_batch(random_records(rng, 12, 60)), mode="incoming", timeframe_id="t2")
     save_graph(g, tmp_path / "g")
     h = load_graph(tmp_path / "g")
     assert h.mode == g.mode
@@ -119,3 +120,48 @@ def test_graph_round_trip(tmp_path, rng):
     assert np.array_equal(h.edge_src, g.edge_src)
     assert np.array_equal(h.indptr, g.indptr)
     assert np.allclose(h.weights, g.weights)
+
+
+def assert_same_graph(graph, reference):
+    assert (graph.mode, graph.ids, graph.timeframe_id, graph.window, graph.n_out_of_window) == (
+        reference.mode, reference.ids, reference.timeframe_id, reference.window, reference.n_out_of_window)
+    for name in ("edge_src", "edge_dst", "edge_weight", "indptr", "indices", "weights"):
+        got, want = getattr(graph, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def shuffled_batch(rng, n_ids, n_calls):
+    """Calls over identities whose codes are not in identity order, with
+    repeated calls and calls in both directions between a pair."""
+    ids = [f"N{j:03d}" for j in rng.permutation(n_ids)]
+    a = rng.integers(0, n_ids, n_calls)
+    b = (a + rng.integers(1, n_ids, n_calls)) % n_ids
+    a, b = np.concatenate([a, a[:n_calls // 4], b[:n_calls // 5]]), np.concatenate([b, b[:n_calls // 4], a[:n_calls // 5]])
+    m = len(a)
+    return CdrBatch(736000 + rng.integers(0, 90, m), rng.integers(0, 86400, m), rng.integers(5, 900, m), a, b, ids)
+
+
+@pytest.mark.parametrize("weight_by", ["count", "duration"])
+def test_one_pass_graphs_match_per_mode_reference(rng, weight_by):
+    windows = [None, (date.fromordinal(736010), date.fromordinal(736040)),
+               (date.fromordinal(737000), date.fromordinal(737030))]  # the last holds no call
+    batches = [shuffled_batch(rng, int(rng.integers(2, 60)), int(rng.integers(1, 400))) for _ in range(15)]
+    batches.append(CdrBatch([], [], [], [], [], []))
+    for batch in batches:
+        order = identity_order(batch.ids)
+        for window in windows:
+            graphs = build_graphs(batch, window, weight_by, "t2", order)
+            assert set(graphs) == set(MODES)
+            for mode in MODES:
+                reference = reference_build_graph(batch, window, mode, weight_by, "t2")
+                assert_same_graph(graphs[mode], reference)
+                assert_same_graph(build_graph(batch, window, mode, weight_by, "t2"), reference)
+
+
+def test_load_graph_refuses_unsorted_edges(tmp_path):
+    g = build_graph(records_batch([call("A", "B"), call("B", "C")]), mode="outgoing")
+    save_graph(g, tmp_path / "g")
+    edges = np.load(tmp_path / "g" / "edges.npy")
+    np.save(tmp_path / "g" / "edges.npy", edges[::-1])
+    with pytest.raises(DataError, match="sorted by"):
+        load_graph(tmp_path / "g")

@@ -1,13 +1,16 @@
+import dataclasses
 import io
+import logging
 from datetime import date, time
 
+import numpy as np
 import pytest
 
+from callscore import ingest
 from callscore.cli import main as cli_main
 from callscore.errors import DataError
 from callscore.ingest import (
     CDR_HEADER,
-    CdrBatch,
     CdrParseError,
     CdrRecord,
     ingest_bank,
@@ -15,6 +18,7 @@ from callscore.ingest import (
     parse_cdr_line,
     write_cdr,
 )
+from conftest import records_batch, reference_ingest_bank, reference_ingest_cdr
 
 TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
 
@@ -64,6 +68,89 @@ def columns(batch):
             [batch.ids[c] for c in batch.from_code], [batch.ids[c] for c in batch.to_code])
 
 
+def ingest_outcome(parse, source, delimiter, caplog, min_duration=5):
+    """Everything a CDR parse gives: its columns and their dtypes, the
+    identity table, the stats, the reject log and the logged warnings."""
+    caplog.clear()
+    rejects = io.StringIO()
+    with caplog.at_level(logging.WARNING, logger="callscore.ingest"):
+        batch, stats = parse(source, min_duration, delimiter, rejects)
+    arrays = (batch.date_ord, batch.time_sec, batch.duration, batch.from_code, batch.to_code)
+    return ([a.tolist() for a in arrays], [a.dtype for a in arrays], batch.ids,
+            dataclasses.asdict(stats), rejects.getvalue(), [r.getMessage() for r in caplog.records])
+
+
+@MALFORMED
+def test_columnar_ingest_matches_per_row_reference_on_malformed_rows(line, reason, caplog):
+    rows = [TABLE_ROW, line, "01MAY2017,14:51:20,30,X,Y"]
+    assert ingest_outcome(ingest_cdr, rows, ",", caplog) == ingest_outcome(reference_ingest_cdr, rows, ",", caplog)
+
+
+def fuzzed_cdr_lines(rng, n, delimiter):
+    """CDR lines in canonical form mixed with every variant the row parser
+    accepts or rejects: padding, signed and underscored durations, lowercase
+    months, long digit runs, bad times, field counts, empty and equal
+    identities, non-ASCII identities, CRLF endings and blank lines."""
+    dates = ["01MAY2017", "15JUN2017", "31jul2017", " 02MAY2017", "30FEB2017", "01XYZ2017", "1MAY2017", ""]
+    times = ["12:00:00", "23:59:59", "00:00:00", " 08:15:00", "8:5:0", "24:00:00", "12:60:00",
+             "12:00", "12:00:00:00", "ab:cd:ef", "+1:00:00"]
+    durations = ["30", "5", "4", "0", "007", "+12", "1_0", " 9", "-3", "abc", "1234567890", "999999999", ""]
+    people = ["A", "B", "C", "(202) 555-0116", " D ", "É", "名前", "", "A"]
+    lines = []
+    for i in range(n):
+        common = rng.random() < 0.6
+        fields = [
+            "01MAY2017" if common else dates[rng.integers(len(dates))],
+            f"{rng.integers(24):02d}:{rng.integers(60):02d}:{rng.integers(60):02d}" if common
+            else times[rng.integers(len(times))],
+            str(rng.integers(0, 40)) if common else durations[rng.integers(len(durations))],
+            f"P{rng.integers(40)}" if common else people[rng.integers(len(people))],
+            f"P{rng.integers(40)}" if common else people[rng.integers(len(people))],
+        ]
+        if rng.random() < 0.03:
+            fields = fields[:int(rng.integers(1, 5))] if rng.random() < 0.5 else fields + ["extra"]
+        line = delimiter.join(fields)
+        ending = ["\n", "\r\n", ""][rng.integers(3)]
+        lines.append(line + ending)
+        if rng.random() < 0.03:
+            lines.append(["\n", "   \n", "\r\n", "\t"][rng.integers(4)])
+    return lines
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "||"])
+@pytest.mark.parametrize("chunk", [3, 1 << 12])
+def test_columnar_ingest_matches_per_row_reference_on_fuzzed_logs(delimiter, chunk, monkeypatch, caplog, tmp_path):
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
+    rng = np.random.default_rng(len(delimiter) * 100 + chunk)
+    for trial in range(4):
+        lines = fuzzed_cdr_lines(rng, 300, delimiter)
+        if trial % 2:
+            lines.insert(0, delimiter.join(CDR_HEADER.split(",")) + "\n")
+        if trial == 3:
+            lines = ["\n", "  \n"] + lines
+        path = tmp_path / f"log{trial}.csv"
+        path.write_text("".join(line if line.endswith("\n") else line + "\n" for line in lines),
+                        encoding="utf-8")
+        for source in (lines, path):
+            for min_duration in (0, 5):
+                assert (ingest_outcome(ingest_cdr, source, delimiter, caplog, min_duration)
+                        == ingest_outcome(reference_ingest_cdr, source, delimiter, caplog, min_duration))
+
+
+def test_identity_first_seen_on_a_short_call_gets_its_code_when_accepted(caplog):
+    rows = ["01MAY2017,10:00:00,2,NEW,A", "01MAY2017,10:00:01,30,B,A", "01MAY2017,10:00:02,30,A,NEW"]
+    batch, _ = ingest_cdr(rows, min_duration=5, delimiter=",")
+    assert batch.ids == ["B", "A", "NEW"]
+    assert ingest_outcome(ingest_cdr, rows, ",", caplog) == ingest_outcome(reference_ingest_cdr, rows, ",", caplog)
+
+
+def test_columnar_ingest_matches_reference_across_many_chunks(monkeypatch, caplog):
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 64)
+    rng = np.random.default_rng(7)
+    lines = fuzzed_cdr_lines(rng, 5000, ",")
+    assert ingest_outcome(ingest_cdr, lines, ",", caplog) == ingest_outcome(reference_ingest_cdr, lines, ",", caplog)
+
+
 def test_round_trip_serialization(rng, tmp_path):
     records = [parse_cdr_line(TABLE_ROW, ","),
                parse_cdr_line("02MAY2017,20:03:38,89,(701) 555-0148,(803) 555-0129", ",")]
@@ -71,7 +158,7 @@ def test_round_trip_serialization(rng, tmp_path):
         d = date(2017, int(rng.integers(1, 13)), int(rng.integers(1, 29)))
         t = time(int(rng.integers(0, 24)), int(rng.integers(0, 60)), int(rng.integers(0, 60)))
         records.append(CdrRecord(d, t, int(rng.integers(0, 10_000)), f"A {i % 7}", f"B {i % 5}"))
-    batch = CdrBatch.from_records(records)
+    batch = records_batch(records)
     write_cdr(tmp_path / "a.csv", batch)
     read, stats = ingest_cdr(tmp_path / "a.csv", min_duration=0, delimiter=",")
     assert stats.rows_accepted == len(records)
@@ -149,7 +236,7 @@ def test_filter_monotone_in_min_duration(rng):
 
 def test_batch_round_trips_records(tmp_path):
     batch, _ = ingest_cdr([TABLE_ROW], min_duration=0, delimiter=",")
-    assert columns(CdrBatch.from_records([parse_cdr_line(TABLE_ROW, ",")])) == columns(batch)
+    assert columns(records_batch([parse_cdr_line(TABLE_ROW, ",")])) == columns(batch)
     write_cdr(tmp_path / "cdr.csv", batch)
     assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
 
@@ -286,3 +373,80 @@ def test_bank_card_without_account_keeps_missing_sociodemographics():
                                  ["customer_id,date,amount"], cards)
     assert records[0].sociodemographics["age"] is None
     assert stats.cards_without_account == 1
+
+
+def bank_outcome(parse, accounts, transactions, cards, caplog):
+    """The records and stats a bank parse gives, or its error; and its warnings."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="callscore.ingest"):
+        try:
+            records, stats = parse(accounts, transactions, cards)
+            result = ([dataclasses.astuple(r) for r in records], dataclasses.asdict(stats))
+        except DataError as exc:
+            result = str(exc)
+    return result, [r.getMessage() for r in caplog.records]
+
+
+def bank_files(rng, n):
+    """Accounts, transactions and card rows for n customers, with orphan
+    transactions, customers without a card, cards without an account, blank
+    lines, padded values and a column named twice."""
+    accounts = ["customer_id,age,marital_status,postcode,age"]
+    transactions = ["customer_id,date,amount"]
+    cards = [CARD_HEADER]
+    for i in range(n):
+        cid = f"C{i:03d}"
+        if i % 7:
+            age = ["", "34", " 41 ", "29.5"][i % 4]
+            accounts.append(f"{cid},x,{['married', '', 'single'][i % 3]},{1000 + i},{age}")
+        for k in range(int(rng.integers(0, 4))):
+            day = ["10MAR2017", "02apr2017", " 11MAY2017"][(i + k) % 3]
+            transactions.append(f"{cid if (i + k) % 11 else 'GHOST' + str(i)},{day},{rng.integers(1, 900) / 4}")
+        if i % 5:
+            limit = 1000 + i
+            drawn = [str(rng.integers(0, limit)) for _ in range(12)]
+            arrears = [["0", "1", "true", "True", " 1"][rng.integers(5)] for _ in range(12)]
+            cards.append(card_row(cid, issue=["01APR2017", "01may2017"][i % 2], limit=str(limit),
+                                  drawn=drawn, arrears=arrears))
+        if i % 13 == 0:
+            cards.append("")
+    return accounts, transactions, cards
+
+
+BANK_FAULTS = {
+    "short account row": ("accounts", 2, lambda row: row.split(",")[0] + ",x"),
+    "short transaction row": ("transactions", 3, lambda row: row.split(",")[0]),
+    "short card row": ("cards", 2, lambda row: row.rsplit(",", 1)[0]),
+    "non-numeric age": ("accounts", 3, lambda row: row.rsplit(",", 1)[0] + ",old"),
+    "infinite amount": ("transactions", 2, lambda row: row.rsplit(",", 1)[0] + ",inf"),
+    "non-numeric limit": ("cards", 3, lambda row: card_row(row.split(",")[0], limit="n/a")),
+    "nan drawn": ("cards", 2, lambda row: card_row(row.split(",")[0], drawn=["1"] * 4 + ["nan"] + ["1"] * 7)),
+    "invalid transaction date": ("transactions", 2, lambda row: row.split(",")[0] + ",32MAR2017,5.00"),
+    "invalid issue date": ("cards", 4, lambda row: card_row(row.split(",")[0], issue="01ABC2017")),
+    "zero limit": ("cards", 2, lambda row: card_row(row.split(",")[0], limit="0")),
+    "zero limit, nothing drawn": ("cards", 2, lambda row: card_row(row.split(",")[0], limit="0", drawn=["0"] * 12)),
+    "drawn over limit": ("cards", 3, lambda row: card_row(row.split(",")[0], limit="10", drawn=["11"] * 12)),
+    "duplicate account": ("accounts", 3, lambda row: "C001" + row[4:]),
+    "duplicate card": ("cards", 3, lambda row: "C001" + row[4:]),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *BANK_FAULTS])
+@pytest.mark.parametrize("chunk", [2, 1 << 12])
+def test_columnar_bank_ingest_matches_per_field_reference(fault, chunk, monkeypatch, caplog):
+    monkeypatch.setattr(ingest, "_BANK_CHUNK", chunk)
+    files = dict(zip(("accounts", "transactions", "cards"), bank_files(np.random.default_rng(3), 40)))
+    if fault is not None:
+        name, row, change = BANK_FAULTS[fault]
+        files[name][row] = change(files[name][row])
+        # a second fault further down: the first in file order is the one reported
+        files["cards"].append(card_row("C999", issue="99XYZ2017"))
+    got = bank_outcome(ingest_bank, files["accounts"], files["transactions"], files["cards"], caplog)
+    assert got == bank_outcome(reference_ingest_bank, files["accounts"], files["transactions"],
+                               files["cards"], caplog)
+    assert isinstance(got[0], str) == (fault is not None)
+
+
+def test_bank_ingest_of_empty_files_matches_reference(caplog):
+    assert (bank_outcome(ingest_bank, [], [], [], caplog)
+            == bank_outcome(reference_ingest_bank, [], [], [], caplog))

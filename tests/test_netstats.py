@@ -4,11 +4,11 @@ import pytest
 from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
-from conftest import call
+from conftest import call, records_batch
 
 
 def complete_graph(n):
-    return build_graph([call(f"N{i:02d}", f"N{j:02d}") for i in range(n) for j in range(i + 1, n)])
+    return build_graph(records_batch([call(f"N{i:02d}", f"N{j:02d}") for i in range(n) for j in range(i + 1, n)]))
 
 
 def planted_graph(rng, n_per_block=30, p_in=0.25, p_out=0.02):
@@ -18,7 +18,7 @@ def planted_graph(rng, n_per_block=30, p_in=0.25, p_out=0.02):
             same = (i < n_per_block) == (j < n_per_block)
             if rng.random() < (p_in if same else p_out):
                 records.append(call(f"N{i:03d}", f"N{j:03d}"))
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = np.array([int(g.ids[v][1:]) < n_per_block for v in range(g.n_nodes)], dtype=np.int8)
     return g, labels
 
@@ -29,7 +29,7 @@ def er_graph(rng, n=60, p=0.12, frac_pos=0.3):
         for j in range(i + 1, n):
             if rng.random() < p:
                 records.append(call(f"N{i:03d}", f"N{j:03d}"))
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = (rng.random(g.n_nodes) < frac_pos).astype(np.int8)
     if labels.sum() < 2:
         labels[:2] = 1
@@ -69,21 +69,21 @@ def test_dyadic_clique():
     # defaulters form a clique, the rest hang off one defaulter
     records = [call("D0", "D1"), call("D0", "D2"), call("D1", "D2")]
     records += [call("D0", f"G{i}") for i in range(6)]
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = np.array([1 if g.ids[v].startswith("D") else 0 for v in range(g.n_nodes)], dtype=np.int8)
     assert dyadicity(g, labels) > 1
 
 
 def test_zero_dyadic_edges():
     records = [call("D0", "G0"), call("D1", "G1")]
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = np.array([1 if g.ids[v].startswith("D") else 0 for v in range(g.n_nodes)], dtype=np.int8)
     assert dyadicity(g, labels) == 0.0
 
 
 def test_no_cross_edges_heterophilicity_zero():
     records = [call("D0", "D1"), call("G0", "G1")]
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = np.array([1 if g.ids[v].startswith("D") else 0 for v in range(g.n_nodes)], dtype=np.int8)
     assert heterophilicity(g, labels) == 0.0
 
@@ -91,7 +91,7 @@ def test_no_cross_edges_heterophilicity_zero():
 def test_complete_bipartite_heterophilicity_closed_form():
     n1, n0 = 4, 6
     records = [call(f"D{i}", f"G{j}") for i in range(n1) for j in range(n0)]
-    g = build_graph(records)
+    g = build_graph(records_batch(records))
     labels = np.array([1 if g.ids[v].startswith("D") else 0 for v in range(g.n_nodes)], dtype=np.int8)
     n = n1 + n0
     expected = 1.0 / (2 * n1 * n0 / (n * (n - 1)))  # all edges cross, m_total = m_cross
@@ -143,7 +143,7 @@ def test_classification_strings():
     records = [call(f"D{i}", f"D{j}") for i in range(3) for j in range(i + 1, 3)]
     records += [call(f"G{i}", f"G{j}") for i in range(3) for j in range(i + 1, 3)]
     records += [call("D0", "G0")]
-    g2 = build_graph(records)
+    g2 = build_graph(records_batch(records))
     labels2 = np.array([1 if g2.ids[v].startswith("D") else 0 for v in range(g2.n_nodes)], dtype=np.int8)
     assert homophily_test(g2, labels2).classification == "dyadic, heterophilic"
 
@@ -157,6 +157,6 @@ def test_single_label_rejected():
 def test_directed_graph_rejected(rng):
     from conftest import random_records
 
-    g = build_graph(random_records(rng, 10, 40), mode="outgoing")
+    g = build_graph(records_batch(random_records(rng, 10, 40)), mode="outgoing")
     with pytest.raises(DataError):
         homophily_test(g, np.zeros(g.n_nodes, dtype=np.int8))

@@ -563,9 +563,9 @@ def test_cli_data_error_exit_code(tmp_path):
 def test_cli_convergence_error_exit_code(tmp_path):
     from callscore.graph import build_graph, save_graph
     from callscore.pipeline import LABEL_COLUMNS
-    from conftest import call
+    from conftest import call, records_batch
 
-    g = build_graph([call("A", "B"), call("B", "C"), call("C", "A")])
+    g = build_graph(records_batch([call("A", "B"), call("B", "C"), call("C", "A")]))
     save_graph(g, tmp_path / "g")
     rows = [",".join(LABEL_COLUMNS)]
     for node, identity in enumerate(g.ids):
@@ -577,3 +577,88 @@ def test_cli_convergence_error_exit_code(tmp_path):
                      "--method", "pr", "--seeds", "ge3", "--tol", "1e-15",
                      "--max-iter", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("text, wanted", [
+    ("subject_id,timeframe,y,score\ns1,t1,1,0.5\ns2,t1,0,abc\n", "s.csv:3: non-numeric score 'abc'"),
+    ("subject_id,timeframe,y,score\ns1,t1,1\n", "s.csv:2: non-numeric score None"),
+    ("subject_id,timeframe,score\ns1,t1,0.5\n", "s.csv:1: no y column"),
+    ("subject_id,timeframe,y\ns1,t1,1\n", "s.csv:1: no score column"),
+], ids=["non-numeric score", "short row", "no y column", "no score column"])
+def test_load_scores_refuses_malformed_file(tmp_path, text, wanted, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=wanted):
+        load_scores(path)
+    assert cli_main(["sweep", "--scores", str(path), "--param", "roi", "--grid", "0.05"]) == 2
+    assert wanted in capsys.readouterr().err
+
+
+def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, tmp_path):
+    from callscore.graph import build_graph
+    from conftest import reference_build_graph, reference_labels, reference_save_labels
+
+    config, out = tiny_run
+    batch, bank = pipeline.load_ingest(config, out / "ingest")
+    graphs, labels, loans = pipeline.stage_network(config, tmp_path, (batch, bank))
+    cards = pipeline._card_table(config, bank)
+    for k, tf in enumerate(pipeline.TIMEFRAMES, start=1):
+        for direction, mode in pipeline.DIR_TO_MODE.items():
+            reference = reference_build_graph(batch, config.window(k), mode, "count", tf)
+            for name in ("ids", "edge_src", "edge_dst", "edge_weight", "indptr", "indices", "weights"):
+                got, want = getattr(graphs[(tf, direction)], name), getattr(reference, name)
+                assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+        # the run's own labels, and labels over a one-month graph that misses some card holders
+        short = build_graph(batch, (config.month_date(k), config.month_date(k + 1)), "undirected", "count", tf)
+        for graph in (graphs[(tf, "UD")], short):
+            want, want_loans = reference_labels(config, bank, graph, k)
+            got, got_loans = pipeline._build_labels(cards, graph, k)
+            for name in ("delinquency_level", "is_subject", "is_bank_customer", "default_label"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert list(got_loans.items()) == list(want_loans.items())
+        reference_save_labels(tmp_path / "reference.csv", graphs[(tf, "UD")], labels[tf], loans[tf])
+        assert (tmp_path / f"labels_{tf}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / f"labels_{tf}.csv").read_bytes() == (out / "network" / f"labels_{tf}.csv").read_bytes()
+
+
+def test_exposure_builds_one_operator_per_graph(tiny_run, tmp_path, monkeypatch):
+    from callscore import propagation
+
+    config, out = tiny_run
+    network = pipeline.load_network(config, out / "network")
+    operators = []
+
+    def spy(graph):
+        push, dangling = build(graph)
+        operators.append(push)
+        return push, dangling
+
+    build = propagation._transition_operator
+    monkeypatch.setattr(propagation, "_transition_operator", spy)
+    pipeline.stage_exposure(config, tmp_path, network)
+    assert len(operators) == 54
+    assert len({id(op) for op in operators}) == 9
+    for path in (out / "exposure").iterdir():
+        if path.name != "fingerprint":
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["in", "out", "ud"])
+def test_cli_build_graph_writes_the_per_mode_graph(tiny_run, tmp_path, mode):
+    from callscore.graph import save_graph
+    from callscore.ingest import parse_cdr_date
+    from conftest import reference_build_graph, reference_ingest_cdr
+
+    _, out = tiny_run
+    cdr = out / "data" / "cdr.csv"
+    batch, _ = reference_ingest_cdr(cdr, 5, ",")
+    for flags, window, weight_by in (
+        (["--window", "01FEB2017", "30APR2017"], ("01FEB2017", "30APR2017"), "count"),
+        (["--weight-by", "duration"], None, "duration"),
+    ):
+        assert cli_main(["build-graph", "--cdr", str(cdr), "--mode", mode, "--out", str(tmp_path / "cli"),
+                         *flags]) == 0
+        window = tuple(map(parse_cdr_date, window)) if window else None
+        save_graph(reference_build_graph(batch, window, mode, weight_by, None), tmp_path / "reference")
+        for name in ("edges.npy", "nodes.txt", "meta.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()

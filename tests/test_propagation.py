@@ -10,7 +10,7 @@ from callscore.propagation import (
     spreading_activation,
     uniform_restart,
 )
-from conftest import call, dense_pagerank_solve, random_records
+from conftest import call, dense_pagerank_solve, random_records, records_batch
 
 
 def budget(tolerance: float, max_iterations: int) -> tuple:
@@ -39,7 +39,7 @@ def labels_for(graph, levels: dict):
 
 def test_two_node_exact_solution():
     # xi_A = 0.15 / (1 - 0.85^2) = 20/37, xi_B = 17/37 for restart on A
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     result = personalized_pagerank(g, np.array([1.0, 0.0]), *TIGHT)
     assert result.scores == pytest.approx([20 / 37, 17 / 37], abs=1e-10)
     assert abs(result.scores.sum() - 1) < 1e-12
@@ -47,7 +47,7 @@ def test_two_node_exact_solution():
 
 def test_uniform_restart_on_ring_is_uniform():
     n = 12
-    g = build_graph([call(f"N{i:02d}", f"N{(i + 1) % n:02d}") for i in range(n)])
+    g = build_graph(records_batch([call(f"N{i:02d}", f"N{(i + 1) % n:02d}") for i in range(n)]))
     result = personalized_pagerank(g, np.ones(n), *TIGHT)
     assert result.scores == pytest.approx(np.full(n, 1 / n), abs=1e-10)
 
@@ -55,7 +55,7 @@ def test_uniform_restart_on_ring_is_uniform():
 def test_matches_dense_solve_on_random_graphs(rng):
     for k in range(15):
         mode = ("undirected", "outgoing", "incoming")[k % 3]
-        g = build_graph(random_records(rng, int(rng.integers(5, 60)), 150), mode=mode)
+        g = build_graph(records_batch(random_records(rng, int(rng.integers(5, 60)), 150)), mode=mode)
         z = rng.random(g.n_nodes)
         z[z < 0.4] = 0.0
         if z.sum() == 0:
@@ -66,7 +66,7 @@ def test_matches_dense_solve_on_random_graphs(rng):
 
 
 def test_fixed_point_residual_bound(rng):
-    g = build_graph(random_records(rng, 25, 120))
+    g = build_graph(records_batch(random_records(rng, 25, 120)))
     z = uniform_restart(g.n_nodes, np.array([0, 1, 2]))
     result = personalized_pagerank(g, z, 0.85, 1e-9, 2000)
     # apply one more update by hand and check the L1 change stays in tolerance
@@ -84,7 +84,7 @@ def test_single_seed_path_scores_decay_with_distance():
     # interior seed: the stochastic normalization halves an endpoint's return
     # flow, so an endpoint seed would score below its own first neighbor
     n = 11
-    g = build_graph([call(f"N{i:02d}", f"N{i + 1:02d}") for i in range(n - 1)])
+    g = build_graph(records_batch([call(f"N{i:02d}", f"N{i + 1:02d}") for i in range(n - 1)]))
     mid = n // 2
     z = np.zeros(n)
     z[g.node(f"N{mid:02d}")] = 1.0
@@ -96,13 +96,13 @@ def test_single_seed_path_scores_decay_with_distance():
 
 
 def test_all_zero_restart_rejected():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     with pytest.raises(DataError):
         personalized_pagerank(g, np.zeros(2), *TIGHT)
 
 
 def test_nonconvergence_carries_residual():
-    g = build_graph([call("A", "B"), call("B", "C"), call("C", "A")])
+    g = build_graph(records_batch([call("A", "B"), call("B", "C"), call("C", "A")]))
     with pytest.raises(ConvergenceError) as err:
         personalized_pagerank(g, np.array([1.0, 0, 0]), *budget(1e-15, 3))
     assert err.value.iterations == 3
@@ -113,7 +113,7 @@ def test_nonconvergence_carries_residual():
     ((1.0, 1e-8, 10), "alpha"), ((0.85, 0.0, 10), "tolerance"), ((0.85, 1e-8, 0), "max_iterations"),
 ])
 def test_walk_values_checked(args, message):
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     with pytest.raises(DataError, match=message):
         personalized_pagerank(g, np.array([1.0, 0.0]), *args)
 
@@ -122,13 +122,13 @@ def test_walk_values_checked(args, message):
     ((0.0, 1e-6, 10), "spread_fraction"), ((0.85, -1.0, 10), "tolerance"), ((0.85, 1e-6, 0), "max_iterations"),
 ])
 def test_spreading_values_checked(args, message):
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     with pytest.raises(DataError, match=message):
         spreading_activation(g, np.array([0]), *args)
 
 
 def test_dangling_mass_returns_to_restart():
-    g = build_graph([call("A", "B")], mode="outgoing")  # B has no outgoing edge
+    g = build_graph(records_batch([call("A", "B")]), mode="outgoing")  # B has no outgoing edge
     result = personalized_pagerank(g, np.array([1.0, 0.0]), *TIGHT)
     assert abs(result.scores.sum() - 1) < 1e-12
     assert (result.scores > 0).all()
@@ -139,7 +139,7 @@ def test_dangling_mass_returns_to_restart():
 # ---------------------------------------------------------------------------
 
 def test_isolated_seed_keeps_energy_one_iteration():
-    g = build_graph([call("A", "B")], mode="outgoing")  # B is dangling
+    g = build_graph(records_batch([call("A", "B")]), mode="outgoing")  # B is dangling
     result = spreading_activation(g, np.array([g.node("B")]), *SPREAD)
     assert result.iterations_run == 1
     expected = np.zeros(2)
@@ -148,7 +148,7 @@ def test_isolated_seed_keeps_energy_one_iteration():
 
 
 def test_one_round_transfer_split():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     result = spreading_activation(g, np.array([g.node("A")]), *budget(1e-6, 1))
     # sender keeps 0.15; the 0.85 delivered to B settles when iterations stop
     assert result.scores[g.node("A")] == pytest.approx(0.15)
@@ -158,7 +158,7 @@ def test_one_round_transfer_split():
 def test_energy_conserved_every_iteration(rng):
     for k in range(15):
         mode = ("undirected", "outgoing", "incoming")[k % 3]
-        g = build_graph(random_records(rng, int(rng.integers(5, 50)), 140), mode=mode)
+        g = build_graph(records_batch(random_records(rng, int(rng.integers(5, 50)), 140)), mode=mode)
         n_seeds = int(rng.integers(1, max(2, g.n_nodes // 3)))
         seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
         result = spreading_activation(g, seeds, *SPREAD)
@@ -169,13 +169,13 @@ def test_energy_conserved_every_iteration(rng):
 
 
 def test_empty_seed_set_rejected():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     with pytest.raises(DataError):
         spreading_activation(g, np.array([], dtype=int), *SPREAD)
 
 
 def test_both_methods_bit_identical_on_repeat(rng):
-    g = build_graph(random_records(rng, 30, 150))
+    g = build_graph(records_batch(random_records(rng, 30, 150)))
     z = uniform_restart(g.n_nodes, np.array([0, 3, 5]))
     a = personalized_pagerank(g, z, *TIGHT).scores
     b = personalized_pagerank(g, z, *TIGHT).scores
@@ -197,7 +197,7 @@ def exposure_of(scores):
 
 
 def test_cutoff_is_min_over_three_arrears():
-    g = build_graph([call("A", "B"), call("B", "C")])
+    g = build_graph(records_batch([call("A", "B"), call("B", "C")]))
     labels = labels_for(g, {"A": 3, "B": 3, "C": 0})
     scores = np.zeros(g.n_nodes)
     scores[g.node("A")] = 0.9
@@ -207,7 +207,7 @@ def test_cutoff_is_min_over_three_arrears():
 
 
 def test_cutoff_single_delinquent():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     labels = labels_for(g, {"A": 3})
     scores = np.array([0.0, 0.0])
     scores[g.node("A")] = 0.7
@@ -215,7 +215,7 @@ def test_cutoff_single_delinquent():
 
 
 def test_cutoff_requires_three_arrears_nodes():
-    g = build_graph([call("A", "B")])
+    g = build_graph(records_batch([call("A", "B")]))
     labels = labels_for(g, {"A": 2})
     with pytest.raises(DataError, match="explicit cutoff"):
         exposure_cutoff(exposure_of([0.5, 0.1]), labels)
