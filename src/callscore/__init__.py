@@ -11,7 +11,7 @@ model profit, profit-based feature importance).
 from .errors import ConvergenceError, DataError, UsageError
 from .features import FeatureMatrix, diversity, drop_correlated, loyalty
 from .graph import CallGraph, NodeLabelSet, build_graph
-from .ingest import BankRecord, CdrRecord, IngestStats, ingest_bank, ingest_cdr, parse_cdr_line
+from .ingest import BankTable, CdrRecord, IngestStats, ingest_bank, ingest_cdr, parse_cdr_line
 from .models import (
     ForestModel,
     LogisticModel,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CallGraph, NodeLabelSet, neighbor_sum
-from .ingest import CdrBatch
+from .ingest import BankTable, CdrBatch
 from .propagation import ExposureVector, RiskRelabeling
 
 logger = logging.getLogger(__name__)
@@ -326,28 +326,23 @@ def _group_max(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.where(np.isneginf(out), 0.0, out)
 
 
-def sociodemographic_matrix(records: list) -> tuple[list, np.ndarray, np.ndarray]:
-    """SD features of many bank records: (names, values (n, 35), missing (n, 35)).
+def sociodemographic_matrix(bank: BankTable) -> tuple[list, np.ndarray, np.ndarray]:
+    """SD features of the card holders: (names, values (n, 35), missing (n, 35)).
 
     Spending is read over the SD_WINDOW_DAYS days before each card issue
     date. Missing inputs (no age, unknown marital status or region, no
     transactions for the entropy features) yield zero values flagged in the
     missing mask.
     """
-    n = len(records)
-    demo = [r.sociodemographics for r in records]
-    age = np.array([np.nan if d.get("age") is None else float(d["age"]) for d in demo])
-    marital = _one_hot([(d.get("marital_status") or "").lower() for d in demo], MARITAL_CATEGORIES)
-    region = _one_hot([region_of_postcode(d.get("postcode")) for d in demo], REGIONS)
+    n = len(bank)
+    marital = _one_hot([(m or "").lower() for m in bank.marital_status.tolist()], MARITAL_CATEGORIES)
+    region = _one_hot(list(map(region_of_postcode, bank.postcode.tolist())), REGIONS)
 
-    owner = np.repeat(np.arange(n), [len(r.debit_transactions) for r in records])
-    day = np.array([d.toordinal() for r in records for d, _ in r.debit_transactions], dtype=np.int64)
-    amount = np.array([a for r in records for _, a in r.debit_transactions], dtype=np.float64)
-    issue = np.array([r.card_issue_date.toordinal() for r in records], dtype=np.int64)
+    owner, day, issue = bank.txn_owner, bank.txn_day, bank.issue_day
     kept = (day >= issue[owner] - SD_WINDOW_DAYS) & (day < issue[owner])
-    owner, day, amount = owner[kept], day[kept], amount[kept]
+    owner, day, amount = owner[kept], day[kept], bank.txn_amount[kept]
 
-    # bincount adds in input order, as a running sum per record would
+    # bincount adds in table order, as a running sum per holder would
     bin_key = owner * N_BINS + (day + 6) % 7   # date.weekday() from the ordinal
     count_bins = np.bincount(bin_key, minlength=n * N_BINS).reshape(n, N_BINS).astype(np.float64)
     value_bins = np.bincount(bin_key, weights=amount, minlength=n * N_BINS).reshape(n, N_BINS)
@@ -356,9 +351,9 @@ def sociodemographic_matrix(records: list) -> tuple[list, np.ndarray, np.ndarray
     day_owner = day_keys // span
     daily = np.bincount(day_of, weights=amount, minlength=len(day_keys))
 
-    per_record = np.bincount(owner, minlength=n)
-    n_purchases = per_record.astype(np.float64)
-    total = _run_sums(amount, per_record)
+    per_holder = np.bincount(owner, minlength=n)
+    n_purchases = per_holder.astype(np.float64)
+    total = _run_sums(amount, per_holder)
     spend = np.column_stack([
         total,
         total / SD_WINDOW_DAYS,
@@ -373,7 +368,7 @@ def sociodemographic_matrix(records: list) -> tuple[list, np.ndarray, np.ndarray
     np.divide(value_bins, total[:, None], out=value_fraction, where=total[:, None] > 0)
 
     values = np.column_stack([
-        age, marital, region, spend,
+        bank.age, marital, region, spend,
         diversity(count_bins, "non_empty"), diversity(count_bins, "all"),
         diversity(value_bins, "non_empty"), diversity(value_bins, "all"),
         loyalty(count_bins), loyalty(value_bins),

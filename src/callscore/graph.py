@@ -1,7 +1,7 @@
 """Compressed sparse weighted call networks aggregated over a date window.
 
 A timeframe's calls give one graph per mode. Modes: `outgoing` links caller
-to callee, `incoming` stores the reverse so that neighbors(v) are v's callers,
+to callee, `incoming` stores the reverse so that the CSR row of v holds v's callers,
 and `undirected` merges both directions into one edge per pair. Edge weights
 default to call counts; duration weighting is available but not the default.
 """
@@ -12,7 +12,6 @@ import json
 import logging
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +55,6 @@ class CallGraph:
     window: tuple | None = None
     n_out_of_window: int = 0
 
-    @cached_property
-    def _id_to_node(self) -> dict:
-        return {identity: i for i, identity in enumerate(self.ids)}
-
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
@@ -67,33 +62,6 @@ class CallGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_weight)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.edge_weight.sum())
-
-    def node(self, identity: str) -> int:
-        try:
-            return self._id_to_node[identity]
-        except KeyError:
-            raise DataError(f"unknown identity {identity!r}") from None
-
-    def identity(self, node: int) -> str:
-        return self.ids[node]
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise DataError(f"unknown node id {node}")
-
-    def neighbor_arrays(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor ids and weights as array views, ascending by node id."""
-        self._check_node(node)
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
-    def neighbors(self, node: int) -> list:
-        idx, w = self.neighbor_arrays(node)
-        return [(int(i), float(x)) for i, x in zip(idx, w)]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

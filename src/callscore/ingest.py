@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date, time
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +36,7 @@ CDR_FIELD_COUNT = 5
 CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
 _WRITE_CHUNK = 1 << 16
 _PARSE_CHUNK = 1 << 12  # CDR lines per parse step; bounds the memory a parse takes
+_MAX_DURATION = int(np.iinfo(np.int32).max)  # durations are stored as int32
 # bank rows per block: csv rows are lists the garbage collector tracks, and
 # a smaller block frees them before they fill its younger generations
 _BANK_CHUNK = 1 << 9
@@ -74,19 +75,29 @@ def format_cdr_date(d: date) -> str:
     return f"{d.day:02d}{_MONTH_NAMES[d.month]}{d.year:04d}"
 
 
-def _parse_fields(fields: list[str], date_cache: dict[str, int]) -> tuple[int, int, int, str, str]:
+def _date_ordinal(text: str) -> int:
+    """The proleptic ordinal of a DDMONYYYY date; 0 when `text` is not one."""
+    try:
+        return parse_cdr_date(text).toordinal()
+    except CdrParseError:
+        return 0
+
+
+def _parse_fields(fields: list[str], ordinals: dict[str, int]) -> tuple[int, int, int, str, str]:
     """Validate one split CDR row: (date ordinal, seconds of day, duration, from_id, to_id).
 
     Raises CdrParseError on a wrong field count, malformed date or time,
-    non-numeric or negative duration, empty identities, or a self-call.
-    `date_cache` maps date text already parsed to its ordinal.
+    non-numeric, negative or over-int32 duration, empty identities, or a
+    self-call. `ordinals` caches `_date_ordinal` of each date text.
     """
     if len(fields) != CDR_FIELD_COUNT:
         raise CdrParseError(f"expected {CDR_FIELD_COUNT} fields, got {len(fields)}")
     dtext = fields[0].strip()
-    ordinal = date_cache.get(dtext)
+    ordinal = ordinals.get(dtext)
     if ordinal is None:
-        ordinal = date_cache[dtext] = parse_cdr_date(dtext).toordinal()
+        ordinal = ordinals[dtext] = _date_ordinal(dtext)
+    if not ordinal:
+        raise CdrParseError(f"invalid date {dtext!r}")
     t = fields[1].strip()
     tparts = t.split(":")
     if len(tparts) != 3:
@@ -103,6 +114,8 @@ def _parse_fields(fields: list[str], date_cache: dict[str, int]) -> tuple[int, i
         raise CdrParseError(f"non-numeric duration {fields[2].strip()!r}") from None
     if dur < 0:
         raise CdrParseError(f"negative duration {dur}")
+    if dur > _MAX_DURATION:
+        raise CdrParseError(f"duration {dur} exceeds {_MAX_DURATION}")
     fid = fields[3].strip()
     tid = fields[4].strip()
     if not fid or not tid:
@@ -195,12 +208,7 @@ def _looks_like_header(fields: list[str]) -> bool:
         int(fields[2].strip())
         return False
     except ValueError:
-        pass
-    try:
-        parse_cdr_date(fields[0])
-        return False
-    except CdrParseError:
-        return True
+        return not _date_ordinal(fields[0])
 
 
 def _open_lines(source) -> Iterable[str]:
@@ -217,8 +225,7 @@ def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
     duration of 1-9 ASCII digits, and two distinct identities that are not
     empty once stripped. `_parse_fields` accepts such a row with the same
     values; the other rows are left to it. The lines are read as one array
-    of code points. `ordinals` caches the ordinal of each date text, 0 for
-    one that does not parse.
+    of code points. `ordinals` caches `_date_ordinal` of each date text.
     """
     n = len(text)
     blob = "\n".join(text)
@@ -246,10 +253,7 @@ def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
                                 return_index=True, return_inverse=True)
     dates = [text[i][:9] for i in row.tolist()]
     for date_text in set(dates).difference(ordinals):
-        try:
-            ordinals[date_text] = parse_cdr_date(date_text).toordinal()
-        except CdrParseError:
-            ordinals[date_text] = 0
+        ordinals[date_text] = _date_ordinal(date_text)
     date_ord = np.where(ok, np.array([ordinals[d] for d in dates], dtype=np.int32)[inverse], 0)
     ok &= date_ord > 0
 
@@ -294,7 +298,6 @@ def ingest_cdr(
     if min_duration < 0:
         raise DataError("min_duration must be >= 0")
     codes: dict[str, int] = {}
-    date_cache: dict[str, int] = {}
     ordinals: dict[str, int] = {}
     blocks = []
     stats = IngestStats()
@@ -313,7 +316,7 @@ def ingest_cdr(
             ok, date_ord, time_sec, duration, callers, callees = _canonical_rows(text, delimiter, ordinals)
             for i in np.flatnonzero(~ok).tolist():
                 try:
-                    fields = _parse_fields(text[i].split(delimiter), date_cache)
+                    fields = _parse_fields(text[i].split(delimiter), ordinals)
                 except CdrParseError as exc:
                     stats.rows_rejected += 1
                     logger.warning("rejected CDR row %d: %s", stats.rows_read + i + 1, exc)
@@ -348,28 +351,41 @@ def ingest_cdr(
 # ---------------------------------------------------------------------------
 
 CARD_MONTHS = 12
-_ARREARS_TRUE = ("1", "true", "True")
+_ARREARS_TRUE = frozenset(("1", "true", "True"))
 
 ACCOUNT_COLUMNS = ("customer_id", "age", "marital_status", "postcode")
 TRANSACTION_COLUMNS = ("customer_id", "date", "amount")
-CARD_COLUMNS = (
-    ("customer_id", "issue_date", "credit_limit")
-    + tuple(f"drawn_{m}" for m in range(1, CARD_MONTHS + 1))
-    + tuple(f"arrears_{m}" for m in range(1, CARD_MONTHS + 1))
-)
+_DRAWN_COLUMNS = tuple(f"drawn_{m}" for m in range(1, CARD_MONTHS + 1))
+_ARREARS_COLUMNS = tuple(f"arrears_{m}" for m in range(1, CARD_MONTHS + 1))
+CARD_COLUMNS = ("customer_id", "issue_date", "credit_limit") + _DRAWN_COLUMNS + _ARREARS_COLUMNS
 
 
 @dataclass(slots=True)
-class BankRecord:
-    """One card-holding bank customer with 12 months of post-issue history."""
+class BankTable:
+    """The card holders, sorted by customer id, with their accounts and debit transactions.
 
-    customer_id: str
-    sociodemographics: dict
-    debit_transactions: list  # (date, amount) pairs
-    card_issue_date: date
-    credit_limit: float
-    monthly_drawn: tuple
-    monthly_arrears: tuple
+    Row i of every card and account column is customer `ids[i]`. `age` is
+    NaN, and `marital_status` and `postcode` are None, where the account row
+    leaves the field empty or the card holder has no account row. Debit
+    transaction k belongs to row `txn_owner[k]`; transactions are sorted by
+    owner row, then by (day, amount), ties in file order. Days are proleptic
+    ordinals.
+    """
+
+    ids: np.ndarray             # str objects
+    issue_day: np.ndarray       # int64
+    credit_limit: np.ndarray    # float64
+    drawn: np.ndarray           # (n, CARD_MONTHS) float64
+    arrears: np.ndarray         # (n, CARD_MONTHS) bool
+    age: np.ndarray             # float64
+    marital_status: np.ndarray  # str or None objects
+    postcode: np.ndarray        # str or None objects
+    txn_owner: np.ndarray       # int64
+    txn_day: np.ndarray         # int64
+    txn_amount: np.ndarray      # float64
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -411,10 +427,6 @@ def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dic
             lines.close()
 
 
-def _dict_rows(columns: dict) -> Iterator[dict]:
-    return (dict(zip(columns, values)) for values in zip(*columns.values()))
-
-
 def _field(row: dict, column: str, cid: str, what: str) -> str:
     """The stripped text of `column`; a row too short to hold it is a data error."""
     if row[column] is None:
@@ -451,142 +463,174 @@ def _numbers(values: list) -> list | None:
     return numbers if all(map(math.isfinite, numbers)) else None
 
 
-def _dates(values: list, cache: dict) -> list | None:
-    """The values as dates, each distinct text parsed once into `cache`;
+def _days(values: list, cache: dict) -> list | None:
+    """The values as date ordinals, each distinct text parsed once into `cache`;
     None when one is missing or does not parse."""
     if None in values:
         return None
     texts = list(map(str.strip, values))
     for text in set(texts).difference(cache):
-        try:
-            cache[text] = parse_cdr_date(text)
-        except CdrParseError:
-            cache[text] = None
-    dates = list(map(cache.__getitem__, texts))
-    return None if None in dates else dates
+        cache[text] = _date_ordinal(text)
+    days = list(map(cache.__getitem__, texts))
+    return None if 0 in days else days
 
 
 def _stripped(values: list) -> list | None:
     return None if None in values else list(map(str.strip, values))
 
 
+def _raise_first_fault(cols: dict, what: str, check, state) -> NoReturn:
+    """Raise the error of the first faulty row, in file order, of a block the column pass refused.
+
+    `check(row, cid, state)` raises on a row with a fault. The column pass
+    refuses a block only on a condition that `check`, or the missing
+    customer_id test here, raises on, so a refused block always raises.
+    """
+    for values in zip(*cols.values()):
+        row = dict(zip(cols, values))
+        if row["customer_id"] is None:
+            raise DataError(f"{what} file: a row has no customer_id field")
+        check(row, row["customer_id"].strip(), state)
+    raise AssertionError(f"{what} file: the column pass refused a block without a fault")
+
+
+def _check_account(row: dict, cid: str, seen: set) -> None:
+    if cid in seen:
+        raise DataError(f"duplicate customer_id {cid!r} in accounts")
+    seen.add(cid)
+    if _field(row, "age", cid, "accounts"):
+        _number(row, "age", cid, "accounts")
+    _field(row, "marital_status", cid, "accounts")
+    _field(row, "postcode", cid, "accounts")
+
+
+def _check_transaction(row: dict, cid: str, accounts: dict) -> None:
+    if cid not in accounts:
+        logger.warning("orphan transaction for unknown customer %r", cid)
+        return
+    _date(row, "date", cid, "transactions")
+    _number(row, "amount", cid, "transactions")
+
+
+def _check_card(row: dict, cid: str, seen: set) -> None:
+    if cid in seen:
+        raise DataError(f"duplicate customer_id {cid!r} in card activity")
+    seen.add(cid)
+    limit = _number(row, "credit_limit", cid, "card activity")
+    if limit <= 0:
+        raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
+    drawn = [_number(row, c, cid, "card activity") for c in _DRAWN_COLUMNS]
+    over = [d for d in drawn if d > limit * (1 + 1e-9)]
+    if over:
+        raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
+    for c in _ARREARS_COLUMNS:
+        _field(row, c, cid, "card activity")
+    _date(row, "issue_date", cid, "card activity")
+
+
 def ingest_bank(
     accounts: str | Path | Iterable[str],
     transactions: str | Path | Iterable[str],
     card_activity: str | Path | Iterable[str],
-) -> tuple[list[BankRecord], BankIngestStats]:
-    """Join the three bank files on customer_id into one record per card holder.
+) -> tuple[BankTable, BankIngestStats]:
+    """Join the three bank files on customer_id into one table of the card holders.
 
     Customers without card activity are excluded (counted); card rows without
     an account row keep missing sociodemographics. Duplicated customer_id in
     either keyed file is an error naming the identity. Orphan transactions
     (no account row) are counted and logged, never attached.
 
-    Each chunk of rows is converted a column at a time. A chunk with a value
-    that does not convert, or that breaks a check, is read again a row at a
-    time, so that the first fault in file order raises its error, naming the
-    file, the customer and the column.
+    Each block of rows is checked and converted a column at a time. A block
+    with a value that does not convert, or that breaks a check, is checked
+    again a row at a time, so that the first fault in file order raises its
+    error, naming the file, the customer and the column.
     """
     stats = BankIngestStats()
-    dates: dict = {}
+    days: dict = {}
 
-    sociodemo: dict[str, dict] = {}
+    account_of: dict[str, int] = {}
+    ages, marital, postcode = [], [], []
     for cols in _column_chunks(accounts, ACCOUNT_COLUMNS, "accounts"):
         stats.accounts_read += len(cols["customer_id"])
-        cids, ages, marital, postcode = (_stripped(cols[c]) for c in ACCOUNT_COLUMNS)
-        numbers = _numbers([a for a in ages if a]) if ages is not None else None
-        if (cids is not None and numbers is not None and marital is not None and postcode is not None
-                and len(set(cids)) == len(cids) and sociodemo.keys().isdisjoint(cids)):
-            numbers = iter(numbers)
-            for cid, age, m, code in zip(cids, ages, marital, postcode):
-                sociodemo[cid] = {"age": next(numbers) if age else None,
-                                  "marital_status": m or None, "postcode": code or None}
-            continue
-        for row in _dict_rows(cols):
-            cid = row["customer_id"].strip()
-            if cid in sociodemo:
-                raise DataError(f"duplicate customer_id {cid!r} in accounts")
-            sociodemo[cid] = {
-                "age": _number(row, "age", cid, "accounts") if _field(row, "age", cid, "accounts") else None,
-                "marital_status": _field(row, "marital_status", cid, "accounts") or None,
-                "postcode": _field(row, "postcode", cid, "accounts") or None,
-            }
+        cids, age, status, code = (_stripped(cols[c]) for c in ACCOUNT_COLUMNS)
+        numbers = _numbers([a for a in age if a]) if age is not None else None
+        if (cids is None or numbers is None or status is None or code is None
+                or len(set(cids)) < len(cids) or not account_of.keys().isdisjoint(cids)):
+            _raise_first_fault(cols, "accounts", _check_account, set(account_of))
+        account_of.update(zip(cids, range(len(account_of), len(account_of) + len(cids))))
+        numbers = iter(numbers)
+        ages += [next(numbers) if a else math.nan for a in age]
+        marital += [s or None for s in status]
+        postcode += [c or None for c in code]
 
-    debits: dict[str, list] = {}
+    txn_account, txn_day, txn_amount = [np.zeros(0, np.int64)], [], []
     for cols in _column_chunks(transactions, TRANSACTION_COLUMNS, "transactions"):
         stats.transactions_read += len(cols["customer_id"])
         cids = _stripped(cols["customer_id"])
         if cids is not None:
-            known = list(map(sociodemo.__contains__, cids))
-            on = _dates(list(compress(cols["date"], known)), dates)
+            account = np.fromiter(map(account_of.get, cids, repeat(-1)), np.int64, len(cids))
+            known = (account >= 0).tolist()
+            on = _days(list(compress(cols["date"], known)), days)
             amounts = _numbers(list(compress(cols["amount"], known)))
-            if on is not None and amounts is not None:
-                for cid in compress(cids, map(operator.not_, known)):
-                    stats.orphan_transactions += 1
-                    logger.warning("orphan transaction for unknown customer %r", cid)
-                for cid, day, amount in zip(compress(cids, known), on, amounts):
-                    debits.setdefault(cid, []).append((day, amount))
-                continue
-        for row in _dict_rows(cols):
-            cid = row["customer_id"].strip()
-            if cid not in sociodemo:
-                stats.orphan_transactions += 1
-                logger.warning("orphan transaction for unknown customer %r", cid)
-                continue
-            debits.setdefault(cid, []).append(
-                (_date(row, "date", cid, "transactions"), _number(row, "amount", cid, "transactions"))
-            )
+        if cids is None or on is None or amounts is None:
+            _raise_first_fault(cols, "transactions", _check_transaction, account_of)
+        for cid in compress(cids, map(operator.not_, known)):
+            stats.orphan_transactions += 1
+            logger.warning("orphan transaction for unknown customer %r", cid)
+        txn_account.append(account[account >= 0])
+        txn_day += on
+        txn_amount += amounts
 
-    cards: list[tuple] = []
+    card_ids: list[str] = []
     seen_cards: set[str] = set()
-    drawn_columns = [f"drawn_{m}" for m in range(1, CARD_MONTHS + 1)]
-    arrears_columns = [f"arrears_{m}" for m in range(1, CARD_MONTHS + 1)]
+    issue_day, credit_limit = [], []
+    drawn, arrears = [np.zeros((0, CARD_MONTHS))], [np.zeros((0, CARD_MONTHS), bool)]
     for cols in _column_chunks(card_activity, CARD_COLUMNS, "card activity"):
         stats.cards_read += len(cols["customer_id"])
         cids = _stripped(cols["customer_id"])
-        issued = _dates(cols["issue_date"], dates)
+        issued = _days(cols["issue_date"], days)
         limits = _numbers(cols["credit_limit"])
-        drawn = [_numbers(cols[c]) for c in drawn_columns]
-        flags = [_stripped(cols[c]) for c in arrears_columns]
-        if (cids is not None and issued is not None and limits is not None
-                and None not in drawn and None not in flags
-                and len(set(cids)) == len(cids) and seen_cards.isdisjoint(cids)
-                and min(limits) > 0
-                and not (np.array(drawn) > np.array(limits) * (1 + 1e-9)).any()):
-            seen_cards.update(cids)
-            arrears = [[f in _ARREARS_TRUE for f in column] for column in flags]
-            cards += zip(cids, limits, zip(*drawn), zip(*arrears), issued)
-            continue
-        for row in _dict_rows(cols):
-            cid = row["customer_id"].strip()
-            if cid in seen_cards:
-                raise DataError(f"duplicate customer_id {cid!r} in card activity")
-            seen_cards.add(cid)
-            limit = _number(row, "credit_limit", cid, "card activity")
-            if limit <= 0:
-                raise DataError(f"customer {cid!r} has non-positive credit limit {limit}")
-            drawn = tuple(_number(row, c, cid, "card activity") for c in drawn_columns)
-            over = [d for d in drawn if d > limit * (1 + 1e-9)]
-            if over:
-                raise DataError(f"customer {cid!r} drawn {max(over)} exceeds credit limit {limit}")
-            arrears = tuple(_field(row, c, cid, "card activity") in _ARREARS_TRUE for c in arrears_columns)
-            cards.append((cid, limit, drawn, arrears, _date(row, "issue_date", cid, "card activity")))
+        amounts = [_numbers(cols[c]) for c in _DRAWN_COLUMNS]
+        flags = [_stripped(cols[c]) for c in _ARREARS_COLUMNS]
+        if (cids is None or issued is None or limits is None or None in amounts or None in flags
+                or len(set(cids)) < len(cids) or not seen_cards.isdisjoint(cids)
+                or min(limits) <= 0 or (np.array(amounts) > np.array(limits) * (1 + 1e-9)).any()):
+            _raise_first_fault(cols, "card activity", _check_card, set(seen_cards))
+        seen_cards.update(cids)
+        card_ids += cids
+        issue_day += issued
+        credit_limit += limits
+        drawn.append(np.array(amounts).T)
+        arrears.append(np.fromiter(map(_ARREARS_TRUE.__contains__, chain.from_iterable(flags)), bool,
+                                   CARD_MONTHS * len(cids)).reshape(CARD_MONTHS, -1).T)
 
-    records = []
-    for cid, limit, drawn, arrears, issued in cards:
-        if cid not in sociodemo:
-            stats.cards_without_account += 1
-        records.append(BankRecord(
-            customer_id=cid,
-            sociodemographics=sociodemo.get(cid, {"age": None, "marital_status": None, "postcode": None}),
-            debit_transactions=sorted(debits.get(cid, [])),
-            card_issue_date=issued,
-            credit_limit=limit,
-            monthly_drawn=drawn,
-            monthly_arrears=arrears,
-        ))
-    stats.customers_without_card = sum(1 for cid in sociodemo if cid not in seen_cards)
+    order = np.argsort(np.array(card_ids, dtype=object), kind="stable")
+    ids = np.array(card_ids, dtype=object)[order]
+    account = np.fromiter(map(account_of.get, ids.tolist(), repeat(-1)), np.int64, len(ids))
+    has_account = account >= 0
+    stats.cards_without_account = int(len(ids) - has_account.sum())
+    stats.customers_without_card = len(account_of) - int(has_account.sum())
     if stats.customers_without_card:
         logger.info("excluded %d customers without card activity", stats.customers_without_card)
-    records.sort(key=lambda r: r.customer_id)
-    return records, stats
+
+    # a transaction's owner is the card holder with its account row, if any
+    card_of = np.full(len(account_of), -1)
+    card_of[account[has_account]] = np.flatnonzero(has_account)
+    owner = card_of[np.concatenate(txn_account)]
+    kept = owner >= 0
+    owner, day, amount = owner[kept], np.array(txn_day, np.int64)[kept], np.array(txn_amount)[kept]
+    by_owner = np.lexsort((amount, day, owner))
+    # account -1, a card holder without an account row, reads the missing value appended last
+    return BankTable(
+        ids=ids,
+        issue_day=np.array(issue_day, np.int64)[order],
+        credit_limit=np.array(credit_limit, np.float64)[order],
+        drawn=np.concatenate(drawn)[order],
+        arrears=np.concatenate(arrears)[order],
+        age=np.array(ages + [math.nan], np.float64)[account],
+        marital_status=np.array(marital + [None], dtype=object)[account],
+        postcode=np.array(postcode + [None], dtype=object)[account],
+        txn_owner=owner[by_owner],
+        txn_day=day[by_owner],
+        txn_amount=amount[by_owner],
+    ), stats

@@ -37,7 +37,7 @@ from .features import (
     sociodemographic_matrix,
 )
 from .graph import CallGraph, NodeLabelSet, build_graphs, identity_order, load_graph, save_graph
-from .ingest import CARD_MONTHS, CdrBatch, IngestStats, ingest_bank, ingest_cdr
+from .ingest import CARD_MONTHS, BankTable, CdrBatch, IngestStats, ingest_bank, ingest_cdr
 from .models import (
     ForestModel,
     LogisticModel,
@@ -320,7 +320,7 @@ def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[Cdr
     return batch, stats
 
 
-def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatch, list]:
+def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatch, BankTable]:
     batch, _ = ingest_calls(paths["cdr"], out, cfg)
     _save_batch(batch, out)
     bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
@@ -330,7 +330,7 @@ def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatc
     return batch, bank
 
 
-def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, list]:
+def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, BankTable]:
     cols = np.load(directory / "columns.npy")
     batch = CdrBatch(*cols, (directory / "ids.txt").read_text().splitlines())
     paths = load_data(cfg, directory.parent / "data")
@@ -338,21 +338,10 @@ def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, list]
     return batch, bank
 
 
-def _card_table(cfg: ExperimentConfig, bank: list) -> tuple:
-    """The card holders' ids, issue months, arrears flags, drawn amounts and
-    credit limits as arrays, one row per record of `bank`."""
-    m = len(bank)
-    return (
-        np.array([r.customer_id for r in bank], dtype=object),
-        np.array([cfg.month_index(r.card_issue_date) for r in bank], dtype=np.int64),
-        np.array([r.monthly_arrears for r in bank], dtype=bool).reshape(m, CARD_MONTHS),
-        np.array([r.monthly_drawn for r in bank], dtype=np.float64).reshape(m, CARD_MONTHS),
-        [r.credit_limit for r in bank],
-    )
-
-
-def _build_labels(cards: tuple, graph: CallGraph, timeframe_k: int) -> tuple[NodeLabelSet, dict]:
-    """Role and delinquency labels for one timeframe's node set; `cards` is `_card_table`'s.
+def _build_labels(
+    cfg: ExperimentConfig, bank: BankTable, graph: CallGraph, timeframe_k: int,
+) -> tuple[NodeLabelSet, dict]:
+    """Role and delinquency labels for one timeframe's node set.
 
     Delinquency counts arrears months observed up to the window end; subjects
     are card holders issued in the month right after the window, labeled by
@@ -361,7 +350,9 @@ def _build_labels(cards: tuple, graph: CallGraph, timeframe_k: int) -> tuple[Nod
     statistics. Card holders are found among the nodes by a search of the
     graph's sorted identities.
     """
-    ids, issue_month, arrears, drawn, limits = cards
+    ids, arrears, drawn = bank.ids, bank.arrears, bank.drawn
+    days, day_of = np.unique(bank.issue_day, return_inverse=True)
+    issue_month = np.array([cfg.month_index(date.fromordinal(d)) for d in days.tolist()], np.int64)[day_of]
     window_end_month = timeframe_k + 2
     card_month = timeframe_k + 3
     n = graph.n_nodes
@@ -388,7 +379,7 @@ def _build_labels(cards: tuple, graph: CallGraph, timeframe_k: int) -> tuple[Nod
     delinquency[node[existing]] = np.minimum(3, observed[existing])
     default_label[node[existing]] = observed[existing] >= 3
     loans = {
-        ids[i]: LoanOutcome(principal=float(limits[i]), ead=float(ead[i]), is_defaulter=bool(y[i]))
+        ids[i]: LoanOutcome(principal=float(bank.credit_limit[i]), ead=float(ead[i]), is_defaulter=bool(y[i]))
         for i in np.flatnonzero(subject).tolist()
     }
     if n_absent_subjects:
@@ -407,7 +398,6 @@ def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[di
     """Graphs by (timeframe, DIR), and labels and {identity: LoanOutcome} by timeframe."""
     batch, bank = ingested
     order = identity_order(batch.ids)
-    cards = _card_table(cfg, bank)
     graphs, labels_by_tf, loans_by_tf = {}, {}, {}
     for k, tf in enumerate(TIMEFRAMES, start=1):
         by_mode = build_graphs(batch, cfg.window(k), "count", tf, order)
@@ -415,7 +405,7 @@ def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[di
             save_graph(by_mode[mode], out / tf / direction)
             graphs[(tf, direction)] = by_mode[mode]
         ud = graphs[(tf, "UD")]
-        labels, loans = _build_labels(cards, ud, k)
+        labels, loans = _build_labels(cfg, bank, ud, k)
         _save_labels(out / f"labels_{tf}.csv", ud, labels, loans)
         labels_by_tf[tf] = labels
         loans_by_tf[tf] = loans
@@ -519,8 +509,7 @@ def stage_features(
     batch, bank = ingested
     graphs, labels_by_tf, loans = network
     # every subject is a card holder, so its SD row is found among the
-    # records, which ingest_bank sorts by customer id
-    bank_ids = np.array([r.customer_id for r in bank])
+    # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
     code_of = {identity: c for c, identity in enumerate(batch.ids)}
     frames = []
@@ -535,7 +524,7 @@ def stage_features(
         in_window = (batch.date_ord >= lo) & (batch.date_ord <= hi)
         sub_batch = batch.select(in_window)
         subject_codes = np.array([code_of[s] for s in subject_ids], dtype=np.int64)
-        sd_rows = np.searchsorted(bank_ids, subject_ids)
+        sd_rows = np.searchsorted(bank.ids, subject_ids)
         graphs_by_dir = {d: graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
         blocks = {
             "SD": (sd_names, sd_values[sd_rows], sd_missing[sd_rows]),

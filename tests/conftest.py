@@ -4,6 +4,7 @@ implementations that the columnar ingest, graph and label code must match."""
 import csv
 import logging
 from array import array
+from dataclasses import dataclass
 from datetime import date, time
 
 import numpy as np
@@ -17,7 +18,7 @@ from callscore.ingest import (
     CARD_MONTHS,
     TRANSACTION_COLUMNS,
     BankIngestStats,
-    BankRecord,
+    BankTable,
     CdrBatch,
     CdrParseError,
     CdrRecord,
@@ -72,6 +73,31 @@ def random_records(rng, n_nodes, n_calls, year=2017, month=5):
     return records
 
 
+def node_of(graph, identity) -> int:
+    """The node id of `identity`; a data error when the graph has none."""
+    try:
+        return graph.ids.index(identity)
+    except ValueError:
+        raise DataError(f"unknown identity {identity!r}") from None
+
+
+def neighbor_arrays(graph, node) -> tuple:
+    """Neighbor ids and weights of `node` as array views, ascending by node id."""
+    if not 0 <= node < graph.n_nodes:
+        raise DataError(f"unknown node id {node}")
+    lo, hi = graph.indptr[node], graph.indptr[node + 1]
+    return graph.indices[lo:hi], graph.weights[lo:hi]
+
+
+def neighbors(graph, node) -> list:
+    idx, w = neighbor_arrays(graph, node)
+    return [(int(i), float(x)) for i, x in zip(idx, w)]
+
+
+def total_weight(graph) -> float:
+    return float(graph.edge_weight.sum())
+
+
 def random_graph(rng, n_nodes=30, n_calls=120, mode="undirected"):
     records = random_records(rng, n_nodes, n_calls)
     return build_graph(records_batch(records), mode=mode)
@@ -87,7 +113,7 @@ def dense_pagerank_solve(graph, restart, alpha=0.85):
     push = np.zeros((n, n))
     dangling = []
     for u in range(n):
-        idx, w = graph.neighbor_arrays(u)
+        idx, w = neighbor_arrays(graph, u)
         total = w.sum()
         if total == 0:
             dangling.append(u)
@@ -231,6 +257,39 @@ def _dict_reader(source, expected, what):
     finally:
         if hasattr(lines, "close"):
             lines.close()
+
+
+@dataclass(slots=True)
+class BankRecord:
+    """One card-holding bank customer with 12 months of post-issue history."""
+
+    customer_id: str
+    sociodemographics: dict
+    debit_transactions: list  # (date, amount) pairs
+    card_issue_date: date
+    credit_limit: float
+    monthly_drawn: tuple
+    monthly_arrears: tuple
+
+
+def records_table(records) -> BankTable:
+    """The BankTable of `records`, one row per record in their order."""
+    demo = [r.sociodemographics for r in records]
+    txns = [(i, d.toordinal(), a) for i, r in enumerate(records) for d, a in r.debit_transactions]
+    owner, day, amount = zip(*txns) if txns else ((), (), ())
+    return BankTable(
+        ids=np.array([r.customer_id for r in records], dtype=object),
+        issue_day=np.array([r.card_issue_date.toordinal() for r in records], dtype=np.int64),
+        credit_limit=np.array([r.credit_limit for r in records], dtype=np.float64),
+        drawn=np.array([r.monthly_drawn for r in records], dtype=np.float64).reshape(-1, CARD_MONTHS),
+        arrears=np.array([r.monthly_arrears for r in records], dtype=bool).reshape(-1, CARD_MONTHS),
+        age=np.array([np.nan if d["age"] is None else d["age"] for d in demo], dtype=np.float64),
+        marital_status=np.array([d["marital_status"] for d in demo], dtype=object),
+        postcode=np.array([d["postcode"] for d in demo], dtype=object),
+        txn_owner=np.array(owner, dtype=np.int64),
+        txn_day=np.array(day, dtype=np.int64),
+        txn_amount=np.array(amount, dtype=np.float64),
+    )
 
 
 def reference_ingest_bank(accounts, transactions, card_activity):

@@ -26,9 +26,8 @@ from callscore.features import (
     sociodemographic_matrix,
 )
 from callscore.graph import NodeLabelSet, build_graph
-from callscore.ingest import BankRecord
 from callscore.propagation import ExposureVector, RiskRelabeling
-from conftest import call, random_records, records_batch
+from conftest import BankRecord, call, neighbor_arrays, node_of, random_records, records_batch, records_table
 
 
 def feature(names, values, name):
@@ -133,18 +132,18 @@ def make_labeled_star(levels):
     delinquency = np.full(g.n_nodes, -1, dtype=np.int8)
     bank = np.zeros(g.n_nodes, dtype=bool)
     for i, level in enumerate(levels):
-        node = g.node(f"L{i}")
+        node = node_of(g, f"L{i}")
         if level is not None:
             delinquency[node] = level
             bank[node] = True
-    bank[g.node("SUBJ")] = True
+    bank[node_of(g, "SUBJ")] = True
     labels = NodeLabelSet(
         delinquency_level=delinquency,
-        is_subject=np.eye(1, g.n_nodes, g.node("SUBJ"), dtype=bool)[0],
+        is_subject=np.eye(1, g.n_nodes, node_of(g, "SUBJ"), dtype=bool)[0],
         is_bank_customer=bank,
         default_label=np.full(g.n_nodes, -1, dtype=np.int8),
     )
-    return graphs, labels, g.node("SUBJ")
+    return graphs, labels, node_of(g, "SUBJ")
 
 
 def test_lb_names_are_36_unique():
@@ -196,7 +195,7 @@ def test_lb_count_consistency(rng):
     for direction in ("IN", "OUT", "UD"):
         counts = sum(matrix[:, names.index(f"Count ({c}) {direction}")] for c in range(4))
         for node in range(n):
-            idx, _ = graphs[direction].neighbor_arrays(node)
+            idx, _ = neighbor_arrays(graphs[direction], node)
             labeled = int((delinquency[idx] >= 0).sum())
             assert counts[node] == labeled
 
@@ -215,13 +214,13 @@ def test_exposure_link_features_counts():
     records = [call("SUBJ", f"L{i}") for i in range(5)]
     g = build_graph(records_batch(records))
     scores = np.zeros(g.n_nodes)
-    scores[g.node("SUBJ")] = 0.7
+    scores[node_of(g, "SUBJ")] = 0.7
     high = np.zeros(g.n_nodes, dtype=bool)
-    high[[g.node("L0"), g.node("L1")]] = True
+    high[[node_of(g, "L0"), node_of(g, "L1")]] = True
     exposure = ExposureVector(scores=scores, method="PR",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.5, high_risk=high)
-    got = exposure_row(g, exposure, relabeling, g.node("SUBJ"))
+    got = exposure_row(g, exposure, relabeling, node_of(g, "SUBJ"))
     assert got["Exposure"] == pytest.approx(0.7)
     assert got["Binary High Risk"] == 1
     assert got["Count High Risk"] == 2
@@ -238,7 +237,7 @@ def test_exposure_isolated_subject():
     exposure = ExposureVector(scores=scores, method="SPA",
                               iterations_run=1, residual=0.0)
     relabeling = RiskRelabeling(cutoff=0.1, high_risk=np.ones(gi.n_nodes, dtype=bool))
-    got = exposure_row(gi, exposure, relabeling, gi.node("A"))
+    got = exposure_row(gi, exposure, relabeling, node_of(gi, "A"))
     assert got["Exposure"] == pytest.approx(0.2)
     assert got["Count High Risk"] == 0
     assert got["Binary High Risk"] == 0
@@ -313,7 +312,7 @@ def bank_record(transactions, age=34.0, marital="married", postcode="1234",
 
 def sd_row(record):
     """SD names, values and missing mask of the one-row batch of `record`."""
-    names, values, missing = sociodemographic_matrix([record])
+    names, values, missing = sociodemographic_matrix(records_table([record]))
     return names, values[0], missing[0]
 
 
@@ -369,7 +368,7 @@ def test_sd_batch_rows_equal_one_row_batches(rng):
         records.append(bank_record(sorted(txns), issue=issue, customer_id=f"C{k}",
                                    age=None if k == 2 else 30.0 + k,
                                    postcode=None if k == 3 else str(k)))
-    names, values, missing = sociodemographic_matrix(records)
+    names, values, missing = sociodemographic_matrix(records_table(records))
     assert values.shape == missing.shape == (len(records), 35)
     for i, record in enumerate(records):
         _, one, one_missing = sd_row(record)
@@ -440,7 +439,7 @@ def test_sd_matches_per_record_reference(rng):
                                    age=None if k % 7 == 0 else 20.0 + k % 50,
                                    marital=("single", "Married", None, "other")[k % 4],
                                    postcode=(None, "", "x1", "402", "9")[k % 5]))
-    _, values, missing = sociodemographic_matrix(records)
+    _, values, missing = sociodemographic_matrix(records_table(records))
     for i, record in enumerate(records):
         ref_values, ref_missing = sd_reference(record)
         assert values[i].tobytes() == ref_values.tobytes(), i

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import logging
 from datetime import date, time
 
@@ -18,7 +19,7 @@ from callscore.ingest import (
     parse_cdr_line,
     write_cdr,
 )
-from conftest import records_batch, reference_ingest_bank, reference_ingest_cdr
+from conftest import records_batch, records_table, reference_ingest_bank, reference_ingest_cdr
 
 TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
 
@@ -45,6 +46,7 @@ MALFORMED = pytest.mark.parametrize("line,reason", [
     ("01MAY2017,14:51:14,10,X,Y,Z", "fields"),
     ("01MAY2017,14:51:14,10,X,X", "self-call"),
     ("01MAY2017,14:51:14,10,,Y", "identity"),
+    ("01MAY2017,14:51:14,3000000000,X,Y", "overflow"),
 ], ids=lambda v: v if "," not in str(v) else "row")
 
 
@@ -61,6 +63,20 @@ def test_reject_log_reason_is_the_parse_error(line, reason):
     log = io.StringIO()
     ingest_cdr([TABLE_ROW, line], min_duration=5, delimiter=",", reject_log=log)
     assert log.getvalue() == f"2\t{error.value}\t{line}\n"
+
+
+def test_duration_beyond_int32_is_rejected_and_counted(tmp_path):
+    rows = ["01MAY2017,10:00:00,2147483647,A,B", "01MAY2017,10:00:01,2147483648,A,B",
+            "01MAY2017,10:00:02,3000000000,A,B"]
+    (tmp_path / "cdr.csv").write_text("".join(f"{row}\n" for row in rows))
+    out = tmp_path / "out"
+    assert cli_main(["ingest", "--cdr", str(tmp_path / "cdr.csv"), "--out", str(out)]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert (stats["rows_accepted"], stats["rows_rejected"]) == (1, 2)
+    assert (out / "rejects.log").read_text().splitlines() == [
+        f"2\tduration 2147483648 exceeds 2147483647\t{rows[1]}",
+        f"3\tduration 3000000000 exceeds 2147483647\t{rows[2]}",
+    ]
 
 
 def columns(batch):
@@ -278,21 +294,20 @@ def test_bank_join():
         "C1,12MAR2017,80.00",
     ]
     cards = [CARD_HEADER, card_row("C1")]
-    records, stats = ingest_bank(accounts, transactions, cards)
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.customer_id == "C1"
-    assert len(rec.debit_transactions) == 2
-    assert rec.sociodemographics["age"] == 34
-    assert rec.card_issue_date == date(2017, 4, 1)
+    bank, stats = ingest_bank(accounts, transactions, cards)
+    assert len(bank) == 1
+    assert bank.ids.tolist() == ["C1"]
+    assert bank.txn_owner.tolist() == [0, 0]
+    assert bank.age.tolist() == [34]
+    assert bank.issue_day.tolist() == [date(2017, 4, 1).toordinal()]
     assert stats.orphan_transactions == 0
 
 
 def test_bank_customer_without_card_excluded():
     accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234", "C2,40,single,9999"]
     cards = [CARD_HEADER, card_row("C1")]
-    records, stats = ingest_bank(accounts, ["customer_id,date,amount"], cards)
-    assert [r.customer_id for r in records] == ["C1"]
+    bank, stats = ingest_bank(accounts, ["customer_id,date,amount"], cards)
+    assert bank.ids.tolist() == ["C1"]
     assert stats.customers_without_card == 1
 
 
@@ -367,21 +382,45 @@ def test_bank_field_error_names_file_customer_and_column(case, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("file", ["accounts", "transactions", "card activity"])
+def test_bank_row_too_short_for_customer_id_is_a_data_error(file):
+    # customer_id last, so that a one-field row lacks it
+    files = {
+        "accounts": ["age,marital_status,postcode,customer_id", "34,married,1234,C1", "34"],
+        "transactions": ["date,amount,customer_id", "10MAR2017,25.50,C1", "10MAR2017"],
+        "card activity": [CARD_HEADER.removeprefix("customer_id,") + ",customer_id",
+                          card_row("C1").removeprefix("C1,") + ",C1", "01APR2017"],
+    }
+    for other in files.keys() - {file}:
+        del files[other][2]
+    with pytest.raises(DataError, match=f"^{file} file: a row has no customer_id field$"):
+        ingest_bank(files["accounts"], files["transactions"], files["card activity"])
+
+
 def test_bank_card_without_account_keeps_missing_sociodemographics():
     cards = [CARD_HEADER, card_row("C9")]
-    records, stats = ingest_bank(["customer_id,age,marital_status,postcode"],
-                                 ["customer_id,date,amount"], cards)
-    assert records[0].sociodemographics["age"] is None
+    bank, stats = ingest_bank(["customer_id,age,marital_status,postcode"],
+                              ["customer_id,date,amount"], cards)
+    assert np.isnan(bank.age[0])
+    assert bank.marital_status[0] is None and bank.postcode[0] is None
     assert stats.cards_without_account == 1
 
 
+def reference_table(accounts, transactions, cards):
+    records, stats = reference_ingest_bank(accounts, transactions, cards)
+    return records_table(records), stats
+
+
 def bank_outcome(parse, accounts, transactions, cards, caplog):
-    """The records and stats a bank parse gives, or its error; and its warnings."""
+    """Each column of the table a bank parse gives, with its dtype and shape,
+    and the stats; or its error; and its warnings."""
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="callscore.ingest"):
         try:
-            records, stats = parse(accounts, transactions, cards)
-            result = ([dataclasses.astuple(r) for r in records], dataclasses.asdict(stats))
+            bank, stats = parse(accounts, transactions, cards)
+            columns = (getattr(bank, f.name) for f in dataclasses.fields(bank))
+            result = ([(c.dtype, c.shape, c.tolist() if c.dtype == object else c.tobytes()) for c in columns],
+                      dataclasses.asdict(stats))
         except DataError as exc:
             result = str(exc)
     return result, [r.getMessage() for r in caplog.records]
@@ -442,11 +481,10 @@ def test_columnar_bank_ingest_matches_per_field_reference(fault, chunk, monkeypa
         # a second fault further down: the first in file order is the one reported
         files["cards"].append(card_row("C999", issue="99XYZ2017"))
     got = bank_outcome(ingest_bank, files["accounts"], files["transactions"], files["cards"], caplog)
-    assert got == bank_outcome(reference_ingest_bank, files["accounts"], files["transactions"],
-                               files["cards"], caplog)
+    assert got == bank_outcome(reference_table, files["accounts"], files["transactions"], files["cards"], caplog)
     assert isinstance(got[0], str) == (fault is not None)
 
 
 def test_bank_ingest_of_empty_files_matches_reference(caplog):
     assert (bank_outcome(ingest_bank, [], [], [], caplog)
-            == bank_outcome(reference_ingest_bank, [], [], [], caplog))
+            == bank_outcome(reference_table, [], [], [], caplog))

@@ -596,12 +596,13 @@ def test_load_scores_refuses_malformed_file(tmp_path, text, wanted, capsys):
 
 def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, tmp_path):
     from callscore.graph import build_graph
-    from conftest import reference_build_graph, reference_labels, reference_save_labels
+    from conftest import reference_build_graph, reference_ingest_bank, reference_labels, reference_save_labels
 
     config, out = tiny_run
     batch, bank = pipeline.load_ingest(config, out / "ingest")
+    paths = pipeline.load_data(config, out / "data")
+    records, _ = reference_ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
     graphs, labels, loans = pipeline.stage_network(config, tmp_path, (batch, bank))
-    cards = pipeline._card_table(config, bank)
     for k, tf in enumerate(pipeline.TIMEFRAMES, start=1):
         for direction, mode in pipeline.DIR_TO_MODE.items():
             reference = reference_build_graph(batch, config.window(k), mode, "count", tf)
@@ -611,8 +612,8 @@ def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, t
         # the run's own labels, and labels over a one-month graph that misses some card holders
         short = build_graph(batch, (config.month_date(k), config.month_date(k + 1)), "undirected", "count", tf)
         for graph in (graphs[(tf, "UD")], short):
-            want, want_loans = reference_labels(config, bank, graph, k)
-            got, got_loans = pipeline._build_labels(cards, graph, k)
+            want, want_loans = reference_labels(config, records, graph, k)
+            got, got_loans = pipeline._build_labels(config, bank, graph, k)
             for name in ("delinquency_level", "is_subject", "is_bank_customer", "default_label"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert list(got_loans.items()) == list(want_loans.items())

@@ -10,7 +10,7 @@ from callscore.propagation import (
     spreading_activation,
     uniform_restart,
 )
-from conftest import call, dense_pagerank_solve, random_records, records_batch
+from conftest import call, dense_pagerank_solve, neighbor_arrays, node_of, random_records, records_batch
 
 
 def budget(tolerance: float, max_iterations: int) -> tuple:
@@ -26,7 +26,7 @@ def labels_for(graph, levels: dict):
     delinquency = np.full(graph.n_nodes, -1, dtype=np.int8)
     bank = np.zeros(graph.n_nodes, dtype=bool)
     for identity, level in levels.items():
-        node = graph.node(identity)
+        node = node_of(graph, identity)
         delinquency[node] = level
         bank[node] = True
     return NodeLabelSet(
@@ -73,7 +73,7 @@ def test_fixed_point_residual_bound(rng):
     n = g.n_nodes
     push = np.zeros((n, n))
     for u in range(n):
-        idx, w = g.neighbor_arrays(u)
+        idx, w = neighbor_arrays(g, u)
         if w.sum() > 0:
             push[idx, u] = w / w.sum()
     one_more = 0.85 * push @ result.scores + 0.15 * z
@@ -87,10 +87,10 @@ def test_single_seed_path_scores_decay_with_distance():
     g = build_graph(records_batch([call(f"N{i:02d}", f"N{i + 1:02d}") for i in range(n - 1)]))
     mid = n // 2
     z = np.zeros(n)
-    z[g.node(f"N{mid:02d}")] = 1.0
+    z[node_of(g, f"N{mid:02d}")] = 1.0
     scores = personalized_pagerank(g, z, *TIGHT).scores
-    left = [scores[g.node(f"N{i:02d}")] for i in range(mid, -1, -1)]
-    right = [scores[g.node(f"N{i:02d}")] for i in range(mid, n)]
+    left = [scores[node_of(g, f"N{i:02d}")] for i in range(mid, -1, -1)]
+    right = [scores[node_of(g, f"N{i:02d}")] for i in range(mid, n)]
     for side in (left, right):
         assert all(a > b for a, b in zip(side, side[1:]))
 
@@ -140,19 +140,19 @@ def test_dangling_mass_returns_to_restart():
 
 def test_isolated_seed_keeps_energy_one_iteration():
     g = build_graph(records_batch([call("A", "B")]), mode="outgoing")  # B is dangling
-    result = spreading_activation(g, np.array([g.node("B")]), *SPREAD)
+    result = spreading_activation(g, np.array([node_of(g, "B")]), *SPREAD)
     assert result.iterations_run == 1
     expected = np.zeros(2)
-    expected[g.node("B")] = 1.0
+    expected[node_of(g, "B")] = 1.0
     assert result.scores == pytest.approx(expected)
 
 
 def test_one_round_transfer_split():
     g = build_graph(records_batch([call("A", "B")]))
-    result = spreading_activation(g, np.array([g.node("A")]), *budget(1e-6, 1))
+    result = spreading_activation(g, np.array([node_of(g, "A")]), *budget(1e-6, 1))
     # sender keeps 0.15; the 0.85 delivered to B settles when iterations stop
-    assert result.scores[g.node("A")] == pytest.approx(0.15)
-    assert result.scores[g.node("B")] == pytest.approx(0.85)
+    assert result.scores[node_of(g, "A")] == pytest.approx(0.15)
+    assert result.scores[node_of(g, "B")] == pytest.approx(0.85)
 
 
 def test_energy_conserved_every_iteration(rng):
@@ -200,9 +200,9 @@ def test_cutoff_is_min_over_three_arrears():
     g = build_graph(records_batch([call("A", "B"), call("B", "C")]))
     labels = labels_for(g, {"A": 3, "B": 3, "C": 0})
     scores = np.zeros(g.n_nodes)
-    scores[g.node("A")] = 0.9
-    scores[g.node("B")] = 0.4
-    scores[g.node("C")] = 0.1
+    scores[node_of(g, "A")] = 0.9
+    scores[node_of(g, "B")] = 0.4
+    scores[node_of(g, "C")] = 0.1
     assert exposure_cutoff(exposure_of(scores), labels) == pytest.approx(0.4)
 
 
@@ -210,7 +210,7 @@ def test_cutoff_single_delinquent():
     g = build_graph(records_batch([call("A", "B")]))
     labels = labels_for(g, {"A": 3})
     scores = np.array([0.0, 0.0])
-    scores[g.node("A")] = 0.7
+    scores[node_of(g, "A")] = 0.7
     assert exposure_cutoff(exposure_of(scores), labels) == pytest.approx(0.7)
 
 

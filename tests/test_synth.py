@@ -35,9 +35,9 @@ def test_emitted_files_ingest_cleanly(tmp_path):
     assert stats.rows_rejected == 0
     assert stats.rows_read == len(data.calls["caller"])
     assert 0 < stats.rows_filtered_short < stats.rows_read  # short calls planted
-    records, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+    bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
     n_cards = int((data.role == ROLE_SUBJECT).sum() + (data.role == ROLE_EXISTING).sum())
-    assert len(records) == n_cards
+    assert len(bank) == n_cards
     assert bank_stats.customers_without_card > 0  # uncarded customers planted
 
 
