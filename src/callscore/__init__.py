@@ -18,7 +18,6 @@ from .models import (
     ScoredDataset,
     TreeModel,
     split,
-    train_forest,
     train_forests,
     train_logistic,
     train_tree,
@@ -30,7 +29,7 @@ from .profit import (
     DelongResult,
     EmpParams,
     EmpReport,
-    LoanOutcome,
+    Loans,
     accuracy_feature_importance,
     delong_test,
     emp,
@@ -49,6 +48,6 @@ from .propagation import (
     relabel_high_risk,
     spreading_activation,
 )
-from .synth import SynthConfig, generate, planted_feature_dataset
+from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"

@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:  # a missing input file is a data error
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -607,12 +607,14 @@ def train_forests(
     seed: int,
     bootstrap: bool,
 ) -> list:
-    """One forest per (X, y) problem, as `train_forest` grows it, all grown in one pool.
+    """One forest per (X, y) problem, `n_trees` trees each, all grown in one pool.
 
-    Each tree draws only from its own substream, so which process grows it
-    does not change it. With more than one worker the trees are grown in a
-    fork pool, one task per (problem, tree), and the workers read the
-    matrices they inherit; with one, the same task runs in this process.
+    Each tree is grown on its own bootstrap (or, without `bootstrap`, on every
+    row) with `mtry` features drawn per split. It draws only from its own
+    substream, so which process grows it does not change it. With more than
+    one worker the trees are grown in a fork pool, one task per (problem,
+    tree), and the workers read the matrices they inherit; with one, the same
+    task runs in this process.
     `mtry` None takes `default_mtry` of each problem's feature count.
     """
     if n_trees < 1:
@@ -642,20 +644,6 @@ def train_forests(
                     mtry=job[2], bootstrap=bootstrap)
         for p, job in enumerate(jobs)
     ]
-
-
-def train_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_trees: int,
-    mtry: int | None,
-    min_leaf: int,
-    seed: int,
-    max_depth: int | None = None,
-    bootstrap: bool = True,
-) -> ForestModel:
-    """Bag `n_trees` trees, each on its own bootstrap with `mtry` features per split."""
-    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap)[0]
 
 
 def predict_forest(

@@ -57,7 +57,7 @@ from .models import (
 from .netstats import homophily_test
 from .profit import (
     EmpParams,
-    LoanOutcome,
+    Loans,
     accuracy_feature_importance,
     delong_test,
     emp,
@@ -234,15 +234,17 @@ LABEL_COLUMNS = (
     "node_id", "identity", "is_subject", "is_bank_customer",
     "delinquency_level", "default_label", "credit_limit", "ead", "y_default",
 )
+LOAN_COLUMNS = ("subject_id", "timeframe", "principal", "ead", "is_defaulter")
 
 
-def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: dict) -> None:
+def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: Loans) -> None:
+    """One row per node; the loan columns are set on the subjects' rows, in node order."""
     n = graph.n_nodes
-    principal, ead, y = [""] * n, [""] * n, [""] * n
-    for node in np.flatnonzero(labels.is_subject).tolist():
-        loan = loans[graph.ids[node]]
-        principal[node], ead[node] = repr(float(loan.principal)), repr(float(loan.ead))
-        y[node] = int(loan.is_defaulter)
+    subjects = labels.is_subject
+    principal, ead, y = np.full((3, n), "", dtype=object)
+    principal[subjects] = [repr(v) for v in loans.principal.tolist()]
+    ead[subjects] = [repr(v) for v in loans.ead.tolist()]
+    y[subjects] = loans.is_defaulter.astype(int).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_COLUMNS)
@@ -253,30 +255,60 @@ def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: dict
         ))
 
 
-def load_labels(path: str | Path) -> tuple[NodeLabelSet, dict]:
+def _read_columns(path: Path, names: tuple, what: str) -> tuple[dict, np.ndarray]:
+    """The named columns of a csv file as object arrays of text, and each row's line number."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(names) <= set(header):
+            raise DataError(f"{path} is not a {what} file")
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+    table = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    return {name: table[:, header.index(name)] for name in names}, np.array(lines, dtype=np.int64)
+
+
+def _parsed(path: Path, name: str, texts: np.ndarray, lines: np.ndarray, dtype) -> np.ndarray:
+    """`texts` converted to `dtype`; a data error names the first line whose value does not convert."""
+    try:
+        return texts.astype(dtype)
+    except (ValueError, OverflowError):
+        for text, line in zip(texts.tolist(), lines.tolist()):
+            try:
+                np.array([text], dtype=object).astype(dtype)
+            except (ValueError, OverflowError):
+                raise DataError(f"{path}:{line}: bad {name} value {text!r}") from None
+        raise
+
+
+def load_labels(path: str | Path) -> tuple[NodeLabelSet, Loans]:
+    """The labels of a labels_t*.csv file and its subjects' loans, in node order."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no labels file at {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    required = set(LABEL_COLUMNS)
-    if rows and not required <= set(rows[0]):
-        raise DataError(f"{path} is not a labels file")
+    columns, lines = _read_columns(path, LABEL_COLUMNS, "labels")
     labels = NodeLabelSet(
-        delinquency_level=np.array([int(r["delinquency_level"]) for r in rows], dtype=np.int8),
-        is_subject=np.array([r["is_subject"] == "1" for r in rows]),
-        is_bank_customer=np.array([r["is_bank_customer"] == "1" for r in rows]),
-        default_label=np.array([int(r["default_label"]) for r in rows], dtype=np.int8),
+        delinquency_level=_parsed(path, "delinquency_level", columns["delinquency_level"], lines, np.int8),
+        is_subject=columns["is_subject"] == "1",
+        is_bank_customer=columns["is_bank_customer"] == "1",
+        default_label=_parsed(path, "default_label", columns["default_label"], lines, np.int8),
     )
-    loans = {
-        r["identity"]: LoanOutcome(
-            principal=float(r["credit_limit"]),
-            ead=float(r["ead"]),
-            is_defaulter=r["y_default"] == "1",
-        )
-        for r in rows
-        if r["credit_limit"]
-    }
+    subjects = labels.is_subject
+    lines = lines[subjects]
+    loans = Loans(
+        principal=_parsed(path, "credit_limit", columns["credit_limit"][subjects], lines, np.float64),
+        ead=_parsed(path, "ead", columns["ead"][subjects], lines, np.float64),
+        is_defaulter=columns["y_default"][subjects] == "1",
+    )
+    disagree = np.flatnonzero(loans.is_defaulter != (labels.default_label[subjects] == 1))
+    if disagree.size:
+        raise DataError(f"{path}:{lines[disagree[0]]}: y_default disagrees with default_label")
     return labels, loans
 
 
@@ -340,8 +372,8 @@ def load_ingest(cfg: ExperimentConfig, directory: Path) -> tuple[CdrBatch, BankT
 
 def _build_labels(
     cfg: ExperimentConfig, bank: BankTable, graph: CallGraph, timeframe_k: int,
-) -> tuple[NodeLabelSet, dict]:
-    """Role and delinquency labels for one timeframe's node set.
+) -> tuple[NodeLabelSet, Loans]:
+    """Role and delinquency labels for one timeframe's node set, and the subjects' loans in node order.
 
     Delinquency counts arrears months observed up to the window end; subjects
     are card holders issued in the month right after the window, labeled by
@@ -378,10 +410,9 @@ def _build_labels(
     default_label[node[subject]] = y[subject]
     delinquency[node[existing]] = np.minimum(3, observed[existing])
     default_label[node[existing]] = observed[existing] >= 3
-    loans = {
-        ids[i]: LoanOutcome(principal=float(bank.credit_limit[i]), ead=float(ead[i]), is_defaulter=bool(y[i]))
-        for i in np.flatnonzero(subject).tolist()
-    }
+    # the bank's rows and the graph's nodes both ascend by identity, so the
+    # subjects' rows are in node order
+    loans = Loans(principal=bank.credit_limit[subject], ead=ead[subject], is_defaulter=y[subject])
     if n_absent_subjects:
         logger.info("timeframe %d: dropped %d subjects with no calls in the window",
                     timeframe_k, n_absent_subjects)
@@ -395,7 +426,7 @@ def _build_labels(
 
 
 def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict]:
-    """Graphs by (timeframe, DIR), and labels and {identity: LoanOutcome} by timeframe."""
+    """Graphs by (timeframe, DIR), and labels and the subjects' Loans by timeframe."""
     batch, bank = ingested
     order = identity_order(batch.ids)
     graphs, labels_by_tf, loans_by_tf = {}, {}, {}
@@ -504,8 +535,8 @@ def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
 
 def stage_features(
     cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
-) -> tuple[FeatureMatrix, list]:
-    """The pruned matrix and the LoanOutcome of each of its rows."""
+) -> tuple[FeatureMatrix, Loans]:
+    """The pruned matrix and the loan of each of its rows."""
     batch, bank = ingested
     graphs, labels_by_tf, loans = network
     # every subject is a card holder, so its SD row is found among the
@@ -546,9 +577,8 @@ def stage_features(
     full = assemble(frames)
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
     pruned.to_csv(out / "matrix.csv")
-    row_loans = [
-        loans[tf][sid] for sid, tf in zip(pruned.subject_ids, pruned.timeframes)
-    ]
+    # the matrix's rows are each timeframe's subjects in node order, as are its loans
+    row_loans = Loans.concatenate([loans[tf] for tf in TIMEFRAMES])
     _save_row_loans(out / "loans.csv", pruned, row_loans)
     (out / "pruning.json").write_text(json.dumps({
         "dropped": dropped,
@@ -560,25 +590,26 @@ def stage_features(
     return pruned, row_loans
 
 
-def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: list) -> None:
+def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: Loans) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("subject_id", "timeframe", "principal", "ead", "is_defaulter"))
-        for sid, tf, loan in zip(matrix.subject_ids, matrix.timeframes, loans):
-            writer.writerow((sid, tf, repr(float(loan.principal)), repr(float(loan.ead)), int(loan.is_defaulter)))
+        writer.writerow(LOAN_COLUMNS)
+        writer.writerows(zip(
+            matrix.subject_ids, matrix.timeframes, map(repr, loans.principal.tolist()),
+            map(repr, loans.ead.tolist()), loans.is_defaulter.astype(int).tolist(),
+        ))
 
 
-def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix, list]:
+def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix, Loans]:
     matrix = FeatureMatrix.from_csv(directory / "matrix.csv")
-    row_loans = []
-    with open(directory / "loans.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            row_loans.append(LoanOutcome(
-                principal=float(row["principal"]),
-                ead=float(row["ead"]),
-                is_defaulter=row["is_defaulter"] == "1",
-            ))
-    return matrix, row_loans
+    path = directory / "loans.csv"
+    columns, lines = _read_columns(path, LOAN_COLUMNS, "loans")
+    loans = Loans(
+        principal=_parsed(path, "principal", columns["principal"], lines, np.float64),
+        ead=_parsed(path, "ead", columns["ead"], lines, np.float64),
+        is_defaulter=columns["is_defaulter"] == "1",
+    )
+    return matrix, loans
 
 
 def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, rows) -> None:
@@ -700,9 +731,8 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: tuple, fitted: tuple)
         raise DataError(f"importance_max_rows must be >= 0, not {cfg.importance_max_rows}")
     matrix, row_loans = featured
     (train_idx, test_idx, _), trained = fitted
-    test_loans = [row_loans[i] for i in test_idx]
-    train_loans = [row_loans[i] for i in train_idx]
-    p0, p1 = estimate_loss_masses(train_loans, cfg.lgd)
+    test_loans = row_loans[test_idx]
+    p0, p1 = estimate_loss_masses(row_loans[train_idx], cfg.lgd)
     params = EmpParams(roi=cfg.roi, lgd=cfg.lgd, p0=p0, p1=p1)
 
     rows = []

@@ -92,7 +92,7 @@ def roc_convex_hull(fpr: np.ndarray, tpr: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# EMP parameters and loan outcomes.
+# EMP parameters and loans.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -126,31 +126,45 @@ class EmpParams:
         return pi0, 1.0 - pi0
 
 
-@dataclass(frozen=True)
-class LoanOutcome:
-    """Principal and exposure of one test-set loan."""
+@dataclass
+class Loans:
+    """Principal, exposure at default and outcome of each loan, one array per field."""
 
-    principal: float
-    ead: float
-    is_defaulter: bool
+    principal: np.ndarray
+    ead: np.ndarray
+    is_defaulter: np.ndarray
 
     def __post_init__(self):
-        if self.principal <= 0:
+        self.principal = np.asarray(self.principal, dtype=np.float64)
+        self.ead = np.asarray(self.ead, dtype=np.float64)
+        self.is_defaulter = np.asarray(self.is_defaulter, dtype=bool)
+        if not (self.principal.ndim == 1 and self.principal.shape == self.ead.shape == self.is_defaulter.shape):
+            raise DataError("loan columns must be one-dimensional and aligned")
+        if np.any(self.principal <= 0):
             raise DataError("loan principal must be positive")
-        if not 0 <= self.ead <= self.principal * (1 + 1e-9):
+        if not np.all((0 <= self.ead) & (self.ead <= self.principal * (1 + 1e-9))):
             raise DataError("EAD must lie in [0, principal]")
 
-    def loss_fraction(self, lgd: float) -> float:
-        return lgd * self.ead / self.principal
+    def __len__(self) -> int:
+        return len(self.principal)
+
+    def __getitem__(self, rows) -> Loans:
+        """The loans at `rows`, a slice or an index array, in that order."""
+        return Loans(self.principal[rows], self.ead[rows], self.is_defaulter[rows])
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[Loans]) -> Loans:
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("principal", "ead", "is_defaulter")))
 
 
-def estimate_loss_masses(loans: Sequence[LoanOutcome], lgd: float) -> tuple[float, float]:
+def estimate_loss_masses(loans: Loans, lgd: float) -> tuple[float, float]:
     """Empirical point masses of the loss fraction among defaulters.
 
     p0 is the share of defaulters who repaid in full (EAD zero) and p1 the
     share who had drawn the whole principal; between lies the uniform part.
     """
-    lam = np.array([ln.loss_fraction(lgd) for ln in loans if ln.is_defaulter])
+    lam = (lgd * loans.ead / loans.principal)[loans.is_defaulter]  # the loss fraction
     if len(lam) == 0:
         raise DataError("no defaulters to estimate the loss distribution from")
     p0 = float(np.mean(lam <= 1e-12))
@@ -250,7 +264,7 @@ def fraction_to_cutoff(scores: np.ndarray, fraction: float) -> float:
 
 def _profit_terms(
     y: np.ndarray,
-    loans: Sequence[LoanOutcome],
+    loans: Loans,
     params: EmpParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-loan profit if accepted and if rejected, by the outcome table of
@@ -258,13 +272,10 @@ def _profit_terms(
     y = np.asarray(y, dtype=bool)
     if len(loans) != len(y):
         raise DataError("loans, labels and decisions must align")
-    defaulter = np.array([loan.is_defaulter for loan in loans], dtype=bool)
-    if np.any(defaulter != y):
+    if np.any(loans.is_defaulter != y):
         raise DataError("loan outcome labels disagree with the scored labels")
-    principal = np.array([loan.principal for loan in loans], dtype=np.float64)
-    ead = np.array([loan.ead for loan in loans], dtype=np.float64)
-    accepted = np.where(y, -params.lgd * ead, params.roi * principal)
-    rejected = np.where(y, 0.0, -params.roi * principal)
+    accepted = np.where(y, -params.lgd * loans.ead, params.roi * loans.principal)
+    rejected = np.where(y, 0.0, -params.roi * loans.principal)
     return accepted, rejected
 
 
@@ -276,7 +287,7 @@ def _total_profit(reject: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> f
 def profit_from_rejections(
     y: np.ndarray,
     reject: np.ndarray,
-    loans: Sequence[LoanOutcome],
+    loans: Loans,
     params: EmpParams,
 ) -> float:
     """Total profit: accepted good +ROI*A, rejected good -ROI*A,
@@ -289,7 +300,7 @@ def profit_from_rejections(
 
 def model_profit(
     scored: ScoredDataset,
-    loans: Sequence[LoanOutcome],
+    loans: Loans,
     params: EmpParams,
     cutoff: float,
 ) -> float:
@@ -299,18 +310,19 @@ def model_profit(
 
 def evaluate_economics(
     scored: ScoredDataset,
-    loans: Sequence[LoanOutcome],
+    loans: Loans,
     params: EmpParams,
 ) -> EmpReport:
     """EMP, its rejected fraction, the implied test-set cutoff and the profits."""
     emp_value, fraction = emp(scored, params)
     cutoff = fraction_to_cutoff(scored.score, fraction)
+    terms = _profit_terms(scored.y, loans, params)
     return EmpReport(
         emp=emp_value,
         emp_fraction=fraction,
         implied_cutoff=cutoff,
-        model_profit=model_profit(scored, loans, params, cutoff),
-        no_model_profit=model_profit(scored, loans, params, np.inf),
+        model_profit=_total_profit(scored.score >= cutoff, terms),
+        no_model_profit=_total_profit(scored.score >= np.inf, terms),
     )
 
 
@@ -333,7 +345,7 @@ _VOTE_CUTOFF = 0.5  # a tree's hard vote at or above it rejects the applicant
 def profit_feature_importance(
     forest: ForestModel,
     scored: ScoredDataset,
-    loans: Sequence[LoanOutcome],
+    loans: Loans,
     params: EmpParams,
     feature_names: Sequence[str],
 ) -> list:

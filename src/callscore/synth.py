@@ -451,36 +451,3 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         cards=cards,
     )
 
-
-def planted_feature_dataset(
-    n: int,
-    seed: int,
-    n_noise: int = 30,
-    effect: float = 2.0,
-    base_rate: float = 0.3,
-):
-    """One informative column among standard-normal noise, plus loan outcomes.
-
-    Returns (X, y, informative_index, loans); the label follows a logistic
-    model in the informative column only. Used to validate that importance
-    measures recover the planted feature.
-    """
-    from .profit import LoanOutcome
-
-    rng = substream(seed, "planted")
-    X = rng.normal(size=(n, n_noise + 1))
-    j = int(rng.integers(0, n_noise + 1))
-    score = effect * X[:, j]
-    intercept = _calibrate_intercept(score, base_rate)
-    y = rng.random(n) < 1.0 / (1.0 + np.exp(-(intercept + score)))
-    principals = np.round(np.exp(rng.normal(np.log(1000), 0.4, size=n)))
-    fractions = rng.uniform(0.0, 1.0, size=n)
-    loans = [
-        LoanOutcome(
-            principal=float(principals[i]),
-            ead=float(np.round(principals[i] * fractions[i], 2)) if y[i] else 0.0,
-            is_defaulter=bool(y[i]),
-        )
-        for i in range(n)
-    ]
-    return X, np.asarray(y, dtype=bool), j, loans

@@ -30,9 +30,11 @@ from callscore.ingest import (
     _open_lines,
     _parse_fields,
 )
-from callscore.models import ForestModel, TreeModel, train_forest
+from callscore.models import ForestModel, TreeModel, train_forests
 from callscore.pipeline import LABEL_COLUMNS
-from callscore.profit import LoanOutcome, roc_points
+from callscore.profit import Loans, roc_points
+from callscore.seeding import substream
+from callscore.synth import _calibrate_intercept
 
 logger = logging.getLogger("callscore.ingest")
 
@@ -167,6 +169,30 @@ def reference_leaves(tree, X):
         node = pos[active]
         go_left = X[active, feats[active]] <= tree.threshold[node]
         pos[active] = np.where(go_left, tree.left[node], tree.right[node])
+
+
+def train_forest(X, y, n_trees, mtry, min_leaf, seed, max_depth=None, bootstrap=True):
+    """One forest, grown as `train_forests` grows each of its problems."""
+    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap)[0]
+
+
+def planted_feature_dataset(n, seed, n_noise=30, effect=2.0, base_rate=0.3):
+    """One informative column among standard-normal noise, plus loan outcomes.
+
+    Returns (X, y, informative_index, loans); the label follows a logistic
+    model in the informative column only. Used to validate that importance
+    measures recover the planted feature.
+    """
+    rng = substream(seed, "planted")
+    X = rng.normal(size=(n, n_noise + 1))
+    j = int(rng.integers(0, n_noise + 1))
+    score = effect * X[:, j]
+    intercept = _calibrate_intercept(score, base_rate)
+    y = rng.random(n) < 1.0 / (1.0 + np.exp(-(intercept + score)))
+    principals = np.round(np.exp(rng.normal(np.log(1000), 0.4, size=n)))
+    fractions = rng.uniform(0.0, 1.0, size=n)
+    loans = Loans(principal=principals, ead=np.where(y, np.round(principals * fractions, 2), 0.0), is_defaulter=y)
+    return X, np.asarray(y, dtype=bool), j, loans
 
 
 def one_node_tree(n0=3, n1=2):
@@ -399,8 +425,17 @@ def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
                      timeframe_id=timeframe_id, window=window, n_out_of_window=n_out)
 
 
+@dataclass(frozen=True)
+class LoanRecord:
+    """One subject's loan as the per-record label reference builds it."""
+
+    principal: float
+    ead: float
+    is_defaulter: bool
+
+
 def reference_labels(cfg, bank, graph, timeframe_k):
-    """Labels and loans by one identity lookup per bank record."""
+    """Labels, and {identity: LoanRecord} of the subjects, by one identity lookup per bank record."""
     window_end_month, card_month = timeframe_k + 2, timeframe_k + 3
     node_of = {identity: i for i, identity in enumerate(graph.ids)}
     n = graph.n_nodes
@@ -420,7 +455,7 @@ def reference_labels(cfg, bank, graph, timeframe_k):
             y = sum(record.monthly_arrears) >= 3
             default_label[node] = int(y)
             ead = float(record.monthly_drawn[[j for j, f in enumerate(record.monthly_arrears) if f][2]]) if y else 0.0
-            loans[record.customer_id] = LoanOutcome(principal=float(record.credit_limit), ead=ead, is_defaulter=y)
+            loans[record.customer_id] = LoanRecord(principal=float(record.credit_limit), ead=ead, is_defaulter=y)
         elif issue_month <= window_end_month:
             observed = sum(1 for j, flagged in enumerate(record.monthly_arrears)
                            if flagged and issue_month + j <= window_end_month)

@@ -19,12 +19,12 @@ from scipy.stats import kstest, spearmanr
 
 from callscore.graph import build_graph
 from callscore.ingest import CdrBatch
-from callscore.models import ScoredDataset, predict_forest, train_forest
+from callscore.models import ScoredDataset, predict_forest
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
 from callscore.pipeline import ExperimentConfig, load_config, load_scores, run_stages, sensitivity_sweep
 from callscore.profit import (
     EmpParams,
-    LoanOutcome,
+    Loans,
     accuracy_feature_importance,
     delong_test,
     emp,
@@ -33,8 +33,15 @@ from callscore.profit import (
     profit_feature_importance,
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
-from callscore.synth import SynthConfig, generate, planted_feature_dataset
-from conftest import dense_pagerank_solve, emp_oracle, random_records, records_batch
+from callscore.synth import SynthConfig, generate
+from conftest import (
+    dense_pagerank_solve,
+    emp_oracle,
+    planted_feature_dataset,
+    random_records,
+    records_batch,
+    train_forest,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,22 +120,22 @@ def test_criterion_03_emp_oracle_equivalence():
 def test_criterion_04_model_profit_identities():
     params = EmpParams(roi=0.05, lgd=0.8)
     cells = [
-        (False, 0.1, LoanOutcome(100, 0, False), 5.0),     # accepted good
-        (False, 0.9, LoanOutcome(100, 0, False), -5.0),    # rejected good
-        (True, 0.1, LoanOutcome(100, 80, True), -64.0),    # accepted defaulter
-        (True, 0.9, LoanOutcome(100, 80, True), 0.0),      # rejected defaulter
+        (False, 0.1, Loans([100], [0], [False]), 5.0),     # accepted good
+        (False, 0.9, Loans([100], [0], [False]), -5.0),    # rejected good
+        (True, 0.1, Loans([100], [80], [True]), -64.0),    # accepted defaulter
+        (True, 0.9, Loans([100], [80], [True]), 0.0),      # rejected defaulter
     ]
     for yi, score, loan, expected in cells:
         scored = ScoredDataset(y=np.array([yi]), score=np.array([score]))
-        assert model_profit(scored, [loan], params, 0.5) == pytest.approx(expected, abs=0)
+        assert model_profit(scored, loan, params, 0.5) == pytest.approx(expected, abs=0)
 
     rng = np.random.default_rng(4)
     y = rng.random(500) < 0.2
     scored = ScoredDataset(y=y, score=rng.random(500))
-    loans = [
-        LoanOutcome(float(a), float(np.round(a * rng.uniform(0, 1), 2)) if yi else 0.0, bool(yi))
+    loans = Loans(*zip(*[
+        (float(a), float(np.round(a * rng.uniform(0, 1), 2)) if yi else 0.0, bool(yi))
         for a, yi in zip(rng.integers(100, 5000, 500), y)
-    ]
+    ]))
     cutoff = fraction_to_cutoff(scored.score, 0.0)
     assert model_profit(scored, loans, params, cutoff) == model_profit(scored, loans, params, np.inf)
     announce(4, "outcome-table cells exact; zero-rejection profit equals accept-all exactly")

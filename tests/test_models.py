@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 
 import callscore.models as models
 from callscore.errors import ConvergenceError, DataError
-from conftest import mixed_depth_forest, reference_leaves
+from conftest import mixed_depth_forest, reference_leaves, train_forest
 from callscore.models import (
     ScoredDataset,
     _rank_auc,
@@ -21,7 +21,6 @@ from callscore.models import (
     predict_tree_proba,
     save_model,
     split,
-    train_forest,
     train_forests,
     train_logistic,
     train_tree,

@@ -31,7 +31,7 @@ from callscore.pipeline import (
     stage_eval,
     stage_train,
 )
-from callscore.profit import EmpParams, LoanOutcome
+from callscore.profit import EmpParams, Loans
 from callscore.synth import SynthConfig
 
 TINY = dict(
@@ -344,7 +344,7 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     pruned, _ = drop_correlated(full, 0.95)
     assert pruned.group_sizes() == {"SD": 3}
     config = ExperimentConfig(out_dir=str(tmp_path), models="A,E", n_trees=5, importance_models="E")
-    featured = (pruned, [LoanOutcome(100.0, 80.0 * v, bool(v)) for v in y])
+    featured = (pruned, Loans(np.full(n, 100.0), 80.0 * y, y))
     (tmp_path / "models_out").mkdir()
     (tmp_path / "eval").mkdir()
     fitted = stage_train(config, tmp_path / "models_out", featured)
@@ -609,15 +609,19 @@ def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, t
             for name in ("ids", "edge_src", "edge_dst", "edge_weight", "indptr", "indices", "weights"):
                 got, want = getattr(graphs[(tf, direction)], name), getattr(reference, name)
                 assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
-        # the run's own labels, and labels over a one-month graph that misses some card holders
+        # labels over a one-month graph that misses some card holders, then the
+        # run's own labels, whose reference is written below
         short = build_graph(batch, (config.month_date(k), config.month_date(k + 1)), "undirected", "count", tf)
-        for graph in (graphs[(tf, "UD")], short):
+        for graph in (short, graphs[(tf, "UD")]):
             want, want_loans = reference_labels(config, records, graph, k)
             got, got_loans = pipeline._build_labels(config, bank, graph, k)
             for name in ("delinquency_level", "is_subject", "is_bank_customer", "default_label"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert list(got_loans.items()) == list(want_loans.items())
-        reference_save_labels(tmp_path / "reference.csv", graphs[(tf, "UD")], labels[tf], loans[tf])
+            # the reference keys its loans by identity; the table holds them in node order
+            assert list(want_loans) == [graph.ids[i] for i in np.flatnonzero(got.is_subject)]
+            for name in ("principal", "ead", "is_defaulter"):
+                assert getattr(got_loans, name).tolist() == [getattr(r, name) for r in want_loans.values()]
+        reference_save_labels(tmp_path / "reference.csv", graphs[(tf, "UD")], want, want_loans)
         assert (tmp_path / f"labels_{tf}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / f"labels_{tf}.csv").read_bytes() == (out / "network" / f"labels_{tf}.csv").read_bytes()
 
@@ -663,3 +667,74 @@ def test_cli_build_graph_writes_the_per_mode_graph(tiny_run, tmp_path, mode):
         save_graph(reference_build_graph(batch, window, mode, weight_by, None), tmp_path / "reference")
         for name in ("edges.npy", "nodes.txt", "meta.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def test_feature_rows_carry_the_loans_of_their_subjects(tiny_run, tmp_path):
+    # stage_features aligns loans with matrix rows by position; each row's
+    # loan must be the one its (subject_id, timeframe) has in labels_t*.csv
+    config, out = tiny_run
+    network = pipeline.load_network(config, out / "network")
+    matrix, loans = pipeline.stage_features(
+        config, tmp_path, pipeline.load_ingest(config, out / "ingest"), network,
+        pipeline.load_exposure(config, out / "exposure"))
+    by_identity = {}
+    for tf in pipeline.TIMEFRAMES:
+        with open(out / "network" / f"labels_{tf}.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["is_subject"] == "1":
+                    by_identity[(row["identity"], tf)] = (
+                        float(row["credit_limit"]), float(row["ead"]), row["y_default"] == "1")
+    rows = list(zip(matrix.subject_ids, matrix.timeframes))
+    assert len(rows) == len(loans) == len(by_identity)
+    assert [by_identity[key] for key in rows] == list(zip(
+        loans.principal.tolist(), loans.ead.tolist(), loans.is_defaulter.tolist()))
+    assert (tmp_path / "loans.csv").read_bytes() == (out / "features" / "loans.csv").read_bytes()
+    _, loaded = pipeline.load_features(config, out / "features")
+    for name in ("principal", "ead", "is_defaulter"):
+        assert np.array_equal(getattr(loaded, name), getattr(loans, name))
+
+
+@pytest.mark.parametrize("column, value, wanted", [
+    ("delinquency_level", "x", "bad delinquency_level value 'x'"),
+    ("delinquency_level", "300", "bad delinquency_level value '300'"),
+    ("default_label", "1.0", "bad default_label value '1.0'"),
+    ("credit_limit", "abc", "bad credit_limit value 'abc'"),
+    ("credit_limit", "", "bad credit_limit value ''"),
+    ("ead", "", "bad ead value ''"),
+    ("y_default", "1", "y_default disagrees with default_label"),
+], ids=["non-numeric delinquency", "delinquency out of range", "non-integer default label",
+        "non-numeric credit limit", "subject without credit limit", "subject without EAD",
+        "outcome disagrees with default label"])
+def test_malformed_labels_file_is_a_data_error(tiny_run, tmp_path, capsys, column, value, wanted):
+    _, out = tiny_run
+    with open(out / "network" / "labels_t1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    target = next(i for i, row in enumerate(rows) if row["is_subject"] == "1" and row["default_label"] == "0")
+    rows[target][column] = value
+    path = tmp_path / "labels.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, pipeline.LABEL_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    message = f"{path}:{target + 2}: {wanted}"
+    with pytest.raises(DataError) as raised:
+        pipeline.load_labels(path)
+    assert str(raised.value) == message
+    graph = str(out / "network" / "t1" / "UD")
+    for argv in (["netstats", "--graph", graph, "--labels", str(path)],
+                 ["propagate", "--graph", graph, "--labels", str(path), "--method", "pr",
+                  "--out", str(tmp_path / "exposure.csv")]):
+        assert cli_main(argv) == 2, argv[0]
+        assert f"data error: {message}" in capsys.readouterr().err
+
+
+def test_missing_input_file_is_a_data_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.csv")
+    for argv in (["predict", "--model", str(tmp_path / "nope"), "--features", missing,
+                  "--out", str(tmp_path / "p.csv")],
+                 ["sweep", "--scores", missing, "--param", "roi", "--grid", "0.05"],
+                 ["ingest", "--cdr", missing, "--out", str(tmp_path / "ingest")],
+                 ["build-graph", "--cdr", missing, "--out", str(tmp_path / "graph")]):
+        assert cli_main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "nope" in err, argv[0]

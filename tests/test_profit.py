@@ -6,10 +6,10 @@ from scipy.stats import kstest, rankdata
 
 from callscore.errors import DataError
 from callscore import models
-from callscore.models import ForestModel, ScoredDataset, train_forest, predict_forest
+from callscore.models import ForestModel, ScoredDataset, predict_forest
 from callscore.profit import (
     EmpParams,
-    LoanOutcome,
+    Loans,
     accuracy_feature_importance,
     delong_test,
     emp,
@@ -25,8 +25,14 @@ from callscore.profit import (
     roc_points,
 )
 from callscore.seeding import substream
-from callscore.synth import planted_feature_dataset
-from conftest import emp_oracle, mixed_depth_forest, one_node_tree, reference_leaves
+from conftest import (
+    emp_oracle,
+    mixed_depth_forest,
+    one_node_tree,
+    planted_feature_dataset,
+    reference_leaves,
+    train_forest,
+)
 
 
 def scored(y, s):
@@ -162,16 +168,27 @@ def test_emp_params_validation():
 
 
 def test_estimate_loss_masses():
-    loans = [
-        LoanOutcome(100, 0.0, True),
-        LoanOutcome(100, 100.0, True),
-        LoanOutcome(100, 100.0, True),
-        LoanOutcome(100, 40.0, True),
-        LoanOutcome(100, 10.0, False),
-    ]
+    loans = Loans(
+        principal=[100] * 5,
+        ead=[0.0, 100.0, 100.0, 40.0, 10.0],
+        is_defaulter=[True, True, True, True, False],
+    )
     p0, p1 = estimate_loss_masses(loans, lgd=0.8)
     assert p0 == pytest.approx(0.25)
     assert p1 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("principal, ead, wanted", [
+    ([100.0, 0.0], [0.0, 0.0], "loan principal must be positive"),
+    ([100.0, -5.0], [0.0, 0.0], "loan principal must be positive"),
+    ([100.0, 100.0], [0.0, -1.0], r"EAD must lie in \[0, principal\]"),
+    ([100.0, 100.0], [0.0, 100.5], r"EAD must lie in \[0, principal\]"),
+    ([100.0, 100.0], [0.0, float("nan")], r"EAD must lie in \[0, principal\]"),
+], ids=["zero principal", "negative principal", "negative EAD", "EAD above principal", "NaN EAD"])
+def test_loans_refuse_what_a_loan_cannot_be(principal, ead, wanted):
+    with pytest.raises(DataError, match=wanted):
+        Loans(principal=principal, ead=ead, is_defaulter=[False, True])
+    Loans(principal=[100.0], ead=[100.0 * (1 + 1e-10)], is_defaulter=[True])  # within the rounding slack
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +217,29 @@ def test_model_profit_outcome_table():
     params = EmpParams(roi=0.05, lgd=0.8)
     # accepted good: +ROI * A
     sc = scored([0], [0.1])
-    assert model_profit(sc, [LoanOutcome(100, 0, False)], params, 0.5) == pytest.approx(5.0)
+    assert model_profit(sc, Loans([100], [0], [False]), params, 0.5) == pytest.approx(5.0)
     # rejected good: -ROI * A
     sc = scored([0], [0.9])
-    assert model_profit(sc, [LoanOutcome(100, 0, False)], params, 0.5) == pytest.approx(-5.0)
+    assert model_profit(sc, Loans([100], [0], [False]), params, 0.5) == pytest.approx(-5.0)
     # accepted defaulter: -LGD * EAD
     sc = scored([1], [0.1])
-    assert model_profit(sc, [LoanOutcome(100, 80, True)], params, 0.5) == pytest.approx(-64.0)
+    assert model_profit(sc, Loans([100], [80], [True]), params, 0.5) == pytest.approx(-64.0)
     # rejected defaulter: 0
     sc = scored([1], [0.9])
-    assert model_profit(sc, [LoanOutcome(100, 80, True)], params, 0.5) == 0.0
+    assert model_profit(sc, Loans([100], [80], [True]), params, 0.5) == 0.0
 
 
 def reference_profit(y, reject, loans, params):
     """Per-loan loop over the outcome table."""
     terms = []
-    for yi, ri, loan in zip(y, reject, loans):
-        if bool(yi) != loan.is_defaulter:
+    for yi, ri, principal, ead, defaulter in zip(y, reject, loans.principal.tolist(), loans.ead.tolist(),
+                                                 loans.is_defaulter.tolist()):
+        if bool(yi) != defaulter:
             raise DataError("loan outcome labels disagree with the scored labels")
         if yi:
-            terms.append(0.0 if ri else -params.lgd * loan.ead)
+            terms.append(0.0 if ri else -params.lgd * ead)
         else:
-            terms.append(-params.roi * loan.principal if ri else params.roi * loan.principal)
+            terms.append(-params.roi * principal if ri else params.roi * principal)
     return math.fsum(terms)
 
 
@@ -232,12 +250,12 @@ def test_profit_from_rejections_matches_per_loan_loop():
         y = r.random(n) < 0.3
         principal = np.round(r.uniform(1, 5000, n), 2)
         ead = np.where(r.random(n) < 0.2, 0.0, principal * r.random(n))
-        loans = [LoanOutcome(float(p), float(e), bool(d)) for p, e, d in zip(principal, ead, y)]
+        loans = Loans(principal, ead, y)
         reject = r.random(n) < 0.5
         params = EmpParams(roi=float(r.uniform(0.01, 0.3)), lgd=float(r.uniform(0.1, 1)))
         got = profit_from_rejections(y, reject, loans, params)
         assert repr(got) == repr(reference_profit(y, reject, loans, params))
-    loans[0] = LoanOutcome(100.0, 50.0, not y[0])
+    loans = Loans(np.r_[100.0, principal[1:]], np.r_[50.0, ead[1:]], np.r_[not y[0], y[1:]])
     with pytest.raises(DataError, match="disagree"):
         profit_from_rejections(y, reject, loans, params)
 
@@ -245,10 +263,10 @@ def test_profit_from_rejections_matches_per_loan_loop():
 def test_profit_at_zero_fraction_equals_accept_all():
     sc = random_scored(13, n=300, base=0.2)
     r = np.random.default_rng(13)
-    loans = [
-        LoanOutcome(float(a), float(a * r.uniform(0, 1)) if yi else 0.0, bool(yi))
+    loans = Loans(*zip(*[
+        (float(a), float(a * r.uniform(0, 1)) if yi else 0.0, bool(yi))
         for a, yi in zip(r.integers(100, 2000, len(sc)), sc.y)
-    ]
+    ]))
     params = EmpParams(roi=0.05, lgd=0.8)
     cutoff = fraction_to_cutoff(sc.score, 0.0)
     assert model_profit(sc, loans, params, cutoff) == model_profit(sc, loans, params, np.inf)
@@ -257,10 +275,10 @@ def test_profit_at_zero_fraction_equals_accept_all():
 def test_evaluate_economics_report():
     sc = random_scored(17, n=400, base=0.15)
     r = np.random.default_rng(17)
-    loans = [
-        LoanOutcome(float(a), float(a * r.uniform(0, 1)) if yi else 0.0, bool(yi))
+    loans = Loans(*zip(*[
+        (float(a), float(a * r.uniform(0, 1)) if yi else 0.0, bool(yi))
         for a, yi in zip(r.integers(100, 2000, len(sc)), sc.y)
-    ]
+    ]))
     params = EmpParams(roi=0.05, lgd=0.8, p0=0.2, p1=0.2)
     report = evaluate_economics(sc, loans, params)
     assert 0 <= report.emp_fraction <= 1
@@ -362,7 +380,7 @@ def test_profit_importance_two_tree_difference():
     y = np.array([False, True])
     votes = np.array([[0, 1], [0, 0]], dtype=np.int8)  # tree 0 rejects the defaulter
     sc = ScoredDataset(y=y, score=np.array([0.2, 0.8]), per_tree_votes=votes)
-    loans = [LoanOutcome(100, 0, False), LoanOutcome(100, 75, True)]
+    loans = Loans([100, 100], [0, 75], [False, True])
     params = EmpParams(roi=0.10, lgd=0.8)
     ranking = dict(profit_feature_importance(forest, sc, loans, params, ["f0", "f1"]))
     # tree 0 profit: +10 + 0 = 10; tree 1 profit: +10 - 60 = -50
@@ -375,7 +393,7 @@ def test_profit_importance_feature_in_all_trees_is_sentinel():
     y = np.array([False, True])
     votes = np.zeros((2, 2), dtype=np.int8)
     sc = ScoredDataset(y=y, score=np.array([0.2, 0.8]), per_tree_votes=votes)
-    loans = [LoanOutcome(100, 0, False), LoanOutcome(100, 75, True)]
+    loans = Loans([100, 100], [0, 75], [False, True])
     ranking = dict(profit_feature_importance(forest, sc, loans, EmpParams(roi=0.05, lgd=0.8), ["f0"]))
     assert math.isnan(ranking["f0"])
 
