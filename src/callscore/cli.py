@@ -16,28 +16,11 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# Each command imports the numeric modules it runs, so a command whose
+# stages are all reused (`run --resume`, `evaluate`, `importance`, `compare`
+# on a finished run) loads no numpy.
 from .errors import ConvergenceError, DataError, UsageError
-from .features import FeatureMatrix
-from .graph import build_graph, load_graph, save_graph
-from .ingest import ingest_cdr, parse_cdr_date, write_cdr
-from .models import load_model
-from .netstats import homophily_test
-from .pipeline import (
-    ExperimentConfig,
-    ingest_calls,
-    load_config,
-    load_labels,
-    load_scores,
-    propagate_exposure,
-    run_stages,
-    save_scores,
-    score_model,
-    sensitivity_sweep,
-)
-from .profit import EmpParams
-from .synth import generate
+from .runner import EmpParams, ExperimentConfig, load_config, run_stages
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +126,8 @@ def _build_parser() -> _Parser:
 
 
 def _parse_grid(text: str) -> list:
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise UsageError("range grid must be start:stop:count")
@@ -161,6 +146,8 @@ def _with_flags(config: ExperimentConfig, **flags) -> ExperimentConfig:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import generate
+
     config = _with_flags(
         ExperimentConfig(), seed=args.seed, n_nodes=args.nodes, n_subjects=args.subjects,
         default_rate=args.default_rate, homophily_strength=args.homophily,
@@ -172,6 +159,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from .ingest import write_cdr
+    from .pipeline import ingest_calls
+
     config = _with_flags(ExperimentConfig(), min_duration=args.min_duration, delimiter=args.delimiter)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,6 +174,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
+    from .graph import build_graph, save_graph
+    from .ingest import ingest_cdr, parse_cdr_date
+
     config = _with_flags(ExperimentConfig(), min_duration=args.min_duration)
     batch, _ = ingest_cdr(args.cdr, min_duration=config.min_duration, delimiter=config.delimiter)
     window = None
@@ -197,6 +190,9 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
+    from .graph import load_graph
+    from .pipeline import load_labels, propagate_exposure
+
     budget = {f"{args.method}_tolerance": args.tol, f"{args.method}_max_iterations": args.max_iter}
     config = _with_flags(ExperimentConfig(), alpha=args.alpha, spread_fraction=args.d, **budget)
     graph = load_graph(args.graph)
@@ -215,6 +211,10 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_netstats(args) -> int:
+    from .graph import load_graph
+    from .netstats import homophily_test
+    from .pipeline import load_labels
+
     graph = load_graph(args.graph)
     labels, _ = load_labels(args.labels)
     report = homophily_test(graph, labels.default_label)
@@ -240,6 +240,8 @@ def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
 
 
 def _cmd_featurize(args) -> int:
+    from .features import FeatureMatrix
+
     groups = [g.strip().upper() for g in args.groups.split(",") if g.strip()]
     config = _run_dir(args, "features", corr_threshold=args.corr_threshold)
     target = Path(config.out_dir) / "features" / "matrix.csv"
@@ -261,6 +263,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .features import FeatureMatrix
+    from .models import load_model
+    from .pipeline import save_scores, score_model
+
     model_dir = Path(args.model)
     model = load_model(model_dir / "model.json")
     meta = json.loads((model_dir / "meta.json").read_text())
@@ -312,6 +318,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .pipeline import load_scores, sensitivity_sweep
+
     config = _with_flags(ExperimentConfig(), roi=args.roi, lgd=args.lgd)
     scored = load_scores(args.scores)
     params = EmpParams(roi=config.roi, lgd=config.lgd, p0=args.p0, p1=args.p1)

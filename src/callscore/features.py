@@ -9,6 +9,7 @@ batch builder over many subjects at once.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -478,41 +479,97 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
         path = Path(path)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:2] != ["subject_id", "timeframe"] or header[-1:] != ["y_default"]:
-                raise DataError(f"{path} is not a feature matrix file")
-            names, tags = [], []
-            for col in header[2:-1]:
-                name, _, tag = col.rpartition(":")
-                names.append(name)
-                tags.append(tag)
-            ids, frames, rows, ys, miss = [], [], [], [], []
-            for rec in reader:
-                if len(rec) != len(header):
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                                    f"got {len(rec)}")
-                ids.append(rec[0])
-                frames.append(rec[1])
-                cells = rec[2:-1]
-                try:
-                    rows.append([float(c) if c else 0.0 for c in cells])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-                miss.append([c == "" for c in cells])
-                if rec[-1] not in ("0", "1"):
-                    raise DataError(f"{path}:{reader.line_num}: y_default must be 0 or 1, not {rec[-1]!r}")
-                ys.append(rec[-1] == "1")
-        return cls(
-            subject_ids=ids,
-            timeframes=frames,
-            feature_names=names,
-            group_tags=tags,
-            values=np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names))),
-            y=np.asarray(ys, dtype=bool),
-            missing=np.asarray(miss, dtype=bool) if rows else np.zeros((0, len(names)), dtype=bool),
-        )
+        try:
+            columns = _matrix_columns(path)
+        except ValueError:  # the per-row reader names the line at fault
+            columns = _matrix_rows(path)
+        return cls(**columns)
+
+
+def _matrix_header(path: Path, header: list) -> tuple[list, list]:
+    """Feature names and group tags of a matrix file's header row."""
+    if header[:2] != ["subject_id", "timeframe"] or header[-1:] != ["y_default"]:
+        raise DataError(f"{path} is not a feature matrix file")
+    names, tags = [], []
+    for col in header[2:-1]:
+        name, _, tag = col.rpartition(":")
+        names.append(name)
+        tags.append(tag)
+    return names, tags
+
+
+def _matrix_columns(path: Path) -> dict:
+    """The fields of a matrix file read a column at a time, for `_matrix_rows`'s
+    result on the files to_csv writes. Raises ValueError on any text that
+    reader might read otherwise: quoted cells, a row of another length, a
+    target not 0 or 1, an empty timeframe, a cell that does not convert.
+
+    Stored values are finite, so empty cells become "nan" by text
+    replacement before the parse, and every nan read is a missing cell.
+    """
+    head, _, body = path.read_text().partition("\n")
+    if '"' in head or '"' in body:
+        raise ValueError("quoted cells")
+    header = head.split(",")
+    names, tags = _matrix_header(path, header)
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or any(line.count(",") != len(header) - 1 for line in lines):
+        raise ValueError("no rows, or rows of another length")
+    ids, frames = zip(*(line.split(",", 2)[:2] for line in lines))
+    targets = [line[line.rindex(",") + 1:] for line in lines]
+    if "" in frames or not set(targets) <= {"0", "1"}:
+        raise ValueError("an empty timeframe or a target not 0 or 1")
+    del lines
+    # two passes fill every run of empty cells; a nan read that no empty cell
+    # explains is a stored "nan", which the per-row reader refuses
+    gaps = body.count(",,")
+    body = body.replace(",,", ",nan,")
+    gaps += body.count(",,")
+    body = body.replace(",,", ",nan,")
+    values = np.loadtxt(io.StringIO(body), dtype=np.float64, delimiter=",", comments=None,
+                        usecols=range(2, len(header) - 1), ndmin=2)
+    missing = np.isnan(values)
+    if int(missing.sum()) != gaps:
+        raise ValueError("a stored nan")
+    values[missing] = 0.0
+    return dict(subject_ids=list(ids), timeframes=list(frames), feature_names=names, group_tags=tags,
+                values=values, y=np.array(targets) == "1", missing=missing)
+
+
+def _matrix_rows(path: Path) -> dict:
+    """The fields of a matrix file read a row at a time; a data error names the
+    line at fault."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        names, tags = _matrix_header(path, header)
+        ids, frames, rows, ys, miss = [], [], [], [], []
+        for rec in reader:
+            if len(rec) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                                f"got {len(rec)}")
+            ids.append(rec[0])
+            frames.append(rec[1])
+            cells = rec[2:-1]
+            try:
+                rows.append([float(c) if c else 0.0 for c in cells])
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            miss.append([c == "" for c in cells])
+            if rec[-1] not in ("0", "1"):
+                raise DataError(f"{path}:{reader.line_num}: y_default must be 0 or 1, not {rec[-1]!r}")
+            ys.append(rec[-1] == "1")
+    return dict(
+        subject_ids=ids,
+        timeframes=frames,
+        feature_names=names,
+        group_tags=tags,
+        values=np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names))),
+        y=np.asarray(ys, dtype=bool),
+        missing=np.asarray(miss, dtype=bool) if rows else np.zeros((0, len(names)), dtype=bool),
+    )
 
 
 def assemble_timeframe(

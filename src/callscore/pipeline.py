@@ -1,25 +1,19 @@
 """End-to-end experiment pipeline: data -> graphs -> exposure -> features ->
-models -> evaluation, with fingerprinted stages and one master seed.
+models -> evaluation, one master seed.
 
-Every stage writes its outputs into its own directory under the experiment
-directory, together with a fingerprint of the config fields it reads and of
-its upstream stages (`run_stages`). A resumed run reuses a stage directory
-only when that fingerprint matches; regenerating any stage reproduces it
-byte-identically because all randomness flows from named substreams of the
-config seed.
+Holds each stage's body, `stage_<name>`, and the reader of its outputs,
+`load_<name>`, which `runner.run_stages` calls by name when a stage has to
+be built.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import logging
-import shutil
 import time
-from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -77,144 +71,23 @@ from .propagation import (
     spreading_activation,
     uniform_restart,
 )
+from .runner import (  # noqa: F401  (the config and runner names stay importable from here)
+    MODEL_GROUPS,
+    STAGES,
+    EmpParams,
+    ExperimentConfig,
+    dump_config,
+    load_config,
+    load_data,
+    run_stages,
+)
 from .seeding import substream
-from .synth import SynthConfig, generate, month_date
+from .synth import generate
 
 logger = logging.getLogger(__name__)
 
 TIMEFRAMES = ("t1", "t2", "t3")
 DIR_TO_MODE = {"IN": "incoming", "OUT": "outgoing", "UD": "undirected"}
-MODEL_GROUPS = {
-    "A": ("SD",),
-    "B": ("CB",),
-    "C": ("LB",),
-    "D": ("PR",),
-    "E": ("SPA",),
-    "F": ("SD", "CB"),
-    "G": ("CB", "LB", "PR", "SPA"),
-    "H": ("SD", "CB", "LB", "PR", "SPA"),
-}
-CLASSIFIERS = ("logit", "tree", "forest")
-# ExperimentConfig fields inherited from the synthetic generator's config
-SYNTH_FIELDS = tuple(f.name for f in dataclasses.fields(SynthConfig))
-# ExperimentConfig fields naming input files; when input_cdr is set they replace the generator
-INPUT_FIELDS = ("input_cdr", "input_accounts", "input_transactions", "input_card_activity")
-
-
-# ---------------------------------------------------------------------------
-# Experiment configuration: a flat key = value file.
-# ---------------------------------------------------------------------------
-
-def _model_list(text: str) -> list:
-    ids = [m.strip().upper() for m in text.split(",") if m.strip()]
-    bad = [m for m in ids if m not in MODEL_GROUPS]
-    if bad:
-        raise UsageError(f"unknown model ids {bad}; valid: {sorted(MODEL_GROUPS)}")
-    return ids
-
-
-@dataclass
-class ExperimentConfig(SynthConfig):
-    """Every key of one experiment; the generator's keys and defaults are SynthConfig's."""
-
-    out_dir: str = ""
-    seed: int = 20170501
-    # data source: leave the input_* paths empty to generate synthetic data
-    input_cdr: str = ""
-    input_accounts: str = ""
-    input_transactions: str = ""
-    input_card_activity: str = ""
-    # ingest
-    min_duration: int = 5
-    delimiter: str = ","
-    # propagation
-    alpha: float = 0.85
-    spread_fraction: float = 0.85
-    pr_tolerance: float = 1e-8
-    pr_max_iterations: int = 1000
-    spa_tolerance: float = 1e-6
-    spa_max_iterations: int = 100
-    # features
-    day_start_hour: int = 8
-    day_end_hour: int = 20
-    corr_threshold: float = 0.95
-    # models
-    models: str = "A,B,C,D,E,F,G,H"
-    classifiers: str = "forest"
-    n_trees: int = 500
-    mtry: int = 0
-    min_leaf: int = 5
-    cv_folds: int = 10
-    train_fraction: float = 0.7
-    undersample_ratio: float = 1.0
-    importance_models: str = "H"
-    importance_max_rows: int = 2000
-    # profit measure
-    roi: float = 0.05
-    lgd: float = 0.8
-
-    def model_ids(self) -> list:
-        ids = _model_list(self.models)
-        if not ids:
-            raise UsageError("models lists no model")
-        return ids
-
-    def importance_model_ids(self) -> list:
-        return _model_list(self.importance_models)
-
-    def classifier_list(self) -> list:
-        kinds = [c.strip().lower() for c in self.classifiers.split(",") if c.strip()]
-        bad = [c for c in kinds if c not in CLASSIFIERS]
-        if bad:
-            raise UsageError(f"unknown classifiers {bad}; valid: {CLASSIFIERS}")
-        if not kinds:
-            raise UsageError("classifiers lists no classifier")
-        return kinds
-
-    def month_date(self, month_index: int, day: int = 1) -> date:
-        return month_date(self.start_year, self.start_month, month_index, day)
-
-    def month_index(self, d: date) -> int:
-        return (d.year * 12 + d.month) - (self.start_year * 12 + self.start_month) + 1
-
-    def window(self, k: int) -> tuple[date, date]:
-        return self.month_date(k), self.month_date(k + 3) - timedelta(days=1)
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a key = value config file; '#' starts a comment."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in fields:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = fields[key].type
-        try:
-            if kind == "int":
-                values[key] = int(value)
-            elif kind == "float":
-                values[key] = float(value)
-            else:
-                values[key] = value
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    config = ExperimentConfig(**values)
-    if not config.out_dir:
-        raise UsageError("config must set out_dir")
-    return config
-
-
-def dump_config(config: ExperimentConfig) -> str:
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in dataclasses.fields(ExperimentConfig)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +190,12 @@ def stage_data(cfg: ExperimentConfig, out: Path) -> None:
         generate(cfg, cfg.seed).write(out)
 
 
-def load_data(cfg: ExperimentConfig, directory: Path) -> dict:
-    """The four input files: input_* when input_cdr is set, else the generator's in `directory`."""
-    if cfg.input_cdr:
-        # a rebuilt stage replaces its whole directory, inputs included
-        run = directory.parent
-        rebuilt = [(run / stage.directory).resolve() for stage in STAGES if stage.name != "data"]
-        required = {field.removeprefix("input_"): getattr(cfg, field) for field in INPUT_FIELDS}
-        for name, p in required.items():
-            if not p:
-                raise UsageError(f"input_{name} must be set when input_cdr is given")
-            if not Path(p).exists():
-                raise DataError(f"missing input file for {name}: {p}")
-            if any(Path(p).resolve().is_relative_to(d) for d in rebuilt):
-                raise UsageError(f"input_{name} lies inside a stage directory of {run}: {p}")
-        return {k: Path(v) for k, v in required.items()}
-    return {
-        "cdr": directory / "cdr.csv",
-        "accounts": directory / "accounts.csv",
-        "transactions": directory / "transactions.csv",
-        "card_activity": directory / "card_activity.csv",
-    }
-
-
 def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[CdrBatch, IngestStats]:
     """Parse the CDR log `cdr` under cfg's ingest keys, writing rejects.log
     and stats.json into `out`; refuses stats that do not account for every row."""
-    with open(out / "rejects.log", "w") as rejects:
-        batch, stats = ingest_cdr(cdr, min_duration=cfg.min_duration,
+    # the source opens first, so a missing file leaves no reject log behind
+    with open(cdr, encoding="utf-8") as lines, open(out / "rejects.log", "w") as rejects:
+        batch, stats = ingest_cdr(lines, min_duration=cfg.min_duration,
                                   delimiter=cfg.delimiter, reject_log=rejects)
     if not stats.conserved:
         raise DataError("ingest stats do not conserve rows")
@@ -832,130 +683,6 @@ def _write_importance(path: Path, ranking: list) -> None:
         writer.writerow(("feature", "importance"))
         for name, value in ranking:
             writer.writerow((name, "nan" if np.isnan(value) else repr(float(value))))
-
-
-# ---------------------------------------------------------------------------
-# Stage runner: a verifying trace (Mokhov, Mitchell and Peyton Jones, "Build
-# Systems a la Carte", ICFP 2018) over one directory per stage.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Stage:
-    # stage_<name>(cfg, out, *upstream products) builds into out and returns
-    # the stage's product; load_<name>(cfg, directory) reads it back
-    name: str
-    directory: str     # under out_dir
-    fields: tuple      # ExperimentConfig fields the stage reads
-    upstream: tuple    # stages whose outputs it reads
-
-
-STAGES = (
-    Stage("data", "data", INPUT_FIELDS + ("seed",) + SYNTH_FIELDS, ()),
-    Stage("ingest", "ingest", ("min_duration", "delimiter"), ("data",)),
-    Stage("network", "network", ("start_year", "start_month"), ("ingest",)),
-    Stage("netstats", "netstats", (), ("network",)),
-    Stage("exposure", "exposure", ("alpha", "spread_fraction", "pr_tolerance", "pr_max_iterations",
-                                   "spa_tolerance", "spa_max_iterations"), ("network",)),
-    Stage("features", "features", ("start_year", "start_month", "day_start_hour", "day_end_hour",
-                                   "corr_threshold"), ("ingest", "network", "exposure")),
-    Stage("train", "models_out", ("seed", "models", "classifiers", "n_trees", "mtry", "min_leaf",
-                                  "cv_folds", "train_fraction", "undersample_ratio"), ("features",)),
-    Stage("eval", "eval", ("seed", "models", "classifiers", "importance_models",
-                           "importance_max_rows", "roi", "lgd"), ("features", "train")),
-)
-
-
-def _fingerprint(config: ExperimentConfig, stage: Stage, upstream: list) -> str:
-    """sha256 over the stage name, the fields it reads and its upstream fingerprints.
-
-    Data read from input files is fingerprinted by their paths and bytes
-    alone: the generator's fields play no part in it.
-    """
-    from_files = stage.name == "data" and config.input_cdr
-    digest = hashlib.sha256(stage.name.encode())
-    for name in INPUT_FIELDS if from_files else stage.fields:
-        digest.update(f"\n{name} = {getattr(config, name)}".encode())
-    for fingerprint in upstream:
-        digest.update(f"\n{fingerprint}".encode())
-    if from_files:
-        for path in load_data(config, Path(config.out_dir) / stage.directory).values():
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(1 << 20), b""):
-                    digest.update(block)
-    return digest.hexdigest()
-
-
-def _stored_fingerprint(directory: Path) -> str | None:
-    path = directory / "fingerprint"
-    return path.read_text().strip() if path.exists() else None
-
-
-def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = False) -> None:
-    """Bring every stage up to and including `until` up to date in config.out_dir.
-
-    With `resume`, a stage whose directory holds a matching fingerprint is
-    reused; otherwise it is built into `.<directory>.tmp/`, its fingerprint
-    written last, and swapped into place, so an interrupted build leaves
-    nothing a later resume trusts. A built stage hands its product to the
-    stages that read it; a reused stage's product is loaded only when a
-    stage that reads it is built. Only when every stage succeeded is
-    config.resolved written and every stage directory whose fingerprint
-    does not match this config removed; a failed run leaves the outputs of
-    the stages it did not rebuild, and the config that made them, in place.
-    An input-file run has no data directory: its files are its data.
-    """
-    # a bad value fails here, before any file of the run is touched
-    config.model_ids()
-    config.importance_model_ids()
-    config.classifier_list()
-    EmpParams(roi=config.roi, lgd=config.lgd)
-    out = Path(config.out_dir)
-    prints: dict = {}
-    for stage in STAGES:
-        prints[stage.name] = _fingerprint(config, stage, [prints[u] for u in stage.upstream])
-    directories = {stage.name: stage.directory for stage in STAGES}
-    owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
-    products: dict = {}
-
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    for stage in STAGES[: list(directories).index(until) + 1]:
-        target = out / stage.directory
-        if stage not in owned:
-            continue
-        if resume and _stored_fingerprint(target) == prints[stage.name]:
-            logger.info("stage %-9s reused", stage.name)
-            continue
-        for name in stage.upstream:
-            if name not in products:
-                products[name] = globals()[f"load_{name}"](config, out / directories[name])
-        t0 = time.perf_counter()
-        tmp = out / f".{stage.directory}.tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        tmp.mkdir()
-        try:
-            product = globals()[f"stage_{stage.name}"](config, tmp, *[products[u] for u in stage.upstream])
-            (tmp / "fingerprint").write_text(prints[stage.name] + "\n")
-            shutil.rmtree(target, ignore_errors=True)
-            tmp.rename(target)
-        except Exception as exc:
-            logger.error("stage %s failed: %s", stage.name, exc)
-            raise
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        # the data stage's product, its file paths, is loaded after the rename
-        if product is not None:
-            products[stage.name] = product
-        logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
-
-    for stage in owned:
-        target = out / stage.directory
-        stored = _stored_fingerprint(target)
-        if stored is not None and stored != prints[stage.name]:
-            logger.info("stage %-9s removed: its fingerprint does not match", stage.name)
-            shutil.rmtree(target)
-    (out / "config.resolved").write_text(dump_config(config))
-    logger.info("stages up to %s done in %.1fs", until, time.perf_counter() - t_start)
 
 
 def sensitivity_sweep(

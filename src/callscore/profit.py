@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DataError
 from .models import FlatForest, ForestModel, ScoredDataset, descend, leaf_block, midrank, tree_blocks
+from .runner import EmpParams
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -92,39 +93,8 @@ def roc_convex_hull(fpr: np.ndarray, tpr: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# EMP parameters and loans.
+# Loans.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EmpParams:
-    """Cost model for the profit measure.
-
-    roi: return on a performing loan (the misclassification cost of rejecting
-    a good customer). lgd: loss given default; the maximum attainable loss
-    fraction, and the upper end of the loss distribution. p0/p1: point masses
-    of the loss fraction at zero (full recovery) and at the maximum (fully
-    drawn, nothing recovered); the rest is uniform in between. The class
-    priors of defaulters/non-defaulters are those of the scored data.
-    Rejecting an applicant itself costs nothing.
-    """
-
-    roi: float
-    lgd: float
-    p0: float = 0.0
-    p1: float = 0.0
-
-    def __post_init__(self):
-        if self.roi <= 0:
-            raise DataError("roi must be positive")
-        if not 0 < self.lgd <= 1:
-            raise DataError("lgd must lie in (0, 1]")
-        if self.p0 < 0 or self.p1 < 0 or self.p0 + self.p1 > 1:
-            raise DataError("point masses must be non-negative with p0 + p1 <= 1")
-
-    def priors(self, y: np.ndarray) -> tuple[float, float]:
-        pi0 = float(np.asarray(y, dtype=bool).mean())
-        return pi0, 1.0 - pi0
-
 
 @dataclass
 class Loans:
@@ -187,8 +157,14 @@ class EmpReport:
 # EMP: exact hull walk and the brute-force oracle.
 # ---------------------------------------------------------------------------
 
+def priors(y: np.ndarray) -> tuple[float, float]:
+    """The shares of defaulters and of non-defaulters among the scored labels."""
+    pi0 = float(np.asarray(y, dtype=bool).mean())
+    return pi0, 1.0 - pi0
+
+
 def _hull_geometry(scored: ScoredDataset, params: EmpParams):
-    pi0, pi1 = params.priors(scored.y)
+    pi0, pi1 = priors(scored.y)
     fpr, tpr = roc_points(scored.y, scored.score)
     hx, hy = roc_convex_hull(fpr, tpr)
     dx = np.diff(hx)
@@ -267,8 +243,8 @@ def _profit_terms(
     loans: Loans,
     params: EmpParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-loan profit if accepted and if rejected, by the outcome table of
-    `profit_from_rejections`."""
+    """Per-loan profit if accepted and if rejected: accepted good +ROI*A,
+    rejected good -ROI*A, accepted defaulter -LGD*EAD, rejected defaulter 0."""
     y = np.asarray(y, dtype=bool)
     if len(loans) != len(y):
         raise DataError("loans, labels and decisions must align")
@@ -282,30 +258,6 @@ def _profit_terms(
 def _total_profit(reject: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> float:
     accepted, rejected = terms
     return math.fsum(np.where(reject, rejected, accepted).tolist())
-
-
-def profit_from_rejections(
-    y: np.ndarray,
-    reject: np.ndarray,
-    loans: Loans,
-    params: EmpParams,
-) -> float:
-    """Total profit: accepted good +ROI*A, rejected good -ROI*A,
-    accepted defaulter -LGD*EAD, rejected defaulter 0."""
-    reject = np.asarray(reject, dtype=bool)
-    if len(reject) != len(y):
-        raise DataError("loans, labels and decisions must align")
-    return _total_profit(reject, _profit_terms(y, loans, params))
-
-
-def model_profit(
-    scored: ScoredDataset,
-    loans: Loans,
-    params: EmpParams,
-    cutoff: float,
-) -> float:
-    """Aggregate profit of accepting everyone scoring below `cutoff`."""
-    return profit_from_rejections(scored.y, scored.score >= cutoff, loans, params)
 
 
 def evaluate_economics(

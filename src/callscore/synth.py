@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .ingest import (
     format_cdr_date,
     write_cdr,
 )
+from .runner import SynthConfig, month_date
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -49,55 +50,6 @@ MIN_SEED_DELINQUENTS = 3
 
 _MARITAL = ("single", "married", "divorced", "widowed")
 _MARITAL_P = (0.35, 0.45, 0.15, 0.05)
-
-
-def month_date(start_year: int, start_month: int, month_index: int, day: int = 1) -> date:
-    """Date `day` of month `month_index`, counted from 1 = (start_year, start_month)."""
-    total = start_year * 12 + start_month - 1 + month_index - 1
-    return date(total // 12, total % 12 + 1, day)
-
-
-@dataclass
-class SynthConfig:
-    """The generator's keys and their defaults; `ExperimentConfig` inherits them."""
-
-    n_nodes: int = 2000
-    n_subjects: int = 600
-    months: int = 5
-    mean_calls_per_node: float = 8.0
-    default_rate: float = 0.0449
-    homophily_strength: float = 1.0
-    risky_rate: float = 0.15
-    degree_mode: str = "powerlaw"
-    degree_exponent: float = 2.5
-    degree_cutoff: float = 30.0
-    existing_customer_rate: float = 0.15
-    uncarded_customer_rate: float = 0.01
-    short_call_rate: float = 0.08
-    planted_feature_effect: float = 1.0
-    sd_weight: float = 1.0
-    cb_weight: float = 1.0
-    contagion_weight: float = 1.0
-    latent_weight: float = 0.75
-    start_year: int = 2017
-    start_month: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.default_rate < 1:
-            raise DataError("default_rate must lie in (0, 1)")
-        if self.n_subjects > self.n_nodes:
-            raise DataError("n_subjects cannot exceed n_nodes")
-        if self.months < 5:
-            raise DataError("need at least five months of calls for three timeframes")
-        if self.homophily_strength <= 0:
-            raise DataError("homophily_strength must be positive")
-        if self.degree_mode not in ("powerlaw", "poisson"):
-            raise DataError("degree_mode must be 'powerlaw' or 'poisson'")
-        reserved = self.n_subjects + int(
-            (self.existing_customer_rate + self.uncarded_customer_rate) * self.n_nodes
-        )
-        if reserved > self.n_nodes:
-            raise DataError("subject and customer shares exceed the population")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from callscore.ingest import (
 )
 from callscore.models import ForestModel, TreeModel, train_forests
 from callscore.pipeline import LABEL_COLUMNS
-from callscore.profit import Loans, roc_points
+from callscore.profit import Loans, _profit_terms, _total_profit, priors, roc_points
 from callscore.seeding import substream
 from callscore.synth import _calibrate_intercept
 
@@ -130,13 +130,27 @@ def dense_pagerank_solve(graph, restart, alpha=0.85):
     return np.linalg.solve(np.eye(n) - moved, (1 - alpha) * z)
 
 
+def profit_from_rejections(y, reject, loans, params) -> float:
+    """Total profit of the accept/reject decisions `reject`, by the outcome
+    table that evaluate_economics applies."""
+    reject = np.asarray(reject, dtype=bool)
+    if len(reject) != len(y):
+        raise DataError("loans, labels and decisions must align")
+    return _total_profit(reject, _profit_terms(y, loans, params))
+
+
+def model_profit(scored, loans, params, cutoff) -> float:
+    """Aggregate profit of accepting everyone scoring below `cutoff`."""
+    return profit_from_rejections(scored.y, scored.score >= cutoff, loans, params)
+
+
 def emp_oracle(scored, params, grid_size):
     """Brute-force EMP: scan every empirical threshold on a lambda grid.
 
     Midpoint quadrature over the uniform part plus exact point masses;
     independent of the hull walk. Deterministic, monotone in grid size.
     """
-    pi0, pi1 = params.priors(scored.y)
+    pi0, pi1 = priors(scored.y)
     fpr, tpr = roc_points(scored.y, scored.score)
     lam_max = params.lgd
     reward = pi0 * tpr

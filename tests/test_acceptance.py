@@ -29,7 +29,6 @@ from callscore.profit import (
     delong_test,
     emp,
     fraction_to_cutoff,
-    model_profit,
     profit_feature_importance,
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
@@ -37,6 +36,7 @@ from callscore.synth import SynthConfig, generate
 from conftest import (
     dense_pagerank_solve,
     emp_oracle,
+    model_profit,
     planted_feature_dataset,
     random_records,
     records_batch,

@@ -10,6 +10,8 @@ from callscore.features import (
     MARITAL_CATEGORIES,
     REGIONS,
     FeatureMatrix,
+    _matrix_columns,
+    _matrix_rows,
     assemble,
     assemble_timeframe,
     calling_behavior_matrix,
@@ -579,7 +581,58 @@ def test_matrix_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back.y, matrix.y)
 
 
+def test_columnar_matrix_read_matches_per_row_reader(tmp_path, rng):
+    # missing SD cells, alone and in runs at the row's start, and values of every magnitude
+    n, m = 400, 12
+    values = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-12, 12, size=(n, m))
+    missing = rng.random((n, m)) < 0.1
+    missing[:, :4] |= rng.random((n, 1)) < 0.3
+    matrix = FeatureMatrix(
+        subject_ids=[f"s{i}" for i in range(n)],
+        timeframes=[f"t{1 + i % 3}" for i in range(n)],
+        feature_names=[f"f{j}" for j in range(m)],
+        group_tags=["SD"] * 4 + ["CB"] * 4 + ["LB", "PR", "PR", "SPA"],
+        values=np.where(missing, 0.0, values),
+        y=rng.random(n) < 0.3,
+        missing=missing,
+    )
+    path = tmp_path / "m.csv"
+    matrix.to_csv(path)
+    columnar, per_row = _matrix_columns(path), _matrix_rows(path)
+    for key in ("subject_ids", "timeframes", "feature_names", "group_tags"):
+        assert columnar[key] == per_row[key], key
+    for key in ("values", "missing", "y"):
+        assert columnar[key].dtype == per_row[key].dtype, key
+        assert columnar[key].tobytes() == per_row[key].tobytes(), key
+    assert columnar["missing"][:, :4].any() and np.array_equal(columnar["missing"], missing)
+
+
 MATRIX_HEAD = "subject_id,timeframe,a:SD,b:CB,y_default\ns1,t1,1.5,,0\n"
+
+
+@pytest.mark.parametrize("text", [
+    MATRIX_HEAD + "s9,t1,nan,,1\n",
+    MATRIX_HEAD + "s9,,0.5,2,1\n",
+    MATRIX_HEAD + "\"s,9\",t1,0.5,2,1\n",
+    MATRIX_HEAD + "\ns9,t1,0.5,2,1\n",
+    MATRIX_HEAD + "s9,t1,1_0,2,1\n",
+    MATRIX_HEAD + "s9,t1,0.5,2,1.0\n",
+], ids=["stored nan", "empty timeframe", "quoted id", "blank line", "underscore digits", "float target"])
+def test_columnar_matrix_read_leaves_unusual_files_to_the_per_row_reader(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        _matrix_columns(path)
+
+    def outcome(read):
+        try:
+            matrix = read(path)
+        except DataError as exc:
+            return str(exc)
+        return (matrix.subject_ids, matrix.timeframes, matrix.values.tolist(), matrix.missing.tolist(),
+                matrix.y.tolist())
+
+    assert outcome(FeatureMatrix.from_csv) == outcome(lambda p: FeatureMatrix(**_matrix_rows(p)))
 
 
 @pytest.mark.parametrize("text, wanted", [

@@ -297,6 +297,73 @@ def test_analyst_commands_never_import_scipy(tiny_run, tmp_path):
     assert (tmp_path / "predict.csv").exists() and (tmp_path / "sweep.csv").exists()
 
 
+def _cli_in_fresh_process(argv: list) -> tuple[int, list]:
+    """The exit code of one CLI command run in a new interpreter, and the
+    numpy and callscore modules it loaded."""
+    probe = ("import json, sys; from callscore.cli import main; code = main(sys.argv[1:]); "
+             "print(json.dumps([code, sorted(m for m in sys.modules "
+             "if m == 'numpy' or m.split('.')[0] == 'callscore')]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_reused_run_commands_load_no_numeric_module(tiny_run, tmp_path):
+    # every stage reused: the CLI, the runner and the error types are all they run
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    resolved = dataclasses.replace(config, out_dir=str(clone))
+    (clone / "config.resolved").write_text(dump_config(resolved))
+    before = snapshot(clone)
+    lean = ["callscore", "callscore.cli", "callscore.errors", "callscore.runner"]
+    for argv in (["run", "--config", str(clone / "config.resolved"), "--resume"],
+                 ["evaluate", "--run-dir", str(clone)],
+                 ["importance", "--run-dir", str(clone), "--model", "H"],
+                 ["compare", "--run-dir", str(clone)]):
+        assert _cli_in_fresh_process(argv) == (0, lean), argv[0]
+    assert snapshot(clone) == before
+    # an override that rebuilds a stage imports the stage code when it needs it
+    code, modules = _cli_in_fresh_process(["evaluate", "--run-dir", str(clone), "--roi", "0.06"])
+    assert code == 0 and {"numpy", "callscore.pipeline"} <= set(modules)
+    after = snapshot(clone)
+    assert load_config(clone / "config.resolved").roi == 0.06
+    assert after["eval/fingerprint"] != before["eval/fingerprint"]
+    assert after["eval/models.csv"] != before["eval/models.csv"]
+    assert ({k: v for k, v in after.items() if not k.startswith(("eval/", "config.resolved"))}
+            == {k: v for k, v in before.items() if not k.startswith(("eval/", "config.resolved"))})
+
+
+PACKAGE_EXPORTS = (
+    "BankTable", "CallGraph", "CdrRecord", "ConvergenceError", "DataError", "DelongResult",
+    "EmpParams", "EmpReport", "ExperimentConfig", "ExposureVector", "FeatureMatrix",
+    "ForestModel", "HomophilyReport", "IngestStats", "Loans", "LogisticModel", "NodeLabelSet",
+    "RiskRelabeling", "ScoredDataset", "SynthConfig", "TreeModel", "UsageError",
+    "accuracy_feature_importance", "build_graph", "delong_test", "diversity",
+    "drop_correlated", "dyadicity", "emp", "evaluate_economics", "exposure_cutoff",
+    "fraction_to_cutoff", "generate", "heterophilicity", "homophily_test", "ingest_bank",
+    "ingest_cdr", "load_config", "loyalty", "parse_cdr_line", "personalized_pagerank",
+    "profit_feature_importance", "rank_correlations", "relabel_high_risk", "roc_and_auc",
+    "run_stages", "sensitivity_sweep", "split", "spreading_activation", "train_forests",
+    "train_logistic", "train_tree", "undersample",
+)
+
+
+def test_package_namespace_loads_each_module_on_first_use():
+    probe = ("import sys, callscore; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'callscore')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == "['callscore']"
+    assert sorted(callscore.__all__) == sorted(PACKAGE_EXPORTS)
+    for name in PACKAGE_EXPORTS:
+        value = getattr(callscore, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    with pytest.raises(AttributeError):
+        callscore.no_such_name
+
+
 def test_every_config_field_is_read_by_a_stage():
     read = {name for stage in STAGES for name in stage.fields}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -738,3 +805,5 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
         assert cli_main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "nope" in err, argv[0]
+    # the source is opened before the reject log is created
+    assert not (tmp_path / "ingest" / "rejects.log").exists()

@@ -16,9 +16,8 @@ from callscore.profit import (
     estimate_loss_masses,
     evaluate_economics,
     fraction_to_cutoff,
-    model_profit,
+    priors,
     profit_feature_importance,
-    profit_from_rejections,
     rank_correlations,
     roc_and_auc,
     roc_convex_hull,
@@ -28,8 +27,10 @@ from callscore.seeding import substream
 from conftest import (
     emp_oracle,
     mixed_depth_forest,
+    model_profit,
     one_node_tree,
     planted_feature_dataset,
+    profit_from_rejections,
     reference_leaves,
     train_forest,
 )
@@ -130,7 +131,7 @@ def test_emp_matches_oracle_on_random_sets():
 def test_emp_dominates_fixed_cutoffs():
     sc = random_scored(11, n=600, base=0.15)
     params = EmpParams(roi=0.05, lgd=0.8, p0=0.25, p1=0.25)
-    pi0, pi1 = params.priors(sc.y)
+    pi0, pi1 = priors(sc.y)
     fpr, tpr = roc_points(sc.y, sc.score)
     value, _ = emp(sc, params)
     expected_lambda = params.lgd * (params.p1 + (1 - params.p0 - params.p1) / 2)
