@@ -5,8 +5,11 @@ Split, undersample, then fit one of: ridge-stabilized logistic regression
 or a bagged forest of such trees with per-split feature subsampling. The
 forest records, per tree, exactly which features its internal nodes test,
 and prediction exposes per-tree votes; both are needed by the profit-based
-feature importance downstream. Forest trees are grown in worker processes and
-walked as one flat array of nodes; neither changes a model or a score.
+feature importance downstream. A split search sorts the node's rows once per
+candidate feature and prices only the positions where a split can occur.
+Forest trees are grown in worker processes, which also score the test rows
+tree by tree, and a forest is walked as one flat array of nodes; none of this
+changes a model or a score.
 
 All randomness is drawn from named substreams of one seed, so any model is
 replayable in isolation.
@@ -288,113 +291,113 @@ class TreeModel:
 _GAIN_TOL = 1e-12
 
 
-def _best_split(X: np.ndarray, y01: np.ndarray, idx: np.ndarray, feats: np.ndarray, min_leaf: int):
-    """Exact Gini split search over `feats`, vectorized across features.
+def _best_split(XT: np.ndarray, y01: np.ndarray, rows: np.ndarray, n1: int, feats: np.ndarray,
+                min_leaf: int, sample: np.ndarray):
+    """Exact Gini split search of the node holding `rows`, `n1` of them positive, over `feats`.
 
-    Returns (feature, threshold) or None. The minimized quantity is the total
-    child impurity mass n_L*g_L + n_R*g_R; ties resolve to the first feature
-    in `feats` order and the lowest threshold.
+    `XT` is the problem's (features x rows) matrix and `rows` index its
+    columns. Each feature's values are sorted once, and the cost is priced
+    only where the sorted value steps up with `min_leaf` rows on either side:
+    there the left counts do not depend on how ties were ordered. The
+    minimized quantity is the total child impurity mass n_L*g_L + n_R*g_R;
+    ties resolve to the first feature in `feats` order and the lowest
+    threshold. Returns (feature, threshold, left rows, right rows, positives
+    on the left) or None; the left rows are the first of the chosen feature's
+    sorted order.
     """
-    n = len(idx)
-    xs = X[np.ix_(idx, feats)]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs = np.take_along_axis(xs, order, axis=0)
-    ys = y01[idx][order]
-    cum1 = np.cumsum(ys, axis=0)
-    total1 = cum1[-1]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n = len(rows)
+    xs = XT.take(feats, axis=0).take(rows, axis=1)
+    by_value = rows.take(xs.argsort(axis=1))
+    xs.sort(axis=1)
+    lo, hi = min_leaf - 1, n - min_leaf
+    steps = np.zeros(xs.shape, dtype=bool)
+    np.greater(xs[:, lo + 1:hi + 1], xs[:, lo:hi], out=steps[:, lo:hi])
+    # flat (feature, position) ids, feature-major and positions ascending: the
+    # argmin below meets the first minimum of a scan over every position
+    at = steps.ravel().nonzero()[0]
+    if not len(at):
+        return None
+    cum1 = y01.take(by_value).cumsum(axis=1)
+    n_left = at % n + 1.0
     n_right = n - n_left
-    n1_left = cum1[:-1]
+    n1_left = cum1.take(at)
     n0_left = n_left - n1_left
-    n1_right = total1[None, :] - n1_left
+    n1_right = n1 - n1_left
     n0_right = n_right - n1_right
     cost = (
         n_left - (n1_left * n1_left + n0_left * n0_left) / n_left
         + n_right - (n1_right * n1_right + n0_right * n0_right) / n_right
     )
-    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    # argmin over (position, feature) with feature-major priority on ties
-    flat = np.argmin(cost.T)
-    f_local, pos = divmod(flat, cost.shape[0])
-    best = cost[pos, f_local]
-    total = float(total1[f_local])
+    k = cost.argmin()
+    total = float(n1)
     parent_cost = n - (total * total + (n - total) * (n - total)) / n
-    if parent_cost - best <= _GAIN_TOL:
+    if parent_cost - cost[k] <= _GAIN_TOL:
         return None
-    left_value = xs[pos, f_local]
-    right_value = xs[pos + 1, f_local]
+    f_local, p = divmod(int(at[k]), n)
+    left_value = xs[f_local, p]
+    right_value = xs[f_local, p + 1]
     threshold = 0.5 * (left_value + right_value)
     if not (left_value < threshold < right_value):
         # adjacent floats: splitting at the left value keeps the exact partition
         threshold = left_value
-    return int(feats[f_local]), float(threshold)
+        if threshold == 0:
+            # a signed zero is written as the last of its ties in sample order;
+            # copies of a row never part, so the sample's last copy is in this node
+            ties = by_value[f_local, np.searchsorted(xs[f_local, :p], 0.0):p + 1]
+            threshold = XT[feats[f_local], sample[np.flatnonzero(np.isin(sample, ties))[-1]]]
+    left_rows = by_value[f_local, :p + 1]
+    right_rows = by_value[f_local, p + 1:]
+    return int(feats[f_local]), float(threshold), left_rows, right_rows, int(n1_left[k])
 
 
 def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
+    XT: np.ndarray,
+    y01: np.ndarray,
+    sample: np.ndarray,
     max_depth: int | None,
     min_leaf: int,
     mtry: int | None,
     rng: np.random.Generator | None,
 ) -> TreeModel:
-    y01 = np.asarray(y, dtype=np.float64)
-    n, m = X.shape
-    feature, threshold, left, right = [], [], [], []
-    n0s, n1s, probs, votes = [], [], [], []
+    """CART tree on the multiset `sample` of rows of the problem `XT` (features
+    x rows) with 0/1 labels `y01`.
+
+    Nodes carry row ids; a split hands its children the two ends of the chosen
+    feature's sorted order. Nodes are grown depth first, left child first, and
+    that order fixes both the node numbering and the per-node `mtry` draws.
+    """
+    m = XT.shape[0]
+    nodes = [None]  # per node: feature, threshold, left, right, n0, n1, prob, vote
     used: set = set()
     max_seen_depth = 0
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        n0s.append(0)
-        n1s.append(0)
-        probs.append(0.0)
-        votes.append(0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n), 0, 1)]  # node, rows, depth, parent majority
+    stack = [(0, sample, int(y01.take(sample).sum()), 0, 1)]  # node, rows, positives, depth, parent majority
     while stack:
-        node, idx, depth, parent_major = stack.pop()
-        n_here = len(idx)
-        n1 = int(y01[idx].sum())
+        node, rows, n1, depth, parent_major = stack.pop()
+        n_here = len(rows)
         n0 = n_here - n1
         major = 1 if n1 > n0 else 0 if n0 > n1 else parent_major
-        n0s[node], n1s[node] = n0, n1
-        probs[node] = n1 / n_here
-        votes[node] = major
         max_seen_depth = max(max_seen_depth, depth)
-        if n1 == 0 or n0 == 0 or n_here < 2 * min_leaf:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        if mtry is not None and mtry < m:
-            feats = np.sort(rng.choice(m, size=mtry, replace=False))
-        else:
-            feats = np.arange(m)
-        found = _best_split(X, y01, idx, feats, min_leaf)
+        found = None
+        if n1 and n0 and n_here >= 2 * min_leaf and (max_depth is None or depth < max_depth):
+            if mtry is not None and mtry < m:
+                feats = rng.choice(m, size=mtry, replace=False)
+                feats.sort()
+            else:
+                feats = np.arange(m)
+            found = _best_split(XT, y01, rows, n1, feats, min_leaf, sample)
         if found is None:
+            nodes[node] = (-1, 0.0, -1, -1, n0, n1, n1 / n_here, major)
             continue
-        f, thr = found
+        f, thr, left_rows, right_rows, left_n1 = found
         used.add(f)
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left_child = new_node()
-        right_child = new_node()
-        left[node] = left_child
-        right[node] = right_child
+        left_child = len(nodes)
+        nodes += (None, None)
+        nodes[node] = (f, thr, left_child, left_child + 1, n0, n1, n1 / n_here, major)
         # push right first so left children are processed (and numbered) first
-        stack.append((right_child, idx[~go_left], depth + 1, major))
-        stack.append((left_child, idx[go_left], depth + 1, major))
+        stack.append((left_child + 1, right_rows, n1 - left_n1, depth + 1, major))
+        stack.append((left_child, left_rows, left_n1, depth + 1, major))
 
+    feature, threshold, left, right, n0s, n1s, probs, votes = zip(*nodes)
     return TreeModel(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -502,6 +505,11 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 DEPTH_GRID = (2, 3, 4, 6, 8, 12, 16)
 
 
+def _check_min_leaf(min_leaf: int) -> None:
+    if min_leaf < 1:
+        raise DataError(f"min_leaf must be at least 1, not {min_leaf}")
+
+
 def train_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -516,8 +524,10 @@ def train_tree(
     """
     if cv_folds < 2:
         raise DataError(f"depth pruning needs at least 2 folds, not {cv_folds}")
+    _check_min_leaf(min_leaf)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=bool)
+    XT, y01 = np.ascontiguousarray(X.T), y.astype(np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if min(n_pos, n_neg) < cv_folds:
@@ -531,13 +541,13 @@ def train_tree(
         aucs = []
         for f in range(cv_folds):
             hold = fold == f
-            tree = _grow_tree(X[~hold], y[~hold], depth, min_leaf, None, None)
+            tree = _grow_tree(XT, y01, np.flatnonzero(~hold), depth, min_leaf, None, None)
             aucs.append(_rank_auc(y[hold], predict_tree_proba(tree, X[hold])))
         mean_auc = float(np.mean(aucs))
         if mean_auc > best_auc + 1e-12:
             best_auc, best_depth = mean_auc, depth
     logger.debug("train_tree: depth %s selected (cv auc %.4f)", best_depth, best_auc)
-    return _grow_tree(X, y, best_depth, min_leaf, None, None)
+    return _grow_tree(XT, y01, np.arange(len(y)), best_depth, min_leaf, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +582,19 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
 
 
-def _grow_forest_tree(problem: tuple, i: int) -> TreeModel:
-    """Tree i of a forest, from its own substream.
+def _grow_forest_tree(problem: tuple, i: int) -> tuple:
+    """Tree i of a forest, from its own substream, with its leaf probabilities
+    and votes on the problem's test rows.
 
-    `problem` is (X, y, mtry, min_leaf, max_depth, seed, bootstrap).
+    `problem` is (XT, y01, X_test, mtry, min_leaf, max_depth, seed, bootstrap).
     """
-    X, y, mtry, min_leaf, max_depth, seed, bootstrap = problem
-    n = len(y)
+    XT, y01, X_test, mtry, min_leaf, max_depth, seed, bootstrap = problem
+    n = len(y01)
     rng = substream(seed, "tree", i)
-    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    return _grow_tree(X[rows], y[rows], max_depth, min_leaf, mtry, rng)
+    sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    tree = _grow_tree(XT, y01, sample, max_depth, min_leaf, mtry, rng)
+    leaves = leaf_block(FlatForest.of([tree]), X_test, range(1))[0][0]
+    return tree, tree.prob[leaves], tree.vote[leaves]
 
 
 # Set only in pool workers, which inherit the problems by fork instead of receiving them pickled.
@@ -593,7 +606,7 @@ def _inherit(problems: list) -> None:
     _inherited_problems = problems
 
 
-def _grow_inherited_tree(task: tuple) -> TreeModel:
+def _grow_inherited_tree(task: tuple) -> tuple:
     p, i = task
     return _grow_forest_tree(_inherited_problems[p], i)
 
@@ -606,21 +619,28 @@ def train_forests(
     max_depth: int | None,
     seed: int,
     bootstrap: bool,
+    tests: list,
 ) -> list:
-    """One forest per (X, y) problem, `n_trees` trees each, all grown in one pool.
+    """One forest per (X, y) problem, `n_trees` trees each, all grown in one
+    pool, with its scores on the (X, y) test set at the same place in `tests`.
 
     Each tree is grown on its own bootstrap (or, without `bootstrap`, on every
     row) with `mtry` features drawn per split. It draws only from its own
     substream, so which process grows it does not change it. With more than
-    one worker the trees are grown in a fork pool, one task per (problem,
-    tree), and the workers read the matrices they inherit; with one, the same
-    task runs in this process.
+    one worker the trees are grown in a fork pool, in batches of tasks, one
+    task per (problem, tree); the workers read the matrices they inherit and
+    return each tree with its leaf probabilities and votes on the test rows.
+    With one worker the same tasks run in this process. The probabilities are
+    summed tree by tree in tree order, so the scores and votes are bit for bit
+    those of `predict_forest`.
     `mtry` None takes `default_mtry` of each problem's feature count.
+    Returns a (ForestModel, ScoredDataset) pair per problem.
     """
     if n_trees < 1:
         raise DataError(f"a forest needs at least one tree, not {n_trees}")
+    _check_min_leaf(min_leaf)
     jobs = []
-    for X, y in problems:
+    for (X, y), (X_test, _) in zip(problems, tests):
         X = np.asarray(X, dtype=np.float64)
         m = X.shape[1]
         problem_mtry = default_mtry(m) if mtry is None else mtry
@@ -628,20 +648,34 @@ def train_forests(
             raise DataError(f"mtry must be at least 1, not {problem_mtry}")
         if problem_mtry > m:
             raise DataError(f"mtry {problem_mtry} exceeds the {m} available features")
-        jobs.append((X, np.asarray(y, dtype=bool), problem_mtry, min_leaf, max_depth, seed, bootstrap))
+        jobs.append((np.ascontiguousarray(X.T), np.asarray(y, dtype=bool).astype(np.float64),
+                     np.asarray(X_test, dtype=np.float64), problem_mtry, min_leaf, max_depth, seed, bootstrap))
     tasks = [(p, i) for p in range(len(jobs)) for i in range(n_trees)]
+    trees = [[] for _ in jobs]
+    scores = [np.zeros(len(job[2])) for job in jobs]
+    votes = [np.empty((n_trees, len(job[2])), dtype=np.int8) for job in jobs]
+
+    def collect(grown) -> None:
+        for (p, i), (tree, prob, vote) in zip(tasks, grown):
+            trees[p].append(tree)
+            scores[p] += prob  # tree by tree, in tree order, as predict_forest sums
+            votes[p][i] = vote
+
     workers = _worker_count(len(tasks))
     if workers == 1:
-        trees = [_grow_forest_tree(jobs[p], i) for p, i in tasks]
+        collect(_grow_forest_tree(jobs[p], i) for p, i in tasks)
     else:
         # fork, so that workers inherit the matrices instead of unpickling
         # them; growing a tree calls no BLAS, whose threads a fork does not copy
         context = multiprocessing.get_context("fork")
+        # batches of up to 8 tasks spare a round trip per small tree; at least
+        # 16 batches per worker keep the last ones ending close together
+        chunksize = max(1, min(8, len(tasks) // (16 * workers)))
         with context.Pool(workers, initializer=_inherit, initargs=(jobs,)) as pool:
-            trees = pool.map(_grow_inherited_tree, tasks, chunksize=1)
+            collect(pool.imap(_grow_inherited_tree, tasks, chunksize=chunksize))
     return [
-        ForestModel(trees=trees[p * n_trees:(p + 1) * n_trees], tree_seeds=list(range(n_trees)),
-                    mtry=job[2], bootstrap=bootstrap)
+        (ForestModel(trees=trees[p], tree_seeds=list(range(n_trees)), mtry=job[3], bootstrap=bootstrap),
+         ScoredDataset(y=tests[p][1], score=scores[p] / n_trees, per_tree_votes=votes[p]))
         for p, job in enumerate(jobs)
     ]
 

@@ -529,6 +529,7 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tupl
         forests = dict(zip(subs, train_forests(
             [(sub.values[train_bal], matrix.y[train_bal]) for sub in subs.values()],
             cfg.n_trees, cfg.mtry or None, cfg.min_leaf, max_depth=None, seed=cfg.seed, bootstrap=True,
+            tests=[(sub.values[test_idx], matrix.y[test_idx]) for sub in subs.values()],
         )))
         logger.info("trained %d forests in %.1fs", len(forests), time.perf_counter() - t0)
     for model_id, sub in subs.items():
@@ -538,12 +539,13 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tupl
             mdir.mkdir()
             t0 = time.perf_counter()
             if classifier == "forest":
-                model = forests[model_id]
-            elif classifier == "tree":
-                model = train_tree(X[train_bal], matrix.y[train_bal], cfg.cv_folds, cfg.min_leaf, cfg.seed)
+                model, scored = forests[model_id]
             else:
-                model = train_logistic(X[train_bal], matrix.y[train_bal])
-            scored = score_model(model, X[test_idx], matrix.y[test_idx])
+                if classifier == "tree":
+                    model = train_tree(X[train_bal], matrix.y[train_bal], cfg.cv_folds, cfg.min_leaf, cfg.seed)
+                else:
+                    model = train_logistic(X[train_bal], matrix.y[train_bal])
+                scored = score_model(model, X[test_idx], matrix.y[test_idx])
             if scored.per_tree_votes is not None:
                 np.save(mdir / "votes.npy", scored.per_tree_votes)
             save_model(model, mdir / "model.json")

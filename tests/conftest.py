@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, and the per-row reference
-implementations that the columnar ingest, graph and label code must match."""
+implementations that the columnar ingest, graph, label and tree-growing code
+must match."""
 
 import csv
 import logging
@@ -30,7 +31,7 @@ from callscore.ingest import (
     _open_lines,
     _parse_fields,
 )
-from callscore.models import ForestModel, TreeModel, train_forests
+from callscore.models import _GAIN_TOL, ForestModel, TreeModel, _grow_tree, train_forests
 from callscore.pipeline import LABEL_COLUMNS
 from callscore.profit import Loans, _profit_terms, _total_profit, priors, roc_points
 from callscore.seeding import substream
@@ -187,7 +188,133 @@ def reference_leaves(tree, X):
 
 def train_forest(X, y, n_trees, mtry, min_leaf, seed, max_depth=None, bootstrap=True):
     """One forest, grown as `train_forests` grows each of its problems."""
-    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap)[0]
+    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap, [(X[:0], y[:0])])[0][0]
+
+
+def grow_tree(X, y, max_depth, min_leaf):
+    """One CART tree on every row of (X, y), as `train_tree` grows its refit."""
+    X = np.asarray(X, dtype=np.float64)
+    return _grow_tree(np.ascontiguousarray(X.T), np.asarray(y, dtype=np.float64), np.arange(len(X)),
+                      max_depth, min_leaf, None, None)
+
+
+
+def reference_best_split(X, y01, idx, feats, min_leaf):
+    """The split search the grower must match: the Gini cost at every
+    (position, feature) of a stable sort, invalid positions priced at inf."""
+    n = len(idx)
+    xs = X[np.ix_(idx, feats)]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=0)
+    ys = y01[idx][order]
+    cum1 = np.cumsum(ys, axis=0)
+    total1 = cum1[-1]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    n1_left = cum1[:-1]
+    n0_left = n_left - n1_left
+    n1_right = total1[None, :] - n1_left
+    n0_right = n_right - n1_right
+    cost = (
+        n_left - (n1_left * n1_left + n0_left * n0_left) / n_left
+        + n_right - (n1_right * n1_right + n0_right * n0_right) / n_right
+    )
+    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    # argmin over (position, feature) with feature-major priority on ties
+    flat = np.argmin(cost.T)
+    f_local, pos = divmod(flat, cost.shape[0])
+    best = cost[pos, f_local]
+    total = float(total1[f_local])
+    parent_cost = n - (total * total + (n - total) * (n - total)) / n
+    if parent_cost - best <= _GAIN_TOL:
+        return None
+    left_value = xs[pos, f_local]
+    right_value = xs[pos + 1, f_local]
+    threshold = 0.5 * (left_value + right_value)
+    if not (left_value < threshold < right_value):
+        # adjacent floats: splitting at the left value keeps the exact partition
+        threshold = left_value
+    return int(feats[f_local]), float(threshold)
+
+
+def reference_grow_tree(X, y, max_depth, min_leaf, mtry, rng):
+    """The tree grower the columnar one must match, node for node: rows
+    carried as positions in a copy of the sample, children re-gathered by
+    threshold."""
+    y01 = np.asarray(y, dtype=np.float64)
+    n, m = X.shape
+    feature, threshold, left, right = [], [], [], []
+    n0s, n1s, probs, votes = [], [], [], []
+    used: set = set()
+    max_seen_depth = 0
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        n0s.append(0)
+        n1s.append(0)
+        probs.append(0.0)
+        votes.append(0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(n), 0, 1)]  # node, rows, depth, parent majority
+    while stack:
+        node, idx, depth, parent_major = stack.pop()
+        n_here = len(idx)
+        n1 = int(y01[idx].sum())
+        n0 = n_here - n1
+        major = 1 if n1 > n0 else 0 if n0 > n1 else parent_major
+        n0s[node], n1s[node] = n0, n1
+        probs[node] = n1 / n_here
+        votes[node] = major
+        max_seen_depth = max(max_seen_depth, depth)
+        if n1 == 0 or n0 == 0 or n_here < 2 * min_leaf:
+            continue
+        if max_depth is not None and depth >= max_depth:
+            continue
+        if mtry is not None and mtry < m:
+            feats = np.sort(rng.choice(m, size=mtry, replace=False))
+        else:
+            feats = np.arange(m)
+        found = reference_best_split(X, y01, idx, feats, min_leaf)
+        if found is None:
+            continue
+        f, thr = found
+        used.add(f)
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left_child = new_node()
+        right_child = new_node()
+        left[node] = left_child
+        right[node] = right_child
+        # push right first so left children are processed (and numbered) first
+        stack.append((right_child, idx[~go_left], depth + 1, major))
+        stack.append((left_child, idx[go_left], depth + 1, major))
+
+    return TreeModel(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        n0=np.asarray(n0s, dtype=np.int64),
+        n1=np.asarray(n1s, dtype=np.int64),
+        prob=np.asarray(probs, dtype=np.float64),
+        vote=np.asarray(votes, dtype=np.int8),
+        depth=max_seen_depth,
+        features_used=frozenset(used),
+    )
+
+
+def reference_sample_grower(XT, y01, sample, max_depth, min_leaf, mtry, rng):
+    """`reference_grow_tree` behind the signature of `models._grow_tree`, on a copy of the sample."""
+    return reference_grow_tree(XT.T[sample], y01[sample], max_depth, min_leaf, mtry, rng)
 
 
 def planted_feature_dataset(n, seed, n_noise=30, effect=2.0, base_rate=0.3):

@@ -10,7 +10,14 @@ from scipy.stats import rankdata
 
 import callscore.models as models
 from callscore.errors import ConvergenceError, DataError
-from conftest import mixed_depth_forest, reference_leaves, train_forest
+from conftest import (
+    grow_tree,
+    mixed_depth_forest,
+    reference_grow_tree,
+    reference_leaves,
+    reference_sample_grower,
+    train_forest,
+)
 from callscore.models import (
     ScoredDataset,
     _rank_auc,
@@ -183,9 +190,7 @@ def test_tree_learns_xor(rng):
 def test_tree_pure_class_single_leaf():
     X = np.random.default_rng(0).random((40, 3))
     y = np.zeros(40, dtype=bool)
-    from callscore.models import _grow_tree
-
-    tree = _grow_tree(X, y, max_depth=None, min_leaf=5, mtry=None, rng=None)
+    tree = grow_tree(X, y, max_depth=None, min_leaf=5)
     assert tree.n_nodes == 1
     assert tree.features_used == frozenset()
 
@@ -215,9 +220,7 @@ def test_tree_needs_two_folds(rng, folds):
 
 def test_tree_features_used_sound_and_complete(rng):
     X, y = informative_data(rng, n=400, m=6)
-    from callscore.models import _grow_tree
-
-    tree = _grow_tree(X, y, max_depth=4, min_leaf=5, mtry=None, rng=None)
+    tree = grow_tree(X, y, max_depth=4, min_leaf=5)
     base = predict_tree_proba(tree, X)
     for j in range(X.shape[1]):
         Xp = X.copy()
@@ -239,10 +242,8 @@ def test_tree_features_used_sound_and_complete(rng):
 
 def test_forest_single_tree_degenerates_to_tree(rng):
     X, y = informative_data(rng, n=300, m=5)
-    from callscore.models import _grow_tree
-
     forest = train_forest(X, y, n_trees=1, mtry=5, min_leaf=5, seed=0, max_depth=4, bootstrap=False)
-    alone = _grow_tree(X, y, max_depth=4, min_leaf=5, mtry=None, rng=None)
+    alone = grow_tree(X, y, max_depth=4, min_leaf=5)
     assert np.allclose(predict_forest(forest, X).score, predict_tree_proba(alone, X))
 
 
@@ -305,6 +306,104 @@ def test_forest_membership_matrix(rng):
         assert set(np.flatnonzero(member[i])) == set(tree.features_used)
 
 
+@pytest.mark.parametrize("min_leaf", [0, -1])
+def test_min_leaf_below_one_is_refused(rng, min_leaf):
+    X, y = informative_data(rng, n=100, m=3)
+    with pytest.raises(DataError, match="min_leaf must be at least 1"):
+        train_forest(X, y, n_trees=2, mtry=None, min_leaf=min_leaf, seed=0)
+    with pytest.raises(DataError, match="min_leaf must be at least 1"):
+        train_tree(X, y, cv_folds=5, min_leaf=min_leaf, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The grower against the reference grower (tests/conftest.py), node for node.
+# ---------------------------------------------------------------------------
+
+def awkward_data(rng, kind, n=240):
+    """Columns whose split search meets ties, signed zeros, adjacent floats,
+    constant columns or duplicate rows; labels follow them, with noise."""
+    tiny = np.nextafter(0.0, 1.0)
+    if kind == "ties":
+        X = rng.integers(0, 3, size=(n, 6)).astype(np.float64)
+    elif kind == "signed zeros":
+        X = np.column_stack([rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=n),
+                             rng.choice([-0.0, 0.0, 3.0], size=n),
+                             rng.integers(0, 4, size=n).astype(np.float64)])
+    elif kind == "adjacent floats":
+        # splits between 0 and the next float fall back to the left value,
+        # which is -0.0 or 0.0 as the last of its ties in sample order has it
+        X = np.column_stack([rng.choice([-0.0, 0.0, tiny], size=n),
+                             rng.choice([1.0, np.nextafter(1.0, 2.0)], size=n),
+                             rng.choice([-tiny, -0.0, 0.0], size=n),
+                             rng.integers(0, 3, size=n).astype(np.float64)])
+    else:  # constant columns and duplicate rows
+        X = np.column_stack([np.full(n // 2, 7.0), np.round(rng.normal(size=(n // 2, 4)), 1),
+                             np.zeros(n // 2)])
+        X = np.vstack([X, X[rng.integers(0, n // 2, size=n - n // 2)]])
+    score = (X[:, :3] > 0).sum(axis=1) + rng.normal(scale=0.7, size=len(X))
+    return X, score > np.median(score)
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("feature", "threshold", "left", "right", "n0", "n1", "prob", "vote"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.depth == b.depth and a.features_used == b.features_used
+
+
+KINDS = ("ties", "signed zeros", "adjacent floats", "duplicates")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("min_leaf, max_depth, mtry, bootstrap", [
+    (1, None, None, True), (5, None, None, True), (1, 3, None, True), (1, None, "all", True),
+    (5, None, "all", False), (1, None, 2, False),
+])
+def test_forest_trees_equal_the_reference_grower(monkeypatch, kind, min_leaf, max_depth, mtry, bootstrap):
+    rng = np.random.default_rng(KINDS.index(kind))
+    X, y = awkward_data(rng, kind)
+    mtry = X.shape[1] if mtry == "all" else mtry
+    monkeypatch.setattr(models, "_worker_count", lambda n_tasks: 1)
+    grown = {}
+    for grower in ("columnar", "reference"):
+        if grower == "reference":
+            monkeypatch.setattr(models, "_grow_tree", reference_sample_grower)
+        forest = train_forest(X, y, n_trees=8, mtry=mtry, min_leaf=min_leaf, seed=3,
+                              max_depth=max_depth, bootstrap=bootstrap)
+        grown[grower] = forest.trees
+    assert sum(t.n_nodes for t in grown["columnar"]) > 8 * 7
+    assert_same_trees(grown["columnar"], grown["reference"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("min_leaf", [1, 5])
+def test_pruned_tree_equals_the_reference_grower(monkeypatch, kind, min_leaf):
+    X, y = awkward_data(np.random.default_rng(10 + KINDS.index(kind)), kind)
+    tree = train_tree(X, y, cv_folds=3, min_leaf=min_leaf, seed=4)
+    # train_tree grows its fold trees and refit through the reference instead
+    monkeypatch.setattr(models, "_grow_tree", reference_sample_grower)
+    assert_same_trees([tree], [train_tree(X, y, cv_folds=3, min_leaf=min_leaf, seed=4)])
+    assert_same_trees([grow_tree(X, y, None, min_leaf)], [reference_grow_tree(X, y, None, min_leaf, None, None)])
+
+
+def test_signed_zero_threshold_follows_the_sample_order():
+    # one split, between the zeros and the next float: the threshold is the
+    # last zero in sample order, with its sign, however the sort ordered ties
+    tiny = np.nextafter(0.0, 1.0)
+    r = np.random.default_rng(2)
+    x = r.choice([-0.0, 0.0, tiny], size=60)
+    XT, y = x[None, :], (x > 0).astype(float)
+    for _ in range(20):
+        sample = r.permutation(60)
+        tree = models._grow_tree(XT, y, sample, None, 1, None, None)
+        last_zero = x[sample][x[sample] == 0][-1]
+        assert tree.threshold[0] == 0
+        assert math.copysign(1, tree.threshold[0]) == math.copysign(1, last_zero)
+        assert_same_trees([tree], [reference_grow_tree(XT.T[sample], y[sample], None, 1, None, None)])
+
+
 @pytest.mark.parametrize("walk_pairs", [1 << 16, 50])
 def test_predict_forest_matches_per_tree_reference(rng, monkeypatch, walk_pairs):
     monkeypatch.setattr(models, "_WALK_PAIRS", walk_pairs)  # 50: several tree blocks
@@ -335,7 +434,8 @@ def _problems(rng):
 
 def test_train_forests_equals_separate_train_forest_calls(rng):
     problems = _problems(rng)
-    together = train_forests(problems, 12, None, 5, None, 7, True)
+    no_rows = [(X[:0], y[:0]) for X, y in problems]
+    together = [forest for forest, _ in train_forests(problems, 12, None, 5, None, 7, True, no_rows)]
     for (X, y), forest in zip(problems, together):
         alone = train_forest(X, y, n_trees=12, mtry=None, min_leaf=5, seed=7)
         assert forest.mtry == alone.mtry and forest.tree_seeds == alone.tree_seeds
@@ -345,15 +445,25 @@ def test_train_forests_equals_separate_train_forest_calls(rng):
 
 def test_worker_count_does_not_change_model_json(rng, tmp_path, monkeypatch):
     problems = _problems(rng)
+    tests = [(X[::-1][:70], y[::-1][:70]) for X, y in _problems(rng)]
     saved = {}
     for workers in (1, 2):
         monkeypatch.setattr(models, "_worker_count", lambda n_tasks, w=workers: w)
-        for k, forest in enumerate(train_forests(problems, 15, 3, 5, None, 11, True)):
+        grown = train_forests(problems, 15, 3, 5, None, 11, True, tests)
+        for k, (forest, scored) in enumerate(grown):
             path = tmp_path / f"{workers}_{k}.json"
             save_model(forest, path)
             saved[workers, k] = path.read_bytes()
+            # the workers' scores are those of the saved model, bit for bit
+            X, y = tests[k]
+            again = predict_forest(load_model(path), X, y)
+            assert scored.score.tobytes() == again.score.tobytes()
+            assert np.array_equal(scored.per_tree_votes, again.per_tree_votes)
+            assert np.array_equal(scored.y, y)
+            saved[workers, k, "scores"] = scored.score.tobytes() + scored.per_tree_votes.tobytes()
     for k in range(len(problems)):
         assert saved[1, k] == saved[2, k]
+        assert saved[1, k, "scores"] == saved[2, k, "scores"]
 
 
 def test_midrank_equals_scipy_rankdata():
@@ -378,9 +488,7 @@ def test_leaf_tie_breaks_toward_parent_majority():
     # majority decides the right leaf's vote
     X = np.array([[0.0], [0.1], [0.2], [0.3], [0.8], [0.9], [1.0], [1.1]])
     y = np.array([False, False, False, False, True, True, False, False])
-    from callscore.models import _grow_tree
-
-    tree = _grow_tree(X, y, max_depth=1, min_leaf=2, mtry=None, rng=None)
+    tree = grow_tree(X, y, max_depth=1, min_leaf=2)
     votes = tree.vote[reference_leaves(tree, X)]
     # parent is 6 negatives / 2 positives -> majority 0; the tied right leaf
     # (2 pos, 2 neg) inherits it

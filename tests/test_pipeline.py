@@ -148,6 +148,32 @@ def test_train_override_is_recorded_and_evaluated(tiny_run, tmp_path):
         assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, monkeypatch, workers):
+    from callscore import models
+    from callscore.models import load_model, predict_forest
+    from callscore.pipeline import MODEL_GROUPS, load_features, save_scores
+
+    config, out = tiny_run
+    monkeypatch.setattr(models, "_worker_count", lambda n_tasks: workers)
+    featured = load_features(config, out / "features")
+    matrix = featured[0]
+    trained = tmp_path / "models_out"
+    trained.mkdir()
+    (_, test_idx, _), _ = stage_train(config, trained, featured)
+    model_dirs = sorted(trained.glob("*_forest"))
+    assert [d.name for d in model_dirs] == ["A_forest", "B_forest", "H_forest"]
+    for mdir in model_dirs:
+        for name in ("model.json", "scores.csv", "votes.npy"):
+            assert (mdir / name).read_bytes() == (out / "models_out" / mdir.name / name).read_bytes(), name
+        X = matrix.select_groups(MODEL_GROUPS[mdir.name[0]]).values[test_idx]
+        scored = predict_forest(load_model(mdir / "model.json"), X, matrix.y[test_idx])
+        save_scores(tmp_path / "scores.csv", scored, matrix, test_idx)
+        np.save(tmp_path / "votes.npy", scored.per_tree_votes)
+        assert (tmp_path / "scores.csv").read_bytes() == (mdir / "scores.csv").read_bytes()
+        assert (tmp_path / "votes.npy").read_bytes() == (mdir / "votes.npy").read_bytes()
+
+
 def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch):
     _, out = tiny_run
     run = tmp_path / "run"
@@ -190,9 +216,9 @@ def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
         assert f"{key} = \n" in emptied.read_text()
         assert cli_main(["run", "--config", str(emptied), "--resume"]) == 1
     # out-of-range model keys are data errors raised inside the stage that reads them
-    for key in ("mtry", "importance_max_rows"):
-        bad = tmp_path / f"negative_{key}.cfg"
-        bad.write_text(dump_config(dataclasses.replace(recorded, **{key: -1})))
+    for key, value in (("mtry", -1), ("importance_max_rows", -1), ("min_leaf", 0)):
+        bad = tmp_path / f"bad_{key}.cfg"
+        bad.write_text(dump_config(dataclasses.replace(recorded, **{key: value})))
         assert cli_main(["run", "--config", str(bad), "--resume"]) == 2
     assert snapshot(clone) == before
     with pytest.raises(UsageError, match="Z"):
