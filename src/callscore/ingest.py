@@ -398,6 +398,36 @@ class BankIngestStats:
     orphan_transactions: int = 0
 
 
+def write_bank(paths: dict, ids: list, accounts: tuple, transactions: tuple, cards: tuple) -> None:
+    """Write the three bank files that `ingest_bank` reads from columns, one row per entry.
+
+    The columns are arrays: accounts = (owner, age, marital_status, postcode),
+    transactions = (owner, day, amount) and cards = (owner, issue_day,
+    credit_limit, drawn, arrears), drawn and arrears of shape (n, CARD_MONTHS).
+    Owners index `ids` and days are ordinals. `paths` maps "accounts",
+    "transactions" and "card_activity" to files.
+    """
+    money = "{:.2f}".format
+    owner, age, marital_status, postcode = accounts
+    account_rows = zip(map(ids.__getitem__, owner.tolist()), age.tolist(), marital_status.tolist(),
+                       map("{:04d}".format, postcode.tolist()))
+    owner, day, amount = transactions
+    dates = {o: format_cdr_date(date.fromordinal(o)) for o in np.unique(np.append(day, cards[1])).tolist()}
+    transaction_rows = zip(map(ids.__getitem__, owner.tolist()), map(dates.__getitem__, day.tolist()),
+                           map(money, amount.tolist()))
+    owner, issue_day, credit_limit, drawn, arrears = cards
+    card_rows = ((ids[o], dates[d], money(limit), *map(money, spent), *flags)
+                 for o, d, limit, spent, flags in zip(owner.tolist(), issue_day.tolist(), credit_limit.tolist(),
+                                                      drawn.tolist(), arrears.astype(np.int64).tolist()))
+    for name, header, rows in (("accounts", ACCOUNT_COLUMNS, account_rows),
+                               ("transactions", TRANSACTION_COLUMNS, transaction_rows),
+                               ("card_activity", CARD_COLUMNS, card_rows)):
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
 def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
     """The rows of a bank file as {column: values}, up to `_BANK_CHUNK` rows at a time.
 

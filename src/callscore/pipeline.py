@@ -579,9 +579,7 @@ def load_train(cfg: ExperimentConfig, directory: Path) -> tuple[tuple, dict]:
 
 
 def stage_eval(cfg: ExperimentConfig, out: Path, featured: tuple, fitted: tuple) -> None:
-    """Reads the importance forests from models_out/, next to `out`."""
-    if cfg.importance_max_rows < 0:
-        raise DataError(f"importance_max_rows must be >= 0, not {cfg.importance_max_rows}")
+    """Reads the importance forests from models_out/, next to `out`; `run_stages` checks cfg first."""
     matrix, row_loans = featured
     (train_idx, test_idx, _), trained = fitted
     test_loans = row_loans[test_idx]

@@ -42,6 +42,9 @@ MODEL_GROUPS = {
 CLASSIFIERS = ("logit", "tree", "forest")
 # ExperimentConfig fields naming input files; when input_cdr is set they replace the generator
 INPUT_FIELDS = ("input_cdr", "input_accounts", "input_transactions", "input_card_activity")
+# the generator's four input files in the data directory, by the names load_data returns
+DATA_FILES = {"cdr": "cdr.csv", "accounts": "accounts.csv", "transactions": "transactions.csv",
+              "card_activity": "card_activity.csv"}
 
 
 def month_date(start_year: int, start_month: int, month_index: int, day: int = 1) -> date:
@@ -286,12 +289,7 @@ def load_data(cfg: ExperimentConfig, directory: Path) -> dict:
             if any(Path(p).resolve().is_relative_to(d) for d in rebuilt):
                 raise UsageError(f"input_{name} lies inside a stage directory of {run}: {p}")
         return {k: Path(v) for k, v in required.items()}
-    return {
-        "cdr": directory / "cdr.csv",
-        "accounts": directory / "accounts.csv",
-        "transactions": directory / "transactions.csv",
-        "card_activity": directory / "card_activity.csv",
-    }
+    return {name: directory / file for name, file in DATA_FILES.items()}
 
 
 def _fingerprint(config: ExperimentConfig, stage: Stage, upstream: list) -> str:
@@ -336,8 +334,19 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     # a bad value fails here, before any file of the run is touched
     config.model_ids()
     config.importance_model_ids()
-    config.classifier_list()
+    trees = "tree" in config.classifier_list()
     EmpParams(roi=config.roi, lgd=config.lgd)
+    for bad, message in (
+        (config.n_trees < 1, f"a forest needs at least one tree, not {config.n_trees}"),
+        (config.mtry < 0, f"mtry must be at least 1, not {config.mtry}"),
+        (config.min_leaf < 1, f"min_leaf must be at least 1, not {config.min_leaf}"),
+        (not 0 < config.train_fraction < 1, "train_fraction must lie in (0, 1)"),
+        (config.undersample_ratio <= 0, "ratio must be positive"),
+        (config.importance_max_rows < 0, f"importance_max_rows must be >= 0, not {config.importance_max_rows}"),
+        (trees and config.cv_folds < 2, f"depth pruning needs at least 2 folds, not {config.cv_folds}"),
+    ):
+        if bad:
+            raise DataError(message)
     out = Path(config.out_dir)
     prints: dict = {}
     for stage in STAGES:

@@ -7,6 +7,9 @@ arrears seed the propagation methods, and debit/card histories whose default
 outcomes depend on planted spending behavior, calling behavior and delinquent
 neighborhoods. Every draw comes from named substreams of one seed and file
 output is byte-stable, so downstream results are fully reproducible.
+
+The draws are kept as columns; `ingest` owns both file formats, and its
+`write_cdr` and `write_bank` write the call log and the three bank files.
 """
 
 from __future__ import annotations
@@ -14,22 +17,13 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import (
-    ACCOUNT_COLUMNS,
-    CARD_COLUMNS,
-    CARD_MONTHS,
-    TRANSACTION_COLUMNS,
-    CdrBatch,
-    format_cdr_date,
-    write_cdr,
-)
-from .runner import SynthConfig, month_date
+from .ingest import CARD_MONTHS, CdrBatch, write_bank, write_cdr
+from .runner import DATA_FILES, SynthConfig, month_date
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -67,40 +61,27 @@ class SynthData:
     credit_limit: np.ndarray
     ead: np.ndarray
     calls: dict
-    accounts: list
-    transactions: list
-    cards: list
+    accounts: tuple      # (owner, age, marital_status, postcode) columns
+    transactions: tuple  # (owner, day, amount) columns
+    cards: tuple         # (owner, issue_day, credit_limit, drawn, arrears) columns
 
     def write(self, outdir: str | Path) -> dict:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "cdr": outdir / "cdr.csv",
-            "accounts": outdir / "accounts.csv",
-            "transactions": outdir / "transactions.csv",
-            "card_activity": outdir / "card_activity.csv",
-            "truth": outdir / "truth.csv",
-        }
+        paths = {name: outdir / file for name, file in DATA_FILES.items()}
+        paths["truth"] = outdir / "truth.csv"
         write_cdr(paths["cdr"], self.cdr_batch())
-        for name, header, rows in (
-            ("accounts", ACCOUNT_COLUMNS, self.accounts),
-            ("transactions", TRANSACTION_COLUMNS, self.transactions),
-            ("card_activity", CARD_COLUMNS, self.cards),
-        ):
-            with open(paths[name], "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
+        write_bank(paths, self.identities, self.accounts, self.transactions, self.cards)
+        money = "{:.2f}".format
         with open(paths["truth"], "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(("identity", "role", "cohort", "risky", "delinquency", "y_default",
                         "credit_limit", "ead"))
-            for i, ident in enumerate(self.identities):
-                w.writerow((
-                    ident, int(self.role[i]), int(self.cohort[i]), int(self.risky[i]),
-                    int(self.delinquency[i]), int(self.y_default[i]),
-                    f"{self.credit_limit[i]:.2f}", f"{self.ead[i]:.2f}",
-                ))
+            w.writerows(zip(
+                self.identities, self.role.tolist(), self.cohort.tolist(), self.risky.astype(int).tolist(),
+                self.delinquency.tolist(), self.y_default.tolist(),
+                map(money, self.credit_limit.tolist()), map(money, self.ead.tolist()),
+            ))
         return paths
 
     def cdr_batch(self) -> CdrBatch:
@@ -290,95 +271,71 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     y_default = np.full(n, -1, dtype=np.int8)
     y_default[s] = (rng_subj.random(len(s)) < p_default).astype(np.int8)
 
-    # Bank files.
+    # Bank files, as columns in draw order.
     rng_bank = substream(seed, "synth", "bank")
     credit_limit = np.zeros(n)
     ead = np.zeros(n)
-    accounts: list = []
-    transactions: list = []
-    cards: list = []
 
-    def account_row(i: int) -> tuple:
-        age = int(np.clip(round(rng_bank.normal(40, 12)), 18, 85))
-        marital = _MARITAL[int(rng_bank.choice(len(_MARITAL), p=_MARITAL_P))]
-        postcode = f"{rng_bank.integers(0, 10)}{rng_bank.integers(100, 1000)}"
-        return (identities[i], age, marital, postcode)
+    account_owner = np.concatenate([subjects, existing, uncarded])
+    age, marital, postcode = [], [], []
+    for _ in account_owner:
+        age.append(int(np.clip(round(rng_bank.normal(40, 12)), 18, 85)))
+        marital.append(int(rng_bank.choice(len(_MARITAL), p=_MARITAL_P)))
+        postcode.append(int(rng_bank.integers(0, 10)) * 1000 + int(rng_bank.integers(100, 1000)))
 
-    def draw_profile(limit: float) -> np.ndarray:
-        return np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
-
-    bank_nodes = np.concatenate([subjects, existing, uncarded])
-    for i in bank_nodes:
-        accounts.append(account_row(int(i)))
-
-    for i in subjects:
-        i = int(i)
-        k = int(cohort[i])
-        issue = month_date(cfg.start_year, cfg.start_month, k + 3)
-        limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1500), 0.5)), 300, 10000)))
-        credit_limit[i] = limit
-        spend_mu = float(np.exp(-0.5 * f_sd[i]))
-        n_tx = 1 + int(rng_bank.poisson(8 * spend_mu))
-        offsets = rng_bank.integers(1, 29, size=n_tx)
-        amounts = np.round(np.exp(rng_bank.normal(np.log(30 * spend_mu), 0.8, size=n_tx)), 2)
-        for off, amt in zip(offsets, amounts):
-            d = issue - timedelta(days=int(off))
-            transactions.append((identities[i], format_cdr_date(d), f"{amt:.2f}"))
-
-        drawn = draw_profile(limit)
-        flags = np.zeros(CARD_MONTHS, dtype=int)
-        if y_default[i] == 1:
-            n_flags = 3 + int(rng_bank.binomial(4, 0.3))
-            start = int(rng_bank.integers(1, CARD_MONTHS - n_flags + 2))
-            flags[start - 1: start - 1 + n_flags] = 1
-            default_month = start + 2  # third consecutive arrears month
-            kind = rng_bank.choice(3, p=(0.25, 0.35, 0.40))
-            if kind == 0:
-                exposure = 0.0
-            elif kind == 1:
-                exposure = limit
+    card_owner = np.concatenate([subjects, existing])
+    issue_day = np.zeros(len(card_owner), dtype=np.int64)
+    drawn = np.zeros((len(card_owner), CARD_MONTHS))
+    arrears = np.zeros((len(card_owner), CARD_MONTHS), dtype=bool)
+    txn_owner, txn_day, txn_amount = [], [], []
+    for row, i in enumerate(card_owner.tolist()):
+        if row < len(subjects):
+            issue = month_date(cfg.start_year, cfg.start_month, int(cohort[i]) + 3)
+            limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1500), 0.5)), 300, 10000)))
+            spend_mu = float(np.exp(-0.5 * f_sd[i]))
+            n_tx = 1 + int(rng_bank.poisson(8 * spend_mu))
+            offsets = rng_bank.integers(1, 29, size=n_tx)
+            amounts = np.round(np.exp(rng_bank.normal(np.log(30 * spend_mu), 0.8, size=n_tx)), 2)
+            txn_owner += [i] * n_tx
+            txn_day += (issue.toordinal() - offsets).tolist()
+            txn_amount += amounts.tolist()
+            drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
+            if y_default[i] == 1:
+                n_flags = 3 + int(rng_bank.binomial(4, 0.3))
+                start = int(rng_bank.integers(1, CARD_MONTHS - n_flags + 2))
+                arrears[row, start - 1: start - 1 + n_flags] = True
+                default_month = start + 2  # third consecutive arrears month
+                kind = rng_bank.choice(3, p=(0.25, 0.35, 0.40))
+                if kind == 0:
+                    exposure = 0.0
+                elif kind == 1:
+                    exposure = limit
+                else:
+                    exposure = float(np.round(rng_bank.uniform(0.05, 0.95) * limit, 2))
+                drawn[row, default_month - 1] = exposure
+                ead[i] = exposure
             else:
-                exposure = float(np.round(rng_bank.uniform(0.05, 0.95) * limit, 2))
-            drawn[default_month - 1] = exposure
-            ead[i] = exposure
+                n_flags = int(rng_bank.choice(3, p=(0.80, 0.13, 0.07)))
+                if n_flags:
+                    arrears[row, rng_bank.choice(CARD_MONTHS, size=n_flags, replace=False)] = True
         else:
-            n_flags = int(rng_bank.choice(3, p=(0.80, 0.13, 0.07)))
+            level = int(delinquency[i])
+            issue_month = int(rng_bank.integers(-7, -1))  # well before the call window
+            issue = month_date(cfg.start_year, cfg.start_month, issue_month)
+            limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1200), 0.5)), 300, 10000)))
+            drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
+            room = min(CARD_MONTHS, 1 - issue_month)  # card months before the data start
+            n_flags = level if level < 3 else min(room, 3 + int(rng_bank.integers(0, 3)))
             if n_flags:
-                where = rng_bank.choice(CARD_MONTHS, size=n_flags, replace=False)
-                flags[where] = 1
-        cards.append(
-            (identities[i], format_cdr_date(issue), f"{limit:.2f}")
-            + tuple(f"{x:.2f}" for x in drawn)
-            + tuple(str(int(x)) for x in flags)
-        )
-
-    for i in existing:
-        i = int(i)
-        level = int(delinquency[i])
-        issue_month = int(rng_bank.integers(-7, -1))  # well before the call window
-        issue = month_date(cfg.start_year, cfg.start_month, issue_month)
-        limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1200), 0.5)), 300, 10000)))
+                arrears[row, rng_bank.choice(room, size=n_flags, replace=False)] = True
         credit_limit[i] = limit
-        drawn = draw_profile(limit)
-        flags = np.zeros(CARD_MONTHS, dtype=int)
-        room = min(CARD_MONTHS, 1 - issue_month)  # card months before the data start
-        n_flags = level if level < 3 else min(room, 3 + int(rng_bank.integers(0, 3)))
-        if n_flags:
-            where = rng_bank.choice(room, size=n_flags, replace=False)
-            flags[where] = 1
-        cards.append(
-            (identities[i], format_cdr_date(issue), f"{limit:.2f}")
-            + tuple(f"{x:.2f}" for x in drawn)
-            + tuple(str(int(x)) for x in flags)
-        )
+        issue_day[row] = issue.toordinal()
 
-    for i in uncarded:
-        i = int(i)
-        n_tx = int(rng_bank.integers(1, 5))
-        for _ in range(n_tx):
-            d = month_date(cfg.start_year, cfg.start_month, 1, int(rng_bank.integers(1, 29)))
-            amount = float(np.round(np.exp(rng_bank.normal(np.log(25), 0.8)), 2))
-            transactions.append((identities[i], format_cdr_date(d), f"{amount:.2f}"))
+    for i in uncarded.tolist():
+        for _ in range(int(rng_bank.integers(1, 5))):
+            txn_owner.append(i)
+            txn_day.append(month_date(cfg.start_year, cfg.start_month, 1, int(rng_bank.integers(1, 29))).toordinal())
+            txn_amount.append(float(np.round(np.exp(rng_bank.normal(np.log(25), 0.8)), 2)))
 
     calls.pop("night_pref", None)
     logger.info(
@@ -398,8 +355,8 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         credit_limit=credit_limit,
         ead=ead,
         calls=calls,
-        accounts=accounts,
-        transactions=transactions,
-        cards=cards,
+        accounts=(account_owner, np.array(age), np.array(_MARITAL)[marital], np.array(postcode)),
+        transactions=(np.array(txn_owner, dtype=np.int64), np.array(txn_day, dtype=np.int64), np.array(txn_amount)),
+        cards=(card_owner, issue_day, credit_limit[card_owner], drawn, arrears),
     )
 

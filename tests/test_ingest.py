@@ -11,12 +11,14 @@ from callscore import ingest
 from callscore.cli import main as cli_main
 from callscore.errors import DataError
 from callscore.ingest import (
+    CARD_MONTHS,
     CDR_HEADER,
     CdrParseError,
     CdrRecord,
     ingest_bank,
     ingest_cdr,
     parse_cdr_line,
+    write_bank,
     write_cdr,
 )
 from conftest import records_batch, records_table, reference_ingest_bank, reference_ingest_cdr
@@ -301,6 +303,37 @@ def test_bank_join():
     assert bank.age.tolist() == [34]
     assert bank.issue_day.tolist() == [date(2017, 4, 1).toordinal()]
     assert stats.orphan_transactions == 0
+
+
+def test_write_bank_round_trips_through_ingest_bank(tmp_path):
+    # "A, Jr." needs csv quoting; U9 has an account and transactions but no card
+    ids = ["C3", "A, Jr.", "B1", "U9"]
+    day = date(2017, 3, 10).toordinal()
+    accounts = (np.array([0, 1, 2, 3]), np.array([40, 18, 85, 33]),
+                np.array(["single", "married", "divorced", "widowed"]), np.array([123, 9999, 45, 7001]))
+    transactions = (np.array([1, 0, 3, 1]), np.array([day, day + 1, day + 40, day]),
+                    np.array([12.5, 0.01, 99.99, 3.0]))
+    rng = np.random.default_rng(0)
+    drawn = np.round(rng.random((3, CARD_MONTHS)) * 1000, 2)
+    arrears = rng.random((3, CARD_MONTHS)) < 0.3
+    cards = (np.array([0, 1, 2]), np.array([day - 30, day - 29, day - 30]),
+             np.array([1500.0, 1000.0, 2500.0]), drawn, arrears)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("accounts", "transactions", "card_activity")}
+    write_bank(paths, ids, accounts, transactions, cards)
+    bank, stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+    holders = [1, 2, 0]  # card holders sorted by customer id
+    assert bank.ids.tolist() == ["A, Jr.", "B1", "C3"]
+    assert bank.issue_day.tolist() == cards[1][holders].tolist()
+    assert bank.credit_limit.tolist() == cards[2][holders].tolist()
+    assert np.array_equal(bank.drawn, drawn[holders])
+    assert np.array_equal(bank.arrears, arrears[holders])
+    assert bank.age.tolist() == [18, 85, 40]
+    assert bank.marital_status.tolist() == ["married", "divorced", "single"]
+    assert bank.postcode.tolist() == ["9999", "0045", "0123"]
+    assert bank.txn_owner.tolist() == [0, 0, 2]
+    assert bank.txn_day.tolist() == [day, day, day + 1]
+    assert bank.txn_amount.tolist() == [3.0, 12.5, 0.01]
+    assert (stats.customers_without_card, stats.orphan_transactions, stats.transactions_read) == (1, 0, 4)
 
 
 def test_bank_customer_without_card_excluded():

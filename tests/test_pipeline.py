@@ -449,8 +449,8 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
 
 
 def test_negative_importance_rows_refused(tmp_path):
-    with pytest.raises(DataError, match="importance_max_rows"):
-        stage_eval(ExperimentConfig(importance_max_rows=-1), tmp_path, None, None)
+    with pytest.raises(DataError, match="importance_max_rows must be >= 0"):
+        run_stages(ExperimentConfig(out_dir=str(tmp_path / "run"), **{**TINY, "importance_max_rows": -1}))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -490,6 +490,35 @@ def test_bad_generator_value_refused_before_the_run(tmp_path):
     assert cli_main(["run", "--config", str(path)]) == 2
     assert cli_main(["synth", "--out", str(tmp_path / "data"), "--nodes", "100", "--subjects", "200"]) == 2
     assert not (tmp_path / "run").exists() and not (tmp_path / "data").exists()
+
+
+def test_bad_model_value_refused_before_the_run(tmp_path):
+    path = tmp_path / "c.cfg"
+    keys = {**TINY, "out_dir": tmp_path / "run", "min_leaf": 0}
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_trees", 0, "at least one tree"),
+    ("mtry", -1, "mtry must be at least 1"),
+    ("train_fraction", 1.0, "train_fraction must lie in"),
+    ("train_fraction", 0.0, "train_fraction must lie in"),
+    ("undersample_ratio", 0.0, "ratio must be positive"),
+    ("cv_folds", 1, "at least 2 folds"),
+])
+def test_bad_model_values_refused_before_any_stage(tmp_path, key, value, message):
+    config = ExperimentConfig(out_dir=str(tmp_path / "run"), **{**TINY, "classifiers": "forest,tree", key: value})
+    with pytest.raises(DataError, match=message):
+        run_stages(config)
+    assert not (tmp_path / "run").exists()
+
+
+def test_cv_folds_unchecked_without_tree(tmp_path):
+    config = ExperimentConfig(out_dir=str(tmp_path / "run"), **{**TINY, "cv_folds": 1})
+    run_stages(config, until="data")
+    assert (tmp_path / "run" / "data" / "fingerprint").exists()
 
 
 def _callables(module):

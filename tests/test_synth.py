@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,23 @@ def test_generate_deterministic_files(tmp_path):
     pb = b.write(tmp_path / "b")
     for key in pa:
         assert filecmp.cmp(pa[key], pb[key], shallow=False), f"{key} differs"
+
+
+# sha256 of each file `generate(SMALL, seed=3).write()` writes; any change to
+# the draws, their order or the file format changes these
+SMALL_SEED3_SHA256 = {
+    "cdr": "05c903712566d1221549c3c39586f13533040d952c727bb6d0e7375f04ec7f52",
+    "accounts": "0ebb08a9b075f247f1364d17dbca62d9ed439188f2e5dadd55fe4c53da4da61d",
+    "transactions": "f79153d335a0b25fb641892552f7642cb1b26887e7134e22f6921ecc01d20afc",
+    "card_activity": "1b8f0b7756b9ae467d90e89b26fc703a866ffa0a3f9a6c2b3cccedeba9fcd3f8",
+    "truth": "2d23765df6861a052d5343c72e9a4556c5ff5f9c2501f7915422cb39d15b809c",
+}
+
+
+def test_generated_files_are_pinned(tmp_path):
+    paths = generate(SMALL, seed=3).write(tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == SMALL_SEED3_SHA256
 
 
 def test_generate_seed_changes_output(tmp_path):
