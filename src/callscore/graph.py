@@ -4,6 +4,8 @@ A timeframe's calls give one graph per mode. Modes: `outgoing` links caller
 to callee, `incoming` stores the reverse so that the CSR row of v holds v's callers,
 and `undirected` merges both directions into one edge per pair. Edge weights
 default to call counts; duration weighting is available but not the default.
+A graph in memory is its CSR index; the edge list, each edge once, is derived
+from it where it is needed (the saved `edges.npy` and the homophily counts).
 """
 
 from __future__ import annotations
@@ -36,18 +38,15 @@ def canonical_mode(mode: str) -> str:
 class CallGraph:
     """Sparse weighted graph over dense node ids with an identity bijection.
 
-    `edge_src/edge_dst/edge_weight` store each edge exactly once, sorted by
-    (src, dst) (undirected edges with src < dst). `indptr/indices/weights`
-    form the CSR traversal index: rows are senders in directed modes, where
-    `indices` and `weights` are `edge_dst` and `edge_weight` themselves, and
-    symmetric when undirected. A graph's arrays are not changed once built.
+    `indptr/indices/weights` form the CSR index, each row's columns
+    ascending: rows are senders in directed modes (receivers when
+    `incoming`), and an undirected graph holds each edge in both rows.
+    `edges()` derives the edge list. A graph's arrays are not changed once
+    built.
     """
 
     mode: str
     ids: list
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    edge_weight: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
@@ -61,10 +60,20 @@ class CallGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_weight)
+        return len(self.indices) // 2 if self.mode == "undirected" else len(self.indices)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, weight) with each edge once, sorted by (src, dst): the
+        CSR entries themselves when directed, the upper triangle (src < dst)
+        when undirected."""
+        src = np.repeat(np.arange(self.n_nodes, dtype=np.int32), self.degrees())
+        if self.mode != "undirected":
+            return src, self.indices, self.weights
+        upper = src < self.indices
+        return src[upper], self.indices[upper], self.weights[upper]
 
 
 def _window_ordinals(window) -> tuple[int, int]:
@@ -149,7 +158,7 @@ def build_graph(
 
 
 def _with_csr(mode: str, ids: list, edge_src, edge_dst, w, **extra) -> CallGraph:
-    """A CallGraph over an edge list sorted by (src, dst), with its CSR traversal index.
+    """The CallGraph of an edge list sorted by (src, dst), held as its CSR index.
 
     A directed graph's CSR rows are its edge list itself. An undirected
     graph's index holds both directions of each edge for O(deg) scans; the
@@ -165,8 +174,7 @@ def _with_csr(mode: str, ids: list, edge_src, edge_dst, w, **extra) -> CallGraph
         vals = np.concatenate([w, w])[order]
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(ids)), out=indptr[1:])
-    return CallGraph(mode=mode, ids=ids, edge_src=edge_src, edge_dst=edge_dst, edge_weight=w,
-                     indptr=indptr, indices=cols, weights=vals, **extra)
+    return CallGraph(mode=mode, ids=ids, indptr=indptr, indices=cols, weights=vals, **extra)
 
 
 def neighbor_sum(graph: CallGraph, values) -> np.ndarray:
@@ -218,11 +226,10 @@ class NodeLabelSet:
 # ---------------------------------------------------------------------------
 
 def save_graph(graph: CallGraph, directory: str | Path) -> None:
-    """Persist as edges.npy (src, dst, weight rows), nodes.txt and meta.json."""
+    """Persist as edges.npy (the `edges()` rows: src, dst, weight), nodes.txt and meta.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.save(directory / "edges.npy",
-            np.column_stack([graph.edge_src, graph.edge_dst, graph.edge_weight]))
+    np.save(directory / "edges.npy", np.column_stack(graph.edges()))
     with open(directory / "nodes.txt", "w") as fh:
         fh.writelines(f"{identity}\n" for identity in graph.ids)
     meta = {
@@ -245,7 +252,7 @@ def load_graph(directory: str | Path) -> CallGraph:
     ids = (directory / "nodes.txt").read_text().splitlines()
     src, dst = triplets[:, 0].astype(np.int32), triplets[:, 1].astype(np.int32)
     key = src.astype(np.int64) * max(len(ids), 1) + dst
-    if np.any(key[1:] <= key[:-1]) or (meta["mode"] == "undirected" and np.any(src > dst)):
+    if np.any(key[1:] <= key[:-1]) or (meta["mode"] == "undirected" and np.any(src >= dst)):
         raise DataError(f"{directory / 'edges.npy'} does not list each edge once, sorted by (src, dst)")
     return _with_csr(
         meta["mode"],

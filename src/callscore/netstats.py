@@ -63,7 +63,7 @@ def _edge_partition(graph: CallGraph, labels: np.ndarray):
     if labels.shape != (graph.n_nodes,):
         raise DataError(f"labels must have length {graph.n_nodes}")
     known = labels >= 0
-    src, dst = graph.edge_src, graph.edge_dst
+    src, dst, _ = graph.edges()
     both = known[src] & known[dst]
     ls = labels[src[both]]
     ld = labels[dst[both]]

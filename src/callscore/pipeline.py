@@ -71,16 +71,7 @@ from .propagation import (
     spreading_activation,
     uniform_restart,
 )
-from .runner import (  # noqa: F401  (the config and runner names stay importable from here)
-    MODEL_GROUPS,
-    STAGES,
-    EmpParams,
-    ExperimentConfig,
-    dump_config,
-    load_config,
-    load_data,
-    run_stages,
-)
+from .runner import MODEL_GROUPS, ExperimentConfig, load_data
 from .seeding import substream
 from .synth import generate
 
@@ -476,19 +467,10 @@ def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, 
 
 
 def load_scores(path: str | Path) -> ScoredDataset:
-    ys, ss = [], []
-    with open(path, newline="") as fh:
-        rows = csv.DictReader(fh)
-        for column in ("y", "score"):
-            if column not in (rows.fieldnames or ()):
-                raise DataError(f"{path}:1: no {column} column")
-        for row in rows:
-            try:
-                ss.append(float(row["score"]))
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{rows.line_num}: non-numeric score {row['score']!r}") from None
-            ys.append(row["y"] == "1")
-    return ScoredDataset(y=np.array(ys, dtype=bool), score=np.array(ss))
+    path = Path(path)
+    columns, lines = _read_columns(path, ("y", "score"), "scores")
+    score = _parsed(path, "score", columns["score"], lines, np.float64)
+    return ScoredDataset(y=columns["y"] == "1", score=score)
 
 
 def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:

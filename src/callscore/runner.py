@@ -338,7 +338,8 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     EmpParams(roi=config.roi, lgd=config.lgd)
     for bad, message in (
         (config.n_trees < 1, f"a forest needs at least one tree, not {config.n_trees}"),
-        (config.mtry < 0, f"mtry must be at least 1, not {config.mtry}"),
+        (config.mtry < 0,
+         f"mtry must be 0 (the square root of the feature count) or at least 1, not {config.mtry}"),
         (config.min_leaf < 1, f"min_leaf must be at least 1, not {config.min_leaf}"),
         (not 0 < config.train_fraction < 1, "train_fraction must lie in (0, 1)"),
         (config.undersample_ratio <= 0, "ratio must be positive"),

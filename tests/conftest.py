@@ -98,7 +98,7 @@ def neighbors(graph, node) -> list:
 
 
 def total_weight(graph) -> float:
-    return float(graph.edge_weight.sum())
+    return float(graph.edges()[2].sum())
 
 
 def random_graph(rng, n_nodes=30, n_calls=120, mode="undirected"):
@@ -516,8 +516,10 @@ def reference_ingest_bank(accounts, transactions, card_activity):
     return records, stats
 
 
-def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
-    """One filter, remap and aggregation per mode, and a lexsorted CSR index."""
+def reference_edges(batch, window, mode, weight_by):
+    """One filter, remap and per-pair aggregation per mode: the node
+    identities, the edge list (src, dst, weight) sorted by (src, dst) with
+    src < dst when undirected, and the count of calls outside the window."""
     mode = canonical_mode(mode)
     u, v, dur = batch.from_code, batch.to_code, batch.duration
     n_out = 0
@@ -549,6 +551,14 @@ def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
     else:
         edge_src = edge_dst = np.array([], dtype=np.int32)
         w = np.array([], dtype=np.float64)
+    return ids, (edge_src, edge_dst, w), n_out
+
+
+def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
+    """The graph of `reference_edges`, with a lexsorted CSR index."""
+    mode = canonical_mode(mode)
+    ids, (edge_src, edge_dst, w), n_out = reference_edges(batch, window, mode, weight_by)
+    n = len(ids)
     if mode == "undirected" and len(edge_src):
         rows = np.concatenate([edge_src, edge_dst])
         cols = np.concatenate([edge_dst, edge_src])
@@ -561,8 +571,7 @@ def reference_build_graph(batch, window, mode, weight_by, timeframe_id):
     if len(rows):
         np.add.at(indptr, rows + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return CallGraph(mode=mode, ids=ids, edge_src=edge_src, edge_dst=edge_dst, edge_weight=w,
-                     indptr=indptr, indices=cols.astype(np.int32), weights=vals,
+    return CallGraph(mode=mode, ids=ids, indptr=indptr, indices=cols.astype(np.int32), weights=vals,
                      timeframe_id=timeframe_id, window=window, n_out_of_window=n_out)
 
 

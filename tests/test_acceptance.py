@@ -21,7 +21,7 @@ from callscore.graph import build_graph
 from callscore.ingest import CdrBatch
 from callscore.models import ScoredDataset, predict_forest
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
-from callscore.pipeline import ExperimentConfig, load_config, load_scores, run_stages, sensitivity_sweep
+from callscore.pipeline import load_scores, sensitivity_sweep
 from callscore.profit import (
     EmpParams,
     Loans,
@@ -32,6 +32,7 @@ from callscore.profit import (
     profit_feature_importance,
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
+from callscore.runner import ExperimentConfig, load_config, run_stages
 from callscore.synth import SynthConfig, generate
 from conftest import (
     dense_pagerank_solve,

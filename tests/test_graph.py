@@ -7,7 +7,8 @@ from callscore.errors import DataError
 from callscore.graph import MODES, build_graph, build_graphs, identity_order, load_graph, save_graph
 from callscore.ingest import CdrBatch
 from conftest import (
-    call, neighbors, node_of, random_records, records_batch, reference_build_graph, total_weight,
+    call, neighbors, node_of, random_records, records_batch, reference_build_graph, reference_edges,
+    total_weight,
 )
 
 
@@ -15,7 +16,7 @@ def test_undirected_merges_directions():
     records = [call("A", "B"), call("A", "B"), call("B", "A")]
     g = build_graph(records_batch(records), mode="undirected")
     assert g.n_edges == 1
-    assert g.edge_weight[0] == 3.0
+    assert g.edges()[2].tolist() == [3.0]
     a, b = node_of(g, "A"), node_of(g, "B")
     assert neighbors(g, a) == [(b, 3.0)]
     assert neighbors(g, b) == [(a, 3.0)]
@@ -47,7 +48,7 @@ def test_window_rejects_outside_records():
     records = [call("A", "B", month=5), call("A", "B", month=7)]
     g = build_graph(records_batch(records), window=(date(2017, 5, 1), date(2017, 5, 31)))
     assert g.n_out_of_window == 1
-    assert g.edge_weight.sum() == 1.0
+    assert total_weight(g) == 1.0
 
 
 def test_unknown_node_errors():
@@ -93,9 +94,8 @@ def test_build_is_order_invariant(rng):
     shuffled = [records[i] for i in rng.permutation(len(records))]
     g2 = build_graph(records_batch(shuffled), mode="undirected")
     assert g1.ids == g2.ids
-    assert np.array_equal(g1.edge_src, g2.edge_src)
-    assert np.array_equal(g1.edge_dst, g2.edge_dst)
-    assert np.array_equal(g1.edge_weight, g2.edge_weight)
+    for got, want in zip(g1.edges(), g2.edges()):
+        assert np.array_equal(got, want)
 
 
 def test_neighbors_sorted_ascending(rng):
@@ -109,25 +109,28 @@ def test_neighbors_sorted_ascending(rng):
 def test_duration_weighting():
     records = [call("A", "B", duration=30), call("A", "B", duration=12)]
     g = build_graph(records_batch(records), weight_by="duration")
-    assert g.edge_weight[0] == 42.0
+    assert g.edges()[2].tolist() == [42.0]
 
 
-def test_graph_round_trip(tmp_path, rng):
-    g = build_graph(records_batch(random_records(rng, 12, 60)), mode="incoming", timeframe_id="t2")
+@pytest.mark.parametrize("mode", MODES)
+def test_graph_round_trip(tmp_path, rng, mode):
+    batch = records_batch(random_records(rng, 12, 60))
+    g = build_graph(batch, mode=mode, timeframe_id="t2")
     save_graph(g, tmp_path / "g")
     h = load_graph(tmp_path / "g")
-    assert h.mode == g.mode
-    assert h.ids == g.ids
-    assert h.timeframe_id == "t2"
-    assert np.array_equal(h.edge_src, g.edge_src)
-    assert np.array_equal(h.indptr, g.indptr)
-    assert np.allclose(h.weights, g.weights)
+    assert (h.mode, h.ids, h.timeframe_id, h.n_edges) == (g.mode, g.ids, "t2", g.n_edges)
+    for name in ("indptr", "indices", "weights"):
+        got, want = getattr(h, name), getattr(g, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # edges.npy lists the per-pair aggregation of the calls, each edge once
+    _, edges, _ = reference_edges(batch, None, mode, "count")
+    assert np.array_equal(np.load(tmp_path / "g" / "edges.npy"), np.column_stack(edges))
 
 
 def assert_same_graph(graph, reference):
     assert (graph.mode, graph.ids, graph.timeframe_id, graph.window, graph.n_out_of_window) == (
         reference.mode, reference.ids, reference.timeframe_id, reference.window, reference.n_out_of_window)
-    for name in ("edge_src", "edge_dst", "edge_weight", "indptr", "indices", "weights"):
+    for name in ("indptr", "indices", "weights"):
         got, want = getattr(graph, name), getattr(reference, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -157,6 +160,10 @@ def test_one_pass_graphs_match_per_mode_reference(rng, weight_by):
             for mode in MODES:
                 reference = reference_build_graph(batch, window, mode, weight_by, "t2")
                 assert_same_graph(graphs[mode], reference)
+                _, edges, _ = reference_edges(batch, window, mode, weight_by)
+                assert graphs[mode].n_edges == len(edges[0])
+                for got, want in zip(graphs[mode].edges(), edges):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert_same_graph(build_graph(batch, window, mode, weight_by, "t2"), reference)
 
 
@@ -166,4 +173,13 @@ def test_load_graph_refuses_unsorted_edges(tmp_path):
     edges = np.load(tmp_path / "g" / "edges.npy")
     np.save(tmp_path / "g" / "edges.npy", edges[::-1])
     with pytest.raises(DataError, match="sorted by"):
+        load_graph(tmp_path / "g")
+
+
+def test_load_graph_refuses_undirected_self_loop(tmp_path):
+    g = build_graph(records_batch([call("A", "B"), call("B", "C")]), mode="undirected")
+    save_graph(g, tmp_path / "g")
+    # a file from outside the program: a loop at node 1 between the two edges
+    np.save(tmp_path / "g" / "edges.npy", np.array([[0, 1, 1.0], [1, 1, 1.0], [1, 2, 1.0]]))
+    with pytest.raises(DataError, match="does not list each edge once"):
         load_graph(tmp_path / "g")

@@ -4,7 +4,7 @@ import pytest
 from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
-from conftest import call, records_batch
+from conftest import call, random_records, records_batch
 
 
 def complete_graph(n):
@@ -127,6 +127,20 @@ def test_edge_partition_identity(rng):
     assert report.m_total == report.m_cross + report.m_dyadic + same_good
 
 
+def test_edge_counts_match_brute_force_over_call_pairs(rng):
+    # repeated calls and calls in both directions fold into one edge per pair
+    records = random_records(rng, 40, 400)
+    g = build_graph(records_batch(records))
+    pairs = {frozenset((r.from_id, r.to_id)) for r in records}
+    for _ in range(5):
+        label = dict(zip(g.ids, rng.integers(-1, 2, g.n_nodes).tolist()))
+        label[g.ids[0]], label[g.ids[1]] = 0, 1
+        known = [sorted(label[i] for i in pair) for pair in pairs if all(label[i] >= 0 for i in pair)]
+        report = homophily_test(g, np.array([label[i] for i in g.ids], dtype=np.int8))
+        assert (report.m_total, report.m_cross, report.m_dyadic) == (
+            len(known), known.count([0, 1]), known.count([1, 1]))
+
+
 def test_unlabeled_nodes_excluded(rng):
     g, labels = er_graph(rng, n=40, p=0.2)
     masked = labels.copy()
@@ -155,8 +169,6 @@ def test_single_label_rejected():
 
 
 def test_directed_graph_rejected(rng):
-    from conftest import random_records
-
     g = build_graph(records_batch(random_records(rng, 10, 40)), mode="outgoing")
     with pytest.raises(DataError):
         homophily_test(g, np.zeros(g.n_nodes, dtype=np.int8))

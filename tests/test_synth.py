@@ -115,7 +115,7 @@ def default_labels_on(graph, data):
 def test_zero_effect_gives_chance_level_auc(tmp_path):
     import csv
 
-    from callscore.pipeline import ExperimentConfig, run_stages
+    from callscore.runner import ExperimentConfig, run_stages
 
     aucs = []
     for seed in range(5):
@@ -141,7 +141,7 @@ def test_infeasible_config_rejected():
 
 
 def test_subject_windows_cover_cdr_span():
-    from callscore.pipeline import ExperimentConfig
+    from callscore.runner import ExperimentConfig
 
     config = ExperimentConfig(months=SMALL.months, start_year=SMALL.start_year,
                               start_month=SMALL.start_month)
