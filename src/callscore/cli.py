@@ -82,6 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--groups", default="sd,cb,lb,pr,spa")
     p.add_argument("--corr-threshold", type=float)
+    p.add_argument("--out", help="write the matrix of the chosen groups here")
 
     p = sub.add_parser("train", help="train models inside a run directory")
     p.add_argument("--run-dir", required=True)
@@ -243,12 +244,17 @@ def _cmd_featurize(args) -> int:
     from .features import FeatureMatrix
 
     groups = [g.strip().upper() for g in args.groups.split(",") if g.strip()]
+    every = set(groups) == {"SD", "CB", "LB", "PR", "SPA"}
+    if not (every or args.out):
+        raise UsageError("a --groups selection is written only to the file that --out names")
     config = _run_dir(args, "features", corr_threshold=args.corr_threshold)
+    # the run's own directories belong to the runner: a selection goes where --out says
     target = Path(config.out_dir) / "features" / "matrix.csv"
     matrix = FeatureMatrix.from_csv(target)
-    if set(groups) != {"SD", "CB", "LB", "PR", "SPA"}:
+    if not every:
         matrix = matrix.select_groups(groups)
-        target = target.with_name("matrix_selected.csv")
+    if args.out:
+        target = Path(args.out)
         matrix.to_csv(target)
     print(f"feature matrix: {matrix.n_rows} rows x {matrix.n_features} features "
           f"(groups {','.join(groups)}) -> {target}")

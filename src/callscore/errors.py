@@ -1,5 +1,7 @@
 """Exception types shared across the package, mapped to CLI exit codes."""
 
+import functools
+
 
 class UsageError(Exception):
     """Bad flags, bad config keys, malformed CLI input. Exit code 1."""
@@ -16,3 +18,8 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+
+    def __reduce__(self):
+        # a pool worker's error is pickled on its way to the main process
+        rebuild = functools.partial(type(self), iterations=self.iterations, residual=self.residual)
+        return rebuild, self.args

@@ -12,6 +12,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import DataError
 from .graph import CallGraph, NodeLabelSet, neighbor_sum
 from .ingest import BankTable, CdrBatch
+from .parallel import fork_map
 from .propagation import ExposureVector, RiskRelabeling
 
 logger = logging.getLogger(__name__)
@@ -384,10 +386,33 @@ def sociodemographic_matrix(bank: BankTable) -> tuple[list, np.ndarray, np.ndarr
 # FeatureMatrix: assembled dataset with group tags and target.
 # ---------------------------------------------------------------------------
 
-# rows that FeatureMatrix.to_csv turns into Python values at once: per-cell
-# numpy scalars are slow, and converting the whole matrix would add its size in
-# Python floats to the peak memory
+# rows that FeatureMatrix.to_csv turns into Python values and text in one
+# task: per-cell numpy scalars are slow, and converting the whole matrix would
+# add its size in Python floats to the peak memory
 _CSV_BLOCK_ROWS = 256
+# the characters for which csv.writer quotes a cell
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _csv_block(matrix: FeatureMatrix, start: int) -> str:
+    """The matrix file's text of the rows from `start`, at most _CSV_BLOCK_ROWS
+    of them, as csv.writer writes them."""
+    stop = start + _CSV_BLOCK_ROWS
+    ids, frames = matrix.subject_ids[start:stop], matrix.timeframes[start:stop]
+    # a row with an empty cell or a quoted key goes through the writer; the
+    # others are their values' reprs joined
+    plain = matrix.n_features > 0 and not _CSV_QUOTED.search("".join(map(str, [*ids, *frames])))
+    gappy = matrix.missing[start:stop].any(axis=1).tolist()
+    text = io.StringIO()
+    writer = csv.writer(text)
+    rows = zip(ids, frames, matrix.values[start:stop].tolist(), matrix.y[start:stop].tolist(), gappy)
+    for row, (sid, frame, vals, label, has_gap) in enumerate(rows, start=start):
+        if plain and not has_gap:
+            text.write(f"{sid},{frame},{','.join(map(repr, vals))},{int(label)}\r\n")
+        else:
+            gaps = matrix.missing[row].tolist()
+            writer.writerow([sid, frame, *("" if gap else repr(v) for v, gap in zip(vals, gaps)), int(label)])
+    return text.getvalue()
 
 
 @dataclass
@@ -460,21 +485,14 @@ class FeatureMatrix:
         return self.select_columns([j for j, tag in enumerate(self.group_tags) if tag in wanted])
 
     def to_csv(self, path) -> None:
-        path = Path(path)
+        """Writes the matrix file; `fork_map` formats its row blocks, which calls no BLAS."""
+        header = ["subject_id", "timeframe"]
+        header += [f"{name}:{tag}" for name, tag in zip(self.feature_names, self.group_tags)]
+        header.append("y_default")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["subject_id", "timeframe"]
-            header += [f"{name}:{tag}" for name, tag in zip(self.feature_names, self.group_tags)]
-            header.append("y_default")
-            writer.writerow(header)
-            for start in range(0, self.n_rows, _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
-                writer.writerows(
-                    [sid, frame, *("" if gap else repr(v) for v, gap in zip(vals, gaps)), int(label)]
-                    for sid, frame, vals, gaps, label in zip(
-                        self.subject_ids[start:stop], self.timeframes[start:stop],
-                        self.values[start:stop].tolist(), self.missing[start:stop].tolist(),
-                        self.y[start:stop].tolist()))
+            csv.writer(fh).writerow(header)
+            with fork_map(_csv_block, range(0, self.n_rows, _CSV_BLOCK_ROWS), self) as blocks:
+                fh.writelines(blocks)
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":

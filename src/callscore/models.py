@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError
+from .parallel import fork_map
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -577,11 +576,6 @@ def default_mtry(n_features: int) -> int:
     return max(1, int(math.ceil(math.sqrt(n_features))))
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Processes to grow trees in: one per CPU this process may run on, at most one per task."""
-    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
-
-
 def _grow_forest_tree(problem: tuple, i: int) -> tuple:
     """Tree i of a forest, from its own substream, with its leaf probabilities
     and votes on the problem's test rows.
@@ -597,18 +591,9 @@ def _grow_forest_tree(problem: tuple, i: int) -> tuple:
     return tree, tree.prob[leaves], tree.vote[leaves]
 
 
-# Set only in pool workers, which inherit the problems by fork instead of receiving them pickled.
-_inherited_problems: list = []
-
-
-def _inherit(problems: list) -> None:
-    global _inherited_problems
-    _inherited_problems = problems
-
-
-def _grow_inherited_tree(task: tuple) -> tuple:
+def _grow_task(problems: list, task: tuple) -> tuple:
     p, i = task
-    return _grow_forest_tree(_inherited_problems[p], i)
+    return _grow_forest_tree(problems[p], i)
 
 
 def train_forests(
@@ -626,11 +611,10 @@ def train_forests(
 
     Each tree is grown on its own bootstrap (or, without `bootstrap`, on every
     row) with `mtry` features drawn per split. It draws only from its own
-    substream, so which process grows it does not change it. With more than
-    one worker the trees are grown in a fork pool, in batches of tasks, one
-    task per (problem, tree); the workers read the matrices they inherit and
-    return each tree with its leaf probabilities and votes on the test rows.
-    With one worker the same tasks run in this process. The probabilities are
+    substream, so which process grows it does not change it. The trees are
+    grown by `fork_map`, one task per (problem, tree); the workers read the
+    matrices they inherit and return each tree with its leaf probabilities
+    and votes on the test rows. The probabilities are
     summed tree by tree in tree order, so the scores and votes are bit for bit
     those of `predict_forest`.
     `mtry` None takes `default_mtry` of each problem's feature count.
@@ -661,18 +645,9 @@ def train_forests(
             scores[p] += prob  # tree by tree, in tree order, as predict_forest sums
             votes[p][i] = vote
 
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        collect(_grow_forest_tree(jobs[p], i) for p, i in tasks)
-    else:
-        # fork, so that workers inherit the matrices instead of unpickling
-        # them; growing a tree calls no BLAS, whose threads a fork does not copy
-        context = multiprocessing.get_context("fork")
-        # batches of up to 8 tasks spare a round trip per small tree; at least
-        # 16 batches per worker keep the last ones ending close together
-        chunksize = max(1, min(8, len(tasks) // (16 * workers)))
-        with context.Pool(workers, initializer=_inherit, initargs=(jobs,)) as pool:
-            collect(pool.imap(_grow_inherited_tree, tasks, chunksize=chunksize))
+    # growing a tree calls no BLAS
+    with fork_map(_grow_task, tasks, jobs) as grown:
+        collect(grown)
     return [
         (ForestModel(trees=trees[p], tree_seeds=list(range(n_trees)), mtry=job[3], bootstrap=bootstrap),
          ScoredDataset(y=tests[p][1], score=scores[p] / n_trees, per_tree_votes=votes[p]))

@@ -49,6 +49,7 @@ from .models import (
     undersample,
 )
 from .netstats import homophily_test
+from .parallel import fork_map
 from .profit import (
     EmpParams,
     Loans,
@@ -194,10 +195,17 @@ def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[Cdr
     return batch, stats
 
 
+def _read_bank(paths: dict, _) -> tuple:
+    return ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+
+
 def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatch, BankTable]:
-    batch, _ = ingest_calls(paths["cdr"], out, cfg)
-    _save_batch(batch, out)
-    bank, bank_stats = ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
+    # a worker reads the bank files while this process parses the CDR log;
+    # the batch, the larger product, is never pickled
+    with fork_map(_read_bank, [None], paths, beside=1) as banks:
+        batch, _ = ingest_calls(paths["cdr"], out, cfg)
+        _save_batch(batch, out)
+        bank, bank_stats = next(banks)
     (out / "bank_stats.json").write_text(
         json.dumps(dataclasses.asdict(bank_stats), indent=2, sort_keys=True) + "\n"
     )
@@ -337,28 +345,45 @@ def propagate_exposure(
     return exposure, relabel_high_risk(exposure, exposure_cutoff(exposure, labels))
 
 
+def _graph_exposures(shared: tuple, key: tuple) -> dict:
+    """Runs the six propagations on graph `key`, saving each one's scores into
+    the stage directory; returns each run's cutoffs.json entry by name."""
+    cfg, out, graphs, labels = shared
+    # the operator that a graph's six runs share is kept on the graph;
+    # kept on a copy, it is freed after them
+    graph = dataclasses.replace(graphs[key])
+    cutoffs = {}
+    for tf, method, crit, direction, name in _propagation_runs():
+        if (tf, direction) != key:
+            continue
+        exposure, relabeling = propagate_exposure(graph, labels[tf], method, crit, cfg)
+        np.save(out / f"{name}.npy", exposure.scores)
+        cutoffs[name] = {
+            "cutoff": relabeling.cutoff,
+            "n_high_risk": relabeling.n_high_risk,
+            "iterations": exposure.iterations_run,
+        }
+    return cutoffs
+
+
 def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
-    """(ExposureVector, RiskRelabeling) by (timeframe, method, criterion, DIR)."""
+    """(ExposureVector, RiskRelabeling) by (timeframe, method, criterion, DIR).
+
+    One `fork_map` task per graph. The product is read back from the
+    stage's files, as a resumed run reads it: scores pickled back from the
+    workers would leave this process's heap tens of MB larger for the rest
+    of the run.
+    """
+    import scipy.sparse  # noqa: F401 -- the operators' module, imported once here rather than in each worker
+
     graphs, labels, _ = network
-    exposures: dict = {}
     cutoffs: dict = {}
-    for key, graph in graphs.items():
-        # the operator that a graph's six runs share is kept on the graph;
-        # kept on a copy, it is freed after them
-        graph = dataclasses.replace(graph)
-        for tf, method, crit, direction, name in _propagation_runs():
-            if (tf, direction) != key:
-                continue
-            exposure, relabeling = propagate_exposure(graph, labels[tf], method, crit, cfg)
-            np.save(out / f"{name}.npy", exposure.scores)
-            cutoffs[name] = {
-                "cutoff": relabeling.cutoff,
-                "n_high_risk": relabeling.n_high_risk,
-                "iterations": exposure.iterations_run,
-            }
-            exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+    # propagation calls no BLAS
+    with fork_map(_graph_exposures, list(graphs), (cfg, out, graphs, labels)) as per_graph:
+        for graph_cutoffs in per_graph:
+            cutoffs.update(graph_cutoffs)
     (out / "cutoffs.json").write_text(json.dumps(cutoffs, indent=2, sort_keys=True) + "\n")
-    return exposures
+    return load_exposure(cfg, out)
 
 
 def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
@@ -375,12 +400,10 @@ def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
     return exposures
 
 
-def stage_features(
-    cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
-) -> tuple[FeatureMatrix, Loans]:
-    """The pruned matrix and the loan of each of its rows."""
+def _timeframe_matrices(cfg: ExperimentConfig, ingested: tuple, network: tuple, exposures: dict) -> list:
+    """One FeatureMatrix per timeframe, of its subjects in node order."""
     batch, bank = ingested
-    graphs, labels_by_tf, loans = network
+    graphs, labels_by_tf, _ = network
     # every subject is a card holder, so its SD row is found among the
     # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
@@ -415,20 +438,30 @@ def stage_features(
             blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
         # a subject's default label is its loan outcome
         frames.append(assemble_timeframe(tf, subject_ids, blocks, labels.default_label[subject_nodes] == 1))
+    return frames
 
-    full = assemble(frames)
+
+def stage_features(
+    cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
+) -> tuple[FeatureMatrix, Loans]:
+    """The pruned matrix and the loan of each of its rows."""
+    # the per-timeframe matrices and their builders' temporaries are freed once assembled
+    full = assemble(_timeframe_matrices(cfg, ingested, network, exposures))
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
-    pruned.to_csv(out / "matrix.csv")
-    # the matrix's rows are each timeframe's subjects in node order, as are its loans
-    row_loans = Loans.concatenate([loans[tf] for tf in TIMEFRAMES])
-    _save_row_loans(out / "loans.csv", pruned, row_loans)
-    (out / "pruning.json").write_text(json.dumps({
+    pruning = {
         "dropped": dropped,
         "n_features_before": full.n_features,
         "n_features_after": pruned.n_features,
         "group_sizes_before": full.group_sizes(),
         "group_sizes_after": pruned.group_sizes(),
-    }, indent=2, sort_keys=True) + "\n")
+    }
+    # to_csv's workers inherit this process's memory, so the full matrix goes first
+    del full
+    pruned.to_csv(out / "matrix.csv")
+    # the matrix's rows are each timeframe's subjects in node order, as are its loans
+    row_loans = Loans.concatenate([network[2][tf] for tf in TIMEFRAMES])
+    _save_row_loans(out / "loans.csv", pruned, row_loans)
+    (out / "pruning.json").write_text(json.dumps(pruning, indent=2, sort_keys=True) + "\n")
     return pruned, row_loans
 
 

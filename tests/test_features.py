@@ -1,14 +1,17 @@
+import csv
 import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from callscore import parallel
 from callscore.errors import DataError
 from callscore.features import (
     EXPOSURE_KINDS,
     MARITAL_CATEGORIES,
     REGIONS,
+    _CSV_BLOCK_ROWS,
     FeatureMatrix,
     _matrix_columns,
     _matrix_rows,
@@ -605,6 +608,48 @@ def test_columnar_matrix_read_matches_per_row_reader(tmp_path, rng):
         assert columnar[key].dtype == per_row[key].dtype, key
         assert columnar[key].tobytes() == per_row[key].tobytes(), key
     assert columnar["missing"][:, :4].any() and np.array_equal(columnar["missing"], missing)
+
+
+def per_cell_matrix_csv(matrix: FeatureMatrix, path) -> None:
+    """The matrix file as one csv.writer call per row writes it: the writer
+    that FeatureMatrix.to_csv's block formatter must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", "timeframe",
+                         *(f"{name}:{tag}" for name, tag in zip(matrix.feature_names, matrix.group_tags)),
+                         "y_default"])
+        for sid, frame, vals, gaps, label in zip(matrix.subject_ids, matrix.timeframes, matrix.values.tolist(),
+                                                 matrix.missing.tolist(), matrix.y.tolist()):
+            writer.writerow([sid, frame, *("" if gap else repr(v) for v, gap in zip(vals, gaps)), int(label)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_csv_text_is_the_per_cell_writers(tmp_path, rng, monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
+    n, m = 4 * _CSV_BLOCK_ROWS + 37, 9
+    values = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-20, 20, size=(n, m))
+    values[:, 0] = [-0.0, 1e-300, 1e16, 0.1 + 0.2] * (n // 4) + [5e-324] * (n % 4)
+    missing = rng.random((n, m)) < 0.02
+    missing[_CSV_BLOCK_ROWS + 5] = True
+    ids = [f"C{i:06d}" for i in range(n)]
+    # keys csv.writer quotes, each in a block of its own and in a row without
+    # an empty cell; blocks 1 and 3 are plain
+    odd = [3, 2 * _CSV_BLOCK_ROWS + 4, n - 1]
+    ids[odd[0]], ids[odd[1]], ids[odd[2]] = "a,b", 'say "hi"', "line\nbreak"
+    missing[odd] = False
+    matrix = FeatureMatrix(
+        subject_ids=ids,
+        timeframes=[f"t{1 + i % 3}" for i in range(n)],
+        feature_names=["plain", "with,comma", *(f"f{j}" for j in range(m - 2))],
+        group_tags=["SD", "CB", "LB", "PR", "SPA", "SD", "CB", "LB", "PR"],
+        values=np.where(missing, 0.0, values),
+        y=rng.random(n) < 0.3,
+        missing=missing,
+    )
+    for name, written in (("all", matrix), ("none", matrix.select_columns([]))):
+        written.to_csv(tmp_path / f"{name}.csv")
+        per_cell_matrix_csv(written, tmp_path / f"{name}_oracle.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_oracle.csv").read_bytes(), name
 
 
 MATRIX_HEAD = "subject_id,timeframe,a:SD,b:CB,y_default\ns1,t1,1.5,,0\n"

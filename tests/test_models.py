@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import rankdata
 
 import callscore.models as models
+import callscore.parallel as parallel
 from callscore.errors import ConvergenceError, DataError
 from conftest import (
     grow_tree,
@@ -365,7 +366,7 @@ def test_forest_trees_equal_the_reference_grower(monkeypatch, kind, min_leaf, ma
     rng = np.random.default_rng(KINDS.index(kind))
     X, y = awkward_data(rng, kind)
     mtry = X.shape[1] if mtry == "all" else mtry
-    monkeypatch.setattr(models, "_worker_count", lambda n_tasks: 1)
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
     grown = {}
     for grower in ("columnar", "reference"):
         if grower == "reference":
@@ -448,7 +449,7 @@ def test_worker_count_does_not_change_model_json(rng, tmp_path, monkeypatch):
     tests = [(X[::-1][:70], y[::-1][:70]) for X, y in _problems(rng)]
     saved = {}
     for workers in (1, 2):
-        monkeypatch.setattr(models, "_worker_count", lambda n_tasks, w=workers: w)
+        monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks, w=workers: w)
         grown = train_forests(problems, 15, 3, 5, None, 11, True, tests)
         for k, (forest, scored) in enumerate(grown):
             path = tmp_path / f"{workers}_{k}.json"

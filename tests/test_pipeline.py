@@ -9,6 +9,7 @@ import os
 import pkgutil
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import callscore
-from callscore import pipeline
+from callscore import parallel, pipeline
 from callscore.cli import main as cli_main
 from callscore.errors import DataError, UsageError
 from callscore.features import FeatureMatrix, drop_correlated
@@ -142,13 +143,12 @@ def test_train_override_is_recorded_and_evaluated(tiny_run, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, monkeypatch, workers):
-    from callscore import models
     from callscore.models import load_model, predict_forest
     from callscore.pipeline import load_features, save_scores
     from callscore.runner import MODEL_GROUPS
 
     config, out = tiny_run
-    monkeypatch.setattr(models, "_worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
     featured = load_features(config, out / "features")
     matrix = featured[0]
     trained = tmp_path / "models_out"
@@ -165,6 +165,82 @@ def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, 
         np.save(tmp_path / "votes.npy", scored.per_tree_votes)
         assert (tmp_path / "scores.csv").read_bytes() == (mdir / "scores.csv").read_bytes()
         assert (tmp_path / "votes.npy").read_bytes() == (mdir / "votes.npy").read_bytes()
+
+
+def without_out_dir(files: dict) -> dict:
+    """A run snapshot with config.resolved's out_dir line left out."""
+    resolved = files["config.resolved"].decode().splitlines(keepends=True)
+    return {**files, "config.resolved": "".join(l for l in resolved if not l.startswith("out_dir ="))}
+
+
+def test_worker_count_does_not_change_run_files(tiny_run, tmp_path, monkeypatch):
+    _, out = tiny_run
+    for workers in (1, 2):
+        # two workers even for a single task: every stage that forks does
+        monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks, w=workers: w)
+        run = tmp_path / f"workers_{workers}"
+        run_stages(ExperimentConfig(out_dir=str(run), **TINY))
+        assert without_out_dir(snapshot(run)) == without_out_dir(snapshot(out)), workers
+
+
+def _run_with_workers(config: ExperimentConfig, workers: int, tmp_path: Path) -> tuple[int, str]:
+    """The exit code and standard error of `callscore run` on `config` in a
+    new interpreter whose fork_map uses `workers` processes."""
+    path = tmp_path / f"{Path(config.out_dir).name}.cfg"
+    path.write_text(dump_config(config))
+    probe = ("import sys; import callscore.parallel as parallel; "
+             f"parallel._worker_count = lambda n_tasks: {workers}; "
+             "from callscore.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", probe, "run", "--config", str(path)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        # the pool's workers hold the pipes open too, so the whole group goes
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"run with {workers} workers did not end: a worker's error never reached it")
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("overrides, code, message", [
+    (dict(pr_max_iterations=2), 3, "convergence failure: personalized pagerank did not converge in 2 iterations"),
+    (dict(existing_customer_rate=0.0), 2, "data error: no delinquent seeds with 1 or more arrears"),
+], ids=["convergence", "no seeds"])
+def test_worker_error_ends_run_with_its_exit_code(tmp_path, overrides, code, message):
+    outcomes = []
+    for workers in (1, 2):
+        run = tmp_path / f"workers_{workers}"
+        returncode, err = _run_with_workers(ExperimentConfig(out_dir=str(run), **{**TINY, **overrides}), workers,
+                                            tmp_path)
+        assert returncode == code, err
+        outcomes.append(err.splitlines()[-1])
+        # the failed stage left nothing behind that a resume would trust
+        assert not (run / "exposure").exists() and not (run / ".exposure.tmp").exists()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].startswith(message)
+
+
+def test_featurize_writes_chosen_groups_only_to_out(tiny_run, tmp_path):
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    features = snapshot(clone / "features")
+    chosen = tmp_path / "chosen.csv"
+    argv = ["featurize", "--run-dir", str(clone), "--groups", "sd,lb"]
+    assert cli_main(argv) == 1
+    assert cli_main([*argv, "--out", str(chosen)]) == 0
+    selected = FeatureMatrix.from_csv(clone / "features" / "matrix.csv").select_groups(["SD", "LB"])
+    written = FeatureMatrix.from_csv(chosen)
+    assert set(written.group_tags) == {"SD", "LB"}
+    assert (written.feature_names, written.subject_ids) == (selected.feature_names, selected.subject_ids)
+    assert np.array_equal(written.values, selected.values) and np.array_equal(written.missing, selected.missing)
+    assert snapshot(clone / "features") == features
+    resumed = tmp_path / "resumed.cfg"
+    resumed.write_text(dump_config(dataclasses.replace(config, out_dir=str(clone))))
+    assert cli_main(["run", "--config", str(resumed), "--resume"]) == 0
+    assert snapshot(clone / "features") == features
 
 
 def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch):
@@ -410,6 +486,8 @@ def test_each_stage_reads_only_the_fields_its_fingerprint_covers(tmp_path, monke
     for stage in STAGES:
         attr = f"stage_{stage.name}"
         monkeypatch.setattr(pipeline, attr, recorded(stage.name, getattr(pipeline, attr)))
+    # the reads are recorded in this process only
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
     run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY))
     unfingerprinted = {stage.name: sorted(reads[stage.name] - set(stage.fields)) for stage in STAGES}
     assert unfingerprinted == {stage.name: [] for stage in STAGES}
@@ -746,6 +824,8 @@ def test_exposure_builds_one_operator_per_graph(tiny_run, tmp_path, monkeypatch)
 
     config, out = tiny_run
     network = pipeline.load_network(config, out / "network")
+    # the spy records in this process only
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
     operators = []
 
     def spy(graph):

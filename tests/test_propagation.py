@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,12 @@ def test_nonconvergence_carries_residual():
         personalized_pagerank(g, np.array([1.0, 0, 0]), *budget(1e-15, 3))
     assert err.value.iterations == 3
     assert err.value.residual > 0
+
+
+def test_convergence_error_survives_pickling():
+    # a pool worker's error reaches the main process pickled
+    back = pickle.loads(pickle.dumps(ConvergenceError("no luck", iterations=2, residual=1.1)))
+    assert (type(back), str(back), back.iterations, back.residual) == (ConvergenceError, "no luck", 2, 1.1)
 
 
 @pytest.mark.parametrize("args, message", [
