@@ -355,10 +355,11 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     directories = {stage.name: stage.directory for stage in STAGES}
     owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
     products: dict = {}
+    readers = {stage.name: {s.name for s in STAGES if stage.name in s.upstream} for stage in STAGES}
 
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    for stage in STAGES[: list(directories).index(until) + 1]:
+    for position, stage in enumerate(STAGES[: list(directories).index(until) + 1]):
         target = out / stage.directory
         if stage not in owned:
             continue
@@ -390,6 +391,11 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
         # the data stage's product, its file paths, is loaded after the rename
         if product is not None:
             products[stage.name] = product
+        # a product is freed once every stage that reads it has run
+        passed = {s.name for s in STAGES[: position + 1]}
+        for name in [name for name in products if readers[name] <= passed]:
+            del products[name]
+        del product
         logger.info("stage %-9s built in %.1fs", stage.name, time.perf_counter() - t0)
 
     for stage in owned:

@@ -44,6 +44,25 @@ MIN_SEED_DELINQUENTS = 3
 
 _MARITAL = ("single", "married", "divorced", "widowed")
 _MARITAL_P = (0.35, 0.45, 0.15, 0.05)
+# a defaulter's exposure: nothing, the whole limit, or a uniform share of it
+_EXPOSURE_KIND_P = (0.25, 0.35, 0.40)
+# arrears months on a card that does not default
+_GOOD_FLAGS_P = (0.80, 0.13, 0.07)
+
+
+def _cdf(p) -> np.ndarray:
+    """The table `Generator.choice(len(p), p=p)` searches, as it builds it."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One draw of `rng.choice(len(p), p=p)` for `cdf = _cdf(p)`, from the same bits."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_MARITAL_CDF, _EXPOSURE_KIND_CDF, _GOOD_FLAGS_CDF = map(_cdf, (_MARITAL_P, _EXPOSURE_KIND_P, _GOOD_FLAGS_P))
 
 
 @dataclass
@@ -271,16 +290,19 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     y_default = np.full(n, -1, dtype=np.int8)
     y_default[s] = (rng_subj.random(len(s)) < p_default).astype(np.int8)
 
-    # Bank files, as columns in draw order.
+    # Bank files, as columns in draw order. Arithmetic on one draw is plain
+    # Python, since a numpy call on a scalar costs more than the draw; only
+    # np.exp and np.round(x, 2) stay, whose results Python's may not match.
     rng_bank = substream(seed, "synth", "bank")
     credit_limit = np.zeros(n)
     ead = np.zeros(n)
+    log_subject_limit, log_existing_limit, log_uncarded_amount = np.log(1500), np.log(1200), np.log(25)
 
     account_owner = np.concatenate([subjects, existing, uncarded])
     age, marital, postcode = [], [], []
     for _ in account_owner:
-        age.append(int(np.clip(round(rng_bank.normal(40, 12)), 18, 85)))
-        marital.append(int(rng_bank.choice(len(_MARITAL), p=_MARITAL_P)))
+        age.append(min(max(round(rng_bank.normal(40, 12)), 18), 85))
+        marital.append(_draw(rng_bank, _MARITAL_CDF))
         postcode.append(int(rng_bank.integers(0, 10)) * 1000 + int(rng_bank.integers(100, 1000)))
 
     card_owner = np.concatenate([subjects, existing])
@@ -288,24 +310,29 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     drawn = np.zeros((len(card_owner), CARD_MONTHS))
     arrears = np.zeros((len(card_owner), CARD_MONTHS), dtype=bool)
     txn_owner, txn_day, txn_amount = [], [], []
+    # cohort k's cards are issued at the start of month k + 3; existing
+    # customers' in one of months -7 .. -2, well before the call window
+    issued = {k: month_date(cfg.start_year, cfg.start_month, k).toordinal() for k in range(-7, N_TIMEFRAMES + 4)}
+    cohort_of, defaulted, level_of = cohort.tolist(), y_default.tolist(), delinquency.tolist()
+    spend_latent = f_sd.tolist()
     for row, i in enumerate(card_owner.tolist()):
         if row < len(subjects):
-            issue = month_date(cfg.start_year, cfg.start_month, int(cohort[i]) + 3)
-            limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1500), 0.5)), 300, 10000)))
-            spend_mu = float(np.exp(-0.5 * f_sd[i]))
+            issue = issued[cohort_of[i] + 3]
+            limit = float(round(min(max(np.exp(rng_bank.normal(log_subject_limit, 0.5)), 300), 10000)))
+            spend_mu = float(np.exp(-0.5 * spend_latent[i]))
             n_tx = 1 + int(rng_bank.poisson(8 * spend_mu))
             offsets = rng_bank.integers(1, 29, size=n_tx)
             amounts = np.round(np.exp(rng_bank.normal(np.log(30 * spend_mu), 0.8, size=n_tx)), 2)
             txn_owner += [i] * n_tx
-            txn_day += (issue.toordinal() - offsets).tolist()
+            txn_day += (issue - offsets).tolist()
             txn_amount += amounts.tolist()
             drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
-            if y_default[i] == 1:
+            if defaulted[i] == 1:
                 n_flags = 3 + int(rng_bank.binomial(4, 0.3))
                 start = int(rng_bank.integers(1, CARD_MONTHS - n_flags + 2))
                 arrears[row, start - 1: start - 1 + n_flags] = True
                 default_month = start + 2  # third consecutive arrears month
-                kind = rng_bank.choice(3, p=(0.25, 0.35, 0.40))
+                kind = _draw(rng_bank, _EXPOSURE_KIND_CDF)
                 if kind == 0:
                     exposure = 0.0
                 elif kind == 1:
@@ -315,27 +342,28 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
                 drawn[row, default_month - 1] = exposure
                 ead[i] = exposure
             else:
-                n_flags = int(rng_bank.choice(3, p=(0.80, 0.13, 0.07)))
+                n_flags = _draw(rng_bank, _GOOD_FLAGS_CDF)
                 if n_flags:
                     arrears[row, rng_bank.choice(CARD_MONTHS, size=n_flags, replace=False)] = True
         else:
-            level = int(delinquency[i])
-            issue_month = int(rng_bank.integers(-7, -1))  # well before the call window
-            issue = month_date(cfg.start_year, cfg.start_month, issue_month)
-            limit = float(np.round(np.clip(np.exp(rng_bank.normal(np.log(1200), 0.5)), 300, 10000)))
+            level = level_of[i]
+            issue_month = int(rng_bank.integers(-7, -1))
+            issue = issued[issue_month]
+            limit = float(round(min(max(np.exp(rng_bank.normal(log_existing_limit, 0.5)), 300), 10000)))
             drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
             room = min(CARD_MONTHS, 1 - issue_month)  # card months before the data start
             n_flags = level if level < 3 else min(room, 3 + int(rng_bank.integers(0, 3)))
             if n_flags:
                 arrears[row, rng_bank.choice(room, size=n_flags, replace=False)] = True
         credit_limit[i] = limit
-        issue_day[row] = issue.toordinal()
+        issue_day[row] = issue
 
+    first_day = issued[1]
     for i in uncarded.tolist():
         for _ in range(int(rng_bank.integers(1, 5))):
             txn_owner.append(i)
-            txn_day.append(month_date(cfg.start_year, cfg.start_month, 1, int(rng_bank.integers(1, 29))).toordinal())
-            txn_amount.append(float(np.round(np.exp(rng_bank.normal(np.log(25), 0.8)), 2)))
+            txn_day.append(first_day + int(rng_bank.integers(1, 29)) - 1)
+            txn_amount.append(float(np.round(np.exp(rng_bank.normal(log_uncarded_amount, 0.8)), 2)))
 
     calls.pop("night_pref", None)
     logger.info(

@@ -259,6 +259,56 @@ def test_batch_round_trips_records(tmp_path):
     assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
 
 
+def test_write_cdr_text_is_pinned(tmp_path):
+    ids = ["A", "P0000001", "(701) 555-0148", "Zoë", "unused identity"]
+    days = [date(2016, 12, 31), date(2017, 1, 1), date(2017, 2, 28), date(2017, 5, 1)]
+    batch = ingest.CdrBatch([d.toordinal() for d in days], [0, 86399, 9 * 3600 + 5 * 60 + 7, 12 * 3600],
+                            [0, 7200, 5, 2147483647], [0, 1, 2, 3], [1, 2, 3, 0], ids)
+    write_cdr(tmp_path / "cdr.csv", batch)
+    assert (tmp_path / "cdr.csv").read_bytes() == (
+        f"{CDR_HEADER}\n"
+        "31DEC2016,00:00:00,0,A,P0000001\n"
+        "01JAN2017,23:59:59,7200,P0000001,(701) 555-0148\n"
+        "28FEB2017,09:05:07,5,(701) 555-0148,Zoë\n"
+        "01MAY2017,12:00:00,2147483647,Zoë,A\n"
+    ).encode()
+
+
+def test_write_cdr_of_an_empty_batch_writes_the_header_only(tmp_path):
+    write_cdr(tmp_path / "cdr.csv", ingest.CdrBatch([], [], [], [], [], ["A", "B"]))
+    assert (tmp_path / "cdr.csv").read_bytes() == f"{CDR_HEADER}\n".encode()
+
+
+def per_row_cdr_text(batch) -> str:
+    """A CDR log as a per-row formatter writes it."""
+    ids = batch.ids
+    return CDR_HEADER + "\n" + "".join(
+        f"{ingest.format_cdr_date(date.fromordinal(o))},{s // 3600:02d}:{s % 3600 // 60:02d}:{s % 60:02d},"
+        f"{d},{ids[a]},{ids[b]}\n"
+        for o, s, d, a, b in zip(batch.date_ord.tolist(), batch.time_sec.tolist(), batch.duration.tolist(),
+                                 batch.from_code.tolist(), batch.to_code.tolist()))
+
+
+def test_write_cdr_text_is_the_per_row_formatters(rng, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 1000)  # rows span several chunks
+    n = 4321
+    ids = [f"id{k}" * (k % 4) + "€" * (k % 3) + str(k) for k in range(60)]
+    duration = rng.integers(-(2 ** 31), 2 ** 31, size=n)
+    duration[:6] = [0, 9, 10, -1, 2 ** 31 - 1, -(2 ** 31)]
+    batch = ingest.CdrBatch(rng.integers(1, 800_000, size=n), rng.integers(0, 86400, size=n), duration,
+                            rng.integers(0, 60, size=n), rng.integers(0, 60, size=n), ids)
+    write_cdr(tmp_path / "cdr.csv", batch)
+    assert (tmp_path / "cdr.csv").read_text(encoding="utf-8") == per_row_cdr_text(batch)
+
+
+@pytest.mark.parametrize("second", [-1, 86400])
+def test_write_cdr_refuses_a_time_outside_the_day(tmp_path, second):
+    batch = ingest.CdrBatch([736450, 736450], [0, second], [30, 30], [0, 1], [1, 0], ["A", "B"])
+    with pytest.raises(DataError, match="start time"):
+        write_cdr(tmp_path / "cdr.csv", batch)
+    assert not (tmp_path / "cdr.csv").exists()
+
+
 def test_write_cdr_refuses_identity_with_comma(tmp_path):
     log = tmp_path / "semicolon.csv"
     log.write_text("01MAY2017;10:00:00;30;A,1;B\n01MAY2017;10:00:05;40;B;C\n")

@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,32 @@ def test_each_stage_reads_only_the_fields_its_fingerprint_covers(tmp_path, monke
     unfingerprinted = {stage.name: sorted(reads[stage.name] - set(stage.fields)) for stage in STAGES}
     assert unfingerprinted == {stage.name: [] for stage in STAGES}
     assert all(reads[stage.name] for stage in STAGES if stage.fields)
+
+
+def test_each_product_is_freed_once_its_last_reader_has_run(tmp_path, monkeypatch):
+    class Product:
+        def __init__(self, name):
+            self.name = name
+
+    alive = weakref.WeakSet()
+    held = {}
+
+    def fake(name):
+        def stage(cfg, out, *inputs):
+            held[name] = sorted(product.name for product in alive)
+            product = Product(name)
+            alive.add(product)
+            return product
+        return stage
+
+    for stage in STAGES:
+        monkeypatch.setattr(pipeline, f"stage_{stage.name}", fake(stage.name))
+    run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY))
+    # on entry to each stage: the products built before it that it or a later stage reads
+    read_from_here_on = {stage.name: sorted({u for later in STAGES[k:] for u in later.upstream}
+                                            & {s.name for s in STAGES[:k]})
+                         for k, stage in enumerate(STAGES)}
+    assert held == read_from_here_on
 
 
 def test_model_with_pruned_away_groups_is_skipped(tmp_path):

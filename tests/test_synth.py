@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from callscore import synth
 from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.ingest import ingest_bank, ingest_cdr, write_cdr
@@ -38,6 +39,15 @@ def test_generated_files_are_pinned(tmp_path):
     paths = generate(SMALL, seed=3).write(tmp_path)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == SMALL_SEED3_SHA256
+
+
+@pytest.mark.parametrize("p", [synth._MARITAL_P, synth._EXPOSURE_KIND_P, synth._GOOD_FLAGS_P])
+def test_one_draw_is_generator_choice(p):
+    chosen, drawn = np.random.default_rng(17), np.random.default_rng(17)
+    cdf = synth._cdf(p)
+    expected = [int(chosen.choice(len(p), p=p)) for _ in range(12_000)]
+    assert [synth._draw(drawn, cdf) for _ in range(12_000)] == expected
+    assert drawn.bit_generator.state == chosen.bit_generator.state
 
 
 def test_generate_seed_changes_output(tmp_path):
