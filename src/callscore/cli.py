@@ -241,12 +241,15 @@ def _run_dir(args, until: str, **overrides) -> ExperimentConfig:
 
 
 def _cmd_featurize(args) -> int:
-    from .features import FeatureMatrix
+    from .features import GROUPS, FeatureMatrix
 
     groups = [g.strip().upper() for g in args.groups.split(",") if g.strip()]
-    every = set(groups) == {"SD", "CB", "LB", "PR", "SPA"}
+    every = set(groups) == set(GROUPS)
     if not (every or args.out):
         raise UsageError("a --groups selection is written only to the file that --out names")
+    bad = set(groups) - set(GROUPS)
+    if bad:  # refused before the run directory changes
+        raise DataError(f"unknown feature groups: {sorted(bad)}")
     config = _run_dir(args, "features", corr_threshold=args.corr_threshold)
     # the run's own directories belong to the runner: a selection goes where --out says
     target = Path(config.out_dir) / "features" / "matrix.csv"

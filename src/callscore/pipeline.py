@@ -15,6 +15,7 @@ import logging
 import time
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .errors import DataError, UsageError
 from .features import (
     FeatureMatrix,
     assemble,
-    assemble_timeframe,
     calling_behavior_matrix,
     drop_correlated,
     exposure_feature_names,
@@ -400,15 +400,14 @@ def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
     return exposures
 
 
-def _timeframe_matrices(cfg: ExperimentConfig, ingested: tuple, network: tuple, exposures: dict) -> list:
-    """One FeatureMatrix per timeframe, of its subjects in node order."""
+def _timeframe_blocks(cfg: ExperimentConfig, ingested: tuple, network: tuple, exposures: dict) -> Iterator[tuple]:
+    """Per timeframe, the frame that `assemble` writes, built when `assemble` asks for it."""
     batch, bank = ingested
     graphs, labels_by_tf, _ = network
     # every subject is a card holder, so its SD row is found among the
     # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
     code_of = {identity: c for c, identity in enumerate(batch.ids)}
-    frames = []
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = cfg.window(k)
         labels = labels_by_tf[tf]
@@ -437,16 +436,17 @@ def _timeframe_matrices(cfg: ExperimentConfig, ingested: tuple, network: tuple, 
                     ))
             blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
         # a subject's default label is its loan outcome
-        frames.append(assemble_timeframe(tf, subject_ids, blocks, labels.default_label[subject_nodes] == 1))
-    return frames
+        yield tf, subject_ids, blocks, labels.default_label[subject_nodes] == 1
+        del blocks  # freed before the next timeframe's builders run
 
 
 def stage_features(
     cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
 ) -> tuple[FeatureMatrix, Loans]:
     """The pruned matrix and the loan of each of its rows."""
-    # the per-timeframe matrices and their builders' temporaries are freed once assembled
-    full = assemble(_timeframe_matrices(cfg, ingested, network, exposures))
+    # the matrix's rows are each timeframe's subjects in node order, as are its loans
+    row_loans = Loans.concatenate([network[2][tf] for tf in TIMEFRAMES])
+    full = assemble(_timeframe_blocks(cfg, ingested, network, exposures), len(row_loans))
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
     pruning = {
         "dropped": dropped,
@@ -458,8 +458,6 @@ def stage_features(
     # to_csv's workers inherit this process's memory, so the full matrix goes first
     del full
     pruned.to_csv(out / "matrix.csv")
-    # the matrix's rows are each timeframe's subjects in node order, as are its loans
-    row_loans = Loans.concatenate([network[2][tf] for tf in TIMEFRAMES])
     _save_row_loans(out / "loans.csv", pruned, row_loans)
     (out / "pruning.json").write_text(json.dumps(pruning, indent=2, sort_keys=True) + "\n")
     return pruned, row_loans

@@ -294,6 +294,23 @@ def _ranked(names: Sequence[str], values: np.ndarray) -> list:
 _VOTE_CUTOFF = 0.5  # a tree's hard vote at or above it rejects the applicant
 
 
+def _membership_contrast(member: np.ndarray, per_tree: np.ndarray) -> np.ndarray:
+    """Per feature, the mean of `per_tree` over the trees that test it minus
+    the mean over the other trees; NaN where every tree or none tests it.
+
+    `member` is the trees x features membership of `feature_membership`.
+    """
+    n_trees = len(per_tree)
+    n_in = member.sum(axis=0)
+    contrast = np.full(member.shape[1], np.nan)
+    usable = (n_in > 0) & (n_in < n_trees)
+    if usable.any():
+        total = per_tree.sum()
+        sum_in = member[:, usable].T @ per_tree
+        contrast[usable] = sum_in / n_in[usable] - (total - sum_in) / (n_trees - n_in[usable])
+    return contrast
+
+
 def profit_feature_importance(
     forest: ForestModel,
     scored: ScoredDataset,
@@ -316,17 +333,7 @@ def profit_feature_importance(
         raise DataError("votes do not match the forest")
     terms = _profit_terms(scored.y, loans, params)
     profits = np.array([_total_profit(votes[i] >= _VOTE_CUTOFF, terms) for i in range(forest.n_trees)])
-    member = forest.feature_membership(len(feature_names))
-    n_in = member.sum(axis=0)
-    importance = np.full(len(feature_names), np.nan)
-    usable = (n_in > 0) & (n_in < forest.n_trees)
-    if usable.any():
-        total = profits.sum()
-        sum_in = member[:, usable].T @ profits
-        mean_in = sum_in / n_in[usable]
-        mean_out = (total - sum_in) / (forest.n_trees - n_in[usable])
-        importance[usable] = mean_in - mean_out
-    return _ranked(feature_names, importance)
+    return _ranked(feature_names, _membership_contrast(forest.feature_membership(len(feature_names)), profits))
 
 
 def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
@@ -404,17 +411,9 @@ def accuracy_feature_importance(
         new_score = base_score + delta[j] / forest.n_trees
         perm[j] = base_acc - float(np.mean((new_score >= 0.5) == y))
 
-    n_in = member.sum(axis=0)
-    membership = np.full(n_feat, np.nan)
-    usable = (n_in > 0) & (n_in < forest.n_trees)
-    if usable.any():
-        total = tree_acc.sum()
-        sum_in = member[:, usable].T @ tree_acc
-        membership[usable] = sum_in / n_in[usable] - (total - sum_in) / (forest.n_trees - n_in[usable])
-
     return {
         "permutation": _ranked(feature_names, perm),
-        "membership": _ranked(feature_names, membership),
+        "membership": _ranked(feature_names, _membership_contrast(member, tree_acc)),
     }
 
 

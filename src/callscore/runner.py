@@ -47,10 +47,10 @@ DATA_FILES = {"cdr": "cdr.csv", "accounts": "accounts.csv", "transactions": "tra
               "card_activity": "card_activity.csv"}
 
 
-def month_date(start_year: int, start_month: int, month_index: int, day: int = 1) -> date:
-    """Date `day` of month `month_index`, counted from 1 = (start_year, start_month)."""
+def month_date(start_year: int, start_month: int, month_index: int) -> date:
+    """The first day of month `month_index`, counted from 1 = (start_year, start_month)."""
     total = start_year * 12 + start_month - 1 + month_index - 1
-    return date(total // 12, total % 12 + 1, day)
+    return date(total // 12, total % 12 + 1, 1)
 
 
 @dataclass
@@ -197,8 +197,8 @@ class ExperimentConfig(SynthConfig):
             raise UsageError("classifiers lists no classifier")
         return kinds
 
-    def month_date(self, month_index: int, day: int = 1) -> date:
-        return month_date(self.start_year, self.start_month, month_index, day)
+    def month_date(self, month_index: int) -> date:
+        return month_date(self.start_year, self.start_month, month_index)
 
     def month_index(self, d: date) -> int:
         return (d.year * 12 + d.month) - (self.start_year * 12 + self.start_month) + 1

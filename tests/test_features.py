@@ -16,7 +16,6 @@ from callscore.features import (
     _matrix_columns,
     _matrix_rows,
     assemble,
-    assemble_timeframe,
     calling_behavior_matrix,
     cb_feature_names,
     diversity,
@@ -467,34 +466,62 @@ def tiny_block(ids, n_feat=2, group="CB"):
     return [f"{group.lower()}{j}" for j in range(n_feat)], values
 
 
-def test_assemble_timeframe_stacks_aligned_blocks():
-    ids = ["s1", "s2"]
-    names, values = tiny_block(ids, group="SD")
-    missing = np.array([[True, False], [False, False]])
-    blocks = {"CB": tiny_block(ids, 3, "CB"), "SD": (names, values, missing)}
-    frame = assemble_timeframe("t1", ids, blocks, [True, False])
-    assert frame.subject_ids == ids
-    assert frame.feature_names == ["sd0", "sd1", "cb0", "cb1", "cb2"]   # GROUPS order
-    assert frame.values[0, 0] == 0.0 and frame.missing[0, 0]
-    assert not frame.missing[:, 2:].any()
-    assert frame.y.tolist() == [True, False]
-
-
-def test_assemble_timeframe_rejects_misaligned_block():
-    with pytest.raises(DataError, match="SD block has 1 rows for 2 subjects"):
-        assemble_timeframe("t1", ["s1", "s2"], {
-            "CB": tiny_block(["s1", "s2"]), "SD": tiny_block(["s1"], group="SD"),
-        }, [True, False])
-
-
 def test_assemble_stacks_timeframes():
-    frames = [assemble_timeframe(tf, ["a", "b"], {"CB": tiny_block(["a", "b"])}, [True, False])
-              for tf in ("t1", "t2", "t3")]
-    full = assemble(frames)
+    frames = ((tf, ["a", "b"], {"CB": tiny_block(["a", "b"])}, [True, False]) for tf in ("t1", "t2", "t3"))
+    full = assemble(frames, 6)   # a generator, as the features stage passes
     assert full.n_rows == 6
     assert full.timeframes == ["t1", "t1", "t2", "t2", "t3", "t3"]
     # duplicate subject across timeframes stays as distinct rows
     assert full.subject_ids.count("a") == 3
+    assert full.y.tolist() == [True, False] * 3
+    assert full.values.tolist() == [[0.0, 1.0], [2.0, 3.0]] * 3
+
+
+def test_assemble_zeroes_and_flags_masked_cells():
+    ids = ["s1", "s2"]
+    names, values = tiny_block(ids, group="SD")
+    values[0, 0] = 7.0
+    missing = np.array([[True, False], [False, False]])
+    frames = [("t1", ids, {"CB": tiny_block(ids, 3, "CB"), "SD": (names, values, missing)}, [True, False])]
+    full = assemble(frames, 2)
+    assert full.feature_names == ["sd0", "sd1", "cb0", "cb1", "cb2"]   # GROUPS order
+    assert full.group_tags == ["SD", "SD", "CB", "CB", "CB"]
+    assert full.values[0, 0] == 0.0 and full.missing[0, 0]
+    assert full.missing.sum() == 1
+    assert full.values[0, 1] == 1.0
+
+
+def test_assemble_rejects_misaligned_block():
+    with pytest.raises(DataError, match="SD block has 1 rows for 2 subjects"):
+        assemble([("t1", ["s1", "s2"], {
+            "CB": tiny_block(["s1", "s2"]), "SD": tiny_block(["s1"], group="SD"),
+        }, [True, False])], 2)
+
+
+@pytest.mark.parametrize("second", [
+    {"CB": tiny_block(["a"]), "LB": tiny_block(["a"], group="LB")},   # another group
+    {"CB": (["cb0", "cbX"], np.zeros((1, 2)))},                        # another name
+])
+def test_assemble_rejects_timeframes_that_disagree_on_columns(second):
+    frames = [("t1", ["a"], {"CB": tiny_block(["a"])}, [True]), ("t2", ["a"], second, [True])]
+    with pytest.raises(DataError, match="disagree on columns"):
+        assemble(frames, 2)
+
+
+def test_assemble_refusals():
+    with pytest.raises(DataError, match="nothing to assemble"):
+        assemble([], 0)
+    with pytest.raises(DataError, match="no feature groups"):
+        assemble([("t1", ["a"], {}, [True])], 1)
+    with pytest.raises(DataError, match="does not match its 2 names"):
+        assemble([("t1", ["a", "b"], {"CB": (["cb0", "cb1"], np.zeros((2, 1)))}, [True, False])], 2)
+    with pytest.raises(DataError, match="1 targets for 2 subjects"):
+        assemble([("t1", ["a", "b"], {"CB": tiny_block(["a", "b"])}, [True])], 2)
+    frame = ("t1", ["a", "b"], {"CB": tiny_block(["a", "b"])}, [True, False])
+    with pytest.raises(DataError, match="more than 3 rows"):
+        assemble([frame, frame], 3)
+    with pytest.raises(DataError, match="hold 2 rows, not 3"):
+        assemble([frame], 3)
 
 
 def test_drop_correlated_duplicate_column(rng):

@@ -113,6 +113,29 @@ def test_stage_isolation_resume_reproduces(tiny_run, tmp_path):
     assert not changed, f"changed after resume: {changed}"
 
 
+def test_features_stage_builds_one_matrix_before_pruning(tiny_run, tmp_path, monkeypatch):
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    shutil.rmtree(clone / "features")
+    built, built_at_pruning = [], []
+    post_init, prune = FeatureMatrix.__post_init__, pipeline.drop_correlated
+
+    def counted(matrix):
+        built.append(matrix.n_rows)
+        post_init(matrix)
+
+    def pruned(matrix, threshold):
+        built_at_pruning.append(len(built))
+        return prune(matrix, threshold)
+
+    monkeypatch.setattr(FeatureMatrix, "__post_init__", counted)
+    monkeypatch.setattr(pipeline, "drop_correlated", pruned)
+    run_stages(dataclasses.replace(config, out_dir=str(clone)), until="features", resume=True)
+    assert built_at_pruning == [1]
+    assert (clone / "features" / "matrix.csv").read_bytes() == (out / "features" / "matrix.csv").read_bytes()
+
+
 def test_resume_after_config_change_rebuilds_only_dependent_stages(tiny_run, tmp_path):
     config, out = tiny_run
     clone = tmp_path / "clone"
@@ -275,6 +298,9 @@ def test_failed_override_leaves_run_untouched(tiny_run, tmp_path):
     assert cli_main(["train", "--run-dir", str(clone), "--models", "Z"]) != 0
     # fails inside stage_features, after its upstream stages were loaded
     assert cli_main(["featurize", "--run-dir", str(clone), "--corr-threshold", "2"]) != 0
+    # an unknown group is refused before the new threshold rebuilds anything
+    assert cli_main(["featurize", "--run-dir", str(clone), "--groups", "sd,xx",
+                     "--out", str(tmp_path / "f.csv"), "--corr-threshold", "0.9"]) == 2
     # G is a valid id the run did not train, Z no id at all
     assert cli_main(["importance", "--run-dir", str(clone), "--model", "G"]) == 2
     assert cli_main(["importance", "--run-dir", str(clone), "--model", "Z"]) == 2
