@@ -23,11 +23,10 @@ _EXPORTS = {
         "train_logistic", "train_tree", "undersample",
     ),
     "netstats": ("HomophilyReport", "dyadicity", "heterophilicity", "homophily_test"),
-    "pipeline": ("sensitivity_sweep",),
     "profit": (
         "DelongResult", "EmpReport", "Loans", "accuracy_feature_importance", "delong_test", "emp",
         "evaluate_economics", "fraction_to_cutoff", "profit_feature_importance",
-        "rank_correlations", "roc_and_auc",
+        "rank_correlations", "roc_and_auc", "sensitivity_sweep",
     ),
     "propagation": (
         "ExposureVector", "RiskRelabeling", "exposure_cutoff", "personalized_pagerank",

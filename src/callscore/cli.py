@@ -273,8 +273,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .features import FeatureMatrix
-    from .models import load_model
-    from .pipeline import save_scores, score_model
+    from .models import load_model, save_scores, score_model
 
     model_dir = Path(args.model)
     model = load_model(model_dir / "model.json")
@@ -327,7 +326,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .pipeline import load_scores, sensitivity_sweep
+    from .models import load_scores
+    from .profit import sensitivity_sweep
 
     config = _with_flags(ExperimentConfig(), roi=args.roi, lgd=args.lgd)
     scored = load_scores(args.scores)

@@ -17,6 +17,7 @@ replayable in isolation.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .parallel import fork_map
 from .seeding import substream
+from .tables import parse_column, read_columns
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +141,37 @@ class ScoredDataset:
 
     def __len__(self) -> int:
         return len(self.y)
+
+
+def save_scores(path: str | Path, scored: ScoredDataset, matrix, rows) -> None:
+    """Write one scored row per row index in `rows` of the feature matrix, in that order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("subject_id", "timeframe", "y", "score"))
+        for row, i in enumerate(rows):
+            writer.writerow((
+                matrix.subject_ids[i], matrix.timeframes[i],
+                int(scored.y[row]), repr(float(scored.score[row])),
+            ))
+
+
+def load_scores(path: str | Path) -> ScoredDataset:
+    path = Path(path)
+    columns, lines = read_columns(path, ("y", "score"), "scores")
+    score = parse_column(path, "score", columns["score"], lines, np.float64)
+    return ScoredDataset(y=columns["y"] == "1", score=score)
+
+
+def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:
+    """Scores of a forest, tree or logistic model on X; a forest's per-tree
+    votes come along."""
+    if isinstance(model, ForestModel):
+        return predict_forest(model, X, y)
+    if isinstance(model, TreeModel):
+        return ScoredDataset(y=y, score=predict_tree_proba(model, X))
+    if isinstance(model, LogisticModel):
+        return ScoredDataset(y=y, score=predict_logistic(model, X))
+    raise DataError("unsupported model type")
 
 
 def midrank(values: np.ndarray) -> np.ndarray:

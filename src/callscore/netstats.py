@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CallGraph
+from .normal import ndtr
 
 
 @dataclass
@@ -117,11 +118,9 @@ def homophily_test(graph: CallGraph, labels: np.ndarray) -> HomophilyReport:
         raise DataError("homophily test requires both labels present")
     expected, d, h = _mixing_ratios(n1, n0, m_total, m_cross, m_dyadic)
     observed = m_cross / m_total
-    from scipy.special import ndtr  # the normal CDF; imported on use, as the import costs time
-
     se = np.sqrt(expected * (1 - expected) / m_total)
     z = (observed - expected) / se if se > 0 else 0.0
-    p = float(ndtr(z))
+    p = ndtr(float(z))
     return HomophilyReport(
         n_default=n1,
         n_nondefault=n0,

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 from .features import (
     FeatureMatrix,
     assemble,
@@ -33,15 +33,11 @@ from .features import (
 from .graph import CallGraph, NodeLabelSet, build_graphs, identity_order, load_graph, save_graph
 from .ingest import CARD_MONTHS, BankTable, CdrBatch, IngestStats, ingest_bank, ingest_cdr
 from .models import (
-    ForestModel,
-    LogisticModel,
-    ScoredDataset,
-    TreeModel,
     load_model,
-    predict_forest,
-    predict_logistic,
-    predict_tree_proba,
+    load_scores,
     save_model,
+    save_scores,
+    score_model,
     split,
     train_forests,
     train_logistic,
@@ -55,7 +51,6 @@ from .profit import (
     Loans,
     accuracy_feature_importance,
     delong_test,
-    emp,
     estimate_loss_masses,
     evaluate_economics,
     profit_feature_importance,
@@ -75,6 +70,7 @@ from .propagation import (
 from .runner import MODEL_GROUPS, ExperimentConfig, load_data
 from .seeding import substream
 from .synth import generate
+from .tables import parse_column, read_columns
 
 logger = logging.getLogger(__name__)
 
@@ -120,55 +116,23 @@ def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: Loan
         ))
 
 
-def _read_columns(path: Path, names: tuple, what: str) -> tuple[dict, np.ndarray]:
-    """The named columns of a csv file as object arrays of text, and each row's line number."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not set(names) <= set(header):
-            raise DataError(f"{path} is not a {what} file")
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
-    table = np.array(rows, dtype=object).reshape(len(rows), len(header))
-    return {name: table[:, header.index(name)] for name in names}, np.array(lines, dtype=np.int64)
-
-
-def _parsed(path: Path, name: str, texts: np.ndarray, lines: np.ndarray, dtype) -> np.ndarray:
-    """`texts` converted to `dtype`; a data error names the first line whose value does not convert."""
-    try:
-        return texts.astype(dtype)
-    except (ValueError, OverflowError):
-        for text, line in zip(texts.tolist(), lines.tolist()):
-            try:
-                np.array([text], dtype=object).astype(dtype)
-            except (ValueError, OverflowError):
-                raise DataError(f"{path}:{line}: bad {name} value {text!r}") from None
-        raise
-
-
 def load_labels(path: str | Path) -> tuple[NodeLabelSet, Loans]:
     """The labels of a labels_t*.csv file and its subjects' loans, in node order."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no labels file at {path}")
-    columns, lines = _read_columns(path, LABEL_COLUMNS, "labels")
+    columns, lines = read_columns(path, LABEL_COLUMNS, "labels")
     labels = NodeLabelSet(
-        delinquency_level=_parsed(path, "delinquency_level", columns["delinquency_level"], lines, np.int8),
+        delinquency_level=parse_column(path, "delinquency_level", columns["delinquency_level"], lines, np.int8),
         is_subject=columns["is_subject"] == "1",
         is_bank_customer=columns["is_bank_customer"] == "1",
-        default_label=_parsed(path, "default_label", columns["default_label"], lines, np.int8),
+        default_label=parse_column(path, "default_label", columns["default_label"], lines, np.int8),
     )
     subjects = labels.is_subject
     lines = lines[subjects]
     loans = Loans(
-        principal=_parsed(path, "credit_limit", columns["credit_limit"][subjects], lines, np.float64),
-        ead=_parsed(path, "ead", columns["ead"][subjects], lines, np.float64),
+        principal=parse_column(path, "credit_limit", columns["credit_limit"][subjects], lines, np.float64),
+        ead=parse_column(path, "ead", columns["ead"][subjects], lines, np.float64),
         is_defaulter=columns["y_default"][subjects] == "1",
     )
     disagree = np.flatnonzero(loans.is_defaulter != (labels.default_label[subjects] == 1))
@@ -369,13 +333,12 @@ def _graph_exposures(shared: tuple, key: tuple) -> dict:
 def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
     """(ExposureVector, RiskRelabeling) by (timeframe, method, criterion, DIR).
 
-    One `fork_map` task per graph. The product is read back from the
-    stage's files, as a resumed run reads it: scores pickled back from the
-    workers would leave this process's heap tens of MB larger for the rest
-    of the run.
+    One `fork_map` task per graph. Each worker imports `scipy.sparse` on its
+    first graph, so with more than one CPU this process never loads scipy.
+    The product is read back from the stage's files, as a resumed run reads
+    it: scores pickled back from the workers would leave this process's heap
+    tens of MB larger for the rest of the run.
     """
-    import scipy.sparse  # noqa: F401 -- the operators' module, imported once here rather than in each worker
-
     graphs, labels, _ = network
     cutoffs: dict = {}
     # propagation calls no BLAS
@@ -476,44 +439,13 @@ def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: Loans) -> None:
 def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix, Loans]:
     matrix = FeatureMatrix.from_csv(directory / "matrix.csv")
     path = directory / "loans.csv"
-    columns, lines = _read_columns(path, LOAN_COLUMNS, "loans")
+    columns, lines = read_columns(path, LOAN_COLUMNS, "loans")
     loans = Loans(
-        principal=_parsed(path, "principal", columns["principal"], lines, np.float64),
-        ead=_parsed(path, "ead", columns["ead"], lines, np.float64),
+        principal=parse_column(path, "principal", columns["principal"], lines, np.float64),
+        ead=parse_column(path, "ead", columns["ead"], lines, np.float64),
         is_defaulter=columns["is_defaulter"] == "1",
     )
     return matrix, loans
-
-
-def save_scores(path: str | Path, scored: ScoredDataset, matrix: FeatureMatrix, rows) -> None:
-    """Write one scored row per matrix row index in `rows`, in that order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("subject_id", "timeframe", "y", "score"))
-        for row, i in enumerate(rows):
-            writer.writerow((
-                matrix.subject_ids[i], matrix.timeframes[i],
-                int(scored.y[row]), repr(float(scored.score[row])),
-            ))
-
-
-def load_scores(path: str | Path) -> ScoredDataset:
-    path = Path(path)
-    columns, lines = _read_columns(path, ("y", "score"), "scores")
-    score = _parsed(path, "score", columns["score"], lines, np.float64)
-    return ScoredDataset(y=columns["y"] == "1", score=score)
-
-
-def score_model(model, X: np.ndarray, y: np.ndarray) -> ScoredDataset:
-    """Scores of a forest, tree or logistic model on X; a forest's per-tree
-    votes come along."""
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X, y)
-    if isinstance(model, TreeModel):
-        return ScoredDataset(y=y, score=predict_tree_proba(model, X))
-    if isinstance(model, LogisticModel):
-        return ScoredDataset(y=y, score=predict_logistic(model, X))
-    raise DataError("unsupported model type")
 
 
 def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tuple, dict]:
@@ -696,23 +628,3 @@ def _write_importance(path: Path, ranking: list) -> None:
         writer.writerow(("feature", "importance"))
         for name, value in ranking:
             writer.writerow((name, "nan" if np.isnan(value) else repr(float(value))))
-
-
-def sensitivity_sweep(
-    scored: ScoredDataset,
-    params: EmpParams,
-    parameter: str,
-    grid,
-) -> list:
-    """(value, emp, emp_fraction) per grid point on fixed scores."""
-    if parameter not in ("roi", "lgd"):
-        raise UsageError("sweep parameter must be 'roi' or 'lgd'")
-    grid = list(grid)
-    if not grid:
-        raise UsageError("sweep grid is empty")
-    rows = []
-    for value in grid:
-        p = dataclasses.replace(params, **{parameter: float(value)})
-        emp_value, fraction = emp(scored, p)
-        rows.append((float(value), float(emp_value), float(fraction)))
-    return rows

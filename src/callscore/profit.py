@@ -25,6 +25,7 @@ classifying the test set with its own hard votes.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -32,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .models import FlatForest, ForestModel, ScoredDataset, descend, leaf_block, midrank, tree_blocks
+from .normal import ndtr
 from .runner import EmpParams
 from .seeding import substream
 
@@ -232,6 +234,26 @@ def fraction_to_cutoff(scores: np.ndarray, fraction: float) -> float:
     cand_counts = np.concatenate([[0], counts])
     best = int(np.argmin(np.abs(cand_counts / n - fraction)))
     return float(cand_cuts[best])
+
+
+def sensitivity_sweep(
+    scored: ScoredDataset,
+    params: EmpParams,
+    parameter: str,
+    grid,
+) -> list:
+    """(value, emp, emp_fraction) per grid point on fixed scores."""
+    if parameter not in ("roi", "lgd"):
+        raise UsageError("sweep parameter must be 'roi' or 'lgd'")
+    grid = list(grid)
+    if not grid:
+        raise UsageError("sweep grid is empty")
+    rows = []
+    for value in grid:
+        p = dataclasses.replace(params, **{parameter: float(value)})
+        emp_value, fraction = emp(scored, p)
+        rows.append((float(value), float(emp_value), float(fraction)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +491,8 @@ def delong_test(scores_a: np.ndarray, scores_b: np.ndarray, y: np.ndarray) -> De
     diff = auc_a - auc_b
     if variance <= 1e-16:
         return DelongResult(auc_a, auc_b, diff, max(variance, 0.0), 0.0, 1.0)
-    from scipy.special import ndtr  # the normal CDF; imported on use, as the import costs time
-
     z = diff / math.sqrt(variance)
-    p = float(2 * ndtr(-abs(z)))
+    p = 2 * ndtr(-abs(z))
     return DelongResult(auc_a, auc_b, diff, variance, z, p)
 
 

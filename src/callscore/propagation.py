@@ -71,7 +71,9 @@ def _transition_operator(graph: CallGraph) -> tuple["sp.csr_matrix", np.ndarray]
     """
     if "_transition" in vars(graph):
         return graph._transition
-    import scipy.sparse as sp  # imported on use: commands that never propagate skip its import time
+    # imported on use, so that only a process that propagates loads scipy: in a
+    # run, each exposure worker on its first graph
+    import scipy.sparse as sp
 
     n = graph.n_nodes
     out_weight = neighbor_sum(graph, graph.weights)

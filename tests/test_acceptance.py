@@ -19,9 +19,8 @@ from scipy.stats import kstest, spearmanr
 
 from callscore.graph import build_graph
 from callscore.ingest import CdrBatch
-from callscore.models import ScoredDataset, predict_forest
+from callscore.models import ScoredDataset, load_scores, predict_forest
 from callscore.netstats import dyadicity, heterophilicity, homophily_test
-from callscore.pipeline import load_scores, sensitivity_sweep
 from callscore.profit import (
     EmpParams,
     Loans,
@@ -30,6 +29,7 @@ from callscore.profit import (
     emp,
     fraction_to_cutoff,
     profit_feature_importance,
+    sensitivity_sweep,
 )
 from callscore.propagation import personalized_pagerank, spreading_activation
 from callscore.runner import ExperimentConfig, load_config, run_stages

@@ -477,7 +477,7 @@ def test_midrank_equals_scipy_rankdata():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # nor any other scipy module: only propagation and the statistical tests load scipy
+    # nor any other scipy module: only propagation loads scipy (scipy.sparse)
     probe = "import sys, callscore; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)

@@ -23,8 +23,9 @@ from callscore import parallel, pipeline
 from callscore.cli import main as cli_main
 from callscore.errors import DataError, UsageError
 from callscore.features import FeatureMatrix, drop_correlated
-from callscore.pipeline import load_scores, sensitivity_sweep, stage_eval, stage_train
-from callscore.profit import EmpParams, Loans
+from callscore.models import load_scores
+from callscore.pipeline import stage_eval, stage_train
+from callscore.profit import EmpParams, Loans, sensitivity_sweep
 from callscore.runner import STAGES, ExperimentConfig, dump_config, load_config, load_data, run_stages
 from callscore.synth import SynthConfig
 
@@ -168,7 +169,8 @@ def test_train_override_is_recorded_and_evaluated(tiny_run, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, monkeypatch, workers):
     from callscore.models import load_model, predict_forest
-    from callscore.pipeline import load_features, save_scores
+    from callscore.models import save_scores
+    from callscore.pipeline import load_features
     from callscore.runner import MODEL_GROUPS
 
     config, out = tiny_run
@@ -388,18 +390,22 @@ def test_rebuilt_eval_reads_loan_amounts_exactly(tiny_run, tmp_path):
     assert snapshot(run / "eval") == fresh
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="with one CPU the exposure tasks, and their scipy.sparse, run in this process")
 def test_run_never_imports_scipy_stats(tmp_path):
+    # nor any scipy module: the tests' normal CDF is callscore.normal, and
+    # only the exposure stage's pool workers import scipy.sparse
     probe = ("import sys; from callscore.runner import ExperimentConfig, run_stages; "
              f"run_stages(ExperimentConfig(out_dir={str(tmp_path)!r}, **{TINY!r})); "
-             "print('scipy.stats' in sys.modules)")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "eval" / "rank_correlations.json").exists()
 
 
 def test_analyst_commands_never_import_scipy(tiny_run, tmp_path):
-    # commands that neither propagate nor test have no use for any scipy module
+    # commands that do not propagate load no scipy module, netstats included
     _, out = tiny_run
     model = out / "models_out" / "H_forest"
     commands = [
@@ -408,6 +414,8 @@ def test_analyst_commands_never_import_scipy(tiny_run, tmp_path):
          "--out", str(tmp_path / "predict.csv")],
         ["sweep", "--scores", str(model / "scores.csv"), "--param", "roi", "--grid", "0.01,0.1",
          "--out", str(tmp_path / "sweep.csv")],
+        ["netstats", "--graph", str(out / "network" / "t1" / "UD"),
+         "--labels", str(out / "network" / "labels_t1.csv"), "--json", str(tmp_path / "report.json")],
     ]
     probe = ("import sys; from callscore.cli import main; code = main(sys.argv[1:]); "
              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -417,6 +425,23 @@ def test_analyst_commands_never_import_scipy(tiny_run, tmp_path):
                               capture_output=True, text=True, check=True, env=env)
         assert done.stdout.splitlines()[-1] == "0 []", argv[0]
     assert (tmp_path / "predict.csv").exists() and (tmp_path / "sweep.csv").exists()
+    reports = json.loads((out / "netstats" / "report.json").read_text())
+    assert json.loads((tmp_path / "report.json").read_text()) == reports["t1"]
+
+
+def test_stage_rss_tool_reports_every_stage(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(dump_config(ExperimentConfig(out_dir=str(tmp_path / "run"), **TINY)))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "stage_rss.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(tool), str(config)],
+                          capture_output=True, text=True, check=True, env=env)
+    report = json.loads(done.stdout)
+    assert list(report["stages"]) == [stage.name for stage in STAGES]
+    for figures in report["stages"].values():
+        assert figures["seconds"] >= 0 and figures["main_peak_mb"] > 0 and figures["workers_peak_mb"] >= 0
+    assert report["wall_s"] >= sum(f["seconds"] for f in report["stages"].values()) - 0.01
+    assert (tmp_path / "run" / "eval" / "models.csv").exists()
 
 
 def _cli_in_fresh_process(argv: list) -> tuple[int, list]:
@@ -429,6 +454,21 @@ def _cli_in_fresh_process(argv: list) -> tuple[int, list]:
     done = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, check=True, env=env)
     return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_predict_and_sweep_load_no_stage_code(tiny_run, tmp_path):
+    # the scores file lives in models and the sweep in profit, so neither
+    # command imports the stage bodies; sweep needs no graph or feature code
+    _, out = tiny_run
+    model = out / "models_out" / "H_forest"
+    code, modules = _cli_in_fresh_process(
+        ["sweep", "--scores", str(model / "scores.csv"), "--param", "lgd", "--grid", "0.5,0.9"])
+    unused = {f"callscore.{m}" for m in ("pipeline", "features", "graph", "propagation", "netstats", "synth")}
+    assert code == 0 and not unused & set(modules)
+    code, modules = _cli_in_fresh_process(
+        ["predict", "--model", str(model), "--features", str(out / "features" / "matrix.csv"),
+         "--out", str(tmp_path / "predict.csv")])
+    assert code == 0 and not {"callscore.pipeline", "callscore.netstats"} & set(modules)
 
 
 def test_reused_run_commands_load_no_numeric_module(tiny_run, tmp_path):

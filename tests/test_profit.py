@@ -522,7 +522,7 @@ def test_rank_correlations_require_two_items():
 
 
 def test_tests_and_correlations_equal_scipy_stats():
-    # normal tails from scipy.special.ndtr and both rank correlations in numpy
+    # normal tails from callscore.normal.ndtr and both rank correlations in numpy
     # stay bit for bit what scipy.stats computes, ties and constant sides included
     import warnings
 
