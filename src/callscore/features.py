@@ -91,30 +91,29 @@ def calling_behavior_matrix(
     Day means day_start_hour <= hour-of-day < day_end_hour.
     A subject with no calls gets an all-zero row.
     """
-    n_ids = len(batch.ids)
     weekday = batch.weekday()
     sec = batch.time_sec
     is_day = ((sec >= day_start_hour * 3600) & (sec < day_end_hour * 3600)).astype(np.int64)
     cell = _cell_index(weekday.astype(np.int64), is_day)
     dur = batch.duration.astype(np.float64)
+    # tables over the distinct subjects only: a call whose code is no
+    # subject's is dropped, and each bin still adds its calls in batch order
+    codes, back = np.unique(np.asarray(subject_codes, dtype=np.int64), return_inverse=True)
+    row_of = np.full(len(batch.ids), -1, dtype=np.int64)
+    row_of[codes] = np.arange(len(codes))
 
-    def tab(codes: np.ndarray, weights=None) -> np.ndarray:
-        key = codes.astype(np.int64) * 14 + cell
-        counts = np.bincount(key, weights=weights, minlength=n_ids * 14)
-        return counts.reshape(n_ids, 14)
+    def tables(call_codes: np.ndarray) -> tuple:
+        rows = row_of[call_codes]
+        calls = rows >= 0
+        key = rows[calls] * 14 + cell[calls]
+        counts = np.bincount(key, minlength=len(codes) * 14).reshape(-1, 14)
+        durations = np.bincount(key, weights=dur[calls], minlength=len(codes) * 14).reshape(-1, 14)
+        return counts[back], durations[back]
 
-    out_count = tab(batch.from_code)
-    out_dur = tab(batch.from_code, dur)
-    in_count = tab(batch.to_code)
-    in_dur = tab(batch.to_code, dur)
-
-    subject_codes = np.asarray(subject_codes, dtype=np.int64)
-    cells_count = np.stack(
-        [in_count[subject_codes], out_count[subject_codes],
-         in_count[subject_codes] + out_count[subject_codes]], axis=1)
-    cells_dur = np.stack(
-        [in_dur[subject_codes], out_dur[subject_codes],
-         in_dur[subject_codes] + out_dur[subject_codes]], axis=1)
+    out_count, out_dur = tables(batch.from_code)
+    in_count, in_dur = tables(batch.to_code)
+    cells_count = np.stack([in_count, out_count, in_count + out_count], axis=1)
+    cells_dur = np.stack([in_dur, out_dur, in_dur + out_dur], axis=1)
     return cb_feature_names(), _compose_cb(cells_count, cells_dur)
 
 
@@ -477,12 +476,16 @@ class FeatureMatrix:
             missing=self.missing[:, cols],
         )
 
-    def select_groups(self, groups) -> "FeatureMatrix":
+    def group_columns(self, groups) -> list:
+        """Indices of the columns whose group is one of `groups`, in matrix order."""
         wanted = set(groups)
         bad = wanted - set(GROUPS)
         if bad:
             raise DataError(f"unknown feature groups: {sorted(bad)}")
-        return self.select_columns([j for j, tag in enumerate(self.group_tags) if tag in wanted])
+        return [j for j, tag in enumerate(self.group_tags) if tag in wanted]
+
+    def select_groups(self, groups) -> "FeatureMatrix":
+        return self.select_columns(self.group_columns(groups))
 
     def to_csv(self, path) -> None:
         """Writes the matrix file; `fork_map` formats its row blocks, which calls no BLAS."""
@@ -645,6 +648,25 @@ def assemble(frames, n_rows: int) -> FeatureMatrix:
                          values=values, y=np.concatenate(ys), missing=missing)
 
 
+def column_correlations(values: np.ndarray, cols) -> np.ndarray:
+    """`np.corrcoef(values[:, cols], rowvar=False)` as a (k, k) array, bit for bit.
+
+    The one copy of the columns is centred in place and multiplied by its
+    transpose, as `np.cov` does; `np.corrcoef` would copy that copy again.
+    """
+    X = values[:, cols].T  # a row per column, laid out as np.cov's copy
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T)
+    del X
+    c *= np.true_divide(1, len(values) - 1)
+    if len(c) == 1:  # corrcoef's scalar case
+        return c / c
+    stddev = np.sqrt(np.diag(c))
+    c /= stddev[:, None]
+    c /= stddev[None, :]
+    return np.clip(c, -1, 1, out=c)
+
+
 def drop_correlated(matrix: FeatureMatrix, threshold: float) -> tuple[FeatureMatrix, list]:
     """Greedy correlation pruning in fixed column order.
 
@@ -660,10 +682,7 @@ def drop_correlated(matrix: FeatureMatrix, threshold: float) -> tuple[FeatureMat
     candidates = np.flatnonzero(stds > 0)
     kept: list = []
     if len(candidates):
-        sub = values[:, candidates]
-        corr = np.corrcoef(sub, rowvar=False)
-        if corr.ndim == 0:
-            corr = corr.reshape(1, 1)
+        corr = column_correlations(values, candidates)
         for local_j, j in enumerate(candidates):
             if kept and np.any(np.abs(corr[local_j, kept]) > threshold):
                 dropped.append(matrix.feature_names[j])

@@ -370,7 +370,9 @@ def _timeframe_blocks(cfg: ExperimentConfig, ingested: tuple, network: tuple, ex
     # every subject is a card holder, so its SD row is found among the
     # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
-    code_of = {identity: c for c, identity in enumerate(batch.ids)}
+    # a subject's identity code, found among the ids in sorted order
+    order = identity_order(batch.ids)
+    sorted_ids = np.asarray(batch.ids, dtype=object)[order]
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = cfg.window(k)
         labels = labels_by_tf[tf]
@@ -381,7 +383,7 @@ def _timeframe_blocks(cfg: ExperimentConfig, ingested: tuple, network: tuple, ex
         lo, hi = window[0].toordinal(), window[1].toordinal()
         in_window = (batch.date_ord >= lo) & (batch.date_ord <= hi)
         sub_batch = batch.select(in_window)
-        subject_codes = np.array([code_of[s] for s in subject_ids], dtype=np.int64)
+        subject_codes = order[np.searchsorted(sorted_ids, subject_ids)]
         sd_rows = np.searchsorted(bank.ids, subject_ids)
         graphs_by_dir = {d: graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
         blocks = {
@@ -459,26 +461,26 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tupl
         "train_balanced": train_bal.tolist(),
     }, sort_keys=True) + "\n")
 
-    trained = {}
-    subs = {}
+    # each model reads its columns in place: only its train and test rows are copied
+    trained, columns = {}, {}
     for model_id in cfg.model_ids():
-        sub = matrix.select_groups(MODEL_GROUPS[model_id])
-        if sub.n_features == 0:
+        cols = matrix.group_columns(MODEL_GROUPS[model_id])
+        if not cols:
             logger.warning("model %s skipped: correlation pruning left none of its %s features",
                            model_id, "+".join(MODEL_GROUPS[model_id]))
             continue
-        subs[model_id] = sub
+        columns[model_id] = cols
+    values, y = matrix.values, matrix.y
     forests = {}
     if "forest" in cfg.classifier_list():
         t0 = time.perf_counter()
-        forests = dict(zip(subs, train_forests(
-            [(sub.values[train_bal], matrix.y[train_bal]) for sub in subs.values()],
+        forests = dict(zip(columns, train_forests(
+            [(values[np.ix_(train_bal, cols)], y[train_bal]) for cols in columns.values()],
             cfg.n_trees, cfg.mtry or None, cfg.min_leaf, max_depth=None, seed=cfg.seed, bootstrap=True,
-            tests=[(sub.values[test_idx], matrix.y[test_idx]) for sub in subs.values()],
+            tests=[(values[np.ix_(test_idx, cols)], y[test_idx]) for cols in columns.values()],
         )))
         logger.info("trained %d forests in %.1fs", len(forests), time.perf_counter() - t0)
-    for model_id, sub in subs.items():
-        X = sub.values
+    for model_id, cols in columns.items():
         for classifier in cfg.classifier_list():
             mdir = out / f"{model_id}_{classifier}"
             mdir.mkdir()
@@ -487,10 +489,11 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tupl
                 model, scored = forests[model_id]
             else:
                 if classifier == "tree":
-                    model = train_tree(X[train_bal], matrix.y[train_bal], cfg.cv_folds, cfg.min_leaf, cfg.seed)
+                    model = train_tree(values[np.ix_(train_bal, cols)], y[train_bal],
+                                       cfg.cv_folds, cfg.min_leaf, cfg.seed)
                 else:
-                    model = train_logistic(X[train_bal], matrix.y[train_bal])
-                scored = score_model(model, X[test_idx], matrix.y[test_idx])
+                    model = train_logistic(values[np.ix_(train_bal, cols)], y[train_bal])
+                scored = score_model(model, values[np.ix_(test_idx, cols)], y[test_idx])
             if scored.per_tree_votes is not None:
                 np.save(mdir / "votes.npy", scored.per_tree_votes)
             save_model(model, mdir / "model.json")
@@ -498,7 +501,7 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tupl
                 "model_id": model_id,
                 "classifier": classifier,
                 "groups": list(MODEL_GROUPS[model_id]),
-                "feature_names": list(sub.feature_names),
+                "feature_names": [matrix.feature_names[j] for j in cols],
             }, sort_keys=True) + "\n")
             save_scores(mdir / "scores.csv", scored, matrix, test_idx)
             trained[(model_id, classifier)] = scored
@@ -583,26 +586,24 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: tuple, fitted: tuple)
     for model_id in cfg.importance_model_ids():
         if (model_id, "forest") not in trained:
             continue
-        sub = matrix.select_groups(MODEL_GROUPS[model_id])
+        cols = matrix.group_columns(MODEL_GROUPS[model_id])
+        names = [matrix.feature_names[j] for j in cols]
         model = load_model(out.parent / "models_out" / f"{model_id}_forest" / "model.json")
         scored = trained[(model_id, "forest")]
-        profit_rank = profit_feature_importance(
-            model, scored, test_loans, params, sub.feature_names,
-        )
-        X_test = sub.values[test_idx]
-        y_test = matrix.y[test_idx]
-        if cfg.importance_max_rows and len(y_test) > cfg.importance_max_rows:
+        profit_rank = profit_feature_importance(model, scored, test_loans, params, names)
+        test_rows = test_idx
+        if cfg.importance_max_rows and len(test_rows) > cfg.importance_max_rows:
             keep = substream(cfg.seed, "importance-rows").choice(
-                len(y_test), size=cfg.importance_max_rows, replace=False)
-            keep = np.sort(keep)
-            X_test, y_test = X_test[keep], y_test[keep]
-        acc_rank = accuracy_feature_importance(model, X_test, y_test, sub.feature_names, cfg.seed)
+                len(test_rows), size=cfg.importance_max_rows, replace=False)
+            test_rows = test_rows[np.sort(keep)]
+        acc_rank = accuracy_feature_importance(
+            model, matrix.values[np.ix_(test_rows, cols)], matrix.y[test_rows], names, cfg.seed)
         _write_importance(out / f"importance_profit_{model_id}.csv", profit_rank)
         _write_importance(out / f"importance_accuracy_{model_id}.csv", acc_rank["permutation"])
         _write_importance(out / f"importance_accuracy_membership_{model_id}.csv", acc_rank["membership"])
         profit_by_name = {n: v for n, v in profit_rank}
         acc_by_name = {n: v for n, v in acc_rank["permutation"]}
-        common = [n for n in sub.feature_names
+        common = [n for n in names
                   if not np.isnan(profit_by_name[n]) and not np.isnan(acc_by_name[n])]
         if len(common) >= 2:
             corr = rank_correlations(

@@ -363,11 +363,14 @@ def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
 
     Returns (keys, starts, bounds): the slice bounds[j]:bounds[j + 1] holds
     feature j's entries, keys minus j * n_pairs being the pair positions in
-    ascending order and starts the nodes.
+    ascending order and starts the nodes. Empties `path`, whose per-level
+    arrays are then freed before the sort.
     """
     pairs = np.concatenate([np.empty(0, dtype=np.intp)] + [p for p, _ in path])
     nodes = np.concatenate([np.empty(0, dtype=np.intp)] + [a for _, a in path])
+    path.clear()
     keys = flat.feature[nodes].astype(np.int64) * n_pairs + pairs
+    del pairs
     # the path runs shallowest first, and unique keeps each key's first index
     keys, first = np.unique(keys, return_index=True)
     bounds = np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)

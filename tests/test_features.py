@@ -18,6 +18,8 @@ from callscore.features import (
     assemble,
     calling_behavior_matrix,
     cb_feature_names,
+    column_correlations,
+    _compose_cb,
     diversity,
     drop_correlated,
     exposure_feature_names,
@@ -121,6 +123,41 @@ def test_cb_bulk_matches_per_subject(rng):
     for code, identity in enumerate(batch.ids):
         _, single = cb_row(records, identity)
         assert np.array_equal(matrix[code], single)
+
+
+def whole_population_cb(batch, subject_codes, day_start_hour, day_end_hour):
+    """The CB rows as four bincount tables over every identity gave them."""
+    n_ids = len(batch.ids)
+    sec = batch.time_sec
+    is_day = ((sec >= day_start_hour * 3600) & (sec < day_end_hour * 3600)).astype(np.int64)
+    cell = batch.weekday().astype(np.int64) * 2 + is_day
+    dur = batch.duration.astype(np.float64)
+
+    def tab(codes, weights=None):
+        key = codes.astype(np.int64) * 14 + cell
+        return np.bincount(key, weights=weights, minlength=n_ids * 14).reshape(n_ids, 14)
+
+    out_count, out_dur = tab(batch.from_code), tab(batch.from_code, dur)
+    in_count, in_dur = tab(batch.to_code), tab(batch.to_code, dur)
+    s = np.asarray(subject_codes, dtype=np.int64)
+    cells_count = np.stack([in_count[s], out_count[s], in_count[s] + out_count[s]], axis=1)
+    cells_dur = np.stack([in_dur[s], out_dur[s], in_dur[s] + out_dur[s]], axis=1)
+    return _compose_cb(cells_count, cells_dur)
+
+
+def test_cb_subject_tables_match_whole_population_tables(rng):
+    # non-subjects call subjects, subjects call each other, and LONE's only
+    # call falls outside the window the batch is cut to
+    records = random_records(rng, 30, 600) + [call("LONE", "N0001", day=20, month=6)]
+    batch = records_batch(records)
+    batch = batch.select(batch.date_ord < date(2017, 6, 1).toordinal())
+    subjects = ["N0007", "LONE", "N0001", "N0022", "N0003", "N0012", "N0001"]  # one twice
+    codes = np.array([batch.ids.index(s) for s in subjects])
+    names, matrix = calling_behavior_matrix(batch, codes, 8, 20)
+    assert names == cb_feature_names()
+    wanted = whole_population_cb(batch, codes, 8, 20)
+    assert np.array_equal(matrix.view(np.uint64), wanted.view(np.uint64))
+    assert not matrix[1].any() and matrix[0].any() and np.array_equal(matrix[2], matrix[6])
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +559,33 @@ def test_assemble_refusals():
         assemble([frame, frame], 3)
     with pytest.raises(DataError, match="hold 2 rows, not 3"):
         assemble([frame], 3)
+
+
+def correlation_cases(rng):
+    """(values, candidates): random matrices with constant and rescaled columns,
+    a single candidate, and two rows; candidates are the columns with spread."""
+    cases = []
+    for _ in range(80):
+        n, m = int(rng.integers(3, 150)), int(rng.integers(1, 40))
+        values = rng.normal(size=(n, m)) * rng.choice([1e-3, 1.0, 1e6], size=m)
+        values[:, rng.integers(0, m, size=m // 4)] = rng.normal()
+        cases.append(values)
+    one = np.full((50, 4), 2.5)
+    one[:, 2] = rng.normal(size=50) * 1e6
+    cases += [one, rng.normal(size=(2, 6)), rng.normal(size=(2, 1)) * 1e-3]
+    return [(values, np.flatnonzero(values.std(axis=0) > 0)) for values in cases]
+
+
+def test_column_correlations_are_corrcoef_bit_for_bit(rng):
+    cases = correlation_cases(rng)
+    assert any(len(cols) == 1 for _, cols in cases)
+    for values, cols in cases:
+        k = len(cols)
+        # a "constant" column whose mean rounds is a candidate of zero variance: nan in both
+        with np.errstate(invalid="ignore"):
+            wanted = np.corrcoef(values[:, cols], rowvar=False).reshape(k, k)
+            got = column_correlations(values, cols)
+        assert np.array_equal(got.view(np.uint64), wanted.view(np.uint64))
 
 
 def test_drop_correlated_duplicate_column(rng):

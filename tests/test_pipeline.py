@@ -137,6 +137,40 @@ def test_features_stage_builds_one_matrix_before_pruning(tiny_run, tmp_path, mon
     assert (clone / "features" / "matrix.csv").read_bytes() == (out / "features" / "matrix.csv").read_bytes()
 
 
+def test_train_and_eval_copy_no_sub_matrix(tiny_run, tmp_path, monkeypatch):
+    # each model gathers its train and test rows from the pruned matrix's
+    # columns in place; no per-model FeatureMatrix is built
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    for stage in ("models_out", "eval"):
+        shutil.rmtree(clone / stage)
+    inside, built = [], []
+    post_init = FeatureMatrix.__post_init__
+
+    def counted(matrix):
+        if inside:
+            built.append(matrix.n_features)
+        post_init(matrix)
+
+    def tracked(body):
+        def run(*args):
+            inside.append(body.__name__)
+            try:
+                return body(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(FeatureMatrix, "__post_init__", counted)
+    for name in ("stage_train", "stage_eval"):
+        monkeypatch.setattr(pipeline, name, tracked(getattr(pipeline, name)))
+    run_stages(dataclasses.replace(config, out_dir=str(clone)), resume=True)
+    assert built == []
+    for stage in ("models_out", "eval"):
+        assert snapshot(clone / stage) == snapshot(out / stage)
+
+
 def test_resume_after_config_change_rebuilds_only_dependent_stages(tiny_run, tmp_path):
     config, out = tiny_run
     clone = tmp_path / "clone"
@@ -440,6 +474,9 @@ def test_stage_rss_tool_reports_every_stage(tmp_path):
     assert list(report["stages"]) == [stage.name for stage in STAGES]
     for figures in report["stages"].values():
         assert figures["seconds"] >= 0 and figures["main_peak_mb"] > 0 and figures["workers_peak_mb"] >= 0
+        # a stage's own peak, sampled from /proc/self/statm, is no lower than
+        # its start, and no higher than ru_maxrss (the same pages, read apart)
+        assert 0 < figures["rss_start_mb"] <= figures["rss_peak_mb"] <= figures["main_peak_mb"] + 1
     assert report["wall_s"] >= sum(f["seconds"] for f in report["stages"].values()) - 0.01
     assert (tmp_path / "run" / "eval" / "models.csv").exists()
 

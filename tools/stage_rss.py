@@ -6,7 +6,10 @@ Runs `runner.run_stages` on CONFIG (into OUT_DIR if given) in this process,
 with each `pipeline.stage_<name>` wrapped. When a stage ends it records the
 stage's seconds, this process's `ru_maxrss` (RUSAGE_SELF) and that of the
 pool workers that have ended (RUSAGE_CHILDREN), in MB. `ru_maxrss` only
-rises, so each figure is the peak up to the end of that stage.
+rises, so those figures are the peak up to the end of that stage. A thread
+reads this process's resident set from /proc/self/statm about every
+millisecond, so each stage also gets its starting RSS and its own peak
+(`rss_start_mb`, `rss_peak_mb`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import os
 import resource
 import sys
+import threading
 import time
 
 # one BLAS thread, as in callbench; set before numpy loads
@@ -25,21 +29,59 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from callscore import pipeline  # noqa: E402
 from callscore.runner import STAGES, load_config, run_stages  # noqa: E402
 
+_MB_PER_PAGE = os.sysconf("SC_PAGE_SIZE") / 2**20
+
 
 def _peak_mb(who: int) -> float:
     return round(resource.getrusage(who).ru_maxrss / 1024, 1)  # Linux reports kB
 
 
-def _timed(name: str, body, stages: dict):
+class _Sampler(threading.Thread):
+    """The highest resident set seen while each stage runs, sampled about every millisecond.
+
+    It sleeps rather than waits on an Event, so it holds no lock when the
+    stages' fork pools copy this process.
+    """
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.statm = os.open("/proc/self/statm", os.O_RDONLY)
+        self.stage = None
+        self.peaks: dict = {}
+        self.done = False
+
+    def rss_mb(self) -> float:
+        return int(os.pread(self.statm, 64, 0).split()[1]) * _MB_PER_PAGE
+
+    def sample(self) -> None:
+        stage, rss = self.stage, self.rss_mb()
+        if stage is not None:
+            self.peaks[stage] = max(self.peaks[stage], rss)
+
+    def run(self) -> None:
+        while not self.done:
+            self.sample()
+            time.sleep(0.001)
+
+
+def _timed(name: str, body, stages: dict, sampler: _Sampler):
     def run(*args):
+        start = sampler.rss_mb()
+        sampler.peaks[name] = start
+        sampler.stage = name
         t0 = time.perf_counter()
         try:
             return body(*args)
         finally:
+            seconds = time.perf_counter() - t0
+            sampler.sample()
+            sampler.stage = None
             stages[name] = {
-                "seconds": round(time.perf_counter() - t0, 3),
+                "seconds": round(seconds, 3),
                 "main_peak_mb": _peak_mb(resource.RUSAGE_SELF),
                 "workers_peak_mb": _peak_mb(resource.RUSAGE_CHILDREN),
+                "rss_start_mb": round(start, 1),
+                "rss_peak_mb": round(sampler.peaks[name], 1),
             }
     return run
 
@@ -49,11 +91,18 @@ def main(argv: list) -> int:
     if len(argv) > 1:
         config = dataclasses.replace(config, out_dir=argv[1])
     stages: dict = {}
+    sampler = _Sampler()
     for stage in STAGES:  # run_stages looks each body up when it builds the stage
         name = f"stage_{stage.name}"
-        setattr(pipeline, name, _timed(stage.name, getattr(pipeline, name), stages))
+        setattr(pipeline, name, _timed(stage.name, getattr(pipeline, name), stages, sampler))
+    sampler.start()
     t0 = time.perf_counter()
-    run_stages(config)
+    try:
+        run_stages(config)
+    finally:
+        sampler.done = True
+        sampler.join()
+        os.close(sampler.statm)
     print(json.dumps({"wall_s": round(time.perf_counter() - t0, 3), "stages": stages}, indent=2))
     return 0
 
