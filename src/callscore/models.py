@@ -491,37 +491,39 @@ def tree_blocks(n_trees: int, n_rows: int) -> list:
     return [range(i, min(i + step, n_trees)) for i in range(0, n_trees, step)]
 
 
-def descend(flat: FlatForest, X: np.ndarray, node: np.ndarray, row: np.ndarray) -> list:
+def descend(flat: FlatForest, X: np.ndarray, node: np.ndarray, row: np.ndarray,
+            path: list | None = None) -> None:
     """Move each (node, row) pair down to its leaf, updating `node` in place.
 
-    Returns the path level by level: the positions of the pairs still at an
-    internal node and the nodes they were at, shallowest level first.
+    When a `path` list is given, the walk appends to it level by level the
+    positions of the pairs still at an internal node and the nodes they were
+    at, shallowest level first.
     """
-    path = []
     active = np.flatnonzero(flat.feature[node] >= 0)
     while active.size:
         at = node[active]
         go_left = X[row[active], flat.feature[at]] <= flat.threshold[at]
-        path.append((active, at))
+        if path is not None:
+            path.append((active, at))
         node[active] = nxt = np.where(go_left, flat.left[at], flat.right[at])
         active = active[flat.feature[nxt] >= 0]
-    return path
 
 
-def leaf_block(flat: FlatForest, X: np.ndarray, trees: range) -> tuple[np.ndarray, list]:
-    """Leaf of every (tree, row) pair as (len(trees), n_rows) flat node ids, and the walk's path.
+def leaf_block(flat: FlatForest, X: np.ndarray, trees: range, path: list | None = None) -> np.ndarray:
+    """Leaf of every (tree, row) pair as (len(trees), n_rows) flat node ids;
+    the walk's levels go into `path` if one is given (see `descend`).
 
     Pair k of the path is tree trees[k // n_rows] on row k % n_rows.
     """
     n = len(X)
     node = np.repeat(flat.roots[trees.start:trees.stop], n)
     row = np.tile(np.arange(n), len(trees))
-    path = descend(flat, X, node, row)
-    return node.reshape(len(trees), n), path
+    descend(flat, X, node, row, path)
+    return node.reshape(len(trees), n)
 
 
 def predict_tree_proba(tree: TreeModel, X: np.ndarray) -> np.ndarray:
-    leaves, _ = leaf_block(FlatForest.of([tree]), np.asarray(X, dtype=np.float64), range(1))
+    leaves = leaf_block(FlatForest.of([tree]), np.asarray(X, dtype=np.float64), range(1))
     return tree.prob[leaves[0]]
 
 
@@ -620,7 +622,7 @@ def _grow_forest_tree(problem: tuple, i: int) -> tuple:
     rng = substream(seed, "tree", i)
     sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
     tree = _grow_tree(XT, y01, sample, max_depth, min_leaf, mtry, rng)
-    leaves = leaf_block(FlatForest.of([tree]), X_test, range(1))[0][0]
+    leaves = leaf_block(FlatForest.of([tree]), X_test, range(1))[0]
     return tree, tree.prob[leaves], tree.vote[leaves]
 
 
@@ -699,7 +701,7 @@ def predict_forest(
     votes = np.empty((forest.n_trees, len(X)), dtype=np.int8)
     score = np.zeros(len(X))
     for trees in tree_blocks(forest.n_trees, len(X)):
-        leaves, _ = leaf_block(flat, X, trees)
+        leaves = leaf_block(flat, X, trees)
         for prob in flat.prob[leaves]:  # tree by tree, so the sum's order is fixed
             score += prob
         votes[trees.start:trees.stop] = flat.vote[leaves]

@@ -163,9 +163,10 @@ def _read_bank(paths: dict, _) -> tuple:
     return ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
 
 
-def stage_ingest(cfg: ExperimentConfig, out: Path, paths: dict) -> tuple[CdrBatch, BankTable]:
+def stage_ingest(cfg: ExperimentConfig, out: Path, data: list) -> tuple[CdrBatch, BankTable]:
     # a worker reads the bank files while this process parses the CDR log;
     # the batch, the larger product, is never pickled
+    paths = data.pop()
     with fork_map(_read_bank, [None], paths, beside=1) as banks:
         batch, _ = ingest_calls(paths["cdr"], out, cfg)
         _save_batch(batch, out)
@@ -239,8 +240,9 @@ def _build_labels(
     return labels, loans
 
 
-def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict]:
-    """Graphs by (timeframe, DIR), and labels and the subjects' Loans by timeframe."""
+def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict, np.ndarray]:
+    """Graphs by (timeframe, DIR), labels and the subjects' Loans by timeframe,
+    and the batch's `identity_order`, which the features stage reuses."""
     batch, bank = ingested
     order = identity_order(batch.ids)
     graphs, labels_by_tf, loans_by_tf = {}, {}, {}
@@ -259,20 +261,22 @@ def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[di
             tf, ud.n_nodes, ud.n_edges, int(labels.is_subject.sum()),
             int((labels.delinquency_level >= 1).sum()),
         )
-    return graphs, labels_by_tf, loans_by_tf
+    return graphs, labels_by_tf, loans_by_tf, order
 
 
-def load_network(cfg: ExperimentConfig, directory: Path) -> tuple[dict, dict, dict]:
+def load_network(cfg: ExperimentConfig, directory: Path) -> tuple[dict, dict, dict, np.ndarray]:
     graphs, labels, loans = {}, {}, {}
     for tf in TIMEFRAMES:
         for direction in DIR_TO_MODE:
             graphs[(tf, direction)] = load_graph(directory / tf / direction)
         labels[tf], loans[tf] = load_labels(directory / f"labels_{tf}.csv")
-    return graphs, labels, loans
+    # the order of the ingest stage's identities, which stage_network sorted
+    order = identity_order((directory.parent / "ingest" / "ids.txt").read_text().splitlines())
+    return graphs, labels, loans, order
 
 
 def stage_netstats(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
-    graphs, labels, _ = network
+    graphs, labels = network[:2]
     reports = {}
     for tf in TIMEFRAMES:
         report = homophily_test(graphs[(tf, "UD")], labels[tf].default_label)
@@ -339,7 +343,7 @@ def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
     it: scores pickled back from the workers would leave this process's heap
     tens of MB larger for the rest of the run.
     """
-    graphs, labels, _ = network
+    graphs, labels = network[:2]
     cutoffs: dict = {}
     # propagation calls no BLAS
     with fork_map(_graph_exposures, list(graphs), (cfg, out, graphs, labels)) as per_graph:
@@ -363,54 +367,63 @@ def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
     return exposures
 
 
-def _timeframe_blocks(cfg: ExperimentConfig, ingested: tuple, network: tuple, exposures: dict) -> Iterator[tuple]:
-    """Per timeframe, the frame that `assemble` writes, built when `assemble` asks for it."""
-    batch, bank = ingested
-    graphs, labels_by_tf, _ = network
+def _timeframe_blocks(cfg: ExperimentConfig, ingested: list, network: list, exposures: list) -> Iterator[tuple]:
+    """Per timeframe, the frame that `assemble` writes, built when `assemble` asks for it.
+
+    Empties the three one-item lists and frees its inputs as it goes: each
+    timeframe's graphs, labels and exposures once its blocks are built, and
+    the batch, the bank and the SD arrays after the last timeframe's.
+    """
+    batch, bank = ingested.pop()
+    graphs, labels_by_tf, _, order = network.pop()
+    exposures = exposures.pop()
     # every subject is a card holder, so its SD row is found among the
     # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
     # a subject's identity code, found among the ids in sorted order
-    order = identity_order(batch.ids)
     sorted_ids = np.asarray(batch.ids, dtype=object)[order]
     for k, tf in enumerate(TIMEFRAMES, start=1):
         window = cfg.window(k)
-        labels = labels_by_tf[tf]
-        ud = graphs[(tf, "UD")]
+        labels = labels_by_tf.pop(tf)
+        by_dir = {d: graphs.pop((tf, d)) for d in ("IN", "OUT", "UD")}
         subject_nodes = np.flatnonzero(labels.is_subject)
-        subject_ids = [ud.ids[i] for i in subject_nodes]
+        subject_ids = [by_dir["UD"].ids[i] for i in subject_nodes]
 
         lo, hi = window[0].toordinal(), window[1].toordinal()
         in_window = (batch.date_ord >= lo) & (batch.date_ord <= hi)
-        sub_batch = batch.select(in_window)
         subject_codes = order[np.searchsorted(sorted_ids, subject_ids)]
         sd_rows = np.searchsorted(bank.ids, subject_ids)
-        graphs_by_dir = {d: graphs[(tf, d)] for d in ("IN", "OUT", "UD")}
         blocks = {
             "SD": (sd_names, sd_values[sd_rows], sd_missing[sd_rows]),
-            "CB": calling_behavior_matrix(sub_batch, subject_codes, cfg.day_start_hour, cfg.day_end_hour),
-            "LB": link_based_matrix(graphs_by_dir, labels, subject_nodes),
+            "CB": calling_behavior_matrix(batch.select(in_window), subject_codes,
+                                          cfg.day_start_hour, cfg.day_end_hour),
+            "LB": link_based_matrix(by_dir, labels, subject_nodes),
         }
         for method in ("PR", "SPA"):
             cols = []
             for crit in (1, 2, 3):
                 for direction in ("IN", "OUT", "UD"):
-                    exposure, relabeling = exposures[(tf, method, crit, direction)]
+                    exposure, relabeling = exposures.pop((tf, method, crit, direction))
                     cols.append(exposure_link_matrix(
-                        graphs[(tf, direction)], exposure, relabeling, subject_nodes,
+                        by_dir[direction], exposure, relabeling, subject_nodes,
                     ))
             blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
         # a subject's default label is its loan outcome
-        yield tf, subject_ids, blocks, labels.default_label[subject_nodes] == 1
+        y = labels.default_label[subject_nodes] == 1
+        del labels, by_dir, exposure, relabeling, cols, in_window
+        if k == len(TIMEFRAMES):
+            del batch, bank, sd_values, sd_missing, sorted_ids, order
+        yield tf, subject_ids, blocks, y
         del blocks  # freed before the next timeframe's builders run
 
 
 def stage_features(
-    cfg: ExperimentConfig, out: Path, ingested: tuple, network: tuple, exposures: dict,
+    cfg: ExperimentConfig, out: Path, ingested: list, network: list, exposures: list,
 ) -> tuple[FeatureMatrix, Loans]:
-    """The pruned matrix and the loan of each of its rows."""
+    """The pruned matrix and the loan of each of its rows; empties the three
+    one-item lists, as `_timeframe_blocks` frees their products part by part."""
     # the matrix's rows are each timeframe's subjects in node order, as are its loans
-    row_loans = Loans.concatenate([network[2][tf] for tf in TIMEFRAMES])
+    row_loans = Loans.concatenate([network[0][2][tf] for tf in TIMEFRAMES])
     full = assemble(_timeframe_blocks(cfg, ingested, network, exposures), len(row_loans))
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
     pruning = {
@@ -526,10 +539,13 @@ def load_train(cfg: ExperimentConfig, directory: Path) -> tuple[tuple, dict]:
     return rows, trained
 
 
-def stage_eval(cfg: ExperimentConfig, out: Path, featured: tuple, fitted: tuple) -> None:
-    """Reads the importance forests from models_out/, next to `out`; `run_stages` checks cfg first."""
-    matrix, row_loans = featured
-    (train_idx, test_idx, _), trained = fitted
+def stage_eval(cfg: ExperimentConfig, out: Path, featured: list, fitted: list) -> None:
+    """Reads the importance forests from models_out/, next to `out`; `run_stages` checks cfg first.
+
+    Empties `featured` and `fitted`, the one-item lists of the features and
+    train products, which the eval stage reads last."""
+    matrix, row_loans = featured.pop()
+    (train_idx, test_idx, _), trained = fitted.pop()
     test_loans = row_loans[test_idx]
     p0, p1 = estimate_loss_masses(row_loans[train_idx], cfg.lgd)
     params = EmpParams(roi=cfg.roi, lgd=cfg.lgd, p0=p0, p1=p1)

@@ -363,18 +363,23 @@ def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
 
     Returns (keys, starts, bounds): the slice bounds[j]:bounds[j + 1] holds
     feature j's entries, keys minus j * n_pairs being the pair positions in
-    ascending order and starts the nodes. Empties `path`, whose per-level
-    arrays are then freed before the sort.
+    ascending order and starts the nodes (intp, as the walk indexes with
+    them). Empties `path`, whose per-level arrays are then freed before the
+    sort. Nodes are held as int32, and so are the keys while every key
+    fits, which halves the sort's memory; otherwise the keys are int64.
     """
-    pairs = np.concatenate([np.empty(0, dtype=np.intp)] + [p for p, _ in path])
-    nodes = np.concatenate([np.empty(0, dtype=np.intp)] + [a for _, a in path])
+    key_type = np.int32 if n_feat * n_pairs < 2**31 else np.int64
+    pairs = np.concatenate([np.empty(0, dtype=np.intp)] + [p for p, _ in path], dtype=key_type)
+    nodes = np.concatenate([np.empty(0, dtype=np.intp)] + [a for _, a in path], dtype=np.int32)
     path.clear()
-    keys = flat.feature[nodes].astype(np.int64) * n_pairs + pairs
+    keys = flat.feature[nodes].astype(key_type)
+    keys *= n_pairs
+    keys += pairs
     del pairs
     # the path runs shallowest first, and unique keeps each key's first index
     keys, first = np.unique(keys, return_index=True)
-    bounds = np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)
-    return keys, nodes[first], bounds
+    bounds = np.searchsorted(keys, np.arange(n_feat + 1, dtype=key_type) * n_pairs)
+    return keys, nodes[first].astype(np.intp), bounds
 
 
 def accuracy_feature_importance(
@@ -407,7 +412,8 @@ def accuracy_feature_importance(
     tree_acc = np.empty(forest.n_trees)
     delta = np.zeros((n_feat, n))  # per feature, the summed changes of tree probabilities
     for trees in tree_blocks(forest.n_trees, n):
-        leaves, path = leaf_block(flat, X, trees)
+        path: list = []
+        leaves = leaf_block(flat, X, trees, path)
         for prob in flat.prob[leaves]:  # tree by tree, as predict_forest sums
             score += prob
         tree_acc[trees.start:trees.stop] = np.mean((flat.vote[leaves] == 1) == y, axis=1)
@@ -417,7 +423,7 @@ def accuracy_feature_importance(
             lo, hi = bounds[j], bounds[j + 1]
             if lo == hi:
                 continue
-            pairs = keys[lo:hi] - j * len(leaves)
+            pairs = keys[lo:hi].astype(np.intp) - j * len(leaves)
             rows = pairs % n
             node = starts[lo:hi].copy()
             X_perm[:, j] = shuffled[j]

@@ -251,7 +251,8 @@ def dump_config(config: ExperimentConfig) -> str:
 @dataclass(frozen=True)
 class Stage:
     # pipeline.stage_<name>(cfg, out, *upstream products) builds into out and
-    # returns the stage's product; pipeline.load_<name>(cfg, directory) reads it back
+    # returns the stage's product, getting in a one-item list each product it
+    # is the last to read; pipeline.load_<name>(cfg, directory) reads it back
     name: str
     directory: str     # under out_dir
     fields: tuple      # ExperimentConfig fields the stage reads
@@ -317,6 +318,28 @@ def _stored_fingerprint(directory: Path) -> str | None:
     return path.read_text().strip() if path.exists() else None
 
 
+def _libc():
+    """This process's C library, through ctypes, which only a built stage imports."""
+    import ctypes
+
+    return ctypes.CDLL(None)
+
+
+def _trim_heap() -> None:
+    """Give the heap's free pages back to the system with glibc's
+    malloc_trim(0); a C library without malloc_trim is left as it is.
+
+    glibc keeps the memory that earlier stages freed, so without the trim
+    each stage's peak would follow that memory rather than its own work.
+    """
+    from ctypes import c_int, c_size_t
+
+    trim = getattr(_libc(), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [c_size_t], c_int
+        trim(0)
+
+
 def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = False) -> None:
     """Bring every stage up to and including `until` up to date in config.out_dir.
 
@@ -325,11 +348,14 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     written last, and swapped into place, so an interrupted build leaves
     nothing a later resume trusts. A built stage hands its product to the
     stages that read it; a reused stage's product is loaded only when a
-    stage that reads it is built. Only when every stage succeeded is
-    config.resolved written and every stage directory whose fingerprint
-    does not match this config removed; a failed run leaves the outputs of
-    the stages it did not rebuild, and the config that made them, in place.
-    An input-file run has no data directory: its files are its data.
+    stage that reads it is built. The last stage that reads a product
+    receives it in a one-item list that it empties, so that it can free the
+    product part by part, and the heap is trimmed before each stage is
+    built, so that the stage's peak is its own work. Only when every stage
+    succeeded is config.resolved written and every stage directory whose
+    fingerprint does not match this config removed; a failed run leaves the
+    outputs of the stages it did not rebuild, and the config that made them,
+    in place. An input-file run has no data directory: its files are its data.
     """
     # a bad value fails here, before any file of the run is touched
     config.model_ids()
@@ -356,6 +382,7 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
     products: dict = {}
     readers = {stage.name: {s.name for s in STAGES if stage.name in s.upstream} for stage in STAGES}
+    last_reader = {name: stage.name for stage in STAGES for name in stage.upstream}
 
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
@@ -379,7 +406,13 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
         tmp.mkdir()
         try:
             build = getattr(pipeline, f"stage_{stage.name}")
-            product = build(config, tmp, *[products[u] for u in stage.upstream])
+            # handed over in a list, a product is kept alive by neither
+            # `products` nor this call's arguments once the stage empties it
+            inputs = [[products.pop(u)] if last_reader[u] == stage.name else products[u]
+                      for u in stage.upstream]
+            _trim_heap()
+            product = build(config, tmp, *inputs)
+            del inputs
             (tmp / "fingerprint").write_text(prints[stage.name] + "\n")
             shutil.rmtree(target, ignore_errors=True)
             tmp.rename(target)

@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import callscore
-from callscore import parallel, pipeline
+from callscore import parallel, pipeline, runner
 from callscore.cli import main as cli_main
 from callscore.errors import DataError, UsageError
 from callscore.features import FeatureMatrix, drop_correlated
@@ -308,7 +309,7 @@ def test_interrupted_stage_is_rebuilt_on_resume(tiny_run, tmp_path, monkeypatch)
     run = tmp_path / "run"
     config = ExperimentConfig(out_dir=str(run), **TINY)
 
-    def half_written(cfg, directory, paths):
+    def half_written(cfg, directory, data):
         np.save(directory / "columns.npy", np.zeros((5, 0)))
         raise RuntimeError("killed mid-write")
 
@@ -483,10 +484,10 @@ def test_stage_rss_tool_reports_every_stage(tmp_path):
 
 def _cli_in_fresh_process(argv: list) -> tuple[int, list]:
     """The exit code of one CLI command run in a new interpreter, and the
-    numpy and callscore modules it loaded."""
+    numpy, ctypes and callscore modules it loaded."""
     probe = ("import json, sys; from callscore.cli import main; code = main(sys.argv[1:]); "
              "print(json.dumps([code, sorted(m for m in sys.modules "
-             "if m == 'numpy' or m.split('.')[0] == 'callscore')]))")
+             "if m in ('numpy', 'ctypes') or m.split('.')[0] == 'callscore')]))")
     env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, check=True, env=env)
@@ -509,7 +510,8 @@ def test_predict_and_sweep_load_no_stage_code(tiny_run, tmp_path):
 
 
 def test_reused_run_commands_load_no_numeric_module(tiny_run, tmp_path):
-    # every stage reused: the CLI, the runner and the error types are all they run
+    # every stage reused: the CLI, the runner and the error types are all they
+    # run, and no heap is trimmed, so ctypes is not loaded either
     config, out = tiny_run
     clone = tmp_path / "clone"
     shutil.copytree(out, clone)
@@ -624,6 +626,63 @@ def test_each_product_is_freed_once_its_last_reader_has_run(tmp_path, monkeypatc
     assert held == read_from_here_on
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_features_stage_lets_go_of_its_inputs_before_pruning(tmp_path, monkeypatch, workers):
+    # the features stage reads the call batch, the graphs and the exposures
+    # last, so none of them is alive when it prunes the assembled matrix
+    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
+    tracked, survivors = [], []
+
+    def tracking(build, arrays):
+        def run(*args):
+            product = build(*args)
+            tracked.extend(weakref.ref(a) for a in arrays(product))
+            return product
+        return run
+
+    monkeypatch.setattr(pipeline, "ingest_calls", tracking(pipeline.ingest_calls, lambda p: [p[0].date_ord]))
+    monkeypatch.setattr(pipeline, "build_graphs", tracking(pipeline.build_graphs, lambda p: p.values()))
+    monkeypatch.setattr(pipeline, "load_exposure", tracking(
+        pipeline.load_exposure, lambda p: [exposure.scores for exposure, _ in p.values()]))
+
+    def pruning(matrix, threshold):
+        survivors.append(sum(ref() is not None for ref in tracked))
+        return drop_correlated(matrix, threshold)
+
+    monkeypatch.setattr(pipeline, "drop_correlated", pruning)
+    run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY), until="features")
+    # one batch, nine graphs and 54 exposures, none of them alive at pruning
+    assert len(tracked) == 1 + 9 + 54 and survivors == [0]
+
+
+def _trimmed_run(config: ExperimentConfig, run: Path, libc, monkeypatch) -> dict:
+    monkeypatch.setattr(runner, "_libc", libc)
+    run_stages(dataclasses.replace(config, out_dir=str(run)))
+    files = snapshot(run)
+    del files["config.resolved"]  # it names the run directory
+    return files
+
+
+def test_heap_is_trimmed_before_each_built_stage(tiny_run, tmp_path, monkeypatch):
+    config, out = tiny_run
+    pads = []
+
+    def malloc_trim(pad):
+        pads.append(pad)
+        return 1
+
+    glibc = types.SimpleNamespace(malloc_trim=malloc_trim)
+    reference = snapshot(out)
+    del reference["config.resolved"]
+    assert _trimmed_run(config, tmp_path / "trimmed", lambda: glibc, monkeypatch) == reference
+    assert pads == [0] * len(STAGES)
+    # a reused stage is not built, so nothing is trimmed for it
+    run_stages(dataclasses.replace(config, out_dir=str(tmp_path / "trimmed")), resume=True)
+    assert pads == [0] * len(STAGES)
+    # a C library without malloc_trim leaves the heap as it is, and the run the same
+    assert _trimmed_run(config, tmp_path / "untrimmed", object, monkeypatch) == reference
+
+
 def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     rng = np.random.default_rng(5)
     n = 80
@@ -644,7 +703,7 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     fitted = stage_train(config, tmp_path / "models_out", featured)
     assert set(fitted[1]) == {("A", "forest")}
     assert not (tmp_path / "models_out" / "E_forest").exists()
-    stage_eval(config, tmp_path / "eval", featured, fitted)
+    stage_eval(config, tmp_path / "eval", [featured], [fitted])
     with open(tmp_path / "eval" / "models.csv", newline="") as fh:
         assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
 
@@ -925,7 +984,9 @@ def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, t
     batch, bank = pipeline.load_ingest(config, out / "ingest")
     paths = load_data(config, out / "data")
     records, _ = reference_ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
-    graphs, labels, loans = pipeline.stage_network(config, tmp_path, (batch, bank))
+    graphs, labels, loans, order = pipeline.stage_network(config, tmp_path, (batch, bank))
+    # a resumed run's features stage gets the same identity order from the loader
+    assert np.array_equal(pipeline.load_network(config, out / "network")[3], order)
     for k, tf in enumerate(pipeline.TIMEFRAMES, start=1):
         for direction, mode in pipeline.DIR_TO_MODE.items():
             reference = reference_build_graph(batch, config.window(k), mode, "count", tf)
@@ -1000,8 +1061,8 @@ def test_feature_rows_carry_the_loans_of_their_subjects(tiny_run, tmp_path):
     config, out = tiny_run
     network = pipeline.load_network(config, out / "network")
     matrix, loans = pipeline.stage_features(
-        config, tmp_path, pipeline.load_ingest(config, out / "ingest"), network,
-        pipeline.load_exposure(config, out / "exposure"))
+        config, tmp_path, [pipeline.load_ingest(config, out / "ingest")], [network],
+        [pipeline.load_exposure(config, out / "exposure")])
     by_identity = {}
     for tf in pipeline.TIMEFRAMES:
         with open(out / "network" / f"labels_{tf}.csv", newline="") as fh:

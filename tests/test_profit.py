@@ -6,10 +6,11 @@ from scipy.stats import kstest, rankdata
 
 from callscore.errors import DataError
 from callscore import models
-from callscore.models import ForestModel, ScoredDataset, predict_forest
+from callscore.models import FlatForest, ForestModel, ScoredDataset, leaf_block, predict_forest
 from callscore.profit import (
     EmpParams,
     Loans,
+    _first_tests,
     accuracy_feature_importance,
     delong_test,
     emp,
@@ -453,6 +454,31 @@ def test_permutation_importance_matches_per_tree_loop(rng, monkeypatch, walk_pai
         got = dict(accuracy_feature_importance(forest, X, y, names, seed=seed)["permutation"])
         assert [repr(got[name]) for name in names] == [repr(float(v)) for v in expected]
         assert got["f6"] == 0.0 and got["f7"] == 0.0
+
+
+def _first_tests_int64(flat, path, n_pairs, n_feat):
+    """`_first_tests` with int64 keys throughout, the reference for either key width."""
+    pairs = np.concatenate([p for p, _ in path])
+    nodes = np.concatenate([a for _, a in path])
+    keys, first = np.unique(flat.feature[nodes].astype(np.int64) * n_pairs + pairs, return_index=True)
+    return keys, nodes[first], np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)
+
+
+def test_first_tests_keys_are_int32_while_every_key_fits(rng):
+    forest, X, _ = mixed_depth_forest(rng)
+    flat = FlatForest.of(forest.trees)
+    n_feat = X.shape[1]
+    widest = (2**31 - 1) // n_feat  # the last key and bound still fit in int32
+    for n_pairs, key_type in ((forest.n_trees * len(X), np.int32), (widest, np.int32),
+                              (widest + 1, np.int64)):
+        path = []
+        leaf_block(flat, X, range(forest.n_trees), path)
+        want = _first_tests_int64(flat, path, n_pairs, n_feat)
+        got = _first_tests(flat, path, n_pairs, n_feat)
+        assert path == []
+        assert [a.dtype for a in got] == [np.dtype(key_type), np.dtype(np.intp), np.dtype(np.intp)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_permutation_importance_of_one_node_forest_is_zero():
