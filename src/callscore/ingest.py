@@ -10,14 +10,17 @@ validated on its own; rejects are counted and logged, never silently dropped.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import operator
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date, time
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,8 +39,16 @@ CDR_FIELD_COUNT = 5
 CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
 _WRITE_CHUNK = 1 << 13
 _DAY_SECONDS = 24 * 3600
-_PAD = 0xFF  # fills the byte tables write_cdr builds rows from; UTF-8 never uses it
-_PARSE_CHUNK = 1 << 12  # CDR lines per parse step; bounds the memory a parse takes
+_PAD = 0xFF  # fills the byte tables the writers build rows from; UTF-8 never uses it
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # what csv.writer quotes a field for
+# CDR bytes of a file, or lines of an iterable, per parse step; bounds the memory a parse takes
+_READ_BLOCK = 1 << 18
+_PARSE_CHUNK = 1 << 12
+# ASCII bytes str.strip removes, by byte
+_STRIPPED = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_UNPACKED = 1 << 63  # identity keys from here on number the identities no key can pack
+_NO_KEY = 0  # no identity packs to it: a packed identity does not end in NUL
+_SPAN_TEXT = operator.methodcaller("decode", "utf-8", "surrogatepass")
 _MAX_DURATION = int(np.iinfo(np.int32).max)  # durations are stored as int32
 # bank rows per block: csv rows are lists the garbage collector tracks, and
 # a smaller block frees them before they fill its younger generations
@@ -185,12 +196,7 @@ class CdrBatch:
 
 
 def write_cdr(path: str | Path, batch: CdrBatch) -> None:
-    """Write `batch` as a CDR log: the header, then one row per call in batch order.
-
-    Rows are built a column at a time: each column's text is a table of
-    bytes, one row per value, padded with 0xff, a byte UTF-8 never uses. A
-    chunk's columns side by side, with the padding dropped, are its rows.
-    """
+    """Write `batch` as a CDR log: the header, then one row per call in batch order."""
     unwritable = next((i for i in batch.ids if "," in i), None)
     if unwritable is not None:
         raise DataError(f"identity {unwritable!r} contains a comma and cannot be written as a CDR field")
@@ -203,34 +209,119 @@ def write_cdr(path: str | Path, batch: CdrBatch) -> None:
                                for n, end in ((24, ":"), (60, ":"), (60, ",")))
     times = np.concatenate(np.broadcast_arrays(hours[:, None, None], minutes[None, :, None],
                                                seconds[None, None, :]), axis=-1).reshape(_DAY_SECONDS, -1)
-    callers = _text_table([i + "," for i in batch.ids])
-    callees = _text_table([i + "\n" for i in batch.ids])
+    names = _text_table([i + "," for i in batch.ids])
     with open(path, "wb") as fh:
         fh.write(f"{CDR_HEADER}\n".encode())
-        # a chunk at a time, which bounds the memory its byte tables take
-        for lo in range(0, len(batch), _WRITE_CHUNK):
-            rows = slice(lo, lo + _WRITE_CHUNK)
-            text = np.hstack([dates[day_code[rows]], times[batch.time_sec[rows]], _decimal_text(batch.duration[rows]),
-                              callers[batch.from_code[rows]], callees[batch.to_code[rows]]])
-            fh.write(text[text != _PAD].tobytes())
+        _write_rows(fh, len(batch), lambda rows: [
+            dates[day_code[rows]], times[batch.time_sec[rows]], _decimal_text(batch.duration[rows]),
+            names[batch.from_code[rows]], names[batch.to_code[rows]]], b"\n")
+
+
+def write_csv(path: str | Path, header: tuple, columns: list) -> None:
+    """Write equal-length columns as `csv.writer` writes their rows: UTF-8,
+    QUOTE_MINIMAL, each row ending in CRLF.
+
+    A column is an array of integers, written as `str` writes them, or of
+    floats, written as `format(x, ".2f")`; a 2-D array is that many columns.
+    A pair (texts, index) is the column `texts[index]` of strs.
+    """
+    # (table of texts, index) for a text column, (None, values) for a number column
+    tables = [(_text_table([t + "," for t in _csv_fields(c[0])]), c[1]) if isinstance(c, tuple) else (None, c)
+              for c in columns]
+    with open(path, "wb") as fh:
+        fh.write((",".join(_csv_fields(header)) + "\r\n").encode())
+        _write_rows(fh, len(tables[0][1]), lambda rows: [
+            _number_text(values[rows]) if table is None else table[values[rows]] for table, values in tables],
+            b"\r\n")
+
+
+def _write_rows(fh, n: int, row_tables, end: bytes) -> None:
+    """Write `n` rows, `_WRITE_CHUNK` at a time, which bounds the memory their tables take.
+
+    `row_tables(rows)` gives the byte tables of the rows in slice `rows`, in
+    column order: one row of bytes per row, padded with 0xff, a byte UTF-8
+    never uses. Each value ends with a comma, and the last one of each row,
+    the table's last byte column, gives way to `end`.
+    """
+    for lo in range(0, n, _WRITE_CHUNK):
+        tables = [t.reshape(len(t), -1) for t in row_tables(slice(lo, lo + _WRITE_CHUNK))]
+        tables[-1] = tables[-1][:, :-1]
+        tables.append(np.broadcast_to(np.frombuffer(end, np.uint8), (len(tables[0]), len(end))))
+        text = np.hstack(tables)
+        fh.write(text[text != _PAD].tobytes())
 
 
 def _text_table(texts: list) -> np.ndarray:
-    """The UTF-8 bytes of each text as one row, padded to the longest."""
-    encoded = [t.encode() for t in texts]
-    width = max(map(len, encoded), default=0)
-    joined = b"".join(e.ljust(width, b"\xff") for e in encoded)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(encoded), width)
+    """The UTF-8 bytes of each text as one row, right-aligned to the longest."""
+    joined = "".join(texts)
+    if joined.isascii():
+        size = np.fromiter(map(len, texts), np.int64, len(texts))
+        data = joined.encode("ascii")
+    else:
+        encoded = [t.encode() for t in texts]
+        size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        data = b"".join(encoded)
+    width = int(size.max(initial=0))
+    table = np.full((len(texts), width), _PAD, np.uint8)
+    table[np.arange(width) >= width - size[:, None]] = np.frombuffer(data, np.uint8)
+    return table
+
+
+def _csv_fields(texts) -> list:
+    """The texts as `csv.writer` writes fields under QUOTE_MINIMAL: quoted,
+    with quotes doubled, when they hold a comma, a quote or a line break."""
+    texts = list(texts)
+    if not _CSV_SPECIAL.search("".join(texts)):
+        return texts
+    return [f'"{t.replace(chr(34), chr(34) * 2)}"' if _CSV_SPECIAL.search(t) else t for t in texts]
+
+
+def _number_text(values: np.ndarray) -> np.ndarray:
+    """The rows of an integer or float array as `write_csv` writes them."""
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"a csv column of {values.dtype} is neither integers nor floats")
+    text = _money_text(values.ravel()) if values.dtype.kind == "f" else _decimal_text(values.ravel())
+    return text.reshape(len(values), -1)
+
+
+def _digits(magnitude: np.ndarray) -> np.ndarray:
+    """The decimal digits of each non-negative int64, right-aligned, leading zeros as padding."""
+    power = 10 ** np.arange(len(str(magnitude.max(initial=0))) - 1, -1, -1, dtype=np.int64)
+    digits = (magnitude[:, None] // power % 10).astype(np.uint8) + np.uint8(ord("0"))
+    digits[:, :-1][magnitude[:, None] < power[:-1]] = _PAD
+    return digits
 
 
 def _decimal_text(values: np.ndarray) -> np.ndarray:
     """Each integer as str() writes it, then a comma, one padded row per value."""
-    magnitude = np.abs(values.astype(np.int64))
-    power = 10 ** np.arange(len(str(magnitude.max())) - 1, -1, -1, dtype=np.int64)
-    digits = (magnitude[:, None] // power % 10).astype(np.uint8) + np.uint8(ord("0"))
-    digits[:, :-1][magnitude[:, None] < power[:-1]] = _PAD  # leading zeros
+    values = values.astype(np.int64)
     sign = np.where(values < 0, ord("-"), _PAD).astype(np.uint8)
-    return np.hstack([sign[:, None], digits, np.full((len(values), 1), ord(","), dtype=np.uint8)])
+    return np.hstack([sign[:, None], _digits(np.abs(values)), np.full((len(values), 1), ord(","), np.uint8)])
+
+
+def _money_text(values: np.ndarray) -> np.ndarray:
+    """Each float as format(x, ".2f") writes it, then a comma, one padded row per value.
+
+    A value on the cent grid, x == rint(100 x) / 100 with |x| < 2**46, is
+    written from its whole cents: there a double lies within half a cent of
+    the cents it rounds from, so that is what format prints. The sign comes
+    from the sign bit, as format gives -0.0 one. Other values, nan and inf
+    among them, go through format one at a time.
+    """
+    x = values.astype(np.float64)
+    grid = (np.abs(x) < 2.0 ** 46) & (np.rint(x * 100) / 100 == x)
+    cents = np.abs(np.rint(np.where(grid, x, 0.0) * 100)).astype(np.int64)
+    sign = np.where(np.signbit(x), ord("-"), _PAD).astype(np.uint8)
+    text = np.hstack([sign[:, None], _digits(cents // 100), np.full((len(x), 1), ord("."), np.uint8),
+                      (cents[:, None] // [10, 1] % 10).astype(np.uint8) + np.uint8(ord("0")),
+                      np.full((len(x), 1), ord(","), np.uint8)])
+    off = np.flatnonzero(~grid)
+    if off.size:
+        other = _text_table([format(v, ".2f") + "," for v in x[off].tolist()])
+        width = max(text.shape[1], other.shape[1])
+        text, other = (np.pad(t, ((0, 0), (width - t.shape[1], 0)), constant_values=_PAD) for t in (text, other))
+        text[off] = other
+    return text
 
 
 def _looks_like_header(fields: list[str]) -> bool:
@@ -250,32 +341,112 @@ def _open_lines(source) -> Iterable[str]:
     return source
 
 
-def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
-    """Which lines of `text` are in canonical form, and their five columns.
+def _cdr_blocks(source) -> Iterator[tuple]:
+    """The log's lines a block at a time, as (bytes, line starts, line ends, texts).
 
-    Canonical: five fields split by a one-character delimiter, a nine-character
-    ASCII date that `parse_cdr_date` reads, an `HH:MM:SS` time in range, a
-    duration of 1-9 ASCII digits, and two distinct identities that are not
-    empty once stripped. `_parse_fields` accepts such a row with the same
-    values; the other rows are left to it. The lines are read as one array
-    of code points. `ordinals` caches `_date_ordinal` of each date text.
+    A binary file is read `_READ_BLOCK` bytes at a time, each block cut after
+    its last line end, and read as text mode reads it: strict UTF-8, \\n, \\r
+    and \\r\\n each ending a line, and a BOM left in place. Its texts are None:
+    a line's text is decoded from its bytes when it is needed. An iterable of
+    strs gives `_PARSE_CHUNK` lines at a time, each one line once its
+    trailing line ends are stripped. Blank lines are left out.
     """
-    n = len(text)
-    blob = "\n".join(text)
-    if blob.isascii():
-        points = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
+    if isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+        rest = b""
+        while block := source.read(_READ_BLOCK):
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            if cut:
+                yield _file_lines(rest + block[:cut])
+                rest = block[cut:]
+            else:
+                rest += block
+        yield _file_lines(rest)
+        return
+    rows = iter(source)
+    while chunk := list(islice(rows, _PARSE_CHUNK)):
+        texts = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+        encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
+        size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        end = np.cumsum(size + 1) - 1
+        yield b"\n".join(encoded), end - size, end, texts
+
+
+def _file_lines(block: bytes) -> tuple:
+    if not block.isascii():
+        # raises as text mode does; `_SPAN_TEXT`, which also serves lines
+        # given as strs, would pass an encoded surrogate
+        block.decode()
+    points = np.frombuffer(block, np.uint8)
+    breaks = np.flatnonzero((points == ord("\n")) | (points == ord("\r")))
+    start, end = np.append(0, breaks + 1), np.append(breaks, len(points))
+    lines = end > start
+    return block, start[lines], end[lines], None
+
+
+def _identity_key(identity: str, unpacked: dict) -> int:
+    """The key of a stripped, non-empty identity: its packed bytes when
+    `_packed_identities` could pack it, else `_UNPACKED` plus its number in
+    `unpacked`, where it is numbered on first sight."""
+    packed = identity.encode() if identity.isascii() else b""
+    if 0 < len(packed) <= 8 and packed[-1]:
+        return int.from_bytes(packed.ljust(8, b"\0"), "big")
+    return unpacked.setdefault(identity, _UNPACKED + len(unpacked))
+
+
+def _text_keys(buf: bytes, at: list, stop: list, unpacked: dict) -> np.ndarray:
+    """The key in `unpacked` of each non-empty identity `buf[at:stop]` that no
+    key packs, numbering new ones there; `_NO_KEY` for one that holds
+    whitespace that `str.strip` would remove."""
+    spans = map(slice, at, stop)
+    if buf.isascii():
+        texts = list(map(buf.decode("ascii").__getitem__, spans))
     else:
-        points = np.frombuffer(blob.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    size = np.fromiter(map(len, text), np.int64, n)
-    start = np.cumsum(size + 1) - size - 1
-    end = start + size
-    cut = np.flatnonzero(points == ord(delimiter)) if len(delimiter) == 1 else np.zeros(0, np.int64)
+        texts = list(map(_SPAN_TEXT, map(buf.__getitem__, spans)))
+    good = list(map(operator.eq, texts, map(str.strip, texts)))
+    texts = list(compress(texts, good))
+    # numbered in any order: codes follow the keys' first appearance, not their values
+    fresh = set(texts).difference(unpacked)
+    unpacked.update(zip(fresh, range(_UNPACKED + len(unpacked), _UNPACKED + len(unpacked) + len(fresh))))
+    keys = np.full(len(good), _NO_KEY, np.uint64)
+    keys[good] = np.fromiter(map(unpacked.__getitem__, texts), np.uint64, len(texts))
+    return keys
+
+
+def _packed_identities(windows: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple:
+    """Each identity of `size` bytes at `at` packed into a big-endian uint64
+    key, and whether it can be: 1-8 ASCII bytes, neither starting nor ending
+    with one that str.strip removes, and not ending in NUL, so that the key
+    gives back the identity."""
+    width = np.clip(size, 0, 8)
+    text = windows[at + 9, :8] * (np.arange(8) < width[:, None])
+    last = text[np.arange(len(text)), np.maximum(width - 1, 0)]
+    ok = (size >= 1) & (size <= 8) & (text < 128).all(axis=1)
+    ok &= ~_STRIPPED[text[:, 0]] & ~_STRIPPED[last] & (last != 0)
+    return np.ascontiguousarray(text).view(">u8").ravel().astype(np.uint64), ok
+
+
+def _canonical_rows(buf: bytes, start: np.ndarray, end: np.ndarray, delimiter: str, ordinals: dict,
+                    unpacked: dict) -> tuple:
+    """Which lines of `buf` are in canonical form, and their five columns.
+
+    Canonical: five fields split by a one-byte ASCII delimiter, a
+    nine-character ASCII date that `parse_cdr_date` reads, an `HH:MM:SS` time
+    in range, a duration of 1-9 ASCII digits, and two distinct identities
+    that `str.strip` leaves as they are, keyed by `_packed_identities` or,
+    when it cannot pack one, by `_text_keys`. `_parse_fields` accepts such a
+    row with the same values; the other rows are left to it. Line i is
+    `buf[start[i]:end[i]]`. `ordinals` caches `_date_ordinal` of each date
+    text, and `unpacked` numbers the identities that are not packed.
+    """
+    points = np.frombuffer(buf, np.uint8)
+    byte = delimiter.encode()
+    cut = np.flatnonzero(points == byte[0]) if len(byte) == 1 else np.zeros(0, np.int64)
     first = np.searchsorted(cut, start)
     # a canonical line's delimiters follow its date, its time, its duration and its caller
     cuts = np.append(cut, -1)[np.minimum(first[:, None] + np.arange(CDR_FIELD_COUNT - 1), len(cut))]
     ok = np.searchsorted(cut, end) - first == CDR_FIELD_COUNT - 1
     ok &= (cuts[:, 0] == start + 9) & (cuts[:, 1] == start + 18)
-    windows = sliding_window_view(np.concatenate([np.zeros(9, points.dtype), points, np.zeros(18, points.dtype)]), 18)
+    windows = sliding_window_view(np.concatenate([np.zeros(9, np.uint8), points, np.zeros(18, np.uint8)]), 18)
     head = windows[start + 9]
     digit = (head >= ord("0")) & (head <= ord("9"))
 
@@ -284,7 +455,7 @@ def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
     ok &= (date < 128).all(axis=1)
     _, row, inverse = np.unique(np.where(ok, (date << 7 * np.arange(9)).sum(axis=1), -1),
                                 return_index=True, return_inverse=True)
-    dates = [text[i][:9] for i in row.tolist()]
+    dates = [buf[s:s + 9].decode("latin-1") for s in start[row].tolist()]
     for date_text in set(dates).difference(ordinals):
         ordinals[date_text] = _date_ordinal(date_text)
     date_ord = np.where(ok, np.array([ordinals[d] for d in dates], dtype=np.int32)[inverse], 0)
@@ -301,82 +472,126 @@ def _canonical_rows(text: list, delimiter: str, ordinals: dict) -> tuple:
     ok &= (width >= 1) & (width <= 9) & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
     duration = (digits.astype(np.int64) - ord("0")) @ 10 ** np.arange(8, -1, -1)
 
-    callers = list(map(str.strip, map(blob.__getitem__, map(slice, (cuts[:, 2] + 1).tolist(), cuts[:, 3].tolist()))))
-    callees = list(map(str.strip, map(blob.__getitem__, map(slice, (cuts[:, 3] + 1).tolist(), end.tolist()))))
-    ok &= np.fromiter(map(operator.ne, callers, callees), bool, n)
-    if "" in callers or "" in callees:
-        ok &= np.fromiter(map(operator.truth, callers), bool, n) & np.fromiter(map(operator.truth, callees), bool, n)
+    keys = []
+    for at, size in ((cuts[:, 2] + 1, cuts[:, 3] - cuts[:, 2] - 1), (cuts[:, 3] + 1, end - cuts[:, 3] - 1)):
+        key, packed = _packed_identities(windows, at, size)
+        # an identity that does not pack is read as text, in a row canonical
+        # but for it; an empty one keeps the key 0, `_NO_KEY`
+        text = ok & ~packed & (size > 0)
+        if text.any():
+            key[text] = _text_keys(buf, at[text].tolist(), (at + size)[text].tolist(), unpacked)
+        keys.append(key)
+    caller, callee = keys
+    ok &= (caller != _NO_KEY) & (callee != _NO_KEY) & (caller != callee)
     time_sec = np.where(ok, hh * 3600 + mm * 60 + ss, 0).astype(np.int32)
-    return ok, date_ord.astype(np.int32), time_sec, np.where(ok, duration, 0).astype(np.int32), callers, callees
+    return ok, date_ord.astype(np.int32), time_sec, np.where(ok, duration, 0).astype(np.int32), caller, callee
+
+
+class _IdentityCodes:
+    """Codes for identity keys, numbered by first appearance over successive calls to `code`."""
+
+    def __init__(self):
+        self.sorted_keys = np.zeros(0, np.uint64)
+        self.sorted_codes = np.zeros(0, np.int32)
+        self.by_code: list = []  # arrays of keys, in code order
+
+    def code(self, keys: np.ndarray) -> np.ndarray:
+        """The code of each key; a key first seen here is numbered after
+        every key seen before, in the order of its first place in `keys`."""
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        at = np.searchsorted(self.sorted_keys, distinct)
+        known = at < len(self.sorted_keys)
+        known[known] = self.sorted_keys[at[known]] == distinct[known]
+        codes = np.empty(len(distinct), np.int32)
+        codes[known] = self.sorted_codes[at[known]]
+        fresh = np.flatnonzero(~known)
+        fresh = fresh[np.argsort(first[fresh])]
+        codes[fresh] = np.arange(len(self.sorted_keys), len(self.sorted_keys) + len(fresh))
+        self.by_code.append(distinct[fresh])
+        fresh.sort()  # in key order, as np.insert wants its positions
+        self.sorted_keys = np.insert(self.sorted_keys, at[fresh], distinct[fresh])
+        self.sorted_codes = np.insert(self.sorted_codes, at[fresh], codes[fresh])
+        return codes[inverse.ravel()]
+
+    def identities(self, unpacked: list) -> list:
+        """Each code's identity; a key from `_UNPACKED` on numbers one in `unpacked`."""
+        keys = np.concatenate([np.zeros(0, np.uint64), *self.by_code])
+        ids = np.empty(len(keys), dtype=object)
+        packed = keys < _UNPACKED
+        ids[packed] = keys[packed].astype(">u8").view("S8").astype("U8").tolist()
+        ids[~packed] = [unpacked[k] for k in (keys[~packed] - np.uint64(_UNPACKED)).tolist()]
+        return ids.tolist()
 
 
 def ingest_cdr(
-    source: str | Path | Iterable[str],
+    source: str | Path | BinaryIO | Iterable[str],
     min_duration: int,
     delimiter: str,
     reject_log: TextIO | None = None,
 ) -> tuple[CdrBatch, IngestStats]:
     """Stream-parse a CDR log, dropping calls shorter than `min_duration` seconds.
 
-    Returns the accepted records (columnar) plus stats that account for every
-    input row: accepted + rejected + filtered_short = read. An optional header
-    row is auto-detected and not counted. Rejected rows go to the module logger
-    and, when given, to `reject_log` as `row<TAB>reason<TAB>line`.
+    `source` is a path, a binary file or an iterable of lines. Returns the
+    accepted records (columnar) plus stats that account for every input
+    row: accepted + rejected + filtered_short = read. An optional header
+    row is auto-detected and not counted. Rejected rows go to the module
+    logger and, when given, to `reject_log` as `row<TAB>reason<TAB>line`.
 
-    Lines are read `_PARSE_CHUNK` at a time. Rows in canonical form are
-    converted column by column; every other row goes through `_parse_fields`
-    in row order, which accepts it or gives the reason it is rejected.
-    Identity codes follow first appearance among accepted calls, caller first.
+    The log is read a block at a time (`_cdr_blocks`). Rows in canonical
+    form are converted column by column; every other row goes through
+    `_parse_fields` in row order, which accepts it or gives the reason it is
+    rejected. Each identity is coded by an integer key, and each block's
+    keys of accepted calls, caller first, by one `np.unique`, which numbers
+    identities by first appearance.
     """
     if min_duration < 0:
         raise DataError("min_duration must be >= 0")
-    codes: dict[str, int] = {}
     ordinals: dict[str, int] = {}
-    blocks = []
+    unpacked: dict[str, int] = {}
+    codes = _IdentityCodes()
+    columns: list = [[] for _ in range(CDR_FIELD_COUNT)]
     stats = IngestStats()
-    lines = _open_lines(source)
-    try:
-        rows = iter(lines)
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as lines:
         first = True
-        while chunk := list(islice(rows, _PARSE_CHUNK)):
-            text = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
-            if first and text:
+        for buf, start, end, texts in _cdr_blocks(lines):
+            if first and len(start):
                 first = False
-                if _looks_like_header(text[0].split(delimiter)):
-                    del text[0]
-            if not text:
+                if _looks_like_header(_line_text(buf, start, end, texts, 0).split(delimiter)):
+                    start, end, texts = start[1:], end[1:], texts and texts[1:]
+            if not len(start):
                 continue
-            ok, date_ord, time_sec, duration, callers, callees = _canonical_rows(text, delimiter, ordinals)
+            ok, date_ord, time_sec, duration, caller, callee = _canonical_rows(
+                buf, start, end, delimiter, ordinals, unpacked)
             for i in np.flatnonzero(~ok).tolist():
+                text = _line_text(buf, start, end, texts, i)
                 try:
-                    fields = _parse_fields(text[i].split(delimiter), ordinals)
+                    fields = _parse_fields(text.split(delimiter), ordinals)
                 except CdrParseError as exc:
                     stats.rows_rejected += 1
                     logger.warning("rejected CDR row %d: %s", stats.rows_read + i + 1, exc)
                     if reject_log is not None:
-                        reject_log.write(f"{stats.rows_read + i + 1}\t{exc}\t{text[i]}\n")
+                        reject_log.write(f"{stats.rows_read + i + 1}\t{exc}\t{text}\n")
                     continue
-                date_ord[i], time_sec[i], duration[i], callers[i], callees[i] = fields
+                date_ord[i], time_sec[i], duration[i] = fields[:3]
+                caller[i], callee[i] = _identity_key(fields[3], unpacked), _identity_key(fields[4], unpacked)
                 ok[i] = True
-            stats.rows_read += len(text)
+            stats.rows_read += len(start)
             keep = ok & (duration >= min_duration)
             stats.rows_filtered_short += int(ok.sum() - keep.sum())
-            selected = keep.tolist()
-            callers, callees = list(compress(callers, selected)), list(compress(callees, selected))
-            seen = dict.fromkeys(chain.from_iterable(zip(callers, callees)))
-            fresh = [identity for identity in seen if identity not in codes]
-            codes.update(zip(fresh, range(len(codes), len(codes) + len(fresh))))
-            blocks.append((date_ord[keep], time_sec[keep], duration[keep],
-                           np.fromiter(map(codes.__getitem__, callers), np.int32, len(callers)),
-                           np.fromiter(map(codes.__getitem__, callees), np.int32, len(callees))))
-    finally:
-        if hasattr(lines, "close"):
-            lines.close()
-    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * CDR_FIELD_COUNT
-    batch = CdrBatch(*columns, ids=list(codes))
+            # caller first, call by call
+            code = codes.code(np.stack([caller[keep], callee[keep]], axis=1).ravel())
+            for column, values in zip(columns, (date_ord[keep], time_sec[keep], duration[keep],
+                                                code[0::2], code[1::2])):
+                column.append(values)
+    batch = CdrBatch(*(np.concatenate([np.zeros(0, np.int32), *c]) for c in columns),
+                     ids=codes.identities(list(unpacked)))
     stats.rows_accepted = len(batch)
-    stats.distinct_ids = len(codes)
+    stats.distinct_ids = len(batch.ids)
     return batch, stats
+
+
+def _line_text(buf: bytes, start: np.ndarray, end: np.ndarray, texts: list | None, i: int) -> str:
+    return texts[i] if texts is not None else buf[start[i]:end[i]].decode()
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +652,22 @@ def write_bank(paths: dict, ids: list, accounts: tuple, transactions: tuple, car
     The columns are arrays: accounts = (owner, age, marital_status, postcode),
     transactions = (owner, day, amount) and cards = (owner, issue_day,
     credit_limit, drawn, arrears), drawn and arrears of shape (n, CARD_MONTHS).
-    Owners index `ids` and days are ordinals. `paths` maps "accounts",
-    "transactions" and "card_activity" to files.
+    Owners index `ids`, days are ordinals, ages and postcodes are integers and
+    marital statuses strs. `paths` maps "accounts", "transactions" and
+    "card_activity" to files.
     """
-    money = "{:.2f}".format
     owner, age, marital_status, postcode = accounts
-    account_rows = zip(map(ids.__getitem__, owner.tolist()), age.tolist(), marital_status.tolist(),
-                       map("{:04d}".format, postcode.tolist()))
+    statuses, status_of = np.unique(marital_status, return_inverse=True)
+    codes, code_of = np.unique(postcode, return_inverse=True)
+    write_csv(paths["accounts"], ACCOUNT_COLUMNS, [
+        (ids, owner), age, (statuses.tolist(), status_of), ([f"{c:04d}" for c in codes.tolist()], code_of)])
     owner, day, amount = transactions
-    dates = {o: format_cdr_date(date.fromordinal(o)) for o in np.unique(np.append(day, cards[1])).tolist()}
-    transaction_rows = zip(map(ids.__getitem__, owner.tolist()), map(dates.__getitem__, day.tolist()),
-                           map(money, amount.tolist()))
-    owner, issue_day, credit_limit, drawn, arrears = cards
-    card_rows = ((ids[o], dates[d], money(limit), *map(money, spent), *flags)
-                 for o, d, limit, spent, flags in zip(owner.tolist(), issue_day.tolist(), credit_limit.tolist(),
-                                                      drawn.tolist(), arrears.astype(np.int64).tolist()))
-    for name, header, rows in (("accounts", ACCOUNT_COLUMNS, account_rows),
-                               ("transactions", TRANSACTION_COLUMNS, transaction_rows),
-                               ("card_activity", CARD_COLUMNS, card_rows)):
-        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    card_owner, issue_day, credit_limit, drawn, arrears = cards
+    days, day_of = np.unique(np.append(day, issue_day), return_inverse=True)
+    dates = [format_cdr_date(date.fromordinal(o)) for o in days.tolist()]
+    write_csv(paths["transactions"], TRANSACTION_COLUMNS, [(ids, owner), (dates, day_of[:len(day)]), amount])
+    write_csv(paths["card_activity"], CARD_COLUMNS, [
+        (ids, card_owner), (dates, day_of[len(day):]), credit_limit, drawn, arrears])
 
 
 def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:

@@ -150,7 +150,7 @@ def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[Cdr
     """Parse the CDR log `cdr` under cfg's ingest keys, writing rejects.log
     and stats.json into `out`; refuses stats that do not account for every row."""
     # the source opens first, so a missing file leaves no reject log behind
-    with open(cdr, encoding="utf-8") as lines, open(out / "rejects.log", "w") as rejects:
+    with open(cdr, "rb") as lines, open(out / "rejects.log", "w") as rejects:
         batch, stats = ingest_cdr(lines, min_duration=cfg.min_duration,
                                   delimiter=cfg.delimiter, reject_log=rejects)
     if not stats.conserved:
@@ -334,14 +334,16 @@ def _graph_exposures(shared: tuple, key: tuple) -> dict:
     return cutoffs
 
 
-def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
-    """(ExposureVector, RiskRelabeling) by (timeframe, method, criterion, DIR).
+def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
+    """Saves each propagation run's scores and cutoffs.json into `out`.
 
     One `fork_map` task per graph. Each worker imports `scipy.sparse` on its
     first graph, so with more than one CPU this process never loads scipy.
-    The product is read back from the stage's files, as a resumed run reads
-    it: scores pickled back from the workers would leave this process's heap
-    tens of MB larger for the rest of the run.
+    The stage has no product: the features stage reads the files back
+    through `load_exposure` once the runner has moved them into place, as a
+    resumed run does, and a timeframe's scores only when it builds that
+    timeframe. Scores pickled back from the workers would leave this
+    process's heap tens of MB larger for the rest of the run.
     """
     graphs, labels = network[:2]
     cutoffs: dict = {}
@@ -350,20 +352,27 @@ def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> dict:
         for graph_cutoffs in per_graph:
             cutoffs.update(graph_cutoffs)
     (out / "cutoffs.json").write_text(json.dumps(cutoffs, indent=2, sort_keys=True) + "\n")
-    return load_exposure(cfg, out)
 
 
-def load_exposure(cfg: ExperimentConfig, directory: Path) -> dict:
-    cutoffs = json.loads((directory / "cutoffs.json").read_text())
+def load_exposure(cfg: ExperimentConfig, directory: Path) -> tuple[dict, Path]:
+    """The cutoffs.json entries by run name, and the directory holding each run's scores."""
+    return json.loads((directory / "cutoffs.json").read_text()), directory
+
+
+def _timeframe_exposures(exposure: tuple, tf: str) -> dict:
+    """(ExposureVector, RiskRelabeling) by (method, criterion, DIR) of
+    timeframe `tf`, read from the exposure stage's files."""
+    cutoffs, directory = exposure
     exposures = {}
-    for tf, method, crit, direction, name in _propagation_runs():
+    for t, method, crit, direction, name in _propagation_runs():
+        if t != tf:
+            continue
         # the residual is not persisted
-        exposure = ExposureVector(
+        vector = ExposureVector(
             scores=np.load(directory / f"{name}.npy"), method=method,
             iterations_run=cutoffs[name]["iterations"], residual=float("nan"),
         )
-        relabeling = relabel_high_risk(exposure, cutoffs[name]["cutoff"])
-        exposures[(tf, method, crit, direction)] = (exposure, relabeling)
+        exposures[(method, crit, direction)] = (vector, relabel_high_risk(vector, cutoffs[name]["cutoff"]))
     return exposures
 
 
@@ -372,11 +381,12 @@ def _timeframe_blocks(cfg: ExperimentConfig, ingested: list, network: list, expo
 
     Empties the three one-item lists and frees its inputs as it goes: each
     timeframe's graphs, labels and exposures once its blocks are built, and
-    the batch, the bank and the SD arrays after the last timeframe's.
+    the batch, the bank and the SD arrays after the last timeframe's. A
+    timeframe's exposures are read from their files when it is built.
     """
     batch, bank = ingested.pop()
     graphs, labels_by_tf, _, order = network.pop()
-    exposures = exposures.pop()
+    exposure_files = exposures.pop()
     # every subject is a card holder, so its SD row is found among the
     # table's rows, which ingest_bank sorts by customer id
     sd_names, sd_values, sd_missing = sociodemographic_matrix(bank)
@@ -386,6 +396,7 @@ def _timeframe_blocks(cfg: ExperimentConfig, ingested: list, network: list, expo
         window = cfg.window(k)
         labels = labels_by_tf.pop(tf)
         by_dir = {d: graphs.pop((tf, d)) for d in ("IN", "OUT", "UD")}
+        exposures = _timeframe_exposures(exposure_files, tf)
         subject_nodes = np.flatnonzero(labels.is_subject)
         subject_ids = [by_dir["UD"].ids[i] for i in subject_nodes]
 
@@ -403,14 +414,14 @@ def _timeframe_blocks(cfg: ExperimentConfig, ingested: list, network: list, expo
             cols = []
             for crit in (1, 2, 3):
                 for direction in ("IN", "OUT", "UD"):
-                    exposure, relabeling = exposures.pop((tf, method, crit, direction))
+                    exposure, relabeling = exposures.pop((method, crit, direction))
                     cols.append(exposure_link_matrix(
                         by_dir[direction], exposure, relabeling, subject_nodes,
                     ))
             blocks[method] = (exposure_feature_names(method), np.concatenate(cols, axis=1))
         # a subject's default label is its loan outcome
         y = labels.default_label[subject_nodes] == 1
-        del labels, by_dir, exposure, relabeling, cols, in_window
+        del labels, by_dir, exposures, exposure, relabeling, cols, in_window
         if k == len(TIMEFRAMES):
             del batch, bank, sd_values, sd_missing, sorted_ids, order
         yield tf, subject_ids, blocks, y

@@ -9,12 +9,12 @@ neighborhoods. Every draw comes from named substreams of one seed and file
 output is byte-stable, so downstream results are fully reproducible.
 
 The draws are kept as columns; `ingest` owns both file formats, and its
-`write_cdr` and `write_bank` write the call log and the three bank files.
+`write_cdr` and `write_bank` write the call log and the three bank files,
+and its `write_csv` the generator's truth file.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import CARD_MONTHS, CdrBatch, write_bank, write_cdr
+from .ingest import CARD_MONTHS, CdrBatch, write_bank, write_cdr, write_csv
 from .runner import DATA_FILES, SynthConfig, month_date
 from .seeding import substream
 
@@ -38,6 +38,8 @@ N_TIMEFRAMES = 3
 # Delinquency level distribution for existing customers by latent class.
 _LEVEL_PROBS_RISKY = (0.40, 0.20, 0.15, 0.25)
 _LEVEL_PROBS_SAFE = (0.93, 0.04, 0.02, 0.01)
+
+TRUTH_COLUMNS = ("identity", "role", "cohort", "risky", "delinquency", "y_default", "credit_limit", "ead")
 
 # three-arrears customers guaranteed per population: the relabeling cutoff needs them
 MIN_SEED_DELINQUENTS = 3
@@ -91,16 +93,9 @@ class SynthData:
         paths["truth"] = outdir / "truth.csv"
         write_cdr(paths["cdr"], self.cdr_batch())
         write_bank(paths, self.identities, self.accounts, self.transactions, self.cards)
-        money = "{:.2f}".format
-        with open(paths["truth"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("identity", "role", "cohort", "risky", "delinquency", "y_default",
-                        "credit_limit", "ead"))
-            w.writerows(zip(
-                self.identities, self.role.tolist(), self.cohort.tolist(), self.risky.astype(int).tolist(),
-                self.delinquency.tolist(), self.y_default.tolist(),
-                map(money, self.credit_limit.tolist()), map(money, self.ead.tolist()),
-            ))
+        write_csv(paths["truth"], TRUTH_COLUMNS, [
+            (self.identities, np.arange(len(self.identities))), self.role, self.cohort, self.risky,
+            self.delinquency, self.y_default, self.credit_limit, self.ead])
         return paths
 
     def cdr_batch(self) -> CdrBatch:

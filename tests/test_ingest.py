@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import io
 import json
 import logging
+import math
 from datetime import date, time
 
 import numpy as np
@@ -20,6 +22,7 @@ from callscore.ingest import (
     parse_cdr_line,
     write_bank,
     write_cdr,
+    write_csv,
 )
 from conftest import records_batch, records_table, reference_ingest_bank, reference_ingest_cdr
 
@@ -167,6 +170,99 @@ def test_columnar_ingest_matches_reference_across_many_chunks(monkeypatch, caplo
     rng = np.random.default_rng(7)
     lines = fuzzed_cdr_lines(rng, 5000, ",")
     assert ingest_outcome(ingest_cdr, lines, ",", caplog) == ingest_outcome(reference_ingest_cdr, lines, ",", caplog)
+
+
+# identities the byte reader packs into keys (1-8 ASCII bytes, no edge
+# whitespace, no trailing NUL) and ones it leaves to the row validator: 9, 16
+# and 17 bytes, padding that str.strip removes, non-ASCII, NUL at the end
+READER_IDS = ["P0000001", "P0000002", "ab", "a b", "\x00N", "A\x00B", "P00000012", "P000000000000001",
+              "P0000000000000012", "P00000001 ", "\x0bA", "A\x0c", "\x1cB", "B\x1d", "\x1eC\x1f", " D", "É",
+              "名前", "N\x00", "\x85E", "E\u2028", "P0000001\x0b"]
+
+
+def crafted_log(rng, n, delimiter, endings=("\n", "\r\n", "\r")):
+    """A call log of canonical and other rows, with mixed line ends and blank lines."""
+    lines = []
+    for _ in range(n):
+        fields = ["01MAY2017" if rng.random() < 0.9 else ["1MAY2017", "31APR2017", "02may2017"][rng.integers(3)],
+                  f"{rng.integers(24):02d}:{rng.integers(60):02d}:{rng.integers(60):02d}",
+                  str(rng.integers(0, 40)), *(READER_IDS[k] for k in rng.integers(len(READER_IDS), size=2))]
+        lines.append(delimiter.join(fields) + endings[rng.integers(len(endings))])
+        if rng.random() < 0.05:
+            lines.append(["\n", "\r\n", "\r", "\r\r\n", "\n\n"][rng.integers(5)])
+    return "".join(lines)
+
+
+def byte_reader_outcomes(path, delimiter, caplog):
+    """ingest_cdr's outcome from the path, from a binary file, and from the text-mode file's lines."""
+    outcomes = [ingest_outcome(ingest_cdr, path, delimiter, caplog)]
+    with open(path, "rb") as fh:
+        outcomes.append(ingest_outcome(ingest_cdr, fh, delimiter, caplog))
+    with open(path, encoding="utf-8") as fh:
+        outcomes.append(ingest_outcome(ingest_cdr, fh, delimiter, caplog))
+    return outcomes
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 18])
+@pytest.mark.parametrize("delimiter", [",", ";", "||", "§"])
+@pytest.mark.parametrize("variant", ["plain", "header", "bom header", "bom", "leading blanks", "no final newline"])
+def test_byte_reader_matches_the_line_reader(variant, delimiter, block, monkeypatch, caplog, tmp_path):
+    monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+    rng = np.random.default_rng([block, len(delimiter), len(variant)])
+    text = crafted_log(rng, 200, delimiter)
+    if "header" in variant:
+        text = delimiter.join(CDR_HEADER.split(",")) + "\r\n" + text
+    if "bom" in variant:
+        text = "\ufeff" + text
+    if variant == "leading blanks":
+        text = "\n\r\n\r" + text
+    if variant == "no final newline":
+        text = text.rstrip("\r\n")
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = ingest_outcome(reference_ingest_cdr, path, delimiter, caplog)
+    assert byte_reader_outcomes(path, delimiter, caplog) == [expected] * 3
+    assert expected[3]["rows_accepted"] and expected[3]["rows_rejected"]
+
+
+def test_byte_reader_codes_packed_and_unpacked_identities_by_first_appearance(tmp_path, caplog):
+    # " P0000001" strips to the packed "P0000001"; "P00000012" is left to the row validator
+    rows = ["01MAY2017,10:00:00,30,P00000012,P0000001", "01MAY2017,10:00:01,30, P0000001 ,Zoë",
+            "01MAY2017,10:00:02,30,A,P00000012", "01MAY2017,10:00:03,3,NEW,A", "01MAY2017,10:00:04,30,Zoë,NEW"]
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    batch, stats = ingest_cdr(path, min_duration=5, delimiter=",")
+    assert batch.ids == ["P00000012", "P0000001", "Zoë", "A", "NEW"]
+    assert columns(batch)[3:] == (["P00000012", "P0000001", "A", "Zoë"], ["P0000001", "Zoë", "P00000012", "NEW"])
+    assert stats.distinct_ids == 5 and stats.rows_filtered_short == 1
+    assert byte_reader_outcomes(path, ",", caplog) == [ingest_outcome(reference_ingest_cdr, path, ",", caplog)] * 3
+
+
+def test_byte_reader_cuts_blocks_at_either_line_end(monkeypatch, tmp_path):
+    monkeypatch.setattr(ingest, "_READ_BLOCK", 64)
+    for ending in ("\n", "\r"):
+        path = tmp_path / "log.csv"
+        path.write_text("".join(f"01MAY2017,10:00:00,30,P{k},P{k + 1}{ending}" for k in range(40)), newline="")
+        with open(path, "rb") as fh:
+            blocks = [block for block, *_ in ingest._cdr_blocks(fh)]
+        assert b"".join(blocks) == path.read_bytes()
+        assert max(map(len, blocks)) < 64 + 40
+
+
+@pytest.mark.parametrize("text", [b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,\xff,B\n",
+                                  b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xc3",
+                                  b"\xef\xbb01MAY2017,10:00:00,30,A,B\n",
+                                  b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xed\xa0\x80\n"],
+                         ids=["bad byte", "cut at end", "half BOM", "encoded surrogate"])
+@pytest.mark.parametrize("block", [4, 1 << 18])
+def test_byte_reader_refuses_what_is_not_utf8(text, block, monkeypatch, tmp_path):
+    monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+    path = tmp_path / "log.csv"
+    path.write_bytes(text)
+    with pytest.raises(UnicodeDecodeError):
+        reference_ingest_cdr(path, 5, ",")
+    with pytest.raises(UnicodeDecodeError):
+        ingest_cdr(path, min_duration=5, delimiter=",")
 
 
 def test_round_trip_serialization(rng, tmp_path):
@@ -384,6 +480,87 @@ def test_write_bank_round_trips_through_ingest_bank(tmp_path):
     assert bank.txn_day.tolist() == [day, day, day + 1]
     assert bank.txn_amount.tolist() == [3.0, 12.5, 0.01]
     assert (stats.customers_without_card, stats.orphan_transactions, stats.transactions_read) == (1, 0, 4)
+
+
+def csv_writer_bank(paths, ids, accounts, transactions, cards):
+    """The three bank files as csv.writer writes them, one formatted row at a time."""
+    money = "{:.2f}".format
+    owner, age, marital_status, postcode = accounts
+    account_rows = zip(map(ids.__getitem__, owner.tolist()), age.tolist(), marital_status.tolist(),
+                       map("{:04d}".format, postcode.tolist()))
+    owner, day, amount = transactions
+    dates = {o: ingest.format_cdr_date(date.fromordinal(o)) for o in np.unique(np.append(day, cards[1])).tolist()}
+    transaction_rows = zip(map(ids.__getitem__, owner.tolist()), map(dates.__getitem__, day.tolist()),
+                           map(money, amount.tolist()))
+    owner, issue_day, credit_limit, drawn, arrears = cards
+    card_rows = ((ids[o], dates[d], money(limit), *map(money, spent), *flags)
+                 for o, d, limit, spent, flags in zip(owner.tolist(), issue_day.tolist(), credit_limit.tolist(),
+                                                      drawn.tolist(), arrears.astype(np.int64).tolist()))
+    for name, header, rows in (("accounts", ingest.ACCOUNT_COLUMNS, account_rows),
+                               ("transactions", ingest.TRANSACTION_COLUMNS, transaction_rows),
+                               ("card_activity", ingest.CARD_COLUMNS, card_rows)):
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
+# format(x, ".2f") rounds half to even on the double's exact value; nan and
+# the infinities are off the cent grid, and so are values of 2**46 or more
+MONEY_EDGES = [0.125, 2.675, 0.005, 1e16, -0.0, -0.004, math.nan, math.inf, -math.inf, 0.0, 0.01, -0.01,
+               0.1 + 0.2, 1e-300, 2.0 ** 46 - 0.25, 2.0 ** 46, 2.0 ** 46 + 0.5, 70368744177663.99, -1234.5,
+               1e16 + 2, 2.0 ** 50 + 1]
+# csv quotes a field for a comma, a quote or a line break, and nothing else
+ODD_IDS = ["C3", "A, Jr.", 'say "hi"', '"', " padded ", "\tTab", "Zoë", "名前", "€,€", "line\nbreak", "cr\r",
+           "", "P0000001"]
+
+
+def bank_columns(rng, ids, n_accounts, n_transactions, n_cards):
+    day = date(2017, 3, 10).toordinal()
+    accounts = (rng.integers(0, len(ids), n_accounts), rng.integers(-5, 120, n_accounts),
+                rng.choice(["single", "married", "divorced, twice", 'widowed "W"', "É"], n_accounts),
+                rng.integers(-20, 10_000, n_accounts))
+    amount = np.round(rng.random(n_transactions) * 500, 2)
+    amount[:len(MONEY_EDGES)] = MONEY_EDGES[:n_transactions]
+    transactions = (rng.integers(0, len(ids), n_transactions), day - rng.integers(0, 400, n_transactions), amount)
+    limit = np.round(rng.random(n_cards) * 9000, 0)
+    limit[-len(MONEY_EDGES):] = MONEY_EDGES[-n_cards:] if n_cards else []
+    drawn = np.round(rng.random((n_cards, CARD_MONTHS)) * 1000 - 100, 2)
+    drawn.ravel()[::7][:len(MONEY_EDGES)] = MONEY_EDGES[:len(drawn.ravel()[::7])]
+    cards = (rng.integers(0, len(ids), n_cards), day - rng.integers(0, 400, n_cards), limit, drawn,
+             rng.random((n_cards, CARD_MONTHS)) < 0.3)
+    return accounts, transactions, cards
+
+
+@pytest.mark.parametrize("sizes", [(0, 0, 0), (1, 1, 1), (60, 250, 40)])
+def test_write_bank_text_is_the_csv_writer(sizes, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 16)  # rows span several chunks
+    columns = bank_columns(np.random.default_rng(sum(sizes)), ODD_IDS, *sizes)
+    written, reference = ({name: tmp_path / f"{side}_{name}.csv" for name in ("accounts", "transactions", "card_activity")}
+                          for side in ("written", "reference"))
+    write_bank(written, ODD_IDS, *columns)
+    csv_writer_bank(reference, ODD_IDS, *columns)
+    for name in written:
+        assert written[name].read_bytes() == reference[name].read_bytes(), name
+
+
+@pytest.mark.parametrize("values", [MONEY_EDGES, [-3, 0, 7, -(2 ** 40), 2 ** 62, -(2 ** 62)]],
+                         ids=["money", "integers"])
+def test_write_csv_numbers_are_formatted_as_the_csv_writer_writes_them(values, tmp_path):
+    values = np.array(values)
+    ids = [f"id{k}" for k in range(len(values))]
+    write_csv(tmp_path / "written.csv", ("id", "value"), [(ids, np.arange(len(ids))), values])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("id", "value"))
+    fmt = "{:.2f}".format if values.dtype.kind == "f" else str
+    writer.writerows(zip(ids, map(fmt, values.tolist())))
+    assert (tmp_path / "written.csv").read_bytes() == text.getvalue().encode()
+
+
+def test_write_csv_refuses_a_column_of_text(tmp_path):
+    with pytest.raises(TypeError, match="neither integers nor floats"):
+        write_csv(tmp_path / "x.csv", ("a",), [np.array(["x"])])
 
 
 def test_bank_customer_without_card_excluded():

@@ -642,8 +642,8 @@ def test_features_stage_lets_go_of_its_inputs_before_pruning(tmp_path, monkeypat
 
     monkeypatch.setattr(pipeline, "ingest_calls", tracking(pipeline.ingest_calls, lambda p: [p[0].date_ord]))
     monkeypatch.setattr(pipeline, "build_graphs", tracking(pipeline.build_graphs, lambda p: p.values()))
-    monkeypatch.setattr(pipeline, "load_exposure", tracking(
-        pipeline.load_exposure, lambda p: [exposure.scores for exposure, _ in p.values()]))
+    monkeypatch.setattr(pipeline, "_timeframe_exposures", tracking(
+        pipeline._timeframe_exposures, lambda p: [exposure.scores for exposure, _ in p.values()]))
 
     def pruning(matrix, threshold):
         survivors.append(sum(ref() is not None for ref in tracked))

@@ -1,10 +1,13 @@
+import csv
+import dataclasses
 import filecmp
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from callscore import synth
+from callscore import ingest, synth
 from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.ingest import ingest_bank, ingest_cdr, write_cdr
@@ -39,6 +42,34 @@ def test_generated_files_are_pinned(tmp_path):
     paths = generate(SMALL, seed=3).write(tmp_path)
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == SMALL_SEED3_SHA256
+
+
+def csv_writer_truth(path, data):
+    """truth.csv as csv.writer writes it, one formatted row at a time."""
+    money = "{:.2f}".format
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("identity", "role", "cohort", "risky", "delinquency", "y_default", "credit_limit", "ead"))
+        w.writerows(zip(
+            data.identities, data.role.tolist(), data.cohort.tolist(), data.risky.astype(int).tolist(),
+            data.delinquency.tolist(), data.y_default.tolist(),
+            map(money, data.credit_limit.tolist()), map(money, data.ead.tolist()),
+        ))
+
+
+def test_truth_text_is_the_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 50)  # rows span several chunks
+    data = generate(SMALL, seed=4)
+    n = len(data.identities)
+    edges = [0.125, 2.675, 0.005, 1e16, 1e16 + 2, -0.0, -0.004, math.nan, math.inf, -math.inf, 0.1 + 0.2]
+    odd = dataclasses.replace(
+        # csv quotes these for a quote or a line break (write_cdr refuses a comma)
+        data, identities=[['say "hi"', " pad ", "Zoë", "line\nbreak", "cr\r"][k % 5] + str(k) for k in range(n)],
+        credit_limit=np.resize(edges, n) * np.where(np.arange(n) % 3, 1, -1), ead=np.resize(edges[::-1], n))
+    for case, d in (("generated", data), ("odd", odd)):
+        d.write(tmp_path / case)
+        csv_writer_truth(tmp_path / f"{case}_reference.csv", d)
+        assert (tmp_path / case / "truth.csv").read_bytes() == (tmp_path / f"{case}_reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("p", [synth._MARITAL_P, synth._EXPOSURE_KIND_P, synth._GOOD_FLAGS_P])
