@@ -12,7 +12,6 @@ import csv
 import io
 import logging
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CallGraph, NodeLabelSet, neighbor_sum
-from .ingest import BankTable, CdrBatch
+from .ingest import CSV_QUOTED, BankTable, CdrBatch
 from .parallel import fork_map
 from .propagation import ExposureVector, RiskRelabeling
 
@@ -389,8 +388,6 @@ def sociodemographic_matrix(bank: BankTable) -> tuple[list, np.ndarray, np.ndarr
 # task: per-cell numpy scalars are slow, and converting the whole matrix would
 # add its size in Python floats to the peak memory
 _CSV_BLOCK_ROWS = 256
-# the characters for which csv.writer quotes a cell
-_CSV_QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _csv_block(matrix: FeatureMatrix, start: int) -> str:
@@ -400,7 +397,7 @@ def _csv_block(matrix: FeatureMatrix, start: int) -> str:
     ids, frames = matrix.subject_ids[start:stop], matrix.timeframes[start:stop]
     # a row with an empty cell or a quoted key goes through the writer; the
     # others are their values' reprs joined
-    plain = matrix.n_features > 0 and not _CSV_QUOTED.search("".join(map(str, [*ids, *frames])))
+    plain = matrix.n_features > 0 and not CSV_QUOTED.search("".join(map(str, [*ids, *frames])))
     gappy = matrix.missing[start:stop].any(axis=1).tolist()
     text = io.StringIO()
     writer = csv.writer(text)

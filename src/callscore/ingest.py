@@ -40,14 +40,12 @@ CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
 _WRITE_CHUNK = 1 << 13
 _DAY_SECONDS = 24 * 3600
 _PAD = 0xFF  # fills the byte tables the writers build rows from; UTF-8 never uses it
-_CSV_SPECIAL = re.compile('[,"\r\n]')  # what csv.writer quotes a field for
+CSV_QUOTED = re.compile('[,"\r\n]')  # the characters for which csv.writer quotes a field
 # CDR bytes of a file, or lines of an iterable, per parse step; bounds the memory a parse takes
 _READ_BLOCK = 1 << 18
 _PARSE_CHUNK = 1 << 12
 # ASCII bytes str.strip removes, by byte
 _STRIPPED = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
-_UNPACKED = 1 << 63  # identity keys from here on number the identities no key can pack
-_NO_KEY = 0  # no identity packs to it: a packed identity does not end in NUL
 _SPAN_TEXT = operator.methodcaller("decode", "utf-8", "surrogatepass")
 _MAX_DURATION = int(np.iinfo(np.int32).max)  # durations are stored as int32
 # bank rows per block: csv rows are lists the garbage collector tracks, and
@@ -271,9 +269,9 @@ def _csv_fields(texts) -> list:
     """The texts as `csv.writer` writes fields under QUOTE_MINIMAL: quoted,
     with quotes doubled, when they hold a comma, a quote or a line break."""
     texts = list(texts)
-    if not _CSV_SPECIAL.search("".join(texts)):
+    if not CSV_QUOTED.search("".join(texts)):
         return texts
-    return [f'"{t.replace(chr(34), chr(34) * 2)}"' if _CSV_SPECIAL.search(t) else t for t in texts]
+    return [f'"{t.replace(chr(34), chr(34) * 2)}"' if CSV_QUOTED.search(t) else t for t in texts]
 
 
 def _number_text(values: np.ndarray) -> np.ndarray:
@@ -352,15 +350,15 @@ def _cdr_blocks(source) -> Iterator[tuple]:
     trailing line ends are stripped. Blank lines are left out.
     """
     if isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
-        rest = b""
+        pieces: list = []  # of a line not yet ended, joined once it ends
         while block := source.read(_READ_BLOCK):
             cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
             if cut:
-                yield _file_lines(rest + block[:cut])
-                rest = block[cut:]
+                yield _file_lines(b"".join([*pieces, block[:cut]]))
+                pieces = [block[cut:]]
             else:
-                rest += block
-        yield _file_lines(rest)
+                pieces.append(block)
+        yield _file_lines(b"".join(pieces))
         return
     rows = iter(source)
     while chunk := list(islice(rows, _PARSE_CHUNK)):
@@ -383,60 +381,24 @@ def _file_lines(block: bytes) -> tuple:
     return block, start[lines], end[lines], None
 
 
-def _identity_key(identity: str, unpacked: dict) -> int:
-    """The key of a stripped, non-empty identity: its packed bytes when
-    `_packed_identities` could pack it, else `_UNPACKED` plus its number in
-    `unpacked`, where it is numbered on first sight."""
-    packed = identity.encode() if identity.isascii() else b""
-    if 0 < len(packed) <= 8 and packed[-1]:
-        return int.from_bytes(packed.ljust(8, b"\0"), "big")
-    return unpacked.setdefault(identity, _UNPACKED + len(unpacked))
+def _same_spans(points: np.ndarray, a: np.ndarray, b: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Whether `points[a:a + size]` and `points[b:b + size]` hold the same bytes, pair by pair."""
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    differ = points[np.repeat(a, size) + offset] != points[np.repeat(b, size) + offset]
+    return np.bincount(np.repeat(np.arange(len(size)), size), differ, len(size)) == 0
 
 
-def _text_keys(buf: bytes, at: list, stop: list, unpacked: dict) -> np.ndarray:
-    """The key in `unpacked` of each non-empty identity `buf[at:stop]` that no
-    key packs, numbering new ones there; `_NO_KEY` for one that holds
-    whitespace that `str.strip` would remove."""
-    spans = map(slice, at, stop)
-    if buf.isascii():
-        texts = list(map(buf.decode("ascii").__getitem__, spans))
-    else:
-        texts = list(map(_SPAN_TEXT, map(buf.__getitem__, spans)))
-    good = list(map(operator.eq, texts, map(str.strip, texts)))
-    texts = list(compress(texts, good))
-    # numbered in any order: codes follow the keys' first appearance, not their values
-    fresh = set(texts).difference(unpacked)
-    unpacked.update(zip(fresh, range(_UNPACKED + len(unpacked), _UNPACKED + len(unpacked) + len(fresh))))
-    keys = np.full(len(good), _NO_KEY, np.uint64)
-    keys[good] = np.fromiter(map(unpacked.__getitem__, texts), np.uint64, len(texts))
-    return keys
-
-
-def _packed_identities(windows: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple:
-    """Each identity of `size` bytes at `at` packed into a big-endian uint64
-    key, and whether it can be: 1-8 ASCII bytes, neither starting nor ending
-    with one that str.strip removes, and not ending in NUL, so that the key
-    gives back the identity."""
-    width = np.clip(size, 0, 8)
-    text = windows[at + 9, :8] * (np.arange(8) < width[:, None])
-    last = text[np.arange(len(text)), np.maximum(width - 1, 0)]
-    ok = (size >= 1) & (size <= 8) & (text < 128).all(axis=1)
-    ok &= ~_STRIPPED[text[:, 0]] & ~_STRIPPED[last] & (last != 0)
-    return np.ascontiguousarray(text).view(">u8").ravel().astype(np.uint64), ok
-
-
-def _canonical_rows(buf: bytes, start: np.ndarray, end: np.ndarray, delimiter: str, ordinals: dict,
-                    unpacked: dict) -> tuple:
-    """Which lines of `buf` are in canonical form, and their five columns.
+def _canonical_rows(buf: bytes, start: np.ndarray, end: np.ndarray, delimiter: str, ordinals: dict) -> tuple:
+    """Which lines of `buf` are in canonical form, and their columns.
 
     Canonical: five fields split by a one-byte ASCII delimiter, a
     nine-character ASCII date that `parse_cdr_date` reads, an `HH:MM:SS` time
-    in range, a duration of 1-9 ASCII digits, and two distinct identities
-    that `str.strip` leaves as they are, keyed by `_packed_identities` or,
-    when it cannot pack one, by `_text_keys`. `_parse_fields` accepts such a
-    row with the same values; the other rows are left to it. Line i is
-    `buf[start[i]:end[i]]`. `ordinals` caches `_date_ordinal` of each date
-    text, and `unpacked` numbers the identities that are not packed.
+    in range, a duration of 1-9 ASCII digits, and two distinct, non-empty
+    ASCII identities that `str.strip` leaves as they are. `_parse_fields`
+    accepts such a row with the same values; the other rows are left to it.
+    Line i is `buf[start[i]:end[i]]`, and its caller and callee are the
+    bytes `buf[at[i, j]:at[i, j] + size[i, j]]` for j = 0, 1. `ordinals`
+    caches `_date_ordinal` of each date text.
     """
     points = np.frombuffer(buf, np.uint8)
     byte = delimiter.encode()
@@ -472,55 +434,95 @@ def _canonical_rows(buf: bytes, start: np.ndarray, end: np.ndarray, delimiter: s
     ok &= (width >= 1) & (width <= 9) & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
     duration = (digits.astype(np.int64) - ord("0")) @ 10 ** np.arange(8, -1, -1)
 
-    keys = []
-    for at, size in ((cuts[:, 2] + 1, cuts[:, 3] - cuts[:, 2] - 1), (cuts[:, 3] + 1, end - cuts[:, 3] - 1)):
-        key, packed = _packed_identities(windows, at, size)
-        # an identity that does not pack is read as text, in a row canonical
-        # but for it; an empty one keeps the key 0, `_NO_KEY`
-        text = ok & ~packed & (size > 0)
-        if text.any():
-            key[text] = _text_keys(buf, at[text].tolist(), (at + size)[text].tolist(), unpacked)
-        keys.append(key)
-    caller, callee = keys
-    ok &= (caller != _NO_KEY) & (callee != _NO_KEY) & (caller != callee)
+    at = cuts[:, 2:] + 1
+    size = np.stack([cuts[:, 3], end], axis=1) - at
+    ok &= (size > 0).all(axis=1)
+    at, size = at * ok[:, None], size * ok[:, None]
+    # no edge byte that str.strip removes, and no byte outside ASCII, whose
+    # whitespace str.strip also removes
+    edge = points[np.stack([at, np.maximum(at + size - 1, 0)], axis=-1)]
+    ok &= ~_STRIPPED[edge].any(axis=(1, 2))
+    if not buf.isascii():
+        high = np.append(0, np.cumsum(points >= 128))
+        ok &= (high[at + size] == high[at]).all(axis=1)
+    # a self-call: the same bytes twice, of which the edges are a first test
+    same = np.flatnonzero(ok & (size[:, 0] == size[:, 1]) & (edge[:, 0] == edge[:, 1]).all(axis=1))
+    ok[same] &= ~_same_spans(points, at[same, 0], at[same, 1], size[same, 0])
     time_sec = np.where(ok, hh * 3600 + mm * 60 + ss, 0).astype(np.int32)
-    return ok, date_ord.astype(np.int32), time_sec, np.where(ok, duration, 0).astype(np.int32), caller, callee
+    return ok, date_ord.astype(np.int32), time_sec, np.where(ok, duration, 0).astype(np.int32), at, size
 
 
 class _IdentityCodes:
-    """Codes for identity keys, numbered by first appearance over successive calls to `code`."""
+    """Codes for identities, numbered by first appearance over successive calls to `code`.
+
+    An identity's key is its UTF-8 bytes (`_keys`). The keys of each length
+    make one sorted table, so that every identity, of whatever length, is
+    coded the same way, and the tables hold no more than the identities'
+    bytes.
+    """
 
     def __init__(self):
-        self.sorted_keys = np.zeros(0, np.uint64)
-        self.sorted_codes = np.zeros(0, np.int32)
-        self.by_code: list = []  # arrays of keys, in code order
+        self.tables: dict = {}  # length -> (sorted keys, their codes)
+        self.ids: list = []     # in code order
 
-    def code(self, keys: np.ndarray) -> np.ndarray:
-        """The code of each key; a key first seen here is numbered after
-        every key seen before, in the order of its first place in `keys`."""
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        at = np.searchsorted(self.sorted_keys, distinct)
-        known = at < len(self.sorted_keys)
-        known[known] = self.sorted_keys[at[known]] == distinct[known]
-        codes = np.empty(len(distinct), np.int32)
-        codes[known] = self.sorted_codes[at[known]]
-        fresh = np.flatnonzero(~known)
-        fresh = fresh[np.argsort(first[fresh])]
-        codes[fresh] = np.arange(len(self.sorted_keys), len(self.sorted_keys) + len(fresh))
-        self.by_code.append(distinct[fresh])
-        fresh.sort()  # in key order, as np.insert wants its positions
-        self.sorted_keys = np.insert(self.sorted_keys, at[fresh], distinct[fresh])
-        self.sorted_codes = np.insert(self.sorted_codes, at[fresh], codes[fresh])
-        return codes[inverse.ravel()]
+    def code(self, points: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """The code of each identity `points[at:at + size]`; one first seen
+        here is numbered after every identity seen before, in the order of
+        its first place here."""
+        codes = np.empty(len(at), np.int32)
+        points = np.append(points, np.zeros(8, np.uint8))
+        # per length: its places, each place's key, the keys' codes, which keys are new, the new
+        # keys and their first places
+        lengths = []
+        for length in np.flatnonzero(np.bincount(size)).tolist():
+            place = np.flatnonzero(size == length)
+            keys, first, inverse = np.unique(_keys(points, at[place], length), return_index=True,
+                                             return_inverse=True)
+            table, table_codes = self.tables.get(length, (keys[:0], codes[:0]))
+            slot = np.searchsorted(table, keys)
+            new = slot == len(table)
+            new[~new] = table[slot[~new]] != keys[~new]
+            key_codes = np.empty(len(keys), np.int32)
+            key_codes[~new] = table_codes[slot[~new]]
+            lengths.append((length, place, inverse.reshape(-1), key_codes, new, keys[new], place[first[new]]))
+        # the new identities, numbered in the order of their first places
+        first_place = np.concatenate([np.zeros(0, np.int64), *(part[-1] for part in lengths)])
+        order = np.argsort(first_place)
+        numbers = np.empty(len(order), np.int32)
+        numbers[order] = np.arange(len(self.ids), len(self.ids) + len(order))
+        texts = []
+        for length, place, inverse, key_codes, new, keys, _ in lengths:
+            key_codes[new], numbers = numbers[:len(keys)], numbers[len(keys):]
+            codes[place] = key_codes[inverse]
+            table, table_codes = self.tables.get(length, (keys[:0], codes[:0]))
+            slot = np.searchsorted(table, keys)
+            self.tables[length] = np.insert(table, slot, keys), np.insert(table_codes, slot, key_codes[new])
+            texts += _key_texts(keys, length)
+        self.ids += [texts[k] for k in order.tolist()]
+        return codes
 
-    def identities(self, unpacked: list) -> list:
-        """Each code's identity; a key from `_UNPACKED` on numbers one in `unpacked`."""
-        keys = np.concatenate([np.zeros(0, np.uint64), *self.by_code])
-        ids = np.empty(len(keys), dtype=object)
-        packed = keys < _UNPACKED
-        ids[packed] = keys[packed].astype(">u8").view("S8").astype("U8").tolist()
-        ids[~packed] = [unpacked[k] for k in (keys[~packed] - np.uint64(_UNPACKED)).tolist()]
-        return ids.tolist()
+
+def _keys(points: np.ndarray, at: np.ndarray, length: int) -> np.ndarray:
+    """The keys of the `length` bytes from each of `at`, as values that sort
+    as the bytes do: big-endian integers up to 8 bytes, which numpy compares
+    fastest, fixed-width byte strings beyond. `points` runs on for 8 bytes
+    after its last span."""
+    width = max(length, 8)
+    spans = np.ndarray((len(points) - width + 1,), ">u8" if length <= 8 else f"S{length}", points, strides=(1,))
+    if length > 8:
+        return spans[at]
+    return spans[at].astype(np.uint64) >> np.uint64(64 - 8 * length)
+
+
+def _key_texts(keys: np.ndarray, length: int) -> list:
+    """The identities of `_keys`' keys of `length` bytes."""
+    if length <= 8:
+        keys = (keys << np.uint64(64 - 8 * length)).astype(">u8")
+    data, width = keys.tobytes(), keys.itemsize
+    if data.isascii():
+        text = data.decode("ascii")
+        return [text[k:k + length] for k in range(0, len(text), width)]
+    return [_SPAN_TEXT(data[k:k + length]) for k in range(0, len(data), width)]
 
 
 def ingest_cdr(
@@ -540,14 +542,13 @@ def ingest_cdr(
     The log is read a block at a time (`_cdr_blocks`). Rows in canonical
     form are converted column by column; every other row goes through
     `_parse_fields` in row order, which accepts it or gives the reason it is
-    rejected. Each identity is coded by an integer key, and each block's
-    keys of accepted calls, caller first, by one `np.unique`, which numbers
-    identities by first appearance.
+    rejected. Identities are coded by their bytes (`_IdentityCodes`), a
+    block of accepted calls at a time, caller first, which numbers them by
+    first appearance.
     """
     if min_duration < 0:
         raise DataError("min_duration must be >= 0")
     ordinals: dict[str, int] = {}
-    unpacked: dict[str, int] = {}
     codes = _IdentityCodes()
     columns: list = [[] for _ in range(CDR_FIELD_COUNT)]
     stats = IngestStats()
@@ -560,8 +561,8 @@ def ingest_cdr(
                     start, end, texts = start[1:], end[1:], texts and texts[1:]
             if not len(start):
                 continue
-            ok, date_ord, time_sec, duration, caller, callee = _canonical_rows(
-                buf, start, end, delimiter, ordinals, unpacked)
+            ok, date_ord, time_sec, duration, at, size = _canonical_rows(buf, start, end, delimiter, ordinals)
+            parsed = bytearray()  # the identities of the other rows accepted, placed after `buf`
             for i in np.flatnonzero(~ok).tolist():
                 text = _line_text(buf, start, end, texts, i)
                 try:
@@ -573,18 +574,22 @@ def ingest_cdr(
                         reject_log.write(f"{stats.rows_read + i + 1}\t{exc}\t{text}\n")
                     continue
                 date_ord[i], time_sec[i], duration[i] = fields[:3]
-                caller[i], callee[i] = _identity_key(fields[3], unpacked), _identity_key(fields[4], unpacked)
+                for j, identity in enumerate(fields[3:]):
+                    key = identity.encode("utf-8", "surrogatepass")
+                    at[i, j], size[i, j] = len(buf) + len(parsed), len(key)
+                    parsed += key
                 ok[i] = True
             stats.rows_read += len(start)
             keep = ok & (duration >= min_duration)
             stats.rows_filtered_short += int(ok.sum() - keep.sum())
             # caller first, call by call
-            code = codes.code(np.stack([caller[keep], callee[keep]], axis=1).ravel())
+            code = codes.code(np.frombuffer(buf + parsed if parsed else buf, np.uint8), at[keep].ravel(),
+                              size[keep].ravel())
             for column, values in zip(columns, (date_ord[keep], time_sec[keep], duration[keep],
                                                 code[0::2], code[1::2])):
                 column.append(values)
     batch = CdrBatch(*(np.concatenate([np.zeros(0, np.int32), *c]) for c in columns),
-                     ids=codes.identities(list(unpacked)))
+                     ids=codes.ids)
     stats.rows_accepted = len(batch)
     stats.distinct_ids = len(batch.ids)
     return batch, stats

@@ -16,6 +16,7 @@ and its `write_csv` the generator's truth file.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,7 @@ ROLE_EXISTING = 2
 ROLE_SUBJECT = 3
 
 N_TIMEFRAMES = 3
+_DAY_SECONDS = 24 * 3600
 
 # Delinquency level distribution for existing customers by latent class.
 _LEVEL_PROBS_RISKY = (0.40, 0.20, 0.15, 0.25)
@@ -52,16 +54,16 @@ _EXPOSURE_KIND_P = (0.25, 0.35, 0.40)
 _GOOD_FLAGS_P = (0.80, 0.13, 0.07)
 
 
-def _cdf(p) -> np.ndarray:
+def _cdf(p) -> list:
     """The table `Generator.choice(len(p), p=p)` searches, as it builds it."""
     cdf = np.asarray(p, dtype=np.float64).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def _draw(rng: np.random.Generator, cdf: list) -> int:
     """One draw of `rng.choice(len(p), p=p)` for `cdf = _cdf(p)`, from the same bits."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect_right(cdf, rng.random())
 
 
 _MARITAL_CDF, _EXPOSURE_KIND_CDF, _GOOD_FLAGS_CDF = map(_cdf, (_MARITAL_P, _EXPOSURE_KIND_P, _GOOD_FLAGS_P))
@@ -102,7 +104,9 @@ class SynthData:
         """Every drawn call, ordered by month, day, time and caller."""
         calls = self.calls
         cfg = self.config
-        order = np.lexsort((calls["caller"], calls["sec"], calls["day"], calls["month"]))
+        # one int64 key, which a stable argsort orders as np.lexsort orders its four columns
+        day = calls["month"].astype(np.int64) * 32 + calls["day"]
+        order = np.argsort((day * _DAY_SECONDS + calls["sec"]) * cfg.n_nodes + calls["caller"], kind="stable")
         first_day = np.array([month_date(cfg.start_year, cfg.start_month, m).toordinal()
                               for m in range(cfg.months + 1)])
         date_ord = first_day[calls["month"]] + calls["day"] - 1
@@ -302,9 +306,12 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
 
     card_owner = np.concatenate([subjects, existing])
     issue_day = np.zeros(len(card_owner), dtype=np.int64)
-    drawn = np.zeros((len(card_owner), CARD_MONTHS))
+    # a card's 12 draws of its share of the limit, and each transaction's log
+    # amount, are scaled and rounded once all of them are drawn
+    shares = np.zeros((len(card_owner), CARD_MONTHS))
     arrears = np.zeros((len(card_owner), CARD_MONTHS), dtype=bool)
-    txn_owner, txn_day, txn_amount = [], [], []
+    exposures = []  # (row, month, exposure) of each defaulter
+    txn_owner, txn_day, log_amount = [], [], []
     # cohort k's cards are issued at the start of month k + 3; existing
     # customers' in one of months -7 .. -2, well before the call window
     issued = {k: month_date(cfg.start_year, cfg.start_month, k).toordinal() for k in range(-7, N_TIMEFRAMES + 4)}
@@ -313,15 +320,14 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
     for row, i in enumerate(card_owner.tolist()):
         if row < len(subjects):
             issue = issued[cohort_of[i] + 3]
-            limit = float(round(min(max(np.exp(rng_bank.normal(log_subject_limit, 0.5)), 300), 10000)))
+            limit = float(round(min(max(float(np.exp(rng_bank.normal(log_subject_limit, 0.5))), 300), 10000)))
             spend_mu = float(np.exp(-0.5 * spend_latent[i]))
             n_tx = 1 + int(rng_bank.poisson(8 * spend_mu))
             offsets = rng_bank.integers(1, 29, size=n_tx)
-            amounts = np.round(np.exp(rng_bank.normal(np.log(30 * spend_mu), 0.8, size=n_tx)), 2)
+            log_amount.append(rng_bank.normal(np.log(30 * spend_mu), 0.8, size=n_tx))
             txn_owner += [i] * n_tx
             txn_day += (issue - offsets).tolist()
-            txn_amount += amounts.tolist()
-            drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
+            shares[row] = rng_bank.beta(2.0, 3.0, size=CARD_MONTHS)
             if defaulted[i] == 1:
                 n_flags = 3 + int(rng_bank.binomial(4, 0.3))
                 start = int(rng_bank.integers(1, CARD_MONTHS - n_flags + 2))
@@ -334,7 +340,7 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
                     exposure = limit
                 else:
                     exposure = float(np.round(rng_bank.uniform(0.05, 0.95) * limit, 2))
-                drawn[row, default_month - 1] = exposure
+                exposures.append((row, default_month - 1, exposure))
                 ead[i] = exposure
             else:
                 n_flags = _draw(rng_bank, _GOOD_FLAGS_CDF)
@@ -344,8 +350,8 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
             level = level_of[i]
             issue_month = int(rng_bank.integers(-7, -1))
             issue = issued[issue_month]
-            limit = float(round(min(max(np.exp(rng_bank.normal(log_existing_limit, 0.5)), 300), 10000)))
-            drawn[row] = np.round(rng_bank.beta(2.0, 3.0, size=CARD_MONTHS) * limit, 2)
+            limit = float(round(min(max(float(np.exp(rng_bank.normal(log_existing_limit, 0.5))), 300), 10000)))
+            shares[row] = rng_bank.beta(2.0, 3.0, size=CARD_MONTHS)
             room = min(CARD_MONTHS, 1 - issue_month)  # card months before the data start
             n_flags = level if level < 3 else min(room, 3 + int(rng_bank.integers(0, 3)))
             if n_flags:
@@ -358,7 +364,10 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         for _ in range(int(rng_bank.integers(1, 5))):
             txn_owner.append(i)
             txn_day.append(first_day + int(rng_bank.integers(1, 29)) - 1)
-            txn_amount.append(float(np.round(np.exp(rng_bank.normal(log_uncarded_amount, 0.8)), 2)))
+            log_amount.append(rng_bank.normal(log_uncarded_amount, 0.8, size=1))
+    drawn = np.round(shares * credit_limit[card_owner, None], 2)
+    for row, month, exposure in exposures:
+        drawn[row, month] = exposure
 
     calls.pop("night_pref", None)
     logger.info(
@@ -379,7 +388,8 @@ def generate(config: SynthConfig, seed: int) -> SynthData:
         ead=ead,
         calls=calls,
         accounts=(account_owner, np.array(age), np.array(_MARITAL)[marital], np.array(postcode)),
-        transactions=(np.array(txn_owner, dtype=np.int64), np.array(txn_day, dtype=np.int64), np.array(txn_amount)),
+        transactions=(np.array(txn_owner, dtype=np.int64), np.array(txn_day, dtype=np.int64),
+                      np.round(np.exp(np.concatenate([np.zeros(0), *log_amount])), 2)),
         cards=(card_owner, issue_day, credit_limit[card_owner], drawn, arrears),
     )
 

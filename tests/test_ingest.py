@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+import time as time_module
 from datetime import date, time
 
 import numpy as np
@@ -172,12 +173,12 @@ def test_columnar_ingest_matches_reference_across_many_chunks(monkeypatch, caplo
     assert ingest_outcome(ingest_cdr, lines, ",", caplog) == ingest_outcome(reference_ingest_cdr, lines, ",", caplog)
 
 
-# identities the byte reader packs into keys (1-8 ASCII bytes, no edge
-# whitespace, no trailing NUL) and ones it leaves to the row validator: 9, 16
-# and 17 bytes, padding that str.strip removes, non-ASCII, NUL at the end
-READER_IDS = ["P0000001", "P0000002", "ab", "a b", "\x00N", "A\x00B", "P00000012", "P000000000000001",
+# identities the byte reader reads itself (ASCII, no edge whitespace; 8, 9,
+# 16 and 17 bytes, NUL inside or at either end) and ones it leaves to the row
+# validator: empty, padding that str.strip removes, non-ASCII
+READER_IDS = ["", "P0000001", "P0000002", "ab", "a b", "\x00N", "A\x00B", "P00000012", "P000000000000001",
               "P0000000000000012", "P00000001 ", "\x0bA", "A\x0c", "\x1cB", "B\x1d", "\x1eC\x1f", " D", "É",
-              "名前", "N\x00", "\x85E", "E\u2028", "P0000001\x0b"]
+              "名前", "N\x00", "\x85E", "E\u2028", "P0000001\x0b", "\x00\x00", "0123456789\x00", "N\x00\x00"]
 
 
 def crafted_log(rng, n, delimiter, endings=("\n", "\r\n", "\r")):
@@ -205,7 +206,8 @@ def byte_reader_outcomes(path, delimiter, caplog):
 
 @pytest.mark.parametrize("block", [1, 64, 1 << 18])
 @pytest.mark.parametrize("delimiter", [",", ";", "||", "§"])
-@pytest.mark.parametrize("variant", ["plain", "header", "bom header", "bom", "leading blanks", "no final newline"])
+@pytest.mark.parametrize("variant", ["plain", "header", "bom header", "bom", "leading blanks", "no final newline",
+                                     "empty last field"])
 def test_byte_reader_matches_the_line_reader(variant, delimiter, block, monkeypatch, caplog, tmp_path):
     monkeypatch.setattr(ingest, "_READ_BLOCK", block)
     rng = np.random.default_rng([block, len(delimiter), len(variant)])
@@ -218,6 +220,8 @@ def test_byte_reader_matches_the_line_reader(variant, delimiter, block, monkeypa
         text = "\n\r\n\r" + text
     if variant == "no final newline":
         text = text.rstrip("\r\n")
+    if variant == "empty last field":
+        text += delimiter.join(["01MAY2017", "10:00:00", "30", "A", ""])
     path = tmp_path / "log.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = ingest_outcome(reference_ingest_cdr, path, delimiter, caplog)
@@ -225,8 +229,8 @@ def test_byte_reader_matches_the_line_reader(variant, delimiter, block, monkeypa
     assert expected[3]["rows_accepted"] and expected[3]["rows_rejected"]
 
 
-def test_byte_reader_codes_packed_and_unpacked_identities_by_first_appearance(tmp_path, caplog):
-    # " P0000001" strips to the packed "P0000001"; "P00000012" is left to the row validator
+def test_byte_reader_codes_identities_of_any_length_by_first_appearance(tmp_path, caplog):
+    # " P0000001" strips to the "P0000001" of a canonical row; "Zoë" is read by the row validator
     rows = ["01MAY2017,10:00:00,30,P00000012,P0000001", "01MAY2017,10:00:01,30, P0000001 ,Zoë",
             "01MAY2017,10:00:02,30,A,P00000012", "01MAY2017,10:00:03,3,NEW,A", "01MAY2017,10:00:04,30,Zoë,NEW"]
     path = tmp_path / "log.csv"
@@ -236,6 +240,20 @@ def test_byte_reader_codes_packed_and_unpacked_identities_by_first_appearance(tm
     assert columns(batch)[3:] == (["P00000012", "P0000001", "A", "Zoë"], ["P0000001", "Zoë", "P00000012", "NEW"])
     assert stats.distinct_ids == 5 and stats.rows_filtered_short == 1
     assert byte_reader_outcomes(path, ",", caplog) == [ingest_outcome(reference_ingest_cdr, path, ",", caplog)] * 3
+
+
+def test_byte_reader_joins_a_line_of_many_blocks_in_linear_time(monkeypatch, tmp_path):
+    # 2**16 blocks of 64 bytes: joining each block onto the line read so far
+    # would copy about 137 GB
+    monkeypatch.setattr(ingest, "_READ_BLOCK", 64)
+    caller = "C" * (1 << 22)
+    path = tmp_path / "log.csv"
+    path.write_text(f"01MAY2017,10:00:00,30,{caller},B\r\n01MAY2017,10:00:01,30,B,{caller}", newline="")
+    began = time_module.perf_counter()
+    batch, stats = ingest_cdr(path, min_duration=5, delimiter=",")
+    assert time_module.perf_counter() - began < 5
+    assert batch.ids == [caller, "B"] and columns(batch)[3:] == ([caller, "B"], ["B", caller])
+    assert stats.rows_accepted == 2
 
 
 def test_byte_reader_cuts_blocks_at_either_line_end(monkeypatch, tmp_path):
