@@ -9,7 +9,6 @@ batch builder over many subjects at once.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CallGraph, NodeLabelSet, neighbor_sum
-from .ingest import CSV_QUOTED, BankTable, CdrBatch
+from .ingest import BankTable, CdrBatch, csv_fields
 from .parallel import fork_map
 from .propagation import ExposureVector, RiskRelabeling
 
@@ -392,23 +391,19 @@ _CSV_BLOCK_ROWS = 256
 
 def _csv_block(matrix: FeatureMatrix, start: int) -> str:
     """The matrix file's text of the rows from `start`, at most _CSV_BLOCK_ROWS
-    of them, as csv.writer writes them."""
+    of them, as csv.writer writes them: the keys quoted by `csv_fields`, each
+    value its repr, and a missing cell empty."""
     stop = start + _CSV_BLOCK_ROWS
-    ids, frames = matrix.subject_ids[start:stop], matrix.timeframes[start:stop]
-    # a row with an empty cell or a quoted key goes through the writer; the
-    # others are their values' reprs joined
-    plain = matrix.n_features > 0 and not CSV_QUOTED.search("".join(map(str, [*ids, *frames])))
-    gappy = matrix.missing[start:stop].any(axis=1).tolist()
-    text = io.StringIO()
-    writer = csv.writer(text)
-    rows = zip(ids, frames, matrix.values[start:stop].tolist(), matrix.y[start:stop].tolist(), gappy)
+    rows = zip(csv_fields(matrix.subject_ids[start:stop]), csv_fields(matrix.timeframes[start:stop]),
+               matrix.values[start:stop].tolist(), matrix.y[start:stop].tolist(),
+               matrix.missing[start:stop].any(axis=1).tolist())
+    lines = []
     for row, (sid, frame, vals, label, has_gap) in enumerate(rows, start=start):
-        if plain and not has_gap:
-            text.write(f"{sid},{frame},{','.join(map(repr, vals))},{int(label)}\r\n")
-        else:
-            gaps = matrix.missing[row].tolist()
-            writer.writerow([sid, frame, *("" if gap else repr(v) for v, gap in zip(vals, gaps)), int(label)])
-    return text.getvalue()
+        cells = map(repr, vals)
+        if has_gap:
+            cells = ("" if gap else repr(v) for v, gap in zip(vals, matrix.missing[row].tolist()))
+        lines.append(",".join([sid, frame, *cells, str(int(label))]) + "\r\n")
+    return "".join(lines)
 
 
 @dataclass
@@ -490,7 +485,7 @@ class FeatureMatrix:
         header += [f"{name}:{tag}" for name, tag in zip(self.feature_names, self.group_tags)]
         header.append("y_default")
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
+            fh.write(",".join(csv_fields(header)) + "\r\n")
             with fork_map(_csv_block, range(0, self.n_rows, _CSV_BLOCK_ROWS), self) as blocks:
                 fh.writelines(blocks)
 

@@ -10,7 +10,6 @@ validated on its own; rejects are counted and logged, never silently dropped.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import operator
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from datetime import date, time
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,13 +39,10 @@ CDR_HEADER = "start_date,start_time,duration,from_id,to_id"
 _WRITE_CHUNK = 1 << 13
 _DAY_SECONDS = 24 * 3600
 _PAD = 0xFF  # fills the byte tables the writers build rows from; UTF-8 never uses it
-CSV_QUOTED = re.compile('[,"\r\n]')  # the characters for which csv.writer quotes a field
-# CDR bytes of a file, or lines of an iterable, per parse step; bounds the memory a parse takes
-_READ_BLOCK = 1 << 18
-_PARSE_CHUNK = 1 << 12
+_CSV_QUOTED = re.compile('[,"\r\n]')  # the characters for which csv.writer quotes a field
+_READ_BLOCK = 1 << 18  # CDR bytes per parse step; bounds the memory a parse takes
 # ASCII bytes str.strip removes, by byte
 _STRIPPED = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
-_SPAN_TEXT = operator.methodcaller("decode", "utf-8", "surrogatepass")
 _MAX_DURATION = int(np.iinfo(np.int32).max)  # durations are stored as int32
 # bank rows per block: csv rows are lists the garbage collector tracks, and
 # a smaller block frees them before they fill its younger generations
@@ -224,10 +220,10 @@ def write_csv(path: str | Path, header: tuple, columns: list) -> None:
     A pair (texts, index) is the column `texts[index]` of strs.
     """
     # (table of texts, index) for a text column, (None, values) for a number column
-    tables = [(_text_table([t + "," for t in _csv_fields(c[0])]), c[1]) if isinstance(c, tuple) else (None, c)
+    tables = [(_text_table([t + "," for t in csv_fields(c[0])]), c[1]) if isinstance(c, tuple) else (None, c)
               for c in columns]
     with open(path, "wb") as fh:
-        fh.write((",".join(_csv_fields(header)) + "\r\n").encode())
+        fh.write((",".join(csv_fields(header)) + "\r\n").encode())
         _write_rows(fh, len(tables[0][1]), lambda rows: [
             _number_text(values[rows]) if table is None else table[values[rows]] for table, values in tables],
             b"\r\n")
@@ -265,13 +261,13 @@ def _text_table(texts: list) -> np.ndarray:
     return table
 
 
-def _csv_fields(texts) -> list:
+def csv_fields(texts) -> list:
     """The texts as `csv.writer` writes fields under QUOTE_MINIMAL: quoted,
     with quotes doubled, when they hold a comma, a quote or a line break."""
     texts = list(texts)
-    if not CSV_QUOTED.search("".join(texts)):
+    if not _CSV_QUOTED.search("".join(texts)):
         return texts
-    return [f'"{t.replace(chr(34), chr(34) * 2)}"' if CSV_QUOTED.search(t) else t for t in texts]
+    return [f'"{t.replace(chr(34), chr(34) * 2)}"' if _CSV_QUOTED.search(t) else t for t in texts]
 
 
 def _number_text(values: np.ndarray) -> np.ndarray:
@@ -333,52 +329,30 @@ def _looks_like_header(fields: list[str]) -> bool:
         return not _date_ordinal(fields[0])
 
 
-def _open_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8")
-    return source
+def _cdr_blocks(source: BinaryIO) -> Iterator[tuple]:
+    """The log's lines a block at a time, as (bytes, line starts, line ends).
 
-
-def _cdr_blocks(source) -> Iterator[tuple]:
-    """The log's lines a block at a time, as (bytes, line starts, line ends, texts).
-
-    A binary file is read `_READ_BLOCK` bytes at a time, each block cut after
-    its last line end, and read as text mode reads it: strict UTF-8, \\n, \\r
-    and \\r\\n each ending a line, and a BOM left in place. Its texts are None:
-    a line's text is decoded from its bytes when it is needed. An iterable of
-    strs gives `_PARSE_CHUNK` lines at a time, each one line once its
-    trailing line ends are stripped. Blank lines are left out.
+    The file is read `_READ_BLOCK` bytes at a time, each block cut after its
+    last line end, and split as text mode splits it: \\n, \\r and \\r\\n each
+    end a line, and a BOM is left in place. Blank lines are left out.
     """
-    if isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
-        pieces: list = []  # of a line not yet ended, joined once it ends
-        while block := source.read(_READ_BLOCK):
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
-            if cut:
-                yield _file_lines(b"".join([*pieces, block[:cut]]))
-                pieces = [block[cut:]]
-            else:
-                pieces.append(block)
-        yield _file_lines(b"".join(pieces))
-        return
-    rows = iter(source)
-    while chunk := list(islice(rows, _PARSE_CHUNK)):
-        texts = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
-        encoded = [t.encode("utf-8", "surrogatepass") for t in texts]
-        size = np.fromiter(map(len, encoded), np.int64, len(encoded))
-        end = np.cumsum(size + 1) - 1
-        yield b"\n".join(encoded), end - size, end, texts
+    pieces: list = []  # of a line not yet ended, joined once it ends
+    while block := source.read(_READ_BLOCK):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut:
+            yield _file_lines(b"".join([*pieces, block[:cut]]))
+            pieces = [block[cut:]]
+        else:
+            pieces.append(block)
+    yield _file_lines(b"".join(pieces))
 
 
 def _file_lines(block: bytes) -> tuple:
-    if not block.isascii():
-        # raises as text mode does; `_SPAN_TEXT`, which also serves lines
-        # given as strs, would pass an encoded surrogate
-        block.decode()
     points = np.frombuffer(block, np.uint8)
     breaks = np.flatnonzero((points == ord("\n")) | (points == ord("\r")))
     start, end = np.append(0, breaks + 1), np.append(breaks, len(points))
     lines = end > start
-    return block, start[lines], end[lines], None
+    return block, start[lines], end[lines]
 
 
 def _same_spans(points: np.ndarray, a: np.ndarray, b: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -522,22 +496,23 @@ def _key_texts(keys: np.ndarray, length: int) -> list:
     if data.isascii():
         text = data.decode("ascii")
         return [text[k:k + length] for k in range(0, len(text), width)]
-    return [_SPAN_TEXT(data[k:k + length]) for k in range(0, len(data), width)]
+    return [data[k:k + length].decode() for k in range(0, len(data), width)]
 
 
 def ingest_cdr(
-    source: str | Path | BinaryIO | Iterable[str],
+    source: str | Path | BinaryIO,
     min_duration: int,
     delimiter: str,
     reject_log: TextIO | None = None,
 ) -> tuple[CdrBatch, IngestStats]:
     """Stream-parse a CDR log, dropping calls shorter than `min_duration` seconds.
 
-    `source` is a path, a binary file or an iterable of lines. Returns the
-    accepted records (columnar) plus stats that account for every input
-    row: accepted + rejected + filtered_short = read. An optional header
-    row is auto-detected and not counted. Rejected rows go to the module
-    logger and, when given, to `reject_log` as `row<TAB>reason<TAB>line`.
+    `source` is a path or a binary file of UTF-8 text; a byte that is not
+    UTF-8 is a DataError naming the file and the row. Returns the accepted
+    records (columnar) plus stats that account for every input row:
+    accepted + rejected + filtered_short = read. An optional header row is
+    auto-detected and not counted. Rejected rows go to the module logger
+    and, when given, to `reject_log` as `row<TAB>reason<TAB>line`.
 
     The log is read a block at a time (`_cdr_blocks`). Rows in canonical
     form are converted column by column; every other row goes through
@@ -552,19 +527,29 @@ def ingest_cdr(
     codes = _IdentityCodes()
     columns: list = [[] for _ in range(CDR_FIELD_COUNT)]
     stats = IngestStats()
-    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as lines:
+    named = isinstance(source, (str, Path))
+    with open(source, "rb") if named else nullcontext(source) as log:
         first = True
-        for buf, start, end, texts in _cdr_blocks(lines):
+        for buf, start, end in _cdr_blocks(log):
+            try:
+                if not buf.isascii():
+                    buf.decode()
+            except UnicodeDecodeError as exc:
+                # the row as rows are counted: a header does not count
+                line = int(np.searchsorted(end, exc.start))
+                header = first and line and _looks_like_header(buf[start[0]:end[0]].decode().split(delimiter))
+                raise DataError(f"{source if named else getattr(source, 'name', 'CDR log')}: "
+                                f"CDR row {stats.rows_read + line + 1 - header} is not UTF-8 text") from None
             if first and len(start):
                 first = False
-                if _looks_like_header(_line_text(buf, start, end, texts, 0).split(delimiter)):
-                    start, end, texts = start[1:], end[1:], texts and texts[1:]
+                if _looks_like_header(buf[start[0]:end[0]].decode().split(delimiter)):
+                    start, end = start[1:], end[1:]
             if not len(start):
                 continue
             ok, date_ord, time_sec, duration, at, size = _canonical_rows(buf, start, end, delimiter, ordinals)
             parsed = bytearray()  # the identities of the other rows accepted, placed after `buf`
             for i in np.flatnonzero(~ok).tolist():
-                text = _line_text(buf, start, end, texts, i)
+                text = buf[start[i]:end[i]].decode()
                 try:
                     fields = _parse_fields(text.split(delimiter), ordinals)
                 except CdrParseError as exc:
@@ -575,7 +560,7 @@ def ingest_cdr(
                     continue
                 date_ord[i], time_sec[i], duration[i] = fields[:3]
                 for j, identity in enumerate(fields[3:]):
-                    key = identity.encode("utf-8", "surrogatepass")
+                    key = identity.encode()
                     at[i, j], size[i, j] = len(buf) + len(parsed), len(key)
                     parsed += key
                 ok[i] = True
@@ -593,10 +578,6 @@ def ingest_cdr(
     stats.rows_accepted = len(batch)
     stats.distinct_ids = len(batch.ids)
     return batch, stats
-
-
-def _line_text(buf: bytes, start: np.ndarray, end: np.ndarray, texts: list | None, i: int) -> str:
-    return texts[i] if texts is not None else buf[start[i]:end[i]].decode()
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +656,14 @@ def write_bank(paths: dict, ids: list, accounts: tuple, transactions: tuple, car
         (ids, card_owner), (dates, day_of[len(day):]), credit_limit, drawn, arrears])
 
 
-def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dict]:
+def _column_chunks(path: str | Path, expected: tuple[str, ...], what: str) -> Iterator[dict]:
     """The rows of a bank file as {column: values}, up to `_BANK_CHUNK` rows at a time.
 
     Rows are read as csv.DictReader reads them: blank rows are skipped, a
     column named twice is its last one, and a row too short to hold a
     column gives None there.
     """
-    lines = _open_lines(source)
-    try:
+    with open(path, encoding="utf-8") as lines:
         reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
@@ -699,9 +679,6 @@ def _column_chunks(source, expected: tuple[str, ...], what: str) -> Iterator[dic
                 rows = [r + [None] * (width - len(r)) for r in rows]
             if rows:
                 yield {c: list(map(operator.itemgetter(index[c]), rows)) for c in expected}
-    finally:
-        if hasattr(lines, "close"):
-            lines.close()
 
 
 def _field(row: dict, column: str, cid: str, what: str) -> str:
@@ -806,11 +783,11 @@ def _check_card(row: dict, cid: str, seen: set) -> None:
 
 
 def ingest_bank(
-    accounts: str | Path | Iterable[str],
-    transactions: str | Path | Iterable[str],
-    card_activity: str | Path | Iterable[str],
+    accounts: str | Path,
+    transactions: str | Path,
+    card_activity: str | Path,
 ) -> tuple[BankTable, BankIngestStats]:
-    """Join the three bank files on customer_id into one table of the card holders.
+    """Join the three bank files, given by their paths, on customer_id into one table of the card holders.
 
     Customers without card activity are excluded (counted); card rows without
     an account row keep missing sociodemographics. Duplicated customer_id in

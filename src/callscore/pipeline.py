@@ -149,10 +149,16 @@ def stage_data(cfg: ExperimentConfig, out: Path) -> None:
 def ingest_calls(cdr: str | Path, out: Path, cfg: ExperimentConfig) -> tuple[CdrBatch, IngestStats]:
     """Parse the CDR log `cdr` under cfg's ingest keys, writing rejects.log
     and stats.json into `out`; refuses stats that do not account for every row."""
-    # the source opens first, so a missing file leaves no reject log behind
+    # the source opens first, so a missing file leaves no reject log behind,
+    # and a log that turns out not to be UTF-8 leaves none either
     with open(cdr, "rb") as lines, open(out / "rejects.log", "w") as rejects:
-        batch, stats = ingest_cdr(lines, min_duration=cfg.min_duration,
-                                  delimiter=cfg.delimiter, reject_log=rejects)
+        try:
+            batch, stats = ingest_cdr(lines, min_duration=cfg.min_duration,
+                                      delimiter=cfg.delimiter, reject_log=rejects)
+        except DataError:
+            rejects.close()
+            (out / "rejects.log").unlink()
+            raise
     if not stats.conserved:
         raise DataError("ingest stats do not conserve rows")
     (out / "stats.json").write_text(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True) + "\n")
@@ -240,10 +246,10 @@ def _build_labels(
     return labels, loans
 
 
-def stage_network(cfg: ExperimentConfig, out: Path, ingested: tuple) -> tuple[dict, dict, dict, np.ndarray]:
+def stage_network(cfg: ExperimentConfig, out: Path, ingested: list) -> tuple[dict, dict, dict, np.ndarray]:
     """Graphs by (timeframe, DIR), labels and the subjects' Loans by timeframe,
     and the batch's `identity_order`, which the features stage reuses."""
-    batch, bank = ingested
+    batch, bank = ingested.pop()
     order = identity_order(batch.ids)
     graphs, labels_by_tf, loans_by_tf = {}, {}, {}
     for k, tf in enumerate(TIMEFRAMES, start=1):
@@ -275,8 +281,8 @@ def load_network(cfg: ExperimentConfig, directory: Path) -> tuple[dict, dict, di
     return graphs, labels, loans, order
 
 
-def stage_netstats(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
-    graphs, labels = network[:2]
+def stage_netstats(cfg: ExperimentConfig, out: Path, network: list) -> None:
+    graphs, labels = network.pop()[:2]
     reports = {}
     for tf in TIMEFRAMES:
         report = homophily_test(graphs[(tf, "UD")], labels[tf].default_label)
@@ -334,7 +340,7 @@ def _graph_exposures(shared: tuple, key: tuple) -> dict:
     return cutoffs
 
 
-def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
+def stage_exposure(cfg: ExperimentConfig, out: Path, network: list) -> None:
     """Saves each propagation run's scores and cutoffs.json into `out`.
 
     One `fork_map` task per graph. Each worker imports `scipy.sparse` on its
@@ -345,7 +351,7 @@ def stage_exposure(cfg: ExperimentConfig, out: Path, network: tuple) -> None:
     timeframe. Scores pickled back from the workers would leave this
     process's heap tens of MB larger for the rest of the run.
     """
-    graphs, labels = network[:2]
+    graphs, labels = network.pop()[:2]
     cutoffs: dict = {}
     # propagation calls no BLAS
     with fork_map(_graph_exposures, list(graphs), (cfg, out, graphs, labels)) as per_graph:
@@ -474,9 +480,9 @@ def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix
     return matrix, loans
 
 
-def stage_train(cfg: ExperimentConfig, out: Path, featured: tuple) -> tuple[tuple, dict]:
+def stage_train(cfg: ExperimentConfig, out: Path, featured: list) -> tuple[tuple, dict]:
     """(train, test, train_balanced) row indices, and test-set scores by (model_id, classifier)."""
-    matrix, _ = featured
+    matrix, _ = featured.pop()
     train_idx, test_idx = split(matrix.y, cfg.train_fraction, cfg.seed)
     train_bal = undersample(train_idx, matrix.y, cfg.undersample_ratio, cfg.seed)
     (out / "split.json").write_text(json.dumps({
@@ -554,7 +560,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: list, fitted: list) -
     """Reads the importance forests from models_out/, next to `out`; `run_stages` checks cfg first.
 
     Empties `featured` and `fitted`, the one-item lists of the features and
-    train products, which the eval stage reads last."""
+    train products."""
     matrix, row_loans = featured.pop()
     (train_idx, test_idx, _), trained = fitted.pop()
     test_loans = row_loans[test_idx]

@@ -8,16 +8,18 @@ which `run_stages` imports only when a stage has to be built or its product
 loaded.
 
 Every stage writes its outputs into its own directory under the experiment
-directory, together with a fingerprint of the config fields it reads and of
-its upstream stages. A resumed run reuses a stage directory only when that
-fingerprint matches; regenerating any stage reproduces it byte-identically
-because all randomness flows from named substreams of the config seed.
+directory, together with a fingerprint of the program, of the config fields
+it reads and of its upstream stages. A resumed run reuses a stage directory
+only when that fingerprint matches; regenerating any stage reproduces it
+byte-identically because all randomness flows from named substreams of the
+config seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import logging
 import shutil
 import time
@@ -251,8 +253,8 @@ def dump_config(config: ExperimentConfig) -> str:
 @dataclass(frozen=True)
 class Stage:
     # pipeline.stage_<name>(cfg, out, *upstream products) builds into out and
-    # returns the stage's product, getting in a one-item list each product it
-    # is the last to read; pipeline.load_<name>(cfg, directory) reads it back
+    # returns the stage's product, getting each product in a one-item list
+    # that it empties; pipeline.load_<name>(cfg, directory) reads it back
     name: str
     directory: str     # under out_dir
     fields: tuple      # ExperimentConfig fields the stage reads
@@ -293,14 +295,28 @@ def load_data(cfg: ExperimentConfig, directory: Path) -> dict:
     return {name: directory / file for name, file in DATA_FILES.items()}
 
 
-def _fingerprint(config: ExperimentConfig, stage: Stage, upstream: list) -> str:
-    """sha256 over the stage name, the fields it reads and its upstream fingerprints.
+def program_digest() -> str:
+    """sha256 over this package's modules, by name and bytes in name order,
+    and the version files of numpy and scipy, which are found, not imported."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name} {len(source)}\n".encode() + source)
+    for name in ("numpy", "scipy"):
+        version = Path(importlib.util.find_spec(name).origin).with_name("version.py")
+        digest.update(f"\n{name} ".encode() + version.read_bytes())
+    return digest.hexdigest()
+
+
+def _fingerprint(config: ExperimentConfig, stage: Stage, upstream: list, program: str) -> str:
+    """sha256 over the stage name, the program's digest, the fields the stage
+    reads and its upstream fingerprints.
 
     Data read from input files is fingerprinted by their paths and bytes
     alone: the generator's fields play no part in it.
     """
     from_files = stage.name == "data" and config.input_cdr
-    digest = hashlib.sha256(stage.name.encode())
+    digest = hashlib.sha256(f"{stage.name}\n{program}".encode())
     for name in INPUT_FIELDS if from_files else stage.fields:
         digest.update(f"\n{name} = {getattr(config, name)}".encode())
     for fingerprint in upstream:
@@ -346,16 +362,19 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
     With `resume`, a stage whose directory holds a matching fingerprint is
     reused; otherwise it is built into `.<directory>.tmp/`, its fingerprint
     written last, and swapped into place, so an interrupted build leaves
-    nothing a later resume trusts. A built stage hands its product to the
-    stages that read it; a reused stage's product is loaded only when a
-    stage that reads it is built. The last stage that reads a product
-    receives it in a one-item list that it empties, so that it can free the
-    product part by part, and the heap is trimmed before each stage is
-    built, so that the stage's peak is its own work. Only when every stage
-    succeeded is config.resolved written and every stage directory whose
-    fingerprint does not match this config removed; a failed run leaves the
-    outputs of the stages it did not rebuild, and the config that made them,
-    in place. An input-file run has no data directory: its files are its data.
+    nothing a later resume trusts. Every fingerprint covers the program
+    (`program_digest`), so a resumed run rebuilds what other code built. A
+    built stage hands its product to the stages that read it; a reused
+    stage's product is loaded only when a stage that reads it is built. A
+    stage receives each product in a one-item list that it empties; the
+    runner keeps the product only for the stages that read it later, so
+    the last reader can free it part by part. The heap is trimmed before
+    each stage is built, so that the stage's peak is its own work. Only
+    when every stage succeeded is config.resolved written and every stage
+    directory whose fingerprint does not match this config removed; a failed
+    run leaves the outputs of the stages it did not rebuild, and the config
+    that made them, in place. An input-file run has no data directory: its
+    files are its data.
     """
     # a bad value fails here, before any file of the run is touched
     config.model_ids()
@@ -375,9 +394,10 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
         if bad:
             raise DataError(message)
     out = Path(config.out_dir)
+    program = program_digest()
     prints: dict = {}
     for stage in STAGES:
-        prints[stage.name] = _fingerprint(config, stage, [prints[u] for u in stage.upstream])
+        prints[stage.name] = _fingerprint(config, stage, [prints[u] for u in stage.upstream], program)
     directories = {stage.name: stage.directory for stage in STAGES}
     owned = [stage for stage in STAGES if not (stage.name == "data" and config.input_cdr)]
     products: dict = {}
@@ -408,7 +428,7 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
             build = getattr(pipeline, f"stage_{stage.name}")
             # handed over in a list, a product is kept alive by neither
             # `products` nor this call's arguments once the stage empties it
-            inputs = [[products.pop(u)] if last_reader[u] == stage.name else products[u]
+            inputs = [[products.pop(u) if last_reader[u] == stage.name else products[u]]
                       for u in stage.upstream]
             _trim_heap()
             product = build(config, tmp, *inputs)

@@ -3,10 +3,13 @@ implementations that the columnar ingest, graph, label and tree-growing code
 must match."""
 
 import csv
+import io
 import logging
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,6 @@ from callscore.ingest import (
     _field,
     _looks_like_header,
     _number,
-    _open_lines,
     _parse_fields,
 )
 from callscore.models import _GAIN_TOL, ForestModel, TreeModel, _grow_tree, train_forests
@@ -366,6 +368,21 @@ def rng():
 # they became columnar. The columnar code must give identical results.
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def text_file(source):
+    """A path or a binary file, read as text mode reads it: strict UTF-8,
+    and \\n, \\r and \\r\\n each ending a line. A binary file is left open."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield fh
+        return
+    fh = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        yield fh
+    finally:
+        fh.detach()
+
+
 def reference_ingest_cdr(source, min_duration, delimiter, reject_log=None):
     """One `_parse_fields` call per row, codes assigned as rows are accepted."""
     if min_duration < 0:
@@ -374,8 +391,7 @@ def reference_ingest_cdr(source, min_duration, delimiter, reject_log=None):
     date_cache: dict = {}
     cols = [array("i") for _ in range(5)]
     stats = IngestStats()
-    lines = _open_lines(source)
-    try:
+    with text_file(source) as lines:
         row_number = 0
         first = True
         for raw in lines:
@@ -402,18 +418,14 @@ def reference_ingest_cdr(source, min_duration, delimiter, reject_log=None):
             for col, value in zip(cols, (ordinal, sec, dur, codes.setdefault(fid, len(codes)),
                                          codes.setdefault(tid, len(codes)))):
                 col.append(value)
-    finally:
-        if hasattr(lines, "close"):
-            lines.close()
     stats.rows_read = row_number
     stats.rows_accepted = len(cols[2])
     stats.distinct_ids = len(codes)
     return CdrBatch(*cols, ids=list(codes)), stats
 
 
-def _dict_reader(source, expected, what):
-    lines = _open_lines(source)
-    try:
+def _dict_reader(path, expected, what):
+    with text_file(path) as lines:
         rows = csv.DictReader(lines)
         if rows.fieldnames is None:
             return
@@ -421,9 +433,6 @@ def _dict_reader(source, expected, what):
         if missing:
             raise DataError(f"{what} file is missing columns: {', '.join(missing)}")
         yield from rows
-    finally:
-        if hasattr(lines, "close"):
-            lines.close()
 
 
 @dataclass(slots=True)

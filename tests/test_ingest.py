@@ -30,6 +30,11 @@ from conftest import records_batch, records_table, reference_ingest_bank, refere
 TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
 
 
+def cdr_log(lines) -> io.BytesIO:
+    """A CDR log file of `lines`, in UTF-8, each ended by \\n unless it ends in \\n already."""
+    return io.BytesIO("".join(line if line.endswith("\n") else line + "\n" for line in lines).encode())
+
+
 def test_parse_published_log_row():
     record = parse_cdr_line(TABLE_ROW, ",")
     assert record == CdrRecord(
@@ -67,7 +72,7 @@ def test_reject_log_reason_is_the_parse_error(line, reason):
     with pytest.raises(CdrParseError) as error:
         parse_cdr_line(line, ",")
     log = io.StringIO()
-    ingest_cdr([TABLE_ROW, line], min_duration=5, delimiter=",", reject_log=log)
+    ingest_cdr(cdr_log([TABLE_ROW, line]), min_duration=5, delimiter=",", reject_log=log)
     assert log.getvalue() == f"2\t{error.value}\t{line}\n"
 
 
@@ -91,11 +96,13 @@ def columns(batch):
 
 
 def ingest_outcome(parse, source, delimiter, caplog, min_duration=5):
-    """Everything a CDR parse gives: its columns and their dtypes, the
-    identity table, the stats, the reject log and the logged warnings."""
+    """Everything a CDR parse of `source`, a path, a binary file or a list of
+    lines for `cdr_log`, gives: its columns and their dtypes, the identity
+    table, the stats, the reject log and the logged warnings."""
     caplog.clear()
     rejects = io.StringIO()
     with caplog.at_level(logging.WARNING, logger="callscore.ingest"):
+        source = cdr_log(source) if isinstance(source, list) else source
         batch, stats = parse(source, min_duration, delimiter, rejects)
     arrays = (batch.date_ord, batch.time_sec, batch.duration, batch.from_code, batch.to_code)
     return ([a.tolist() for a in arrays], [a.dtype for a in arrays], batch.ids,
@@ -140,34 +147,31 @@ def fuzzed_cdr_lines(rng, n, delimiter):
 
 
 @pytest.mark.parametrize("delimiter", [",", ";", "||"])
-@pytest.mark.parametrize("chunk", [3, 1 << 12])
-def test_columnar_ingest_matches_per_row_reference_on_fuzzed_logs(delimiter, chunk, monkeypatch, caplog, tmp_path):
-    monkeypatch.setattr(ingest, "_PARSE_CHUNK", chunk)
-    rng = np.random.default_rng(len(delimiter) * 100 + chunk)
+@pytest.mark.parametrize("block", [3, 1 << 12])
+def test_columnar_ingest_matches_per_row_reference_on_fuzzed_logs(delimiter, block, monkeypatch, caplog):
+    # each log is about 9 KB, so even 4,096-byte blocks split it
+    monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+    rng = np.random.default_rng(len(delimiter) * 100 + block)
     for trial in range(4):
         lines = fuzzed_cdr_lines(rng, 300, delimiter)
         if trial % 2:
             lines.insert(0, delimiter.join(CDR_HEADER.split(",")) + "\n")
         if trial == 3:
             lines = ["\n", "  \n"] + lines
-        path = tmp_path / f"log{trial}.csv"
-        path.write_text("".join(line if line.endswith("\n") else line + "\n" for line in lines),
-                        encoding="utf-8")
-        for source in (lines, path):
-            for min_duration in (0, 5):
-                assert (ingest_outcome(ingest_cdr, source, delimiter, caplog, min_duration)
-                        == ingest_outcome(reference_ingest_cdr, source, delimiter, caplog, min_duration))
+        for min_duration in (0, 5):
+            assert (ingest_outcome(ingest_cdr, lines, delimiter, caplog, min_duration)
+                    == ingest_outcome(reference_ingest_cdr, lines, delimiter, caplog, min_duration))
 
 
 def test_identity_first_seen_on_a_short_call_gets_its_code_when_accepted(caplog):
     rows = ["01MAY2017,10:00:00,2,NEW,A", "01MAY2017,10:00:01,30,B,A", "01MAY2017,10:00:02,30,A,NEW"]
-    batch, _ = ingest_cdr(rows, min_duration=5, delimiter=",")
+    batch, _ = ingest_cdr(cdr_log(rows), min_duration=5, delimiter=",")
     assert batch.ids == ["B", "A", "NEW"]
     assert ingest_outcome(ingest_cdr, rows, ",", caplog) == ingest_outcome(reference_ingest_cdr, rows, ",", caplog)
 
 
 def test_columnar_ingest_matches_reference_across_many_chunks(monkeypatch, caplog):
-    monkeypatch.setattr(ingest, "_PARSE_CHUNK", 64)
+    monkeypatch.setattr(ingest, "_READ_BLOCK", 64)
     rng = np.random.default_rng(7)
     lines = fuzzed_cdr_lines(rng, 5000, ",")
     assert ingest_outcome(ingest_cdr, lines, ",", caplog) == ingest_outcome(reference_ingest_cdr, lines, ",", caplog)
@@ -195,11 +199,9 @@ def crafted_log(rng, n, delimiter, endings=("\n", "\r\n", "\r")):
 
 
 def byte_reader_outcomes(path, delimiter, caplog):
-    """ingest_cdr's outcome from the path, from a binary file, and from the text-mode file's lines."""
+    """ingest_cdr's outcome from the path and from the file opened as binary."""
     outcomes = [ingest_outcome(ingest_cdr, path, delimiter, caplog)]
     with open(path, "rb") as fh:
-        outcomes.append(ingest_outcome(ingest_cdr, fh, delimiter, caplog))
-    with open(path, encoding="utf-8") as fh:
         outcomes.append(ingest_outcome(ingest_cdr, fh, delimiter, caplog))
     return outcomes
 
@@ -225,8 +227,17 @@ def test_byte_reader_matches_the_line_reader(variant, delimiter, block, monkeypa
     path = tmp_path / "log.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = ingest_outcome(reference_ingest_cdr, path, delimiter, caplog)
-    assert byte_reader_outcomes(path, delimiter, caplog) == [expected] * 3
+    assert byte_reader_outcomes(path, delimiter, caplog) == [expected] * 2
     assert expected[3]["rows_accepted"] and expected[3]["rows_rejected"]
+
+
+def test_readers_take_files_not_lines(tmp_path):
+    with pytest.raises(AttributeError):
+        ingest_cdr(["01MAY2017,10:00:00,30,A,B"], min_duration=5, delimiter=",")
+    paths = bank_paths(tmp_path, [ACCOUNT_HEADER], [TRANSACTION_HEADER], [CARD_HEADER])
+    for k in range(3):
+        with pytest.raises(TypeError):
+            ingest_bank(*paths[:k], [CARD_HEADER], *paths[k + 1:])
 
 
 def test_byte_reader_codes_identities_of_any_length_by_first_appearance(tmp_path, caplog):
@@ -239,7 +250,7 @@ def test_byte_reader_codes_identities_of_any_length_by_first_appearance(tmp_path
     assert batch.ids == ["P00000012", "P0000001", "Zoë", "A", "NEW"]
     assert columns(batch)[3:] == (["P00000012", "P0000001", "A", "Zoë"], ["P0000001", "Zoë", "P00000012", "NEW"])
     assert stats.distinct_ids == 5 and stats.rows_filtered_short == 1
-    assert byte_reader_outcomes(path, ",", caplog) == [ingest_outcome(reference_ingest_cdr, path, ",", caplog)] * 3
+    assert byte_reader_outcomes(path, ",", caplog) == [ingest_outcome(reference_ingest_cdr, path, ",", caplog)] * 2
 
 
 def test_byte_reader_joins_a_line_of_many_blocks_in_linear_time(monkeypatch, tmp_path):
@@ -267,19 +278,20 @@ def test_byte_reader_cuts_blocks_at_either_line_end(monkeypatch, tmp_path):
         assert max(map(len, blocks)) < 64 + 40
 
 
-@pytest.mark.parametrize("text", [b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,\xff,B\n",
-                                  b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xc3",
-                                  b"\xef\xbb01MAY2017,10:00:00,30,A,B\n",
-                                  b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xed\xa0\x80\n"],
+@pytest.mark.parametrize("text,row", [(b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,\xff,B\n", 2),
+                                      (b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xc3", 2),
+                                      (b"\xef\xbb01MAY2017,10:00:00,30,A,B\n", 1),
+                                      (b"01MAY2017,10:00:00,30,A,B\n01MAY2017,10:00:01,30,A,\xed\xa0\x80\n", 2)],
                          ids=["bad byte", "cut at end", "half BOM", "encoded surrogate"])
 @pytest.mark.parametrize("block", [4, 1 << 18])
-def test_byte_reader_refuses_what_is_not_utf8(text, block, monkeypatch, tmp_path):
+def test_byte_reader_refuses_what_is_not_utf8(text, row, block, monkeypatch, tmp_path):
+    # text mode raises UnicodeDecodeError; the byte reader's error names the file and the row
     monkeypatch.setattr(ingest, "_READ_BLOCK", block)
     path = tmp_path / "log.csv"
     path.write_bytes(text)
     with pytest.raises(UnicodeDecodeError):
         reference_ingest_cdr(path, 5, ",")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(DataError, match=f"^{path}: CDR row {row} is not UTF-8 text$"):
         ingest_cdr(path, min_duration=5, delimiter=",")
 
 
@@ -305,7 +317,7 @@ def test_ingest_duration_filter_keeps_at_threshold():
         "01MAY2017,10:00:01,5,A,B",
         "01MAY2017,10:00:02,715,B,C",
     ]
-    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
+    batch, stats = ingest_cdr(cdr_log(rows), min_duration=5, delimiter=",")
     assert len(batch) == 2
     assert stats.rows_filtered_short == 1
     assert stats.rows_accepted == 2
@@ -313,7 +325,7 @@ def test_ingest_duration_filter_keeps_at_threshold():
 
 
 def test_ingest_empty_stream():
-    batch, stats = ingest_cdr([], min_duration=5, delimiter=",")
+    batch, stats = ingest_cdr(cdr_log([]), min_duration=5, delimiter=",")
     assert len(batch) == 0
     assert (stats.rows_read, stats.rows_rejected, stats.rows_filtered_short,
             stats.distinct_ids) == (0, 0, 0, 0)
@@ -326,7 +338,7 @@ def test_ingest_partial_failure_counts_and_logs():
         "01MAY2017,10:00:02,30,B,C",
     ]
     log = io.StringIO()
-    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",", reject_log=log)
+    batch, stats = ingest_cdr(cdr_log(rows), min_duration=5, delimiter=",", reject_log=log)
     assert len(batch) == 2
     assert stats.rows_rejected == 1
     logged = log.getvalue()
@@ -338,7 +350,7 @@ def test_ingest_header_autodetected():
         "Call Start Date,Call Start Time,Call Duration (sec),From Number,To Number",
         TABLE_ROW,
     ]
-    batch, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
+    batch, stats = ingest_cdr(cdr_log(rows), min_duration=5, delimiter=",")
     assert stats.rows_read == 1
     assert len(batch) == 1
 
@@ -355,19 +367,19 @@ def test_ingest_conservation_property(rng):
             rows.append(f"01MAY2017,99:00:00,10,A{i},B{i}")
         else:
             rows.append(f"02MAY2017,11:30:00,{rng.integers(5, 100)},A{i},B{i}")
-    _, stats = ingest_cdr(rows, min_duration=5, delimiter=",")
+    _, stats = ingest_cdr(cdr_log(rows), min_duration=5, delimiter=",")
     assert stats.conserved
     assert stats.rows_read == 300
 
 
 def test_filter_monotone_in_min_duration(rng):
     rows = [f"01MAY2017,10:00:00,{rng.integers(0, 30)},A{i},B{i}" for i in range(100)]
-    accepted = [ingest_cdr(rows, min_duration=d, delimiter=",")[1].rows_accepted for d in range(0, 12)]
+    accepted = [ingest_cdr(cdr_log(rows), min_duration=d, delimiter=",")[1].rows_accepted for d in range(0, 12)]
     assert all(a >= b for a, b in zip(accepted, accepted[1:]))
 
 
 def test_batch_round_trips_records(tmp_path):
-    batch, _ = ingest_cdr([TABLE_ROW], min_duration=0, delimiter=",")
+    batch, _ = ingest_cdr(cdr_log([TABLE_ROW]), min_duration=0, delimiter=",")
     assert columns(records_batch([parse_cdr_line(TABLE_ROW, ",")])) == columns(batch)
     write_cdr(tmp_path / "cdr.csv", batch)
     assert (tmp_path / "cdr.csv").read_text() == f"{CDR_HEADER}\n{TABLE_ROW}\n"
@@ -446,13 +458,25 @@ CARD_HEADER = (
 )
 
 
+ACCOUNT_HEADER = "customer_id,age,marital_status,postcode"
+TRANSACTION_HEADER = "customer_id,date,amount"
+
+
 def card_row(cid, issue="01APR2017", limit="1000", drawn=None, arrears=None):
     drawn = drawn or ["100"] * 12
     arrears = arrears or ["0"] * 12
     return f"{cid},{issue},{limit}," + ",".join(drawn) + "," + ",".join(arrears)
 
 
-def test_bank_join():
+def bank_paths(tmp_path, accounts, transactions, cards) -> tuple:
+    """The paths of the three bank files of these lines, written under `tmp_path` in UTF-8."""
+    paths = tuple(tmp_path / f"{name}.csv" for name in ("accounts", "transactions", "cards"))
+    for path, lines in zip(paths, (accounts, transactions, cards)):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return paths
+
+
+def test_bank_join(tmp_path):
     accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
     transactions = [
         "customer_id,date,amount",
@@ -460,7 +484,7 @@ def test_bank_join():
         "C1,12MAR2017,80.00",
     ]
     cards = [CARD_HEADER, card_row("C1")]
-    bank, stats = ingest_bank(accounts, transactions, cards)
+    bank, stats = ingest_bank(*bank_paths(tmp_path, accounts, transactions, cards))
     assert len(bank) == 1
     assert bank.ids.tolist() == ["C1"]
     assert bank.txn_owner.tolist() == [0, 0]
@@ -581,50 +605,47 @@ def test_write_csv_refuses_a_column_of_text(tmp_path):
         write_csv(tmp_path / "x.csv", ("a",), [np.array(["x"])])
 
 
-def test_bank_customer_without_card_excluded():
-    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234", "C2,40,single,9999"]
+def test_bank_customer_without_card_excluded(tmp_path):
+    accounts = [ACCOUNT_HEADER, "C1,34,married,1234", "C2,40,single,9999"]
     cards = [CARD_HEADER, card_row("C1")]
-    bank, stats = ingest_bank(accounts, ["customer_id,date,amount"], cards)
+    bank, stats = ingest_bank(*bank_paths(tmp_path, accounts, [TRANSACTION_HEADER], cards))
     assert bank.ids.tolist() == ["C1"]
     assert stats.customers_without_card == 1
 
 
-def test_bank_duplicate_card_is_error():
+def test_bank_duplicate_card_is_error(tmp_path):
     cards = [CARD_HEADER, card_row("C1"), card_row("C1")]
     with pytest.raises(DataError, match="C1"):
-        ingest_bank(["customer_id,age,marital_status,postcode"],
-                    ["customer_id,date,amount"], cards)
+        ingest_bank(*bank_paths(tmp_path, [ACCOUNT_HEADER], [TRANSACTION_HEADER], cards))
 
 
-def test_bank_orphan_transaction_counted():
-    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
-    transactions = ["customer_id,date,amount", "GHOST,10MAR2017,5.00"]
+def test_bank_orphan_transaction_counted(tmp_path):
+    accounts = [ACCOUNT_HEADER, "C1,34,married,1234"]
+    transactions = [TRANSACTION_HEADER, "GHOST,10MAR2017,5.00"]
     cards = [CARD_HEADER, card_row("C1")]
-    _, stats = ingest_bank(accounts, transactions, cards)
+    _, stats = ingest_bank(*bank_paths(tmp_path, accounts, transactions, cards))
     assert stats.orphan_transactions == 1
 
 
-def test_bank_drawn_over_limit_rejected():
+def test_bank_drawn_over_limit_rejected(tmp_path):
     cards = [CARD_HEADER, card_row("C1", limit="100", drawn=["150"] + ["0"] * 11)]
     with pytest.raises(DataError, match="exceeds"):
-        ingest_bank(["customer_id,age,marital_status,postcode"],
-                    ["customer_id,date,amount"], cards)
+        ingest_bank(*bank_paths(tmp_path, [ACCOUNT_HEADER], [TRANSACTION_HEADER], cards))
 
 
-def test_bank_nonpositive_limit_rejected():
+def test_bank_nonpositive_limit_rejected(tmp_path):
     cards = [CARD_HEADER, card_row("C1", limit="0")]
     with pytest.raises(DataError, match="credit limit"):
-        ingest_bank(["customer_id,age,marital_status,postcode"],
-                    ["customer_id,date,amount"], cards)
+        ingest_bank(*bank_paths(tmp_path, [ACCOUNT_HEADER], [TRANSACTION_HEADER], cards))
 
 
 @pytest.mark.parametrize("file,column", [
     ("accounts", "age"), ("transactions", "amount"),
     ("card activity", "credit_limit"), ("card activity", "drawn_3"),
 ])
-def test_bank_non_numeric_field_names_file_customer_and_column(file, column):
-    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
-    transactions = ["customer_id,date,amount", "C1,10MAR2017,25.50"]
+def test_bank_non_numeric_field_names_file_customer_and_column(file, column, tmp_path):
+    accounts = [ACCOUNT_HEADER, "C1,34,married,1234"]
+    transactions = [TRANSACTION_HEADER, "C1,10MAR2017,25.50"]
     drawn = ["100"] * 12
     limit = "1000"
     if column == "age":
@@ -637,7 +658,7 @@ def test_bank_non_numeric_field_names_file_customer_and_column(file, column):
         drawn[2] = "x"
     cards = [CARD_HEADER, card_row("C1", limit=limit, drawn=drawn)]
     with pytest.raises(DataError, match=f"^{file} file: customer 'C1' has non-numeric {column} "):
-        ingest_bank(accounts, transactions, cards)
+        ingest_bank(*bank_paths(tmp_path, accounts, transactions, cards))
 
 
 @pytest.mark.parametrize("case,message", [
@@ -645,9 +666,9 @@ def test_bank_non_numeric_field_names_file_customer_and_column(file, column):
     ("short transaction row", "transactions file: customer 'C1' has no date field"),
     ("invalid transaction date", "transactions file: customer 'C1' has invalid date '32MAR2017'"),
 ], ids=["short-card-row", "short-transaction-row", "invalid-date"])
-def test_bank_field_error_names_file_customer_and_column(case, message):
-    accounts = ["customer_id,age,marital_status,postcode", "C1,34,married,1234"]
-    transactions = ["customer_id,date,amount", "C1,10MAR2017,25.50"]
+def test_bank_field_error_names_file_customer_and_column(case, message, tmp_path):
+    accounts = [ACCOUNT_HEADER, "C1,34,married,1234"]
+    transactions = [TRANSACTION_HEADER, "C1,10MAR2017,25.50"]
     cards = [CARD_HEADER, card_row("C1")]
     if case == "short card row":
         cards[1] = cards[1].rsplit(",", 1)[0]
@@ -656,12 +677,12 @@ def test_bank_field_error_names_file_customer_and_column(case, message):
     else:
         transactions[1] = "C1,32MAR2017,5.00"
     with pytest.raises(DataError) as excinfo:
-        ingest_bank(accounts, transactions, cards)
+        ingest_bank(*bank_paths(tmp_path, accounts, transactions, cards))
     assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("file", ["accounts", "transactions", "card activity"])
-def test_bank_row_too_short_for_customer_id_is_a_data_error(file):
+def test_bank_row_too_short_for_customer_id_is_a_data_error(file, tmp_path):
     # customer_id last, so that a one-field row lacks it
     files = {
         "accounts": ["age,marital_status,postcode,customer_id", "34,married,1234,C1", "34"],
@@ -672,13 +693,12 @@ def test_bank_row_too_short_for_customer_id_is_a_data_error(file):
     for other in files.keys() - {file}:
         del files[other][2]
     with pytest.raises(DataError, match=f"^{file} file: a row has no customer_id field$"):
-        ingest_bank(files["accounts"], files["transactions"], files["card activity"])
+        ingest_bank(*bank_paths(tmp_path, files["accounts"], files["transactions"], files["card activity"]))
 
 
-def test_bank_card_without_account_keeps_missing_sociodemographics():
+def test_bank_card_without_account_keeps_missing_sociodemographics(tmp_path):
     cards = [CARD_HEADER, card_row("C9")]
-    bank, stats = ingest_bank(["customer_id,age,marital_status,postcode"],
-                              ["customer_id,date,amount"], cards)
+    bank, stats = ingest_bank(*bank_paths(tmp_path, [ACCOUNT_HEADER], [TRANSACTION_HEADER], cards))
     assert np.isnan(bank.age[0])
     assert bank.marital_status[0] is None and bank.postcode[0] is None
     assert stats.cards_without_account == 1
@@ -750,7 +770,7 @@ BANK_FAULTS = {
 
 @pytest.mark.parametrize("fault", [None, *BANK_FAULTS])
 @pytest.mark.parametrize("chunk", [2, 1 << 12])
-def test_columnar_bank_ingest_matches_per_field_reference(fault, chunk, monkeypatch, caplog):
+def test_columnar_bank_ingest_matches_per_field_reference(fault, chunk, monkeypatch, caplog, tmp_path):
     monkeypatch.setattr(ingest, "_BANK_CHUNK", chunk)
     files = dict(zip(("accounts", "transactions", "cards"), bank_files(np.random.default_rng(3), 40)))
     if fault is not None:
@@ -758,11 +778,25 @@ def test_columnar_bank_ingest_matches_per_field_reference(fault, chunk, monkeypa
         files[name][row] = change(files[name][row])
         # a second fault further down: the first in file order is the one reported
         files["cards"].append(card_row("C999", issue="99XYZ2017"))
-    got = bank_outcome(ingest_bank, files["accounts"], files["transactions"], files["cards"], caplog)
-    assert got == bank_outcome(reference_table, files["accounts"], files["transactions"], files["cards"], caplog)
+    paths = bank_paths(tmp_path, files["accounts"], files["transactions"], files["cards"])
+    got = bank_outcome(ingest_bank, *paths, caplog)
+    assert got == bank_outcome(reference_table, *paths, caplog)
     assert isinstance(got[0], str) == (fault is not None)
 
 
-def test_bank_ingest_of_empty_files_matches_reference(caplog):
-    assert (bank_outcome(ingest_bank, [], [], [], caplog)
-            == bank_outcome(reference_table, [], [], [], caplog))
+def test_bank_ingest_of_empty_files_matches_reference(caplog, tmp_path):
+    paths = bank_paths(tmp_path, [], [], [])
+    assert bank_outcome(ingest_bank, *paths, caplog) == bank_outcome(reference_table, *paths, caplog)
+
+
+@pytest.mark.parametrize("block", [4, 1 << 18])
+def test_cli_ingest_of_a_log_that_is_not_utf8_is_a_data_error(block, monkeypatch, tmp_path, capsys):
+    # rows are counted as rejects.log counts them: no header, no blank line
+    monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+    log = tmp_path / "bad.csv"
+    log.write_bytes(f"{CDR_HEADER}\n01MAY2017,10:00:00,30,A,B\n\ngarbage\n".encode()
+                    + b"01MAY2017,10:00:01,30,\xff,B\n01MAY2017,10:00:02,30,A,B\n")
+    out = tmp_path / "out"
+    assert cli_main(["ingest", "--cdr", str(log), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {log}: CDR row 3 is not UTF-8 text\n"
+    assert not (out / "rejects.log").exists()

@@ -214,7 +214,7 @@ def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, 
     matrix = featured[0]
     trained = tmp_path / "models_out"
     trained.mkdir()
-    (_, test_idx, _), _ = stage_train(config, trained, featured)
+    (_, test_idx, _), _ = stage_train(config, trained, [featured])
     model_dirs = sorted(trained.glob("*_forest"))
     assert [d.name for d in model_dirs] == ["A_forest", "B_forest", "H_forest"]
     for mdir in model_dirs:
@@ -608,9 +608,14 @@ def test_each_product_is_freed_once_its_last_reader_has_run(tmp_path, monkeypatc
     alive = weakref.WeakSet()
     held = {}
 
+    upstream = {stage.name: list(stage.upstream) for stage in STAGES}
+
     def fake(name):
         def stage(cfg, out, *inputs):
             held[name] = sorted(product.name for product in alive)
+            # each product comes in a one-item list, which the stage empties
+            assert all(isinstance(i, list) and len(i) == 1 for i in inputs)
+            assert [i.pop().name for i in inputs] == upstream[name]
             product = Product(name)
             alive.add(product)
             return product
@@ -700,7 +705,7 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     featured = (pruned, Loans(np.full(n, 100.0), 80.0 * y, y))
     (tmp_path / "models_out").mkdir()
     (tmp_path / "eval").mkdir()
-    fitted = stage_train(config, tmp_path / "models_out", featured)
+    fitted = stage_train(config, tmp_path / "models_out", [featured])
     assert set(fitted[1]) == {("A", "forest")}
     assert not (tmp_path / "models_out" / "E_forest").exists()
     stage_eval(config, tmp_path / "eval", [featured], [fitted])
@@ -984,7 +989,7 @@ def test_network_stage_matches_per_mode_graphs_and_per_record_labels(tiny_run, t
     batch, bank = pipeline.load_ingest(config, out / "ingest")
     paths = load_data(config, out / "data")
     records, _ = reference_ingest_bank(paths["accounts"], paths["transactions"], paths["card_activity"])
-    graphs, labels, loans, order = pipeline.stage_network(config, tmp_path, (batch, bank))
+    graphs, labels, loans, order = pipeline.stage_network(config, tmp_path, [(batch, bank)])
     # a resumed run's features stage gets the same identity order from the loader
     assert np.array_equal(pipeline.load_network(config, out / "network")[3], order)
     for k, tf in enumerate(pipeline.TIMEFRAMES, start=1):
@@ -1026,7 +1031,7 @@ def test_exposure_builds_one_operator_per_graph(tiny_run, tmp_path, monkeypatch)
 
     build = propagation._transition_operator
     monkeypatch.setattr(propagation, "_transition_operator", spy)
-    pipeline.stage_exposure(config, tmp_path, network)
+    pipeline.stage_exposure(config, tmp_path, [network])
     assert len(operators) == 54
     assert len({id(op) for op in operators}) == 9
     for path in (out / "exposure").iterdir():
@@ -1126,3 +1131,56 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
         assert err.startswith("data error: ") and "nope" in err, argv[0]
     # the source is opened before the reject log is created
     assert not (tmp_path / "ingest" / "rejects.log").exists()
+
+
+def test_resume_under_another_program_rebuilds_every_stage(tiny_run, tmp_path, monkeypatch):
+    config, out = tiny_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    before = snapshot(clone)
+    built = []
+
+    def tracked(name, body):
+        def run(*args):
+            built.append(name)
+            return body(*args)
+        return run
+
+    for stage in STAGES:
+        monkeypatch.setattr(pipeline, f"stage_{stage.name}", tracked(stage.name, getattr(pipeline, f"stage_{stage.name}")))
+    monkeypatch.setattr(runner, "program_digest", lambda: "another program")
+    run_stages(dataclasses.replace(config, out_dir=str(clone)), resume=True)
+    assert built == [stage.name for stage in STAGES]
+    after = snapshot(clone)
+    changed = sorted(k for k in set(before) | set(after) if before.get(k) != after.get(k))
+    assert changed == sorted(["config.resolved", *(f"{stage.directory}/fingerprint" for stage in STAGES)])
+
+
+def program_digest_of(tmp_path, name, package, numpy_version=None):
+    """`runner.program_digest()` in a fresh process that imports `package`
+    from a copy, beside a numpy whose version file says `numpy_version`."""
+    root = tmp_path / name
+    shutil.copytree(package, root / "callscore")
+    if numpy_version is not None:
+        (root / "numpy").mkdir()
+        (root / "numpy" / "__init__.py").write_text("")
+        (root / "numpy" / "version.py").write_text(f'version = "{numpy_version}"\n')
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from callscore.runner import program_digest; "
+                               "print(program_digest(), 'numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True, text=True, check=True)
+    digest, numpy_loaded = result.stdout.split()
+    assert numpy_loaded == "False"
+    return digest
+
+
+def test_program_digest_covers_the_sources_and_the_numeric_versions(tmp_path):
+    package = Path(callscore.__file__).parent
+    digest = program_digest_of(tmp_path, "same", package)
+    # the bytes count, not the place they are read from
+    assert digest == runner.program_digest()
+    edited = tmp_path / "edited"
+    shutil.copytree(package, edited, ignore=shutil.ignore_patterns("__pycache__"))
+    (edited / "normal.py").write_bytes((edited / "normal.py").read_bytes() + b"\n")
+    assert program_digest_of(tmp_path, "edited_run", edited) != digest
+    assert program_digest_of(tmp_path, "numpy_0", package, numpy_version="0.0") != digest
