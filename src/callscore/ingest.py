@@ -661,9 +661,10 @@ def _column_chunks(path: str | Path, expected: tuple[str, ...], what: str) -> It
 
     Rows are read as csv.DictReader reads them: blank rows are skipped, a
     column named twice is its last one, and a row too short to hold a
-    column gives None there.
+    column gives None there. The file is opened with newline="", as the csv
+    module asks, so a quoted field keeps its line breaks as written.
     """
-    with open(path, encoding="utf-8") as lines:
+    with open(path, encoding="utf-8", newline="") as lines:
         reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:

@@ -611,6 +611,30 @@ def default_mtry(n_features: int) -> int:
     return max(1, int(math.ceil(math.sqrt(n_features))))
 
 
+class _Problems:
+    """The forest problems of `train_forests` over one matrix, and the
+    working copies of the problem asked for last.
+
+    A pool worker inherits this object and gathers a problem's transposed
+    train matrix, labels and test matrix when its first tree of that problem
+    comes, dropping the previous problem's first; the tasks come in problem
+    order, so each worker gathers each problem at most once.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, problems: list, options: tuple):
+        self.X, self.y, self.problems, self.options = X, y, problems, options
+        self.index, self.gathered = None, None
+
+    def __getitem__(self, p: int) -> tuple:
+        if p != self.index:
+            self.index, self.gathered = None, None  # the previous copies go first
+            train_rows, test_rows, cols, mtry = self.problems[p]
+            self.gathered = (self.X.T[np.ix_(cols, train_rows)], self.y[train_rows].astype(np.float64),
+                             self.X[np.ix_(test_rows, cols)], mtry, *self.options)
+            self.index = p
+        return self.gathered
+
+
 def _grow_forest_tree(problem: tuple, i: int) -> tuple:
     """Tree i of a forest, from its own substream, with its leaf probabilities
     and votes on the problem's test rows.
@@ -626,12 +650,14 @@ def _grow_forest_tree(problem: tuple, i: int) -> tuple:
     return tree, tree.prob[leaves], tree.vote[leaves]
 
 
-def _grow_task(problems: list, task: tuple) -> tuple:
+def _grow_task(problems: _Problems, task: tuple) -> tuple:
     p, i = task
     return _grow_forest_tree(problems[p], i)
 
 
 def train_forests(
+    X: np.ndarray,
+    y: np.ndarray,
     problems: list,
     n_trees: int,
     mtry: int | None,
@@ -639,40 +665,41 @@ def train_forests(
     max_depth: int | None,
     seed: int,
     bootstrap: bool,
-    tests: list,
 ) -> list:
-    """One forest per (X, y) problem, `n_trees` trees each, all grown in one
-    pool, with its scores on the (X, y) test set at the same place in `tests`.
+    """One forest per (train_rows, test_rows, columns) problem on the matrix
+    (X, y), `n_trees` trees each, all grown in one pool, with its scores on
+    the problem's test rows.
 
-    Each tree is grown on its own bootstrap (or, without `bootstrap`, on every
-    row) with `mtry` features drawn per split. It draws only from its own
-    substream, so which process grows it does not change it. The trees are
-    grown by `fork_map`, one task per (problem, tree); the workers read the
-    matrices they inherit and return each tree with its leaf probabilities
-    and votes on the test rows. The probabilities are
-    summed tree by tree in tree order, so the scores and votes are bit for bit
-    those of `predict_forest`.
-    `mtry` None takes `default_mtry` of each problem's feature count.
+    Each tree is grown on its own bootstrap of the train rows (or, without
+    `bootstrap`, on every train row) with `mtry` of the problem's columns
+    drawn per split. It draws only from its own substream, so which process
+    grows it does not change it. The trees are grown by `fork_map`, one task
+    per (problem, tree); each worker gathers the train and test matrices of
+    a problem from the matrix it inherits, so this process holds no copy,
+    and returns each tree with its leaf probabilities and votes on the test
+    rows. The probabilities are summed tree by tree in tree order, so the
+    scores and votes are bit for bit those of `predict_forest`.
+    `mtry` None takes `default_mtry` of each problem's column count.
     Returns a (ForestModel, ScoredDataset) pair per problem.
     """
     if n_trees < 1:
         raise DataError(f"a forest needs at least one tree, not {n_trees}")
     _check_min_leaf(min_leaf)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=bool)
     jobs = []
-    for (X, y), (X_test, _) in zip(problems, tests):
-        X = np.asarray(X, dtype=np.float64)
-        m = X.shape[1]
+    for train_rows, test_rows, cols in problems:
+        m = len(cols)
         problem_mtry = default_mtry(m) if mtry is None else mtry
         if problem_mtry < 1:
             raise DataError(f"mtry must be at least 1, not {problem_mtry}")
         if problem_mtry > m:
             raise DataError(f"mtry {problem_mtry} exceeds the {m} available features")
-        jobs.append((np.ascontiguousarray(X.T), np.asarray(y, dtype=bool).astype(np.float64),
-                     np.asarray(X_test, dtype=np.float64), problem_mtry, min_leaf, max_depth, seed, bootstrap))
+        jobs.append((train_rows, test_rows, cols, problem_mtry))
     tasks = [(p, i) for p in range(len(jobs)) for i in range(n_trees)]
     trees = [[] for _ in jobs]
-    scores = [np.zeros(len(job[2])) for job in jobs]
-    votes = [np.empty((n_trees, len(job[2])), dtype=np.int8) for job in jobs]
+    scores = [np.zeros(len(job[1])) for job in jobs]
+    votes = [np.empty((n_trees, len(job[1])), dtype=np.int8) for job in jobs]
 
     def collect(grown) -> None:
         for (p, i), (tree, prob, vote) in zip(tasks, grown):
@@ -681,11 +708,11 @@ def train_forests(
             votes[p][i] = vote
 
     # growing a tree calls no BLAS
-    with fork_map(_grow_task, tasks, jobs) as grown:
+    with fork_map(_grow_task, tasks, _Problems(X, y, jobs, (min_leaf, max_depth, seed, bootstrap))) as grown:
         collect(grown)
     return [
         (ForestModel(trees=trees[p], tree_seeds=list(range(n_trees)), mtry=job[3], bootstrap=bootstrap),
-         ScoredDataset(y=tests[p][1], score=scores[p] / n_trees, per_tree_votes=votes[p]))
+         ScoredDataset(y=y[job[1]], score=scores[p] / n_trees, per_tree_votes=votes[p]))
         for p, job in enumerate(jobs)
     ]
 

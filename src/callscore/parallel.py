@@ -1,11 +1,14 @@
 """The one fork pool that stages use to work on more than one core.
 
 `fork_map` runs `fn(shared, task)` for each task and yields the results in
-task order. Train grows its trees in it, exposure propagates one graph per
-task, ingest reads the bank files beside the CDR parse, and the feature
-matrix formats its text in row blocks. The data stage does not use it: a
-worker writing the call log beside the bank files saved time only on logs of
-about a million calls and lost it on logs of tens of thousands.
+task order. Train grows its trees in it, each worker gathering the train and
+test matrices of a forest's problem from the feature matrix it inherits;
+eval walks a forest for the permutation importance in one part of the
+tested features per worker; exposure propagates one graph per task, ingest
+reads the bank files beside the CDR parse, and the feature matrix formats
+its text in row blocks. The data stage does not use it: a worker writing the
+call log beside the bank files saved time only on logs of about a million
+calls and lost it on logs of tens of thousands.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 from contextlib import contextmanager
 
 
-def _worker_count(n_tasks: int) -> int:
+def worker_count(n_tasks: int) -> int:
     """Processes to work in: one per CPU this process may run on, at most one per task."""
     return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
 
@@ -51,7 +54,7 @@ def fork_map(fn, tasks, shared=None, *, beside: int = 0):
     started in the parent, and a call in the child can wait on them forever.
     """
     tasks = list(tasks)
-    processes = _worker_count(len(tasks) + beside)
+    processes = worker_count(len(tasks) + beside)
     if processes == 1:
         yield (fn(shared, task) for task in tasks)
         return

@@ -67,7 +67,7 @@ from .propagation import (
     spreading_activation,
     uniform_restart,
 )
-from .runner import MODEL_GROUPS, ExperimentConfig, load_data
+from .runner import MODEL_GROUPS, ExperimentConfig, _trim_heap, load_data
 from .seeding import substream
 from .synth import generate
 from .tables import parse_column, read_columns
@@ -442,6 +442,8 @@ def stage_features(
     # the matrix's rows are each timeframe's subjects in node order, as are its loans
     row_loans = Loans.concatenate([network[0][2][tf] for tf in TIMEFRAMES])
     full = assemble(_timeframe_blocks(cfg, ingested, network, exposures), len(row_loans))
+    # the inputs are freed by now; their pages go back before pruning copies the matrix
+    _trim_heap()
     pruned, dropped = drop_correlated(full, cfg.corr_threshold)
     pruning = {
         "dropped": dropped,
@@ -491,7 +493,8 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: list) -> tuple[tuple
         "train_balanced": train_bal.tolist(),
     }, sort_keys=True) + "\n")
 
-    # each model reads its columns in place: only its train and test rows are copied
+    # each model reads its columns in place: only its train and test rows are
+    # copied, and a forest's only in the pool workers that grow its trees
     trained, columns = {}, {}
     for model_id in cfg.model_ids():
         cols = matrix.group_columns(MODEL_GROUPS[model_id])
@@ -505,9 +508,8 @@ def stage_train(cfg: ExperimentConfig, out: Path, featured: list) -> tuple[tuple
     if "forest" in cfg.classifier_list():
         t0 = time.perf_counter()
         forests = dict(zip(columns, train_forests(
-            [(values[np.ix_(train_bal, cols)], y[train_bal]) for cols in columns.values()],
+            values, y, [(train_bal, test_idx, cols) for cols in columns.values()],
             cfg.n_trees, cfg.mtry or None, cfg.min_leaf, max_depth=None, seed=cfg.seed, bootstrap=True,
-            tests=[(values[np.ix_(test_idx, cols)], y[test_idx]) for cols in columns.values()],
         )))
         logger.info("trained %d forests in %.1fs", len(forests), time.perf_counter() - t0)
     for model_id, cols in columns.items():

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import DataError, UsageError
 from .models import FlatForest, ForestModel, ScoredDataset, descend, leaf_block, midrank, tree_blocks
 from .normal import ndtr
@@ -358,20 +359,26 @@ def profit_feature_importance(
     return _ranked(feature_names, _membership_contrast(forest.feature_membership(len(feature_names)), profits))
 
 
-def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
-    """For each feature, the pairs whose path tests it and the first node on the path that does.
+def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int, features: np.ndarray):
+    """For each of `features`, the pairs whose path tests it and the first node on the path that does.
 
     Returns (keys, starts, bounds): the slice bounds[j]:bounds[j + 1] holds
     feature j's entries, keys minus j * n_pairs being the pair positions in
     ascending order and starts the nodes (intp, as the walk indexes with
-    them). Empties `path`, whose per-level arrays are then freed before the
-    sort. Nodes are held as int32, and so are the keys while every key
-    fits, which halves the sort's memory; otherwise the keys are int64.
+    them); a feature not in `features` has none. Empties `path`, whose
+    per-level arrays are then freed before the sort. Nodes are held as
+    int32, and so are the keys while every key fits, which halves the
+    sort's memory; otherwise the keys are int64.
     """
     key_type = np.int32 if n_feat * n_pairs < 2**31 else np.int64
+    wanted = np.zeros(n_feat, dtype=bool)
+    wanted[features] = True
     pairs = np.concatenate([np.empty(0, dtype=np.intp)] + [p for p, _ in path], dtype=key_type)
     nodes = np.concatenate([np.empty(0, dtype=np.intp)] + [a for _, a in path], dtype=np.int32)
     path.clear()
+    mine = wanted[flat.feature[nodes]]
+    pairs, nodes = pairs[mine], nodes[mine]
+    del mine
     keys = flat.feature[nodes].astype(key_type)
     keys *= n_pairs
     keys += pairs
@@ -380,6 +387,51 @@ def _first_tests(flat: FlatForest, path: list, n_pairs: int, n_feat: int):
     keys, first = np.unique(keys, return_index=True)
     bounds = np.searchsorted(keys, np.arange(n_feat + 1, dtype=key_type) * n_pairs)
     return keys, nodes[first].astype(np.intp), bounds
+
+
+def _permutation_part(shared: tuple, features: np.ndarray) -> tuple:
+    """The accuracy drop of each of `features` when its column is shuffled,
+    and every tree's accuracy, from a walk of the whole forest.
+
+    `shared` is (flat, X, y, seed). Each feature's summed changes of tree
+    probabilities, `delta`, are added block by block in tree order, so they
+    do not depend on which other features share the walk.
+    """
+    flat, X, y, seed = shared
+    n, n_trees = len(y), len(flat.roots)
+    score = np.zeros(n)
+    tree_acc = np.empty(n_trees)
+    delta = np.zeros((len(features), n))  # per feature, the summed changes of tree probabilities
+    X_perm = X.copy()  # holds one shuffled column at a time
+    shuffled = [X[substream(seed, "perm", j).permutation(n), j] for j in features]
+    for trees in tree_blocks(n_trees, n):
+        path: list = []
+        leaves = leaf_block(flat, X, trees, path)
+        for prob in flat.prob[leaves]:  # tree by tree, as predict_forest sums
+            score += prob
+        tree_acc[trees.start:trees.stop] = np.mean((flat.vote[leaves] == 1) == y, axis=1)
+        leaves = leaves.ravel()
+        keys, starts, bounds = _first_tests(flat, path, len(leaves), X.shape[1], features)
+        for k, j in enumerate(features):
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo == hi:
+                continue
+            pairs = keys[lo:hi].astype(np.intp) - j * len(leaves)
+            rows = pairs % n
+            node = starts[lo:hi].copy()
+            X_perm[:, j] = shuffled[k]
+            descend(flat, X_perm, node, rows)
+            X_perm[:, j] = X[:, j]
+            old = leaves[pairs]
+            moved = node != old
+            # pairs run tree-major and add.at adds in index order, so each row
+            # sums its changes in tree order; an unmoved pair would add 0.0
+            np.add.at(delta[k], rows[moved], flat.prob[node[moved]] - flat.prob[old[moved]])
+    base_score = score / n_trees
+    base_acc = float(np.mean((base_score >= 0.5) == y))
+    drops = [base_acc - float(np.mean((base_score + delta[k] / n_trees >= 0.5) == y))
+             for k in range(len(features))]
+    return drops, tree_acc
 
 
 def accuracy_feature_importance(
@@ -397,51 +449,25 @@ def accuracy_feature_importance(
     from the first node on the path that tests it. "membership": the
     tree-profit construction applied to per-tree accuracy. A feature tested
     by no tree scores exactly zero.
+
+    The tested features are dealt into one part per process of `fork_map`,
+    and each part walks the forest on its own and returns only its features'
+    drops and the per-tree accuracies, so this process holds none of the
+    walk's arrays. The walk calls no BLAS.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=bool)
-    n = len(y)
     n_feat = len(feature_names)
     member = forest.feature_membership(n_feat)
     tested = np.flatnonzero(member.any(axis=0))
-    flat = FlatForest.of(forest.trees)
-    shuffled = {j: X[substream(seed, "perm", j).permutation(n), j] for j in tested}
-    X_perm = X.copy()  # holds one shuffled column at a time
-
-    score = np.zeros(n)
-    tree_acc = np.empty(forest.n_trees)
-    delta = np.zeros((n_feat, n))  # per feature, the summed changes of tree probabilities
-    for trees in tree_blocks(forest.n_trees, n):
-        path: list = []
-        leaves = leaf_block(flat, X, trees, path)
-        for prob in flat.prob[leaves]:  # tree by tree, as predict_forest sums
-            score += prob
-        tree_acc[trees.start:trees.stop] = np.mean((flat.vote[leaves] == 1) == y, axis=1)
-        leaves = leaves.ravel()
-        keys, starts, bounds = _first_tests(flat, path, len(leaves), n_feat)
-        for j in tested:
-            lo, hi = bounds[j], bounds[j + 1]
-            if lo == hi:
-                continue
-            pairs = keys[lo:hi].astype(np.intp) - j * len(leaves)
-            rows = pairs % n
-            node = starts[lo:hi].copy()
-            X_perm[:, j] = shuffled[j]
-            descend(flat, X_perm, node, rows)
-            X_perm[:, j] = X[:, j]
-            old = leaves[pairs]
-            moved = node != old
-            # pairs run tree-major and add.at adds in index order, so each row
-            # sums its changes in tree order; an unmoved pair would add 0.0
-            np.add.at(delta[j], rows[moved], flat.prob[node[moved]] - flat.prob[old[moved]])
-    base_score = score / forest.n_trees
-    base_acc = float(np.mean((base_score >= 0.5) == y))
-
+    # the most often tested features first, dealt in turn, even out the parts' walks
+    dealt = tested[np.argsort(-member[:, tested].sum(axis=0), kind="stable")]
+    n_parts = parallel.worker_count(len(tested))
+    parts = [dealt[k::n_parts] for k in range(n_parts)]
     perm = np.zeros(n_feat)
-    for j in tested:
-        new_score = base_score + delta[j] / forest.n_trees
-        perm[j] = base_acc - float(np.mean((new_score >= 0.5) == y))
-
+    with parallel.fork_map(_permutation_part, parts, (FlatForest.of(forest.trees), X, y, seed)) as walked:
+        for features, (drops, tree_acc) in zip(parts, walked):
+            perm[features] = drops  # every part gives the same per-tree accuracies
     return {
         "permutation": _ranked(feature_names, perm),
         "membership": _ranked(feature_names, _membership_contrast(member, tree_acc)),

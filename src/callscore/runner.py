@@ -347,6 +347,8 @@ def _trim_heap() -> None:
 
     glibc keeps the memory that earlier stages freed, so without the trim
     each stage's peak would follow that memory rather than its own work.
+    `run_stages` trims before it builds each stage, and `stage_features`
+    once more, when it has freed its inputs and before it prunes.
     """
     from ctypes import c_int, c_size_t
 

@@ -189,8 +189,9 @@ def reference_leaves(tree, X):
 
 
 def train_forest(X, y, n_trees, mtry, min_leaf, seed, max_depth=None, bootstrap=True):
-    """One forest, grown as `train_forests` grows each of its problems."""
-    return train_forests([(X, y)], n_trees, mtry, min_leaf, max_depth, seed, bootstrap, [(X[:0], y[:0])])[0][0]
+    """One forest on every row and column of (X, y), grown as `train_forests` grows each of its problems."""
+    problem = (np.arange(len(X)), np.arange(0), np.arange(np.shape(X)[1]))
+    return train_forests(X, y, [problem], n_trees, mtry, min_leaf, max_depth, seed, bootstrap)[0][0]
 
 
 def grow_tree(X, y, max_depth, min_leaf):
@@ -425,7 +426,7 @@ def reference_ingest_cdr(source, min_duration, delimiter, reject_log=None):
 
 
 def _dict_reader(path, expected, what):
-    with text_file(path) as lines:
+    with open(path, encoding="utf-8", newline="") as lines:
         rows = csv.DictReader(lines)
         if rows.fieldnames is None:
             return

@@ -716,7 +716,7 @@ def per_cell_matrix_csv(matrix: FeatureMatrix, path) -> None:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_matrix_csv_text_is_the_per_cell_writers(tmp_path, rng, monkeypatch, workers):
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
     n, m = 4 * _CSV_BLOCK_ROWS + 37, 9
     values = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-20, 20, size=(n, m))
     values[:, 0] = [-0.0, 1e-300, 1e16, 0.1 + 0.2] * (n // 4) + [5e-324] * (n % 4)

@@ -524,6 +524,29 @@ def test_write_bank_round_trips_through_ingest_bank(tmp_path):
     assert (stats.customers_without_card, stats.orphan_transactions, stats.transactions_read) == (1, 0, 4)
 
 
+def reference_bank_table(*paths):
+    records, stats = reference_ingest_bank(*paths)
+    return records_table(records), stats
+
+
+@pytest.mark.parametrize("reader", [ingest_bank, reference_bank_table], ids=["columnar", "reference"])
+def test_quoted_line_breaks_in_bank_fields_round_trip(reader, tmp_path):
+    # csv quotes a field holding \r or \n; a reader opened without newline=""
+    # would turn the quoted \r\n and \r into \n
+    ids = ["cr\r", "x\r\ny", "plain", "a\rb", "lf\nz"]
+    day = date(2017, 3, 10).toordinal()
+    n = len(ids)
+    accounts = (np.arange(n), np.full(n, 30), np.array(["single\r\n2"] * n), np.full(n, 123))
+    transactions = (np.arange(n), np.full(n, day), np.full(n, 1.5))
+    cards = (np.arange(n), np.full(n, day - 30), np.full(n, 1000.0), np.zeros((n, CARD_MONTHS)),
+             np.zeros((n, CARD_MONTHS), dtype=bool))
+    paths = {name: tmp_path / f"{name}.csv" for name in ("accounts", "transactions", "card_activity")}
+    write_bank(paths, ids, accounts, transactions, cards)
+    bank, _ = reader(paths["accounts"], paths["transactions"], paths["card_activity"])
+    assert list(bank.ids) == sorted(i.strip() for i in ids)
+    assert list(bank.marital_status) == ["single\r\n2"] * n
+
+
 def csv_writer_bank(paths, ids, accounts, transactions, cards):
     """The three bank files as csv.writer writes them, one formatted row at a time."""
     money = "{:.2f}".format

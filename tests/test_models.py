@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -366,7 +367,7 @@ def test_forest_trees_equal_the_reference_grower(monkeypatch, kind, min_leaf, ma
     rng = np.random.default_rng(KINDS.index(kind))
     X, y = awkward_data(rng, kind)
     mtry = X.shape[1] if mtry == "all" else mtry
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 1)
     grown = {}
     for grower in ("columnar", "reference"):
         if grower == "reference":
@@ -426,41 +427,59 @@ def test_predict_forest_matches_per_tree_reference(rng, monkeypatch, walk_pairs)
 
 
 def _problems(rng):
-    out = []
-    for n, m in ((200, 4), (150, 9), (260, 6)):
-        X, y = informative_data(rng, n=n, m=m)
-        out.append((np.round(X, 1), y))
-    return out
+    """One matrix, and (train rows, test rows, columns) problems on it that
+    differ in rows, column count and column order."""
+    X, y = informative_data(rng, n=260, m=9)
+    X = np.round(X, 1)
+    problems = [(np.arange(200), np.arange(200, 260), [0, 1, 2, 3]),
+                (np.arange(50, 200), np.arange(260)[::-3], list(range(9))),
+                (rng.permutation(260), np.arange(70)[::-1], [8, 2, 5, 0, 6, 1])]
+    return X, y, problems
 
 
 def test_train_forests_equals_separate_train_forest_calls(rng):
-    problems = _problems(rng)
-    no_rows = [(X[:0], y[:0]) for X, y in problems]
-    together = [forest for forest, _ in train_forests(problems, 12, None, 5, None, 7, True, no_rows)]
-    for (X, y), forest in zip(problems, together):
-        alone = train_forest(X, y, n_trees=12, mtry=None, min_leaf=5, seed=7)
+    X, y, problems = _problems(rng)
+    together = [forest for forest, _ in train_forests(X, y, problems, 12, None, 5, None, 7, True)]
+    for (rows, _, cols), forest in zip(problems, together):
+        alone = train_forest(X[np.ix_(rows, cols)], y[rows], n_trees=12, mtry=None, min_leaf=5, seed=7)
         assert forest.mtry == alone.mtry and forest.tree_seeds == alone.tree_seeds
         assert ([models._tree_to_dict(t) for t in forest.trees]
                 == [models._tree_to_dict(t) for t in alone.trees])
 
 
+def test_a_problem_is_gathered_once_and_dropped_when_the_next_comes(rng):
+    X, y, problems = _problems(rng)
+    jobs = [(rows, test_rows, cols, 2) for rows, test_rows, cols in problems]
+    gathered = models._Problems(X, y, jobs, (5, None, 7, True))
+    first = gathered[0]
+    assert gathered[0] is first
+    held = weakref.ref(first[0])
+    del first
+    XT, y01, X_test, mtry, *options = gathered[1]
+    assert held() is None
+    rows, test_rows, cols, _ = jobs[1]
+    assert XT.flags.c_contiguous and np.array_equal(XT, X[np.ix_(rows, cols)].T)
+    assert np.array_equal(y01, y[rows].astype(np.float64))
+    assert np.array_equal(X_test, X[np.ix_(test_rows, cols)])
+    assert (mtry, options) == (2, [5, None, 7, True])
+
+
 def test_worker_count_does_not_change_model_json(rng, tmp_path, monkeypatch):
-    problems = _problems(rng)
-    tests = [(X[::-1][:70], y[::-1][:70]) for X, y in _problems(rng)]
+    X, y, problems = _problems(rng)
     saved = {}
     for workers in (1, 2):
-        monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks, w=workers: w)
-        grown = train_forests(problems, 15, 3, 5, None, 11, True, tests)
+        monkeypatch.setattr(parallel, "worker_count", lambda n_tasks, w=workers: w)
+        grown = train_forests(X, y, problems, 15, 3, 5, None, 11, True)
         for k, (forest, scored) in enumerate(grown):
             path = tmp_path / f"{workers}_{k}.json"
             save_model(forest, path)
             saved[workers, k] = path.read_bytes()
             # the workers' scores are those of the saved model, bit for bit
-            X, y = tests[k]
-            again = predict_forest(load_model(path), X, y)
+            _, test_rows, cols = problems[k]
+            again = predict_forest(load_model(path), X[np.ix_(test_rows, cols)], y[test_rows])
             assert scored.score.tobytes() == again.score.tobytes()
             assert np.array_equal(scored.per_tree_votes, again.per_tree_votes)
-            assert np.array_equal(scored.y, y)
+            assert np.array_equal(scored.y, y[test_rows])
             saved[workers, k, "scores"] = scored.score.tobytes() + scored.per_tree_votes.tobytes()
     for k in range(len(problems)):
         assert saved[1, k] == saved[2, k]

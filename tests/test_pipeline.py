@@ -209,7 +209,7 @@ def test_trained_forest_scores_are_those_of_the_saved_model(tiny_run, tmp_path, 
     from callscore.runner import MODEL_GROUPS
 
     config, out = tiny_run
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
     featured = load_features(config, out / "features")
     matrix = featured[0]
     trained = tmp_path / "models_out"
@@ -238,7 +238,7 @@ def test_worker_count_does_not_change_run_files(tiny_run, tmp_path, monkeypatch)
     _, out = tiny_run
     for workers in (1, 2):
         # two workers even for a single task: every stage that forks does
-        monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks, w=workers: w)
+        monkeypatch.setattr(parallel, "worker_count", lambda n_tasks, w=workers: w)
         run = tmp_path / f"workers_{workers}"
         run_stages(ExperimentConfig(out_dir=str(run), **TINY))
         assert without_out_dir(snapshot(run)) == without_out_dir(snapshot(out)), workers
@@ -250,7 +250,7 @@ def _run_with_workers(config: ExperimentConfig, workers: int, tmp_path: Path) ->
     path = tmp_path / f"{Path(config.out_dir).name}.cfg"
     path.write_text(dump_config(config))
     probe = ("import sys; import callscore.parallel as parallel; "
-             f"parallel._worker_count = lambda n_tasks: {workers}; "
+             f"parallel.worker_count = lambda n_tasks: {workers}; "
              "from callscore.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(Path(callscore.__file__).parents[1])}
     proc = subprocess.Popen([sys.executable, "-c", probe, "run", "--config", str(path)], env=env, text=True,
@@ -593,7 +593,7 @@ def test_each_stage_reads_only_the_fields_its_fingerprint_covers(tmp_path, monke
         attr = f"stage_{stage.name}"
         monkeypatch.setattr(pipeline, attr, recorded(stage.name, getattr(pipeline, attr)))
     # the reads are recorded in this process only
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 1)
     run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY))
     unfingerprinted = {stage.name: sorted(reads[stage.name] - set(stage.fields)) for stage in STAGES}
     assert unfingerprinted == {stage.name: [] for stage in STAGES}
@@ -635,7 +635,7 @@ def test_each_product_is_freed_once_its_last_reader_has_run(tmp_path, monkeypatc
 def test_features_stage_lets_go_of_its_inputs_before_pruning(tmp_path, monkeypatch, workers):
     # the features stage reads the call batch, the graphs and the exposures
     # last, so none of them is alive when it prunes the assembled matrix
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
     tracked, survivors = [], []
 
     def tracking(build, arrays):
@@ -680,12 +680,32 @@ def test_heap_is_trimmed_before_each_built_stage(tiny_run, tmp_path, monkeypatch
     reference = snapshot(out)
     del reference["config.resolved"]
     assert _trimmed_run(config, tmp_path / "trimmed", lambda: glibc, monkeypatch) == reference
-    assert pads == [0] * len(STAGES)
+    # once before each stage, and once more inside the features stage
+    assert pads == [0] * (len(STAGES) + 1)
     # a reused stage is not built, so nothing is trimmed for it
     run_stages(dataclasses.replace(config, out_dir=str(tmp_path / "trimmed")), resume=True)
-    assert pads == [0] * len(STAGES)
+    assert pads == [0] * (len(STAGES) + 1)
     # a C library without malloc_trim leaves the heap as it is, and the run the same
     assert _trimmed_run(config, tmp_path / "untrimmed", object, monkeypatch) == reference
+
+
+def test_features_stage_trims_the_heap_between_assembling_and_pruning(tmp_path, monkeypatch):
+    events = []
+    glibc = types.SimpleNamespace(malloc_trim=lambda pad: events.append("trim"))
+    monkeypatch.setattr(runner, "_libc", lambda: glibc)
+
+    def logged(name, body):
+        def run(*args):
+            result = body(*args)
+            events.append(name)
+            return result
+        return run
+
+    monkeypatch.setattr(pipeline, "assemble", logged("assembled", pipeline.assemble))
+    monkeypatch.setattr(pipeline, "drop_correlated", logged("pruned", pipeline.drop_correlated))
+    monkeypatch.setattr(pipeline, "stage_exposure", logged("exposure built", pipeline.stage_exposure))
+    run_stages(ExperimentConfig(out_dir=str(tmp_path), **TINY), until="features")
+    assert events[events.index("exposure built"):] == ["exposure built", "trim", "assembled", "trim", "pruned"]
 
 
 def test_model_with_pruned_away_groups_is_skipped(tmp_path):
@@ -1021,7 +1041,7 @@ def test_exposure_builds_one_operator_per_graph(tiny_run, tmp_path, monkeypatch)
     config, out = tiny_run
     network = pipeline.load_network(config, out / "network")
     # the spy records in this process only
-    monkeypatch.setattr(parallel, "_worker_count", lambda n_tasks: 1)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 1)
     operators = []
 
     def spy(graph):

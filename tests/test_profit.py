@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest, rankdata
 
 from callscore.errors import DataError
-from callscore import models
+from callscore import models, parallel
 from callscore.models import FlatForest, ForestModel, ScoredDataset, leaf_block, predict_forest
 from callscore.profit import (
     EmpParams,
@@ -456,29 +456,56 @@ def test_permutation_importance_matches_per_tree_loop(rng, monkeypatch, walk_pai
         assert got["f6"] == 0.0 and got["f7"] == 0.0
 
 
-def _first_tests_int64(flat, path, n_pairs, n_feat):
-    """`_first_tests` with int64 keys throughout, the reference for either key width."""
+@pytest.mark.parametrize("walk_pairs", [1 << 16, 50])
+def test_importance_tables_do_not_depend_on_the_worker_count(rng, monkeypatch, walk_pairs):
+    monkeypatch.setattr(models, "_WALK_PAIRS", walk_pairs)  # 50: several tree blocks per part
+    forest, X, y = mixed_depth_forest(rng)
+    X = np.hstack([X, np.zeros((len(X), 2))])  # two features no tree tests
+    names = [f"f{k}" for k in range(X.shape[1])]
+    tables = {}
+    for workers in (1, 2, 3):
+        # each part walks in a worker of its own once there are two
+        monkeypatch.setattr(parallel, "worker_count", lambda n_tasks, w=workers: w)
+        acc = accuracy_feature_importance(forest, X, y, names, seed=3)
+        tables[workers] = {kind: [(name, repr(value)) for name, value in ranking] for kind, ranking in acc.items()}
+    assert tables[1] == tables[2] == tables[3]
+
+
+def _first_tests_int64(flat, path, n_pairs, n_feat, features):
+    """`_first_tests` with int64 keys throughout, the reference for either key width:
+    every feature's first tests, of which those of `features` are kept."""
     pairs = np.concatenate([p for p, _ in path])
     nodes = np.concatenate([a for _, a in path])
     keys, first = np.unique(flat.feature[nodes].astype(np.int64) * n_pairs + pairs, return_index=True)
-    return keys, nodes[first], np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)
+    kept = np.isin(keys // n_pairs, features)
+    keys, starts = keys[kept], nodes[first][kept]
+    return keys, starts, np.searchsorted(keys, np.arange(n_feat + 1, dtype=np.int64) * n_pairs)
 
 
-def test_first_tests_keys_are_int32_while_every_key_fits(rng):
+def first_tests_agree(rng, features_of) -> None:
     forest, X, _ = mixed_depth_forest(rng)
     flat = FlatForest.of(forest.trees)
     n_feat = X.shape[1]
+    features = features_of(n_feat)
     widest = (2**31 - 1) // n_feat  # the last key and bound still fit in int32
     for n_pairs, key_type in ((forest.n_trees * len(X), np.int32), (widest, np.int32),
                               (widest + 1, np.int64)):
         path = []
         leaf_block(flat, X, range(forest.n_trees), path)
-        want = _first_tests_int64(flat, path, n_pairs, n_feat)
-        got = _first_tests(flat, path, n_pairs, n_feat)
+        want = _first_tests_int64(flat, path, n_pairs, n_feat, features)
+        got = _first_tests(flat, path, n_pairs, n_feat, features)
         assert path == []
         assert [a.dtype for a in got] == [np.dtype(key_type), np.dtype(np.intp), np.dtype(np.intp)]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_first_tests_keys_are_int32_while_every_key_fits(rng):
+    first_tests_agree(rng, np.arange)
+
+
+def test_first_tests_of_some_features_are_theirs_among_all_first_tests(rng):
+    first_tests_agree(rng, lambda n_feat: np.array([0, 2, n_feat - 1]))
 
 
 def test_permutation_importance_of_one_node_forest_is_zero():

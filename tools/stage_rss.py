@@ -9,7 +9,10 @@ pool workers that have ended (RUSAGE_CHILDREN), in MB. `ru_maxrss` only
 rises, so those figures are the peak up to the end of that stage. A thread
 reads this process's resident set from /proc/self/statm about every
 millisecond, so each stage also gets its starting RSS and its own peak
-(`rss_start_mb`, `rss_peak_mb`).
+(`rss_start_mb`, `rss_peak_mb`). It reads the resident set of each child
+that /proc/self/task/*/children lists too, so each stage gets the largest
+resident set of any of its own pool workers (`workers_rss_peak_mb`, 0 for
+a stage that forks none).
 """
 
 from __future__ import annotations
@@ -48,15 +51,35 @@ class _Sampler(threading.Thread):
         self.statm = os.open("/proc/self/statm", os.O_RDONLY)
         self.stage = None
         self.peaks: dict = {}
+        self.worker_peaks: dict = {}
         self.done = False
 
     def rss_mb(self) -> float:
         return int(os.pread(self.statm, 64, 0).split()[1]) * _MB_PER_PAGE
 
+    @staticmethod
+    def workers_rss_mb() -> float:
+        """The largest resident set among this process's children, 0 without any."""
+        pages = [0]
+        for task in os.listdir("/proc/self/task"):
+            try:
+                with open(f"/proc/self/task/{task}/children", "rb") as fh:
+                    children = fh.read().split()
+            except OSError:  # the thread has ended
+                continue
+            for pid in children:
+                try:
+                    with open(b"/proc/%s/statm" % pid, "rb") as fh:
+                        pages.append(int(fh.read().split()[1]))
+                except (OSError, IndexError):  # the child has ended
+                    continue
+        return max(pages) * _MB_PER_PAGE
+
     def sample(self) -> None:
-        stage, rss = self.stage, self.rss_mb()
+        stage, rss, workers = self.stage, self.rss_mb(), self.workers_rss_mb()
         if stage is not None:
             self.peaks[stage] = max(self.peaks[stage], rss)
+            self.worker_peaks[stage] = max(self.worker_peaks[stage], workers)
 
     def run(self) -> None:
         while not self.done:
@@ -68,6 +91,7 @@ def _timed(name: str, body, stages: dict, sampler: _Sampler):
     def run(*args):
         start = sampler.rss_mb()
         sampler.peaks[name] = start
+        sampler.worker_peaks[name] = 0.0
         sampler.stage = name
         t0 = time.perf_counter()
         try:
@@ -82,6 +106,7 @@ def _timed(name: str, body, stages: dict, sampler: _Sampler):
                 "workers_peak_mb": _peak_mb(resource.RUSAGE_CHILDREN),
                 "rss_start_mb": round(start, 1),
                 "rss_peak_mb": round(sampler.peaks[name], 1),
+                "workers_rss_peak_mb": round(sampler.worker_peaks[name], 1),
             }
     return run
 
