@@ -191,8 +191,11 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
+    import numpy as np
+
     from .graph import load_graph
     from .pipeline import load_labels, propagate_exposure
+    from .tables import write_csv
 
     budget = {f"{args.method}_tolerance": args.tol, f"{args.method}_max_iterations": args.max_iter}
     config = _with_flags(ExperimentConfig(), alpha=args.alpha, spread_fraction=args.d, **budget)
@@ -200,11 +203,8 @@ def _cmd_propagate(args) -> int:
     labels, _ = load_labels(args.labels)
     exposure, relabeling = propagate_exposure(
         graph, labels, args.method.upper(), int(args.seeds[-1]), config)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("node_id", "score"))
-        for i, s in enumerate(exposure.scores):
-            writer.writerow((i, repr(float(s))))
+    write_csv(args.out, ("node_id", "score"),
+              [np.arange(exposure.n_nodes), list(map(repr, exposure.scores.tolist()))])
     print(f"{exposure.method} converged in {exposure.iterations_run} iterations "
           f"(residual {exposure.residual:.3e}); cutoff {relabeling.cutoff:.6g} flags "
           f"{relabeling.n_high_risk} high-risk nodes")
@@ -310,12 +310,12 @@ def _cmd_importance(args) -> int:
     path = Path(config.out_dir) / "eval" / f"{kind}_{model_id}.csv"
     if not path.exists():
         raise DataError(absent)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    with open(path, encoding="utf-8", newline="") as fh:  # not by tables.read_columns, which loads numpy
+        rows = list(csv.reader(fh))[1:]  # (feature, importance) under the header
     print(f"top {min(args.top, len(rows))} features by {args.kind} importance "
           f"(model {model_id}):")
-    for row in rows[: args.top]:
-        print(f"  {row['feature']:45s} {row['importance']}")
+    for feature, importance in rows[: args.top]:
+        print(f"  {feature:45s} {importance}")
     return 0
 
 

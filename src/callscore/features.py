@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import DataError
 from .graph import CallGraph, NodeLabelSet, neighbor_sum
-from .ingest import BankTable, CdrBatch, csv_fields
+from .ingest import BankTable, CdrBatch
 from .parallel import fork_map
 from .propagation import ExposureVector, RiskRelabeling
+from .tables import csv_fields
 
 logger = logging.getLogger(__name__)
 
@@ -286,6 +287,12 @@ def sd_feature_names() -> list:
     return names
 
 
+def group_feature_names() -> dict:
+    """Each group's feature names as its builder makes them, before pruning."""
+    return {"SD": sd_feature_names(), "CB": cb_feature_names(), "LB": lb_feature_names(),
+            "PR": exposure_feature_names("PR"), "SPA": exposure_feature_names("SPA")}
+
+
 def region_of_postcode(postcode) -> str | None:
     """Coarse region from the leading postcode digit: 0-3 / 4-6 / 7-9."""
     if not postcode:
@@ -391,8 +398,8 @@ _CSV_BLOCK_ROWS = 256
 
 def _csv_block(matrix: FeatureMatrix, start: int) -> str:
     """The matrix file's text of the rows from `start`, at most _CSV_BLOCK_ROWS
-    of them, as csv.writer writes them: the keys quoted by `csv_fields`, each
-    value its repr, and a missing cell empty."""
+    of them, as the csv module writes them: the keys quoted by `csv_fields`,
+    each value its repr, and a missing cell empty."""
     stop = start + _CSV_BLOCK_ROWS
     rows = zip(csv_fields(matrix.subject_ids[start:stop]), csv_fields(matrix.timeframes[start:stop]),
                matrix.values[start:stop].tolist(), matrix.y[start:stop].tolist(),

@@ -230,8 +230,7 @@ def save_graph(graph: CallGraph, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / "edges.npy", np.column_stack(graph.edges()))
-    with open(directory / "nodes.txt", "w") as fh:
-        fh.writelines(f"{identity}\n" for identity in graph.ids)
+    (directory / "nodes.txt").write_text("\n".join([*graph.ids, ""]))
     meta = {
         "mode": graph.mode,
         "timeframe_id": graph.timeframe_id,

@@ -17,7 +17,6 @@ replayable in isolation.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, DataError
 from .parallel import fork_map
 from .seeding import substream
-from .tables import parse_column, read_columns
+from .tables import parse_column, read_columns, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -145,14 +144,8 @@ class ScoredDataset:
 
 def save_scores(path: str | Path, scored: ScoredDataset, matrix, rows) -> None:
     """Write one scored row per row index in `rows` of the feature matrix, in that order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("subject_id", "timeframe", "y", "score"))
-        for row, i in enumerate(rows):
-            writer.writerow((
-                matrix.subject_ids[i], matrix.timeframes[i],
-                int(scored.y[row]), repr(float(scored.score[row])),
-            ))
+    write_csv(path, ("subject_id", "timeframe", "y", "score"), [
+        (matrix.subject_ids, rows), (matrix.timeframes, rows), scored.y, list(map(repr, scored.score.tolist()))])
 
 
 def load_scores(path: str | Path) -> ScoredDataset:

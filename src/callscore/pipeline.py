@@ -8,7 +8,6 @@ be built.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
@@ -27,6 +26,7 @@ from .features import (
     drop_correlated,
     exposure_feature_names,
     exposure_link_matrix,
+    group_feature_names,
     link_based_matrix,
     sociodemographic_matrix,
 )
@@ -70,7 +70,7 @@ from .propagation import (
 from .runner import MODEL_GROUPS, ExperimentConfig, _trim_heap, load_data
 from .seeding import substream
 from .synth import generate
-from .tables import parse_column, read_columns
+from .tables import parse_column, read_columns, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +87,7 @@ def _save_batch(batch: CdrBatch, directory: Path) -> None:
     np.save(directory / "columns.npy", np.stack([
         batch.date_ord, batch.time_sec, batch.duration, batch.from_code, batch.to_code,
     ]))
-    with open(directory / "ids.txt", "w") as fh:
-        fh.writelines(f"{i}\n" for i in batch.ids)
+    (directory / "ids.txt").write_text("\n".join([*batch.ids, ""]))
 
 
 LABEL_COLUMNS = (
@@ -100,20 +99,14 @@ LOAN_COLUMNS = ("subject_id", "timeframe", "principal", "ead", "is_defaulter")
 
 def _save_labels(path: Path, graph: CallGraph, labels: NodeLabelSet, loans: Loans) -> None:
     """One row per node; the loan columns are set on the subjects' rows, in node order."""
-    n = graph.n_nodes
-    subjects = labels.is_subject
-    principal, ead, y = np.full((3, n), "", dtype=object)
-    principal[subjects] = [repr(v) for v in loans.principal.tolist()]
-    ead[subjects] = [repr(v) for v in loans.ead.tolist()]
-    y[subjects] = loans.is_defaulter.astype(int).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        writer.writerows(zip(
-            range(n), graph.ids, labels.is_subject.astype(int).tolist(),
-            labels.is_bank_customer.astype(int).tolist(), labels.delinquency_level.tolist(),
-            labels.default_label.tolist(), principal, ead, y,
-        ))
+    # a loan text's index: 1 onwards on the subjects' rows, 0 (an empty field) elsewhere
+    loan = np.cumsum(labels.is_subject) * labels.is_subject
+    write_csv(path, LABEL_COLUMNS, [
+        np.arange(graph.n_nodes), graph.ids, labels.is_subject, labels.is_bank_customer,
+        labels.delinquency_level, labels.default_label,
+        (["", *map(repr, loans.principal.tolist())], loan), (["", *map(repr, loans.ead.tolist())], loan),
+        (["", *map(str, loans.is_defaulter.astype(int).tolist())], loan),
+    ])
 
 
 def load_labels(path: str | Path) -> tuple[NodeLabelSet, Loans]:
@@ -461,13 +454,10 @@ def stage_features(
 
 
 def _save_row_loans(path: Path, matrix: FeatureMatrix, loans: Loans) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOAN_COLUMNS)
-        writer.writerows(zip(
-            matrix.subject_ids, matrix.timeframes, map(repr, loans.principal.tolist()),
-            map(repr, loans.ead.tolist()), loans.is_defaulter.astype(int).tolist(),
-        ))
+    write_csv(path, LOAN_COLUMNS, [
+        matrix.subject_ids, matrix.timeframes, list(map(repr, loans.principal.tolist())),
+        list(map(repr, loans.ead.tolist())), loans.is_defaulter,
+    ])
 
 
 def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix, Loans]:
@@ -480,6 +470,15 @@ def load_features(cfg: ExperimentConfig, directory: Path) -> tuple[FeatureMatrix
         is_defaulter=columns["is_defaulter"] == "1",
     )
     return matrix, loans
+
+
+def refuse_mtry_above_features(cfg: ExperimentConfig) -> None:
+    """Refuses an `mtry` above the feature count, before pruning, of a forest
+    the config trains; pruning may still leave fewer, which `stage_train` refuses."""
+    sizes = {tag: len(names) for tag, names in group_feature_names().items()}
+    count, model_id = min((sum(sizes[tag] for tag in MODEL_GROUPS[m]), m) for m in cfg.model_ids())
+    if cfg.mtry > count and "forest" in cfg.classifier_list():
+        raise DataError(f"mtry {cfg.mtry} exceeds the {count} features of model {model_id} before pruning")
 
 
 def stage_train(cfg: ExperimentConfig, out: Path, featured: list) -> tuple[tuple, dict]:
@@ -581,13 +580,9 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: list, fitted: list) -
             f"{auc:.6f}", f"{report.emp:.8f}", f"{report.emp_fraction:.8f}",
             repr(report.implied_cutoff), f"{report.model_profit:.2f}", f"{report.no_model_profit:.2f}",
         ))
-    with open(out / "models.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((
-            "model_id", "classifier", "groups", "auc", "emp", "emp_fraction",
-            "implied_cutoff", "model_profit", "no_model_profit",
-        ))
-        writer.writerows(rows)
+    write_csv(out / "models.csv", ("model_id", "classifier", "groups", "auc", "emp", "emp_fraction",
+                                   "implied_cutoff", "model_profit", "no_model_profit"),
+              [list(column) for column in zip(*rows)])
     (out / "models.json").write_text(json.dumps(
         [
             {
@@ -606,16 +601,14 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: list, fitted: list) -
     # pairwise DeLong on the primary classifier
     primary = "forest" if "forest" in cfg.classifier_list() else cfg.classifier_list()[0]
     ids = [m for m in cfg.model_ids() if (m, primary) in reports]
-    with open(out / "delong.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("model_a", "model_b", "auc_a", "auc_b", "auc_diff", "z", "p_value"))
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                res = delong_test(trained[(a, primary)].score, trained[(b, primary)].score, matrix.y[test_idx])
-                writer.writerow((
-                    a, b, f"{res.auc_a:.6f}", f"{res.auc_b:.6f}",
-                    f"{res.auc_diff:.6f}", f"{res.z:.4f}", f"{res.p_value:.6g}",
-                ))
+    rows = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            res = delong_test(trained[(a, primary)].score, trained[(b, primary)].score, matrix.y[test_idx])
+            rows.append((a, b, f"{res.auc_a:.6f}", f"{res.auc_b:.6f}", f"{res.auc_diff:.6f}", f"{res.z:.4f}",
+                         f"{res.p_value:.6g}"))
+    write_csv(out / "delong.csv", ("model_a", "model_b", "auc_a", "auc_b", "auc_diff", "z", "p_value"),
+              [list(column) for column in zip(*rows)])
 
     corr_summary = {}
     for model_id in cfg.importance_model_ids():
@@ -659,8 +652,5 @@ def stage_eval(cfg: ExperimentConfig, out: Path, featured: list, fitted: list) -
 
 
 def _write_importance(path: Path, ranking: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("feature", "importance"))
-        for name, value in ranking:
-            writer.writerow((name, "nan" if np.isnan(value) else repr(float(value))))
+    write_csv(path, ("feature", "importance"),
+              [[name for name, _ in ranking], [repr(float(value)) for _, value in ranking]])

@@ -408,6 +408,7 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
 
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
+    pipeline = None
     for position, stage in enumerate(STAGES[: list(directories).index(until) + 1]):
         target = out / stage.directory
         if stage not in owned:
@@ -415,10 +416,12 @@ def run_stages(config: ExperimentConfig, until: str = "eval", resume: bool = Fal
         if resume and _stored_fingerprint(target) == prints[stage.name]:
             logger.info("stage %-9s reused", stage.name)
             continue
-        # the stage bodies and their numeric modules load only when a stage
-        # is built; looked up at each call, so a replaced body is the one run
-        from . import pipeline
-
+        if pipeline is None:
+            # the stage bodies, their numeric modules and the feature counts that
+            # mtry is checked against load only when a stage is built; looked up
+            # at each call, so a replaced body is the one run
+            from . import pipeline
+            pipeline.refuse_mtry_above_features(config)
         for name in stage.upstream:
             if name not in products:
                 products[name] = getattr(pipeline, f"load_{name}")(config, out / directories[name])

@@ -9,8 +9,8 @@ neighborhoods. Every draw comes from named substreams of one seed and file
 output is byte-stable, so downstream results are fully reproducible.
 
 The draws are kept as columns; `ingest` owns both file formats, and its
-`write_cdr` and `write_bank` write the call log and the three bank files,
-and its `write_csv` the generator's truth file.
+`write_cdr` and `write_bank` write the call log and the three bank files;
+`tables.write_csv` writes the generator's truth file.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import CARD_MONTHS, CdrBatch, write_bank, write_cdr, write_csv
+from .ingest import CARD_MONTHS, CdrBatch, write_bank, write_cdr
 from .runner import DATA_FILES, SynthConfig, month_date
 from .seeding import substream
+from .tables import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -95,9 +96,8 @@ class SynthData:
         paths["truth"] = outdir / "truth.csv"
         write_cdr(paths["cdr"], self.cdr_batch())
         write_bank(paths, self.identities, self.accounts, self.transactions, self.cards)
-        write_csv(paths["truth"], TRUTH_COLUMNS, [
-            (self.identities, np.arange(len(self.identities))), self.role, self.cohort, self.risky,
-            self.delinquency, self.y_default, self.credit_limit, self.ead])
+        write_csv(paths["truth"], TRUTH_COLUMNS, [self.identities, self.role, self.cohort, self.risky,
+                                                  self.delinquency, self.y_default, self.credit_limit, self.ead])
         return paths
 
     def cdr_batch(self) -> CdrBatch:

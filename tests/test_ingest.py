@@ -10,7 +10,7 @@ from datetime import date, time
 import numpy as np
 import pytest
 
-from callscore import ingest
+from callscore import ingest, tables
 from callscore.cli import main as cli_main
 from callscore.errors import DataError
 from callscore.ingest import (
@@ -23,8 +23,8 @@ from callscore.ingest import (
     parse_cdr_line,
     write_bank,
     write_cdr,
-    write_csv,
 )
+from callscore.tables import write_csv
 from conftest import records_batch, records_table, reference_ingest_bank, reference_ingest_cdr
 
 TABLE_ROW = "01MAY2017,14:51:14,715,(202) 555-0116,(701) 555-0191"
@@ -416,7 +416,7 @@ def per_row_cdr_text(batch) -> str:
 
 
 def test_write_cdr_text_is_the_per_row_formatters(rng, tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 1000)  # rows span several chunks
+    monkeypatch.setattr(tables, "_WRITE_CHUNK", 1000)  # rows span several chunks
     n = 4321
     ids = [f"id{k}" * (k % 4) + "€" * (k % 3) + str(k) for k in range(60)]
     duration = rng.integers(-(2 ** 31), 2 ** 31, size=n)
@@ -599,7 +599,7 @@ def bank_columns(rng, ids, n_accounts, n_transactions, n_cards):
 
 @pytest.mark.parametrize("sizes", [(0, 0, 0), (1, 1, 1), (60, 250, 40)])
 def test_write_bank_text_is_the_csv_writer(sizes, tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 16)  # rows span several chunks
+    monkeypatch.setattr(tables, "_WRITE_CHUNK", 16)  # rows span several chunks
     columns = bank_columns(np.random.default_rng(sum(sizes)), ODD_IDS, *sizes)
     written, reference = ({name: tmp_path / f"{side}_{name}.csv" for name in ("accounts", "transactions", "card_activity")}
                           for side in ("written", "reference"))
@@ -609,8 +609,8 @@ def test_write_bank_text_is_the_csv_writer(sizes, tmp_path, monkeypatch):
         assert written[name].read_bytes() == reference[name].read_bytes(), name
 
 
-@pytest.mark.parametrize("values", [MONEY_EDGES, [-3, 0, 7, -(2 ** 40), 2 ** 62, -(2 ** 62)]],
-                         ids=["money", "integers"])
+@pytest.mark.parametrize("values", [MONEY_EDGES, [-3, 0, 7, -(2 ** 40), 2 ** 62, -(2 ** 62)], []],
+                         ids=["money", "integers", "no rows"])
 def test_write_csv_numbers_are_formatted_as_the_csv_writer_writes_them(values, tmp_path):
     values = np.array(values)
     ids = [f"id{k}" for k in range(len(values))]

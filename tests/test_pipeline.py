@@ -4,7 +4,9 @@ import dataclasses
 import filecmp
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -20,11 +22,12 @@ import numpy as np
 import pytest
 
 import callscore
-from callscore import parallel, pipeline, runner
+from callscore import parallel, pipeline, runner, tables
 from callscore.cli import main as cli_main
 from callscore.errors import DataError, UsageError
 from callscore.features import FeatureMatrix, drop_correlated
-from callscore.models import load_scores
+from callscore.graph import CallGraph, NodeLabelSet
+from callscore.models import ScoredDataset, load_scores, save_scores
 from callscore.pipeline import stage_eval, stage_train
 from callscore.profit import EmpParams, Loans, sensitivity_sweep
 from callscore.runner import STAGES, ExperimentConfig, dump_config, load_config, load_data, run_stages
@@ -731,6 +734,90 @@ def test_model_with_pruned_away_groups_is_skipped(tmp_path):
     stage_eval(config, tmp_path / "eval", [featured], [fitted])
     with open(tmp_path / "eval" / "models.csv", newline="") as fh:
         assert [r["model_id"] for r in csv.DictReader(fh)] == ["A"]
+    # one model, no pair: the header alone, as the csv module's writer writes it
+    assert (tmp_path / "eval" / "delong.csv").read_bytes() == csv_writer_bytes(
+        ("model_a", "model_b", "auc_a", "auc_b", "auc_diff", "z", "p_value"), [])
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The bytes the csv module's writer writes for `header` and `rows`, in UTF-8."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+# keys the csv module quotes (a quote, a comma, a line break) or writes as UTF-8
+ODD_KEYS = ['say "hi"', "Zoë", "a,b", "名前\r\n", "P1"]
+
+
+def labels_table(path, k):
+    ids = ODD_KEYS[:k]
+    labels = NodeLabelSet(delinquency_level=[-1, 0, 3, -1, 2][:k], is_subject=[0, 1, 1, 0, 1][:k],
+                          is_bank_customer=[0, 1, 1, 1, 1][:k], default_label=[-1, 0, 1, -1, 1][:k])
+    n = int(labels.is_subject.sum())
+    loans = Loans([math.inf, 1500.25, 0.1 + 0.2][:n], [math.inf, 0.0, 0.1][:n], [1, 0, 1][:n])
+    graph = CallGraph("undirected", ids, np.zeros(k + 1, np.int64), np.zeros(0, np.int32), np.zeros(0))
+    pipeline._save_labels(path, graph, labels, loans)
+    loan_texts = iter(zip(map(repr, loans.principal.tolist()), map(repr, loans.ead.tolist()),
+                          loans.is_defaulter.astype(int).tolist()))
+    return pipeline.LABEL_COLUMNS, [
+        (i, ids[i], int(s), int(b), d, y, *(next(loan_texts) if s else ("", "", "")))
+        for i, (s, b, d, y) in enumerate(zip(labels.is_subject.tolist(), labels.is_bank_customer.tolist(),
+                                             labels.delinquency_level.tolist(), labels.default_label.tolist()))]
+
+
+def odd_matrix(k) -> FeatureMatrix:
+    return FeatureMatrix(subject_ids=ODD_KEYS[:k], timeframes=["t1", "t,2", "t3", 'τ"', "t5"][:k],
+                         feature_names=["f"], group_tags=["SD"], values=np.zeros((k, 1)),
+                         y=np.arange(k) % 2 == 0, missing=np.zeros((k, 1), dtype=bool))
+
+
+def loans_table(path, k):
+    matrix = odd_matrix(k)
+    loans = Loans([math.inf, 1500.25, 0.1 + 0.2, 1e300, 5.0][:k], [math.inf, 0.0, 0.1, 1e-300, 5.0][:k],
+                  [1, 0, 1, 0, 1][:k])
+    pipeline._save_row_loans(path, matrix, loans)
+    return pipeline.LOAN_COLUMNS, list(zip(
+        matrix.subject_ids, matrix.timeframes, map(repr, loans.principal.tolist()),
+        map(repr, loans.ead.tolist()), loans.is_defaulter.astype(int).tolist()))
+
+
+def scores_table(path, k):
+    matrix = odd_matrix(k)
+    rows = [4, 2, 0, 1][: k - 1] if k else []
+    scored = ScoredDataset(y=[1, 0, 1, 0][: len(rows)], score=[math.nan, 0.25, 1 / 3, 1.0][: len(rows)])
+    save_scores(path, scored, matrix, rows)
+    return ("subject_id", "timeframe", "y", "score"), [
+        (matrix.subject_ids[i], matrix.timeframes[i], int(scored.y[row]), repr(float(scored.score[row])))
+        for row, i in enumerate(rows)]
+
+
+def importance_table(path, k):
+    ranking = list(zip(ODD_KEYS, [math.nan, math.inf, -math.inf, -0.5, np.float64(1e-17)]))[:k]
+    pipeline._write_importance(path, ranking)
+    return ("feature", "importance"), [(name, "nan" if np.isnan(v) else repr(float(v))) for name, v in ranking]
+
+
+@pytest.mark.parametrize("k", [5, 0], ids=["rows", "no rows"])
+@pytest.mark.parametrize("table", [labels_table, loans_table, scores_table, importance_table],
+                         ids=["labels", "loans", "scores", "importance"])
+def test_run_tables_are_the_csv_writers_bytes(table, k, tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "_WRITE_CHUNK", 2)  # rows span several chunks
+    header, rows = table(tmp_path / "table.csv", k)
+    assert (tmp_path / "table.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+
+def test_run_files_are_the_csv_writers_bytes(tiny_run):
+    # every csv table of a run reads back into the bytes the csv module's writer writes
+    _, out = tiny_run
+    for path in sorted(out.rglob("*.csv")):
+        if path.parent.name == "data":
+            continue  # the generator's files; the CDR log is not written by the csv module
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert path.read_bytes() == csv_writer_bytes(header, rows), path
 
 
 def test_negative_importance_rows_refused(tmp_path):
@@ -798,6 +885,17 @@ def test_bad_model_values_refused_before_any_stage(tmp_path, key, value, message
     with pytest.raises(DataError, match=re.escape(message)):
         run_stages(config)
     assert not (tmp_path / "run").exists()
+
+
+def test_mtry_above_a_forests_feature_count_refused_before_any_stage(tmp_path):
+    # A's 35 SD features are the fewest of the A, B and H forests before pruning
+    config = ExperimentConfig(out_dir=str(tmp_path / "run"), **{**TINY, "mtry": 36})
+    with pytest.raises(DataError, match=re.escape("mtry 36 exceeds the 35 features of model A")):
+        run_stages(config)
+    assert list((tmp_path / "run").iterdir()) == []
+    # no forest, no mtry to check
+    run_stages(dataclasses.replace(config, classifiers="tree"), until="data")
+    assert (tmp_path / "run" / "data" / "fingerprint").exists()
 
 
 def test_cv_folds_unchecked_without_tree(tmp_path):
@@ -914,6 +1012,8 @@ def test_cli_synth_ingest_graph_propagate_netstats(tmp_path, capsys):
                 scores = np.array([float(r["score"]) for r in csv.DictReader(fh)])
             name = f"t1_{method.upper()}_ge{criterion}_UD.npy"
             assert np.array_equal(scores, np.load(run_dir / "exposure" / name)), name
+            assert exposure_csv.read_bytes() == csv_writer_bytes(
+                ("node_id", "score"), enumerate(map(repr, scores.tolist()))), name
             if method == "pr":
                 assert scores.sum() == pytest.approx(1.0, abs=1e-6)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from callscore import ingest, synth
+from callscore import synth, tables
 from callscore.errors import DataError
 from callscore.graph import build_graph
 from callscore.ingest import ingest_bank, ingest_cdr, write_cdr
@@ -58,7 +58,7 @@ def csv_writer_truth(path, data):
 
 
 def test_truth_text_is_the_csv_writer(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_WRITE_CHUNK", 50)  # rows span several chunks
+    monkeypatch.setattr(tables, "_WRITE_CHUNK", 50)  # rows span several chunks
     data = generate(SMALL, seed=4)
     n = len(data.identities)
     edges = [0.125, 2.675, 0.005, 1e16, 1e16 + 2, -0.0, -0.004, math.nan, math.inf, -math.inf, 0.1 + 0.2]
